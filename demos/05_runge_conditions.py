@@ -14,7 +14,7 @@ import siegel_runge as sr
 print("toy incidence: three lines in general position")
 print("-" * 55)
 lines = sr.DivisorIncidence.from_subsets(3, [{1, 2}, {1, 3}, {2, 3}])
-print(f"  m   (no excluded set)           = {sr.m_value(lines)}")
+print(f"  m   (no excluded set)           = {sr.m_y_value(lines)}")
 cut = sr.DivisorIncidence.from_subsets(3, [{1}, {2}, {3}])
 print(f"  m_Y (all crossings inside Y)    = {sr.m_y_value(cut)}")
 partial = sr.DivisorIncidence.from_subsets(3, [{1, 2}, {1, 3}])

@@ -53,7 +53,6 @@ from .heights import (
 from .runge import (
     DivisorIncidence,
     RungeVerdict,
-    m_value,
     m_y_value,
     runge_condition,
     siegel_divisor_count,

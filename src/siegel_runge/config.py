@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from .embedding import MIN_TUBE_PARAMETER
 from .errors import InvalidInputError
 
 
@@ -15,16 +14,11 @@ class RunConfig:
 
     tolerance: float = 1e-10
     rel_tol_vanishing: float = 1e-6
-    tube_cutoff: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
         if self.tolerance <= 0.0 or self.rel_tol_vanishing <= 0.0:
             raise InvalidInputError("tolerances must be positive")
-        if self.tube_cutoff < MIN_TUBE_PARAMETER:
-            raise InvalidInputError(
-                f"tube_cutoff must be >= sqrt(3)/2 ~ {MIN_TUBE_PARAMETER:.6f}"
-            )
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

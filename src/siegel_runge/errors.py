@@ -22,7 +22,7 @@ class NonConvergenceError(SiegelRungeError, RuntimeError):
 
 
 class ResourceLimitError(SiegelRungeError, RuntimeError):
-    """A requested tolerance would need more work than the configured cap."""
+    """A request would need more work or a wider integer range than allowed."""
 
 
 class InconsistencyError(SiegelRungeError, RuntimeError):

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConditioningError, InvalidInputError, NonConvergenceError
+from .errors import ConditioningError, InvalidInputError, NonConvergenceError, ResourceLimitError
 
 __all__ = [
     "SiegelPoint",
@@ -154,6 +154,11 @@ class SymplecticMatrix:
         return m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:]
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
+        # Each product entry is a sum of four products, so this bound keeps
+        # the int64 product exact; past it numpy would wrap silently.
+        bound = 4 * int(np.abs(self.mat).max()) * int(np.abs(other.mat).max())
+        if bound >= 2**63:
+            raise ResourceLimitError(f"product entries may reach {bound:.3e}, past int64")
         return SymplecticMatrix(self.mat @ other.mat)
 
     def inverse(self) -> "SymplecticMatrix":
@@ -327,7 +332,8 @@ def reduce_to_fundamental_domain(
     Step 3 strictly increases det Im(tau), which bounds the number of passes.
     Returns the reduced point together with the witness transform and the
     number of passes used; raises NonConvergenceError (carrying the best
-    iterate) if max_iter passes do not settle.
+    iterate) if max_iter passes do not settle, and ResourceLimitError if the
+    witness transform would outgrow int64.
     """
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)

@@ -22,7 +22,6 @@ from .errors import InvalidInputError
 __all__ = [
     "DivisorIncidence",
     "RungeVerdict",
-    "m_value",
     "m_y_value",
     "runge_condition",
     "siegel_divisor_count",
@@ -71,19 +70,11 @@ class DivisorIncidence:
         return cls(r, tuple(frozenset(s) for s in subsets))
 
 
-def m_value(incidence: DivisorIncidence) -> int:
-    """Largest number of divisors with nonempty common intersection.
-
-    Reads the incidence data with Y empty, i.e. the listed subsets are
-    exactly those with nonempty intersection.
-    """
-    return max(len(s) for s in incidence.outside_y)
-
-
 def m_y_value(incidence: DivisorIncidence) -> int:
     """Largest number of divisors whose common intersection is not inside Y.
 
-    Always at most the Y-empty value, with equality when Y is empty.
+    With Y empty the listed subsets are exactly those with nonempty
+    intersection, and the same function gives m.
     """
     return max(len(s) for s in incidence.outside_y)
 

@@ -29,14 +29,12 @@ value of the discarded tail via a comparison with a geometric series.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InconsistencyError, InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError
 from .halfspace import SiegelPoint
 
 __all__ = [
@@ -59,6 +57,9 @@ DEFAULT_TOL = 1e-10
 DEFAULT_TOL_FOURTH = 1e-8
 
 _MAX_RADIUS = 10_000
+
+#: Most terms per shift evaluated at once; larger boxes go in slabs of rows.
+_SLAB_TERMS = 1 << 16
 
 
 @dataclass(frozen=True, order=True)
@@ -171,27 +172,28 @@ def truncation_radius(y_min: float, tol: float) -> int:
     )
 
 
-@lru_cache(maxsize=256)
-def _ring_lattice(k: int) -> np.ndarray:
-    """Lattice points with max-norm exactly k, in lexicographic (n1, n2) order.
+def _theta_table(tau: SiegelPoint, r: int) -> np.ndarray:
+    """All 16 sums over the box max(|n1|, |n2|) <= r, indexed by bits.
 
-    Ring-by-ring streaming keeps the memory of a theta evaluation linear in
-    the truncation radius.
+    ``table[a1, a2, b1, b2]`` is the truncated Theta_m for m with those
+    bits.  Only the shift a enters the exponent, so each of the four shifts
+    gets one array E_a(n) = exp(i pi (n+a)^t tau (n+a)).  The phase
+    exp(2 i pi n.b) = (-1)^(n1 b1 + n2 b2), with b the numerator bits,
+    factors over the two axes: the four b come out of one s @ E_a @ s^t
+    whose sign rows s are exactly +-1.  The n1 rows go in slabs of at most
+    _SLAB_TERMS terms, so memory stays linear in r.
     """
-    if k == 0:
-        pts = np.array([[0, 0]], dtype=np.int64)
-    else:
-        side = np.arange(-k, k + 1, dtype=np.int64)
-        inner = np.arange(-k + 1, k, dtype=np.int64)
-        pts = np.concatenate([
-            np.column_stack([np.full(2 * k + 1, -k), side]),
-            np.column_stack([inner, np.full(2 * k - 1, -k)]),
-            np.column_stack([inner, np.full(2 * k - 1, k)]),
-            np.column_stack([np.full(2 * k + 1, k), side]),
-        ])
-        pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    pts.setflags(write=False)
-    return pts
+    n = np.arange(-r, r + 1)
+    signs = np.stack([np.ones(n.size), 1.0 - 2.0 * (n & 1)])
+    v = n + np.array([[0.0], [0.5]])
+    v2 = v[None, :, None, :]
+    rows = max(1, _SLAB_TERMS // n.size)
+    table = np.zeros((2, 2, 2, 2), dtype=complex)
+    for lo in range(0, n.size, rows):
+        v1 = v[:, None, lo : lo + rows, None]
+        quad = v1 * v1 * tau.tau1 + 2.0 * v1 * v2 * tau.tau2 + v2 * v2 * tau.tau4
+        table += signs[:, lo : lo + rows] @ np.exp(1j * math.pi * quad) @ signs.T
+    return table
 
 
 def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaValue:
@@ -206,54 +208,29 @@ def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaVal
     Returns
     -------
     ThetaValue with ``error_bound <= tol``.  The sum runs over the box
-    max(|n1|, |n2|) <= R with R from :func:`truncation_radius`, accumulated
-    ring by ring in increasing max-norm for reproducibility.
+    max(|n1|, |n2|) <= R with R from :func:`truncation_radius`.
     """
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
-    r = truncation_radius(tau.min_imag_eigenvalue(), tol)
-
-    a1, a2 = m.a
-    beta1, beta2 = m.bits[2], m.bits[3]
-    value = complex(0.0)
-    for k in range(r + 1):
-        ns = _ring_lattice(k)
-        v1 = ns[:, 0] + a1
-        v2 = ns[:, 1] + a2
-        quad = v1 * v1 * tau.tau1 + 2.0 * v1 * v2 * tau.tau2 + v2 * v2 * tau.tau4
-        # exp(2 i pi n.b) = (-1)^(n1 b1' + n2 b2') with b' the numerator bits: exact.
-        signs = 1 - 2 * ((ns[:, 0] * beta1 + ns[:, 1] * beta2) & 1)
-        value += complex(np.sum(signs * np.exp(1j * math.pi * quad)))
-    return ThetaValue(value, tail_bound(r, tau.min_imag_eigenvalue()))
-
-
-def _fourth_power(m: Characteristic, tau: SiegelPoint, tol: float) -> complex:
-    # |z^4 - w^4| <= 4 U^3 |z - w| for |z|, |w| <= U, so tighten the inner
-    # tolerance until 4 U^3 delta fits under tol.
-    inner = tol / 8.0
-    for _ in range(8):
-        tv = theta_constant(m, tau, inner)
-        u = abs(tv.value) + tv.error_bound
-        if 4.0 * u**3 * tv.error_bound <= tol:
-            return tv.value**4
-        inner = min(inner / 4.0, tol / (8.0 * max(1.0, u) ** 3))
-    raise InconsistencyError("fourth-power tolerance did not settle")  # pragma: no cover
+    y_min = tau.min_imag_eigenvalue()
+    r = truncation_radius(y_min, tol)
+    return ThetaValue(complex(_theta_table(tau, r)[m.bits]), tail_bound(r, y_min))
 
 
 def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     """The 10 values Theta_m(tau)^4, ordered by :func:`even_characteristics`.
 
-    Each component carries an absolute error at most tol.  Honors the
-    SIEGEL_RUNGE_THREADS environment variable (0 or unset: sequential); the
-    components are independent, so threading cannot change the result.
+    Each component carries an absolute error at most tol.  All ten come
+    from one box whose radius meets the inner tolerance tol / (4 U^3) with
+    U = (1 + y_min^(-1/2))^2.  Every term is at most exp(-pi y_min |n+a|^2),
+    which factors over the axes, and each 1-D sum of exp(-pi y (n+a)^2)
+    over n is at most its peak 1 plus the integral y^(-1/2).  So U bounds
+    the absolute series, hence both the constant z and any partial sum w,
+    and |z^4 - w^4| = |z - w| |z^3 + z^2 w + z w^2 + w^3| <= 4 U^3 |z - w|.
     """
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
-    evens = even_characteristics()
-    threads = int(os.environ.get("SIEGEL_RUNGE_THREADS", "0") or 0)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(lambda m: _fourth_power(m, tau, tol), evens))
-    else:
-        vals = [_fourth_power(m, tau, tol) for m in evens]
-    return np.array(vals, dtype=complex)
+    y_min = tau.min_imag_eigenvalue()
+    u = (1.0 + y_min**-0.5) ** 2
+    table = _theta_table(tau, truncation_radius(y_min, tol / (4.0 * u**3)))
+    return np.array([table[m.bits] for m in even_characteristics()]) ** 4

@@ -163,11 +163,6 @@ class TestDeterminismAndErrors:
         path.write_text(json.dumps({"tolarence": 1e-9}))
         assert dispatch(["--config", str(path), "runge", "--n", "2", "--s", "9"]) == 2
 
-    def test_config_validates_tube_cutoff(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"tube_cutoff": 0.1}))
-        assert dispatch(["--config", str(path), "runge", "--n", "2", "--s", "9"]) == 2
-
 
 class TestCanonicalSerializer:
     def test_twelve_significant_digits(self):

@@ -61,6 +61,22 @@ class TestSymplectic:
         g = sr.random_symplectic_matrix(rng)
         assert (g @ g.inverse()).mat.tolist() == np.eye(4, dtype=int).tolist()
 
+    @pytest.mark.parametrize("k", [10**9, 4 * 10**9])
+    def test_product_exact_or_refused(self, k):
+        # [[I, B], [0, I]] @ [[I, 0], [C, I]] has corner 1 + k^2, which
+        # leaves int64 once k^2 >= 2^63.
+        upper = np.eye(4, dtype=np.int64)
+        upper[0, 2] = k
+        lower = np.eye(4, dtype=np.int64)
+        lower[2, 0] = k
+        u, low = sr.SymplecticMatrix(upper), sr.SymplecticMatrix(lower)
+        if k * k < 2**63:
+            exact = upper.astype(object) @ lower.astype(object)
+            assert (u @ low).mat.tolist() == exact.tolist()
+        else:
+            with pytest.raises(sr.ResourceLimitError):
+                u @ low
+
 
 class TestLevel2:
     def test_identity(self):
@@ -211,3 +227,12 @@ class TestReduction:
     def test_bad_tol_rejected(self):
         with pytest.raises(sr.InvalidInputError):
             sr.reduce_to_fundamental_domain(sr.SiegelPoint(1j, 0, 1j), tol=0.0)
+
+    def test_overflowing_transform_raises(self):
+        # With Im(tau) scaled by 1e-40 the witness transform outgrows int64;
+        # unchecked, its entries wrapped silently to just under 2^63.
+        p = sr.sample_reduced_points(6, seed=3)[0]
+        entries = (p.tau1, p.tau2, p.tau4)
+        squeezed = sr.SiegelPoint(*(complex(z.real, 1e-40 * z.imag) for z in entries))
+        with pytest.raises(sr.ResourceLimitError):
+            sr.reduce_to_fundamental_domain(squeezed)

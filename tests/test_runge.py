@@ -16,15 +16,15 @@ class TestIncidenceValues:
     def test_three_lines_general_position(self):
         # all pairs meet, no triple point
         inc = incidence(3, [{1, 2}, {1, 3}, {2, 3}])
-        assert sr.m_value(inc) == 2
+        assert sr.m_y_value(inc) == 2
 
     def test_pairwise_disjoint(self):
         inc = incidence(4, [{1}, {2}, {3}, {4}])
-        assert sr.m_value(inc) == 1
+        assert sr.m_y_value(inc) == 1
 
     def test_common_point(self):
         inc = incidence(4, [{1, 2, 3, 4}])
-        assert sr.m_value(inc) == 4
+        assert sr.m_y_value(inc) == 4
 
     def test_lines_with_all_crossings_excluded(self):
         # Y swallows the three pairwise intersection points
@@ -38,7 +38,7 @@ class TestIncidenceValues:
     def test_shrinking_family_shrinks_m(self):
         full = incidence(3, [{1, 2}, {1, 3}, {2, 3}])
         cut = incidence(3, [{1}, {2}, {3}])
-        assert sr.m_y_value(cut) <= sr.m_value(full)
+        assert sr.m_y_value(cut) <= sr.m_y_value(full)
 
 
 class TestIncidenceNormalization:

@@ -4,9 +4,22 @@ import numpy as np
 import pytest
 
 import siegel_runge as sr
+from siegel_runge import theta
 from siegel_runge.theta import Characteristic
 
-from oracles import tail_abs_sum, theta_1d, theta_2d_naive
+from oracles import naive_fourth_powers, tail_abs_sum, theta_1d, theta_2d_naive
+
+
+def small_y_points():
+    """A reduced point and two level-2 images of it with 0.015 < y_min < 0.03."""
+    tau = sr.sample_reduced_points(1, seed=51)[0]
+    rng = np.random.default_rng(52)
+    points = [tau]
+    while len(points) < 3:
+        image = sr.act(sr.random_level2_matrix(rng), tau)
+        if 0.015 < image.min_imag_eigenvalue() < 0.03:
+            points.append(image)
+    return points
 
 
 def rand_diag_tau(rng):
@@ -160,9 +173,15 @@ class TestFourthVector:
         for i, m in enumerate(sr.even_characteristics()):
             assert abs(v[i] - sr.theta_constant(m, tau, 1e-12).value ** 4) <= 1e-9
 
-    def test_threaded_evaluation_is_bit_identical(self, monkeypatch):
-        tau = sr.sample_reduced_points(1, seed=5)[0]
-        sequential = sr.theta_fourth_vector(tau)
-        monkeypatch.setenv("SIEGEL_RUNGE_THREADS", "3")
-        threaded = sr.theta_fourth_vector(tau)
-        assert np.array_equal(sequential, threaded)
+    def test_matches_double_loop_oracle(self):
+        tol = 1e-8
+        for tau in small_y_points():
+            got = sr.theta_fourth_vector(tau, tol)
+            assert np.max(np.abs(got - naive_fourth_powers(tau.matrix, radius=45))) <= tol
+
+    def test_slabs_match_one_slab(self, monkeypatch):
+        tau = small_y_points()[1]
+        whole = sr.theta_fourth_vector(tau)
+        monkeypatch.setattr(theta, "_SLAB_TERMS", 7)
+        sliced = sr.theta_fourth_vector(tau)
+        assert np.max(np.abs(sliced - whole)) <= 1e-13 * np.max(np.abs(whole))
