@@ -7,7 +7,6 @@ explicit height-bound cases, and the combinatorial finiteness condition
 m_Y * |S| < r together with its even-level specializations.
 """
 
-from .config import RunConfig
 from .embedding import (
     MIN_TUBE_PARAMETER,
     ProjectivePoint,

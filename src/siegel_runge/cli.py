@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .config import RunConfig
+from . import embedding, halfspace, theta
 from .embedding import (
     in_tube,
     near_zero_coordinates,
@@ -77,29 +77,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="theta constants, Siegel reduction, the P^9 embedding, "
         "heights and Runge-condition arithmetic",
     )
-    parser.add_argument("--config", help="JSON file overriding the run configuration")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("theta", help="evaluate one theta constant")
     _add_tau_arguments(p)
     p.add_argument("--char", required=True, help="characteristic bits a1,a2,b1,b2 (1 means 1/2)")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=theta.DEFAULT_TOL)
 
     p = sub.add_parser("reduce", help="reduce to the fundamental domain")
     _add_tau_arguments(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=halfspace.DEFAULT_TOL)
 
     p = sub.add_parser("embed", help="the ten theta fourth powers as a projective point")
     _add_tau_arguments(p)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=theta.DEFAULT_TOL_FOURTH)
 
     p = sub.add_parser("vanishing", help="indices of near-zero embedding coordinates")
     _add_tau_arguments(p)
-    p.add_argument("--rel-tol", type=float, default=None)
+    p.add_argument("--rel-tol", type=float, default=embedding.DEFAULT_REL_TOL)
 
     p = sub.add_parser("rank", help="rank of the span of seeded sample embeddings")
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("tube", help="cusp-tube membership of the reduced representative")
     _add_tau_arguments(p)
@@ -126,11 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args, config: RunConfig) -> dict:
+def _run(args) -> dict:
     if args.command == "theta":
         tau = _parse_tau(args)
         m = _parse_bits(args.char)
-        tv = theta_constant(m, tau, args.tol if args.tol is not None else config.tolerance)
+        tv = theta_constant(m, tau, args.tol)
         return {
             "char": list(m.bits),
             "value": [tv.value.real, tv.value.imag],
@@ -144,18 +143,16 @@ def _run(args, config: RunConfig) -> dict:
         return projective_point_to_json(psi(_parse_tau(args), tol=args.tol))
 
     if args.command == "vanishing":
-        rel = args.rel_tol if args.rel_tol is not None else config.rel_tol_vanishing
-        point = psi(_parse_tau(args))
-        return {"indices": sorted(near_zero_coordinates(point, rel)), "rel_tol": rel}
+        indices = near_zero_coordinates(psi(_parse_tau(args)), args.rel_tol)
+        return {"indices": sorted(indices), "rel_tol": args.rel_tol}
 
     if args.command == "rank":
-        seed = args.seed if args.seed is not None else config.seed
-        points = [psi(t) for t in sample_reduced_points(args.samples, seed)]
+        points = [psi(t) for t in sample_reduced_points(args.samples, args.seed)]
         svals = relation_singular_values(points)
         return {
             "rank": relation_rank(points),
             "n_samples": args.samples,
-            "seed": seed,
+            "seed": args.seed,
             "singular_values": [float(s) for s in svals],
         }
 
@@ -201,8 +198,7 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return int(exc.code or 0)
     try:
-        config = RunConfig.from_file(args.config) if args.config else RunConfig()
-        result = _run(args, config)
+        result = _run(args)
     except (InvalidInputError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -98,24 +98,19 @@ def near_zero_coordinates(p: ProjectivePoint, rel_tol: float = DEFAULT_REL_TOL) 
     return set(np.flatnonzero(mags <= rel_tol * mags.max()).tolist())
 
 
-def is_product_locus(
-    tau,
-    rel_tol: float = DEFAULT_REL_TOL,
-    tube_cutoff: float = DEFAULT_TUBE_CUTOFF,
-    tol: float = DEFAULT_TOL_FOURTH,
-) -> bool | None:
+def is_product_locus(tau) -> bool | None:
     """Numerical detector of the product-of-elliptic-curves divisors.
 
     Reduces tau to the fundamental domain and tests whether exactly one
     embedding coordinate is near zero.  Returns None (indeterminate) when the
-    reduced point lies in the tube Im(tau4) >= tube_cutoff: close to the
-    cusps several coordinates decay at once and a single vanishing
+    reduced point lies in the tube Im(tau4) >= DEFAULT_TUBE_CUTOFF: close to
+    the cusps several coordinates decay at once and a single vanishing
     coordinate is no longer a meaningful signal.
     """
     reduced = reduce_to_fundamental_domain(tau).reduced
-    if reduced.tau4.imag >= tube_cutoff:
+    if reduced.tau4.imag >= DEFAULT_TUBE_CUTOFF:
         return None
-    return len(near_zero_coordinates(psi(reduced, tol), rel_tol)) == 1
+    return len(near_zero_coordinates(psi(reduced))) == 1
 
 
 def relation_singular_values(samples: list[ProjectivePoint]) -> np.ndarray:
@@ -126,15 +121,15 @@ def relation_singular_values(samples: list[ProjectivePoint]) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def relation_rank(samples: list[ProjectivePoint], rel_cutoff: float = _RANK_CUTOFF) -> int:
+def relation_rank(samples: list[ProjectivePoint]) -> int:
     """Numerical rank of the span of the sampled embedding coordinates.
 
     The ten theta fourth powers satisfy five independent linear relations
     (their image is the Igusa quartic in a P^4), so generic sampling yields 5.
-    Singular values above rel_cutoff times the largest count toward the rank.
+    Singular values above _RANK_CUTOFF (1e-6) times the largest count toward the rank.
     """
     s = relation_singular_values(samples)
-    return int(np.sum(s > rel_cutoff * s[0]))
+    return int(np.sum(s > _RANK_CUTOFF * s[0]))
 
 
 @dataclass(frozen=True)

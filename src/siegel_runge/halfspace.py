@@ -40,6 +40,9 @@ CONDITION_EPS = 1e-12
 
 _MAX_ITER = 1000
 
+#: Largest relative asymmetry SiegelPoint.from_matrix accepts.
+_SYM_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SiegelPoint:
@@ -74,17 +77,17 @@ class SiegelPoint:
         return self.matrix.imag
 
     @classmethod
-    def from_matrix(cls, tau, sym_tol: float = 1e-12) -> "SiegelPoint":
+    def from_matrix(cls, tau) -> "SiegelPoint":
         """Build from a (numerically) symmetric 2x2 array.
 
         The off-diagonal entries are averaged; they may differ by at most
-        ``sym_tol`` relative to the largest entry.
+        1e-12 relative to the largest entry.
         """
         m = np.asarray(tau, dtype=complex)
         if m.shape != (2, 2):
             raise InvalidInputError(f"expected a 2x2 matrix, got shape {m.shape}")
         scale = max(1.0, np.max(np.abs(m)))
-        if abs(m[0, 1] - m[1, 0]) > sym_tol * scale:
+        if abs(m[0, 1] - m[1, 0]) > _SYM_TOL * scale:
             raise InvalidInputError("matrix is not symmetric within tolerance")
         off = 0.5 * (m[0, 1] + m[1, 0])
         return cls(complex(m[0, 0]), complex(off), complex(m[1, 1]))
@@ -207,28 +210,28 @@ def gl2_embedding(u) -> SymplecticMatrix:
     return SymplecticMatrix(m)
 
 
-def act(gamma, tau, condition_eps: float = CONDITION_EPS) -> SiegelPoint:
+def _det2(m):
+    """Determinant of a 2x2 matrix, or of each 2x2 matrix in a stack."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def act(gamma, tau) -> SiegelPoint:
     """Apply tau -> (A tau + B)(C tau + D)^-1 and re-symmetrize the result.
 
-    Raises ConditioningError when |det(C tau + D)| < condition_eps.
+    Raises ConditioningError when |det(C tau + D)| < CONDITION_EPS.
     """
     g = gamma if isinstance(gamma, SymplecticMatrix) else SymplecticMatrix(np.asarray(gamma))
     t = tau.matrix if isinstance(tau, SiegelPoint) else np.asarray(tau, dtype=complex)
     a, b, c, d = g.blocks
     den = c @ t + d
-    det = den[0, 0] * den[1, 1] - den[0, 1] * den[1, 0]
-    if abs(det) < condition_eps:
-        raise ConditioningError(f"|det(C tau + D)| = {abs(det):.3e} below {condition_eps:.1e}")
+    det = _det2(den)
+    if abs(det) < CONDITION_EPS:
+        raise ConditioningError(f"|det(C tau + D)| = {abs(det):.3e} below {CONDITION_EPS:.1e}")
     num = a @ t + b
     # num @ den^-1 via a solve on the transposed system.
     res = np.linalg.solve(den.T, num.T).T
     res = 0.5 * (res + res.T)
     return SiegelPoint(complex(res[0, 0]), complex(res[0, 1]), complex(res[1, 1]))
-
-
-def _cofactor_det(c: np.ndarray, d: np.ndarray, t: np.ndarray) -> complex:
-    m = c @ t + d
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
 @lru_cache(maxsize=1)
@@ -287,6 +290,19 @@ def gottschling_matrices() -> tuple[SymplecticMatrix, ...]:
     return tuple(mats)
 
 
+@lru_cache(maxsize=1)
+def _gottschling_blocks() -> tuple[np.ndarray, np.ndarray]:
+    """The C and D blocks of :func:`gottschling_matrices`, stacked (19, 2, 2)."""
+    mats = gottschling_matrices()
+    return np.stack([g.blocks[2] for g in mats]), np.stack([g.blocks[3] for g in mats])
+
+
+def _gottschling_dets(t: np.ndarray) -> np.ndarray:
+    """The nineteen det(C tau + D) at tau, in the order of gottschling_matrices()."""
+    c, d = _gottschling_blocks()
+    return _det2(c @ t + d)
+
+
 @dataclass(frozen=True)
 class ReductionResult:
     """Outcome of a fundamental-domain reduction: act(transform, original) = reduced."""
@@ -316,11 +332,7 @@ def _minkowski_gl2(y: np.ndarray) -> np.ndarray:
     return u
 
 
-def reduce_to_fundamental_domain(
-    tau: SiegelPoint,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = _MAX_ITER,
-) -> ReductionResult:
+def reduce_to_fundamental_domain(tau: SiegelPoint, tol: float = DEFAULT_TOL) -> ReductionResult:
     """Move tau into the fundamental domain of Sp4(Z) acting on H2.
 
     The loop alternates three steps until none of them fires:
@@ -332,7 +344,7 @@ def reduce_to_fundamental_domain(
     Step 3 strictly increases det Im(tau), which bounds the number of passes.
     Returns the reduced point together with the witness transform and the
     number of passes used; raises NonConvergenceError (carrying the best
-    iterate) if max_iter passes do not settle, and ResourceLimitError if the
+    iterate) if 1000 passes do not settle, and ResourceLimitError if the
     witness transform would outgrow int64.
     """
     if not isinstance(tau, SiegelPoint):
@@ -343,7 +355,7 @@ def reduce_to_fundamental_domain(
     cur = tau
     total = IDENTITY
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         iterations += 1
         changed = False
 
@@ -363,24 +375,18 @@ def reduce_to_fundamental_domain(
             total = g @ total
             changed = True
 
-        t = cur.matrix
-        best_val = math.inf
-        best_g = None
-        for g in gottschling_matrices():
-            _, _, c, d = g.blocks
-            val = abs(_cofactor_det(c, d, t))
-            if val < best_val:
-                best_val = val
-                best_g = g
-        if best_val < 1.0 - tol:
-            cur = act(best_g, cur)
-            total = best_g @ total
+        vals = np.abs(_gottschling_dets(cur.matrix))
+        k = int(np.argmin(vals))
+        if vals[k] < 1.0 - tol:
+            g = gottschling_matrices()[k]
+            cur = act(g, cur)
+            total = g @ total
             changed = True
 
         if not changed:
             return ReductionResult(cur, total, iterations)
 
     raise NonConvergenceError(
-        f"reduction did not settle in {max_iter} passes",
+        f"reduction did not settle in {_MAX_ITER} passes",
         best=ReductionResult(cur, total, iterations),
     )

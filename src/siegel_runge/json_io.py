@@ -14,6 +14,7 @@ from .embedding import ProjectivePoint
 from .errors import InvalidInputError
 from .halfspace import ReductionResult, SiegelPoint, SymplecticMatrix
 from .runge import DivisorIncidence
+from .theta import DEFAULT_TOL_FOURTH
 
 __all__ = [
     "dumps_canonical",
@@ -96,12 +97,12 @@ def projective_point_to_json(p: ProjectivePoint) -> dict:
     return {"coords": [_pair(z) for z in p.coords], "order": COORD_ORDER}
 
 
-def projective_point_from_json(data: dict, tol: float = 1e-8) -> ProjectivePoint:
+def projective_point_from_json(data: dict) -> ProjectivePoint:
     try:
         coords = np.array([complex(re, im) for re, im in data["coords"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed ProjectivePoint JSON: {exc}") from exc
-    return ProjectivePoint(coords, tol)
+    return ProjectivePoint(coords, DEFAULT_TOL_FOURTH)
 
 
 def reduction_to_json(res: ReductionResult) -> dict:

@@ -150,8 +150,11 @@ def tail_bound(radius: int, y_min: float) -> float:
         raise InvalidInputError("y_min must be positive")
     s = radius + 1 - _A_NORM
     e = math.exp(-math.pi * y_min * s * s)
-    rho = math.exp(-2.0 * math.pi * y_min * s)
-    return 8.0 * e * ((radius + 1) / (1.0 - rho) + rho / (1.0 - rho) ** 2)
+    x = 2.0 * math.pi * y_min * s
+    rho = math.exp(-x)
+    # 1 - rho without cancellation: it stays positive when rho rounds to 1.
+    q = -math.expm1(-x)
+    return 8.0 * e * ((radius + 1) / q + rho / q / q)
 
 
 def truncation_radius(y_min: float, tol: float) -> int:
@@ -232,5 +235,9 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
         tau = SiegelPoint.from_matrix(tau)
     y_min = tau.min_imag_eigenvalue()
     u = (1.0 + y_min**-0.5) ** 2
-    table = _theta_table(tau, truncation_radius(y_min, tol / (4.0 * u**3)))
+    with np.errstate(over="ignore"):
+        inner = tol / (4.0 * u**3)
+    if inner == 0.0:
+        raise ResourceLimitError(f"the inner tolerance underflows at y_min {y_min:.3e}")
+    table = _theta_table(tau, truncation_radius(y_min, inner))
     return np.array([table[m.bits] for m in even_characteristics()]) ** 4

@@ -150,18 +150,14 @@ class TestDeterminismAndErrors:
     def test_unknown_subcommand_is_exit_two(self, capsys):
         assert dispatch(["frobnicate"]) == 2
 
-    def test_config_file(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"seed": 5, "rel_tol_vanishing": 1e-4}))
-        data = run_ok(capsys, ["--config", str(path), "rank", "--samples", "10"])
-        assert data["seed"] == 5
-        data = run_ok(capsys, ["--config", str(path), "vanishing", "--tau", TAU_I])
-        assert data["rel_tol"] == 1e-4
-
-    def test_config_rejects_unknown_keys(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"tolarence": 1e-9}))
-        assert dispatch(["--config", str(path), "runge", "--n", "2", "--s", "9"]) == 2
+    @pytest.mark.parametrize("y", ["1e-60", "1e-120"])
+    @pytest.mark.parametrize("command", [["theta", "--char", "0,0,0,0"], ["embed"]],
+                             ids=["theta", "embed"])
+    def test_tiny_imaginary_part_is_numerical_failure(self, capsys, command, y):
+        # a valid point of H2 whose theta sums need a radius past the cap
+        tau = f'{{"tau1": [0, {y}], "tau2": [0, 0], "tau4": [0, {y}]}}'
+        assert dispatch([*command, "--tau", tau]) == 1
+        assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 class TestCanonicalSerializer:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import siegel_runge as sr
-from siegel_runge.halfspace import gottschling_matrices
+from siegel_runge.halfspace import _gottschling_dets, gottschling_matrices
 
 
 I2 = np.eye(2)
@@ -161,11 +161,15 @@ class TestGottschling:
         for e in (1, -1):
             expected += [t1 + 2 * e * t2 + t4 + d for d in (0, 1, -1)]
 
-        for g, want in zip(gottschling_matrices(), expected):
+        per_matrix = []
+        for g in gottschling_matrices():
             _, _, c, d = g.blocks
             den = c @ tau.matrix + d
-            got = den[0, 0] * den[1, 1] - den[0, 1] * den[1, 0]
-            assert abs(got - want) < 1e-12
+            per_matrix.append(den[0, 0] * den[1, 1] - den[0, 1] * den[1, 0])
+        # the same values from the stacked blocks the reduction scans
+        for got in (per_matrix, _gottschling_dets(tau.matrix)):
+            assert len(got) == 19
+            assert np.max(np.abs(np.asarray(got) - expected)) < 1e-12
 
 
 def minkowski_ok(y, tol=1e-9):

@@ -78,6 +78,13 @@ class TestTruncation:
         with pytest.raises(sr.ResourceLimitError):
             sr.truncation_radius(1e-9, 1e-10)
 
+    @pytest.mark.parametrize("y_min", [1e-60, 1e-120])
+    def test_tiny_ymin_hits_the_cap(self, y_min):
+        # exp(-2 pi y_min s) rounds to 1 here; the bound must stay finite
+        assert 1.0 < sr.tail_bound(1, y_min) < math.inf
+        with pytest.raises(sr.ResourceLimitError):
+            sr.truncation_radius(y_min, 1e-10)
+
     @pytest.mark.parametrize("y_min", [0.3, 1.0])
     @pytest.mark.parametrize("radius", [2, 4])
     def test_bound_dominates_brute_tail(self, y_min, radius):
@@ -178,6 +185,12 @@ class TestFourthVector:
         for tau in small_y_points():
             got = sr.theta_fourth_vector(tau, tol)
             assert np.max(np.abs(got - naive_fourth_powers(tau.matrix, radius=45))) <= tol
+
+    @pytest.mark.parametrize("y", [1e-60, 1e-120])
+    def test_tiny_imaginary_part_hits_the_cap(self, y):
+        # at 1e-120 the inner tolerance tol / (4 U^3) underflows to 0
+        with pytest.raises(sr.ResourceLimitError):
+            sr.theta_fourth_vector(sr.SiegelPoint(y * 1j, 0, y * 1j))
 
     def test_slabs_match_one_slab(self, monkeypatch):
         tau = small_y_points()[1]
