@@ -57,14 +57,7 @@ class SiegelPoint:
     tau4: complex
 
     def __post_init__(self):
-        entries = (self.tau1, self.tau2, self.tau4)
-        if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in map(complex, entries)):
-            raise InvalidInputError("SiegelPoint entries must be finite")
-        y1 = complex(self.tau1).imag
-        y2 = complex(self.tau2).imag
-        y4 = complex(self.tau4).imag
-        if not (y1 > 0.0 and y1 * y4 - y2 * y2 > 0.0):
-            raise InvalidInputError("Im(tau) is not positive definite")
+        _check_entries(complex(self.tau1), complex(self.tau2), complex(self.tau4))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -93,11 +86,29 @@ class SiegelPoint:
         return cls(complex(m[0, 0]), complex(off), complex(m[1, 1]))
 
     def min_imag_eigenvalue(self) -> float:
-        """Smallest eigenvalue of Im(tau) (positive on H2)."""
-        y = self.imag
-        tr = y[0, 0] + y[1, 1]
-        disc = math.hypot(y[0, 0] - y[1, 1], 2.0 * y[0, 1])
-        return 0.5 * (tr - disc)
+        """Smallest eigenvalue of Im(tau) (positive on H2).
+
+        Taken as det / lam_max, with det = y1 (y4 - y2^2 / y1), because
+        0.5 (tr - disc) cancels to 0 when the eigenvalues are far apart.
+        """
+        y1, y2, y4 = complex(self.tau1).imag, complex(self.tau2).imag, complex(self.tau4).imag
+        lam_max = 0.5 * (y1 + y4 + math.hypot(y1 - y4, 2.0 * y2))
+        return (y1 / lam_max) * (y4 - y2 * (y2 / y1))
+
+
+def _positive_definite(y1: float, y2: float, y4: float) -> bool:
+    """Leading-minor test of [[y1, y2], [y2, y4]], the second minor divided
+    by y1 so that tiny entries do not underflow to 0."""
+    return y1 > 0.0 and y4 - y2 * (y2 / y1) > 0.0
+
+
+def _check_entries(t1: complex, t2: complex, t4: complex) -> None:
+    """Raise InvalidInputError unless (t1, t2, t4) are the finite entries of
+    a point of H2."""
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in (t1, t2, t4)):
+        raise InvalidInputError("SiegelPoint entries must be finite")
+    if not _positive_definite(t1.imag, t2.imag, t4.imag):
+        raise InvalidInputError("Im(tau) is not positive definite")
 
 
 def is_in_H2(tau) -> bool:
@@ -113,8 +124,7 @@ def is_in_H2(tau) -> bool:
         raise InvalidInputError("matrix entries must be finite")
     if m[0, 1] != m[1, 0]:
         return False
-    y = m.imag
-    return y[0, 0] > 0.0 and y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0] > 0.0
+    return _positive_definite(float(m[0, 0].imag), float(m[0, 1].imag), float(m[1, 1].imag))
 
 
 _J_BLOCKS = np.block(
@@ -137,6 +147,17 @@ def is_symplectic(m) -> bool:
     return np.array_equal(a.T @ _J_BLOCKS @ a, _J_BLOCKS)
 
 
+def _check_product_bound(max_a: int, max_b: int) -> None:
+    """Refuse a 4x4 integer product whose factors have these largest |entries|.
+
+    Each product entry is a sum of four products, so this bound keeps the
+    product within int64; past it numpy would wrap silently.
+    """
+    bound = 4 * max_a * max_b
+    if bound >= 2**63:
+        raise ResourceLimitError(f"product entries may reach {bound:.3e}, past int64")
+
+
 @dataclass(frozen=True)
 class SymplecticMatrix:
     """Element of Sp4(Z) in block form [[A, B], [C, D]]."""
@@ -157,11 +178,7 @@ class SymplecticMatrix:
         return m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:]
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        # Each product entry is a sum of four products, so this bound keeps
-        # the int64 product exact; past it numpy would wrap silently.
-        bound = 4 * int(np.abs(self.mat).max()) * int(np.abs(other.mat).max())
-        if bound >= 2**63:
-            raise ResourceLimitError(f"product entries may reach {bound:.3e}, past int64")
+        _check_product_bound(int(np.abs(self.mat).max()), int(np.abs(other.mat).max()))
         return SymplecticMatrix(self.mat @ other.mat)
 
     def inverse(self) -> "SymplecticMatrix":
@@ -178,7 +195,6 @@ class SymplecticMatrix:
 
 
 J = SymplecticMatrix(_J_BLOCKS)
-IDENTITY = SymplecticMatrix(np.eye(4, dtype=np.int64))
 
 
 def is_level2(gamma) -> bool:
@@ -187,51 +203,68 @@ def is_level2(gamma) -> bool:
     return bool(np.all((m - np.eye(4, dtype=np.int64)) % 2 == 0))
 
 
+def _translation_rows(b1: int, b2: int, b4: int):
+    """Rows of [[I, B], [0, I]] for B = [[b1, b2], [b2, b4]]."""
+    return ((1, 0, b1, b2), (0, 1, b2, b4), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _gl2_rows(u00: int, u01: int, u10: int, u11: int):
+    """Rows of [[U^t, 0], [0, U^-1]] for U = [[u00, u01], [u10, u11]] of det +-1."""
+    det = u00 * u11 - u01 * u10
+    return ((u00, u10, 0, 0), (u01, u11, 0, 0),
+            (0, 0, det * u11, -det * u01), (0, 0, -det * u10, det * u00))
+
+
 def translation(b) -> SymplecticMatrix:
     """The shift tau -> tau + B for a symmetric integer matrix B."""
     bm = np.asarray(b, dtype=np.int64)
     if bm.shape != (2, 2) or bm[0, 1] != bm[1, 0]:
         raise InvalidInputError("translation block must be symmetric 2x2 integer")
-    m = np.eye(4, dtype=np.int64)
-    m[:2, 2:] = bm
-    return SymplecticMatrix(m)
+    return SymplecticMatrix(np.array(_translation_rows(bm[0, 0], bm[0, 1], bm[1, 1]), dtype=np.int64))
 
 
 def gl2_embedding(u) -> SymplecticMatrix:
     """Embed U in GL2(Z) as the symplectic matrix acting by tau -> U^t tau U."""
     um = np.asarray(u, dtype=np.int64)
-    det = um[0, 0] * um[1, 1] - um[0, 1] * um[1, 0]
-    if det not in (1, -1):
+    if um[0, 0] * um[1, 1] - um[0, 1] * um[1, 0] not in (1, -1):
         raise InvalidInputError("matrix is not in GL2(Z)")
-    inv = det * np.array([[um[1, 1], -um[0, 1]], [-um[1, 0], um[0, 0]]], dtype=np.int64)
-    m = np.zeros((4, 4), dtype=np.int64)
-    m[:2, :2] = um.T
-    m[2:, 2:] = inv
-    return SymplecticMatrix(m)
+    return SymplecticMatrix(np.array(_gl2_rows(*um.ravel().tolist()), dtype=np.int64))
 
 
-def _det2(m):
-    """Determinant of a 2x2 matrix, or of each 2x2 matrix in a stack."""
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+def _act_entries(g, t1: complex, t2: complex, t4: complex) -> tuple[complex, complex, complex]:
+    """(A tau + B)(C tau + D)^-1 at tau = [[t1, t2], [t2, t4]] in closed 2x2 form.
+
+    ``g`` is [[A, B], [C, D]] as four rows of integers.  The image is
+    N adj(M) / det(M) with N = A tau + B and M = C tau + D, re-symmetrized
+    and returned as its entries (tau1, tau2, tau4).  Raises ConditioningError
+    when |det(M)| < CONDITION_EPS.
+    """
+    (a00, a01, b00, b01), (a10, a11, b10, b11), (c00, c01, d00, d01), (c10, c11, d10, d11) = g
+    m00 = c00 * t1 + c01 * t2 + d00
+    m01 = c00 * t2 + c01 * t4 + d01
+    m10 = c10 * t1 + c11 * t2 + d10
+    m11 = c10 * t2 + c11 * t4 + d11
+    det = m00 * m11 - m01 * m10
+    if abs(det) < CONDITION_EPS:
+        raise ConditioningError(f"|det(C tau + D)| = {abs(det):.3e} below {CONDITION_EPS:.1e}")
+    n00 = a00 * t1 + a01 * t2 + b00
+    n01 = a00 * t2 + a01 * t4 + b01
+    n10 = a10 * t1 + a11 * t2 + b10
+    n11 = a10 * t2 + a11 * t4 + b11
+    return ((n00 * m11 - n01 * m10) / det,
+            0.5 * ((n01 * m00 - n00 * m01) / det + (n10 * m11 - n11 * m10) / det),
+            (n11 * m00 - n10 * m01) / det)
 
 
 def act(gamma, tau) -> SiegelPoint:
     """Apply tau -> (A tau + B)(C tau + D)^-1 and re-symmetrize the result.
 
-    Raises ConditioningError when |det(C tau + D)| < CONDITION_EPS.
+    A tau given as an array goes through SiegelPoint.from_matrix.  Raises
+    ConditioningError when |det(C tau + D)| < CONDITION_EPS.
     """
     g = gamma if isinstance(gamma, SymplecticMatrix) else SymplecticMatrix(np.asarray(gamma))
-    t = tau.matrix if isinstance(tau, SiegelPoint) else np.asarray(tau, dtype=complex)
-    a, b, c, d = g.blocks
-    den = c @ t + d
-    det = _det2(den)
-    if abs(det) < CONDITION_EPS:
-        raise ConditioningError(f"|det(C tau + D)| = {abs(det):.3e} below {CONDITION_EPS:.1e}")
-    num = a @ t + b
-    # num @ den^-1 via a solve on the transposed system.
-    res = np.linalg.solve(den.T, num.T).T
-    res = 0.5 * (res + res.T)
-    return SiegelPoint(complex(res[0, 0]), complex(res[0, 1]), complex(res[1, 1]))
+    p = tau if isinstance(tau, SiegelPoint) else SiegelPoint.from_matrix(tau)
+    return SiegelPoint(*_act_entries(g.mat.tolist(), complex(p.tau1), complex(p.tau2), complex(p.tau4)))
 
 
 @lru_cache(maxsize=1)
@@ -291,16 +324,28 @@ def gottschling_matrices() -> tuple[SymplecticMatrix, ...]:
 
 
 @lru_cache(maxsize=1)
-def _gottschling_blocks() -> tuple[np.ndarray, np.ndarray]:
-    """The C and D blocks of :func:`gottschling_matrices`, stacked (19, 2, 2)."""
-    mats = gottschling_matrices()
-    return np.stack([g.blocks[2] for g in mats]), np.stack([g.blocks[3] for g in mats])
+def _gottschling_rows() -> tuple:
+    """Each of :func:`gottschling_matrices` as a tuple of rows of Python ints."""
+    return tuple(tuple(map(tuple, g.mat.tolist())) for g in gottschling_matrices())
 
 
-def _gottschling_dets(t: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _gottschling_coefficients() -> tuple:
+    """(det C, p1, p2, p4, det D) of each of :func:`gottschling_matrices`,
+    with det(C tau + D) = det C det tau + p1 tau1 + p2 tau2 + p4 tau4 + det D
+    for symmetric tau."""
+    return tuple(
+        (c00 * c11 - c01 * c10, c00 * d11 - c10 * d01, c01 * d11 + c10 * d00 - c00 * d10 - c11 * d01,
+         c11 * d00 - c01 * d10, d00 * d11 - d01 * d10)
+        for _, _, (c00, c01, d00, d01), (c10, c11, d10, d11) in _gottschling_rows()
+    )
+
+
+def _gottschling_scan(t1: complex, t2: complex, t4: complex) -> list[complex]:
     """The nineteen det(C tau + D) at tau, in the order of gottschling_matrices()."""
-    c, d = _gottschling_blocks()
-    return _det2(c @ t + d)
+    det_tau = t1 * t4 - t2 * t2
+    return [dc * det_tau + p1 * t1 + p2 * t2 + p4 * t4 + dd
+            for dc, p1, p2, p4, dd in _gottschling_coefficients()]
 
 
 @dataclass(frozen=True)
@@ -312,24 +357,54 @@ class ReductionResult:
     iterations: int
 
 
-def _minkowski_gl2(y: np.ndarray) -> np.ndarray:
-    """U in GL2(Z) with U^t Y U satisfying 0 <= 2 Y12 <= Y11 <= Y22."""
-    u = np.eye(2, dtype=np.int64)
+def _congruence(y1: float, y2: float, y4: float, u00: int, u01: int, u10: int, u11: int):
+    """Entries (G11, G12, G22) of G = (U^t Y) U."""
+    p00, p01 = u00 * y1 + u10 * y2, u00 * y2 + u10 * y4
+    p10, p11 = u01 * y1 + u11 * y2, u01 * y2 + u11 * y4
+    return p00 * u00 + p01 * u10, p00 * u01 + p01 * u11, p10 * u01 + p11 * u11
+
+
+def _minkowski_gl2(y1: float, y2: float, y4: float) -> tuple[int, int, int, int]:
+    """Entries (u00, u01, u10, u11) of U in GL2(Z) with G = U^t Y U satisfying
+    0 <= 2 G12 <= G11 <= G22, by Gauss reduction of Y = [[y1, y2], [y2, y4]]."""
+    u00, u01, u10, u11 = 1, 0, 0, 1
     for _ in range(256):
-        g = u.T @ y @ u
-        if g[0, 0] > g[1, 1]:
-            u = u @ np.array([[0, 1], [1, 0]], dtype=np.int64)
+        g11, g12, g22 = _congruence(y1, y2, y4, u00, u01, u10, u11)
+        if g11 > g22:
+            u00, u01, u10, u11 = u01, u00, u11, u10
             continue
-        r = round(g[0, 1] / g[0, 0])
+        r = round(g12 / g11)
         if r != 0:
-            u = u @ np.array([[1, -r], [0, 1]], dtype=np.int64)
+            u01, u11 = u01 - r * u00, u11 - r * u10
             continue
         break
     else:  # pragma: no cover - Gauss reduction of a 2x2 form always exits
         raise NonConvergenceError("Minkowski reduction did not settle")
-    if (u.T @ y @ u)[0, 1] < 0.0:
-        u = u @ np.diag([1, -1]).astype(np.int64)
-    return u
+    if _congruence(y1, y2, y4, u00, u01, u10, u11)[1] < 0.0:
+        u01, u11 = -u01, -u11
+    return u00, u01, u10, u11
+
+
+def _compose(a, b):
+    """Exact integer product a @ b of two 4x4 matrices given as tuples of
+    rows, refused by _check_product_bound where int64 could not hold it."""
+    _check_product_bound(max(map(abs, a[0] + a[1] + a[2] + a[3])), max(map(abs, b[0] + b[1] + b[2] + b[3])))
+    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = b
+    return tuple((r0 * b00 + r1 * b10 + r2 * b20 + r3 * b30, r0 * b01 + r1 * b11 + r2 * b21 + r3 * b31,
+                  r0 * b02 + r1 * b12 + r2 * b22 + r3 * b32, r0 * b03 + r1 * b13 + r2 * b23 + r3 * b33)
+                 for r0, r1, r2, r3 in a)
+
+
+def _step(g, point, total):
+    """Apply g, given as rows, to the iterate, which must stay in H2, and to the witness."""
+    point = _act_entries(g, *point)
+    _check_entries(*point)
+    return point, _compose(g, total)
+
+
+def _result(point, total, iterations: int) -> ReductionResult:
+    """Package the iterate and the witness; the witness is checked to be symplectic here."""
+    return ReductionResult(SiegelPoint(*point), SymplecticMatrix(np.array(total, dtype=np.int64)), iterations)
 
 
 def reduce_to_fundamental_domain(tau: SiegelPoint, tol: float = DEFAULT_TOL) -> ReductionResult:
@@ -339,9 +414,14 @@ def reduce_to_fundamental_domain(tau: SiegelPoint, tol: float = DEFAULT_TOL) -> 
 
     1. Minkowski-reduce Im(tau) by a GL2(Z) congruence,
     2. translate Re(tau) into [-1/2, 1/2] entrywise,
-    3. apply a Gottschling matrix whenever its |det(C tau + D)| < 1 - tol.
+    3. apply a Gottschling matrix whenever its |det(C tau + D)| < 1 - tol
+       (the first of the smallest, in the order of gottschling_matrices()).
 
     Step 3 strictly increases det Im(tau), which bounds the number of passes.
+    The loop runs on the three entries of tau and on the witness as exact
+    integers; every step checks conditioning (ConditioningError), that the
+    iterate lies in H2 and that the witness fits int64, and the witness is
+    checked to be symplectic once, on return.
     Returns the reduced point together with the witness transform and the
     number of passes used; raises NonConvergenceError (carrying the best
     iterate) if 1000 passes do not settle, and ResourceLimitError if the
@@ -352,41 +432,33 @@ def reduce_to_fundamental_domain(tau: SiegelPoint, tol: float = DEFAULT_TOL) -> 
     if tol <= 0.0:
         raise InvalidInputError("tol must be positive")
 
-    cur = tau
-    total = IDENTITY
+    point = (complex(tau.tau1), complex(tau.tau2), complex(tau.tau4))
+    total = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     iterations = 0
     for _ in range(_MAX_ITER):
         iterations += 1
         changed = False
 
-        u = _minkowski_gl2(cur.imag)
-        if not np.array_equal(u, np.eye(2, dtype=np.int64)):
-            g = gl2_embedding(u)
-            cur = act(g, cur)
-            total = g @ total
+        u = _minkowski_gl2(point[0].imag, point[1].imag, point[2].imag)
+        if u != (1, 0, 0, 1):
+            point, total = _step(_gl2_rows(*u), point, total)
             changed = True
 
-        x = cur.matrix.real
-        b = -np.rint(x).astype(np.int64)
-        b[1, 0] = b[0, 1]
-        if np.any(b != 0):
-            g = translation(b)
-            cur = act(g, cur)
-            total = g @ total
+        b = tuple(-round(z.real) for z in point)
+        if b != (0, 0, 0):
+            point, total = _step(_translation_rows(*b), point, total)
             changed = True
 
-        vals = np.abs(_gottschling_dets(cur.matrix))
-        k = int(np.argmin(vals))
-        if vals[k] < 1.0 - tol:
-            g = gottschling_matrices()[k]
-            cur = act(g, cur)
-            total = g @ total
+        vals = [abs(z) for z in _gottschling_scan(*point)]
+        low = min(vals)
+        if low < 1.0 - tol:
+            point, total = _step(_gottschling_rows()[vals.index(low)], point, total)
             changed = True
 
         if not changed:
-            return ReductionResult(cur, total, iterations)
+            return _result(point, total, iterations)
 
     raise NonConvergenceError(
         f"reduction did not settle in {_MAX_ITER} passes",
-        best=ReductionResult(cur, total, iterations),
+        best=_result(point, total, iterations),
     )

@@ -234,8 +234,9 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
     y_min = tau.min_imag_eigenvalue()
-    u = (1.0 + y_min**-0.5) ** 2
     with np.errstate(over="ignore"):
+        # numpy powers overflow to inf, where float powers would raise
+        u = (1.0 + np.float64(y_min) ** -0.5) ** 2
         inner = tol / (4.0 * u**3)
     if inner == 0.0:
         raise ResourceLimitError(f"the inner tolerance underflows at y_min {y_min:.3e}")

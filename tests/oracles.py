@@ -54,6 +54,16 @@ def naive_fourth_powers(tau_mat, radius: int = 25) -> np.ndarray:
     return np.array([theta_2d_naive(bits, tau_mat, radius) ** 4 for bits in EVEN_BITS])
 
 
+def act_solve(gamma, tau_mat) -> np.ndarray:
+    """(A tau + B)(C tau + D)^-1 on 2x2 arrays by a LAPACK solve on the
+    transposed system, re-symmetrized; the library uses a closed 2x2 form."""
+    g = np.asarray(gamma)
+    a, b, c, d = g[:2, :2], g[:2, 2:], g[2:, :2], g[2:, 2:]
+    t = np.asarray(tau_mat, dtype=complex)
+    res = np.linalg.solve((c @ t + d).T, (a @ t + b).T).T
+    return 0.5 * (res + res.T)
+
+
 def small_indices(coords, rel_tol: float) -> set[int]:
     """Indices i with |coords[i]| <= rel_tol * max|coords|."""
     mags = np.abs(coords)

@@ -159,6 +159,14 @@ class TestDeterminismAndErrors:
         assert dispatch([*command, "--tau", tau]) == 1
         assert capsys.readouterr().err.startswith("numerical failure:")
 
+    @pytest.mark.parametrize("command", [["theta", "--char", "0,0,0,0"], ["embed"]],
+                             ids=["theta", "embed"])
+    def test_far_apart_eigenvalues_are_numerical_failure(self, capsys, command):
+        # y_min = 1e-60 is positive; the theta sums need a radius past the cap
+        tau = '{"tau1": [0, 1e-60], "tau2": [0, 0], "tau4": [0, 1]}'
+        assert dispatch([*command, "--tau", tau]) == 1
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
 
 class TestCanonicalSerializer:
     def test_twelve_significant_digits(self):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import siegel_runge as sr
-from siegel_runge.halfspace import _gottschling_dets, gottschling_matrices
+from siegel_runge.halfspace import _gottschling_scan, gottschling_matrices
+
+from oracles import act_solve
 
 
 I2 = np.eye(2)
@@ -34,6 +38,16 @@ class TestMembership:
     def test_non_finite_raises(self):
         with pytest.raises(sr.InvalidInputError):
             sr.is_in_H2(np.array([[np.nan * 1j, 0], [0, 1j]]))
+
+    def test_tiny_diagonal_is_accepted(self):
+        # y1 * y4 underflows to 0 here; the point is still in H2
+        assert sr.is_in_H2(np.diag([1e-200j, 1e-200j]))
+        assert sr.SiegelPoint(1e-200j, 0, 1e-200j).min_imag_eigenvalue() > 0
+
+    @pytest.mark.parametrize("entries", [(1e-60j, 0, 1j), (1j, 0, 1e-60j)], ids=["tau1", "tau4"])
+    def test_min_eigenvalue_of_far_apart_eigenvalues(self, entries):
+        # 0.5 (tr - disc) cancels to 0 here
+        assert abs(sr.SiegelPoint(*entries).min_imag_eigenvalue() - 1e-60) <= 1e-12 * 1e-60
 
     def test_point_constructor_enforces_h2(self):
         with pytest.raises(sr.InvalidInputError):
@@ -90,6 +104,18 @@ class TestLevel2:
         assert not sr.is_level2(sr.translation([[1, 0], [0, 0]]))
 
 
+def assert_matches_solve(g, tau):
+    """act(g, tau) agrees with the LAPACK-solve action to 1e-12 relative, and
+    the reduction witness of the image, replayed through that action, gives
+    the reduced point to 1e-12."""
+    moved = sr.act(g, tau)
+    ref = act_solve(g.mat, tau.matrix)
+    assert np.max(np.abs(moved.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
+    res = sr.reduce_to_fundamental_domain(moved)
+    replay = act_solve(res.transform.mat, moved.matrix)
+    assert np.max(np.abs(replay - res.reduced.matrix)) <= 1e-12
+
+
 class TestAction:
     def test_identity_fixes(self):
         tau = rand_tau(np.random.default_rng(1))
@@ -135,6 +161,18 @@ class TestAction:
             rhs = np.linalg.det(tau.imag) / abs(det) ** 2
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
+    def test_matches_solve_oracle(self):
+        rng = np.random.default_rng(10)
+        for tau in sr.sample_reduced_points(40, seed=29):
+            for _ in range(5):
+                assert_matches_solve(sr.random_symplectic_matrix(rng), tau)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_solve_oracle_on_random_words(self, word_seed, point_seed):
+        g = sr.random_symplectic_matrix(np.random.default_rng(word_seed))
+        assert_matches_solve(g, sr.sample_reduced_points(1, seed=point_seed)[0])
+
     def test_near_singular_cocycle_raises(self):
         tiny = sr.SiegelPoint(1e-7j, 0, 1e-7j)
         with pytest.raises(sr.ConditioningError):
@@ -166,8 +204,8 @@ class TestGottschling:
             _, _, c, d = g.blocks
             den = c @ tau.matrix + d
             per_matrix.append(den[0, 0] * den[1, 1] - den[0, 1] * den[1, 0])
-        # the same values from the stacked blocks the reduction scans
-        for got in (per_matrix, _gottschling_dets(tau.matrix)):
+        # the same values from the scalar scan the reduction runs
+        for got in (per_matrix, _gottschling_scan(tau.tau1, tau.tau2, tau.tau4)):
             assert len(got) == 19
             assert np.max(np.abs(np.asarray(got) - expected)) < 1e-12
 
