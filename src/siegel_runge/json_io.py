@@ -25,7 +25,6 @@ __all__ = [
     "projective_point_to_json",
     "projective_point_from_json",
     "reduction_to_json",
-    "incidence_to_json",
     "incidence_from_json",
 ]
 
@@ -111,10 +110,6 @@ def reduction_to_json(res: ReductionResult) -> dict:
         "transform": symplectic_to_json(res.transform),
         "iterations": res.iterations,
     }
-
-
-def incidence_to_json(inc: DivisorIncidence) -> dict:
-    return {"r": inc.r, "outside_Y": [sorted(s) for s in inc.outside_y]}
 
 
 def incidence_from_json(data: dict) -> DivisorIncidence:

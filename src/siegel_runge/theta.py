@@ -58,7 +58,7 @@ DEFAULT_TOL_FOURTH = 1e-8
 
 _MAX_RADIUS = 10_000
 
-#: Most terms per shift evaluated at once; larger boxes go in slabs of rows.
+#: Most exponential terms evaluated at once; larger boxes go in slabs of rows.
 _SLAB_TERMS = 1 << 16
 
 
@@ -161,42 +161,75 @@ def truncation_radius(y_min: float, tol: float) -> int:
     """Smallest box radius whose tail bound is at most tol.
 
     ``y_min`` is the least eigenvalue of Im(tau).  Raises ResourceLimitError
-    if more than 10^4 would be needed.
+    if more than 10^4 would be needed.  The search starts where the leading
+    factor 8 exp(-pi y_min s^2) of :func:`tail_bound` reaches tol: below
+    that radius the bound exceeds tol by a factor (r + 1) / q >= 2, so no
+    smaller radius can pass, rounding included.
     """
     if y_min <= 0.0:
         raise InvalidInputError("y_min must be positive")
     if not 0.0 < tol < 1.0:
         raise InvalidInputError("tol must lie in (0, 1)")
-    for r in range(1, _MAX_RADIUS + 1):
-        if tail_bound(r, y_min) <= tol:
-            return r
+    start = math.sqrt(math.log(8.0 / tol) / (math.pi * y_min)) + _A_NORM - 1.0
+    if start <= _MAX_RADIUS:
+        for r in range(max(1, math.ceil(start)), _MAX_RADIUS + 1):
+            if tail_bound(r, y_min) <= tol:
+                return r
     raise ResourceLimitError(
         f"tolerance {tol:.1e} at y_min {y_min:.3e} needs a box radius beyond {_MAX_RADIUS}"
     )
 
 
-def _theta_table(tau: SiegelPoint, r: int) -> np.ndarray:
-    """All 16 sums over the box max(|n1|, |n2|) <= r, indexed by bits.
+@lru_cache(maxsize=64)
+def _axis(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The joint axis v = (n, n + 1/2) for n = -r..r, v^2, and the sign rows.
 
-    ``table[a1, a2, b1, b2]`` is the truncated Theta_m for m with those
-    bits.  Only the shift a enters the exponent, so each of the four shifts
-    gets one array E_a(n) = exp(i pi (n+a)^t tau (n+a)).  The phase
-    exp(2 i pi n.b) = (-1)^(n1 b1 + n2 b2), with b the numerator bits,
-    factors over the two axes: the four b come out of one s @ E_a @ s^t
-    whose sign rows s are exactly +-1.  The n1 rows go in slabs of at most
-    _SLAB_TERMS terms, so memory stays linear in r.
+    Sign row 2a + b is (-1)^(n b) on the half of v with shift a and 0 on the
+    other half; it is stored complex so that the products with the complex
+    exponentials need no cast.  Every array is O(r), so the cache stays small.
     """
     n = np.arange(-r, r + 1)
-    signs = np.stack([np.ones(n.size), 1.0 - 2.0 * (n & 1)])
-    v = n + np.array([[0.0], [0.5]])
-    v2 = v[None, :, None, :]
-    rows = max(1, _SLAB_TERMS // n.size)
-    table = np.zeros((2, 2, 2, 2), dtype=complex)
-    for lo in range(0, n.size, rows):
-        v1 = v[:, None, lo : lo + rows, None]
-        quad = v1 * v1 * tau.tau1 + 2.0 * v1 * v2 * tau.tau2 + v2 * v2 * tau.tau4
-        table += signs[:, lo : lo + rows] @ np.exp(1j * math.pi * quad) @ signs.T
+    v = np.concatenate([n, n + 0.5])
+    signs = np.kron(np.eye(2), [np.ones(n.size), 1.0 - 2.0 * (n & 1)]).astype(complex)
+    v2 = v * v
+    for a in (v, v2, signs):
+        a.flags.writeable = False
+    return v, v2, signs
+
+
+def _theta_table(tau: SiegelPoint, r: int) -> np.ndarray:
+    """All 16 sums over the box max(|n1|, |n2|) <= r as one 4x4 array.
+
+    Entry [2 a1 + b1, 2 a2 + b2] is the truncated Theta_m for m with bits
+    (a1, a2, b1, b2); :func:`_cell` gives the index pair.  Over the joint
+    axis v = (n, n + 1/2), the array E = exp(i pi (v1^2 tau1 + 2 v1 v2 tau2
+    + v2^2 tau4)) on v x v holds all four shifts a as its four blocks.  The
+    phase exp(2 i pi n.b) = (-1)^(n1 b1 + n2 b2) factors over the two axes,
+    so all 16 come out of one signs @ E @ signs^t whose entries are exactly
+    0 or +-1.  Rows of E go in slabs of at most _SLAB_TERMS terms, so
+    memory stays linear in r.
+    """
+    v, v2, signs = _axis(r)
+    row = (1j * math.pi * tau.tau1) * v2
+    col = (1j * math.pi * tau.tau4) * v2
+    cross = (2j * math.pi * tau.tau2) * v
+    rows = max(1, _SLAB_TERMS // v.size)
+    table = np.zeros((4, 4), dtype=complex)
+    for lo in range(0, v.size, rows):
+        hi = lo + rows
+        e = np.exp(row[lo:hi, None] + v[lo:hi, None] * cross + col)
+        table += signs[:, lo:hi] @ e @ signs.T
     return table
+
+
+def _cell(m: Characteristic) -> tuple[int, int]:
+    """Index pair of Theta_m in the 4x4 array of :func:`_theta_table`."""
+    a1, a2, b1, b2 = m.bits
+    return 2 * a1 + b1, 2 * a2 + b2
+
+
+#: Index pair of the ten even characteristics, in their order.
+_EVEN_CELLS = tuple(np.array(ix) for ix in zip(*map(_cell, even_characteristics())))
 
 
 def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaValue:
@@ -217,7 +250,7 @@ def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaVal
         tau = SiegelPoint.from_matrix(tau)
     y_min = tau.min_imag_eigenvalue()
     r = truncation_radius(y_min, tol)
-    return ThetaValue(complex(_theta_table(tau, r)[m.bits]), tail_bound(r, y_min))
+    return ThetaValue(complex(_theta_table(tau, r)[_cell(m)]), tail_bound(r, y_min))
 
 
 def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
@@ -234,11 +267,10 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
     y_min = tau.min_imag_eigenvalue()
-    with np.errstate(over="ignore"):
-        # numpy powers overflow to inf, where float powers would raise
-        u = (1.0 + np.float64(y_min) ** -0.5) ** 2
-        inner = tol / (4.0 * u**3)
+    # tol / (4 U^3) with U = s^2, divided out so it underflows to 0 rather
+    # than overflow at tiny y_min
+    s = 1.0 + 1.0 / math.sqrt(y_min)
+    inner = tol / 4.0 / s / s / s / s / s / s
     if inner == 0.0:
         raise ResourceLimitError(f"the inner tolerance underflows at y_min {y_min:.3e}")
-    table = _theta_table(tau, truncation_radius(y_min, inner))
-    return np.array([table[m.bits] for m in even_characteristics()]) ** 4
+    return _theta_table(tau, truncation_radius(y_min, inner))[_EVEN_CELLS] ** 4

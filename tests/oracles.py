@@ -84,6 +84,23 @@ def tail_abs_sum(bits, y_mat, radius: int, extra: int = 40) -> float:
     return total
 
 
+def plain_truncation_radii(bound, y_min: float, tols, cap: int = 10_000) -> list:
+    """For each tol the first r = 1, 2, ..., cap with bound(r, y_min) <= tol,
+    or None past cap: the plain upward search, one scan shared by all tols.
+
+    The tols still open at radius r are the smallest ones, so those that
+    bound(r, y_min) meets are popped from the top of the sorted list."""
+    radii = [None] * len(tols)
+    pending = sorted(range(len(tols)), key=lambda i: tols[i])
+    for r in range(1, cap + 1):
+        if not pending:
+            break
+        b = bound(r, y_min)
+        while pending and b <= tols[pending[-1]]:
+            radii[pending.pop()] = r
+    return radii
+
+
 def _hnf_index_2d(vectors) -> int:
     """Index in Z^2 of the sublattice generated by integer vectors."""
     rows = [list(v) for v in vectors if v != (0, 0)]

@@ -7,7 +7,13 @@ import siegel_runge as sr
 from siegel_runge import theta
 from siegel_runge.theta import Characteristic
 
-from oracles import naive_fourth_powers, tail_abs_sum, theta_1d, theta_2d_naive
+from oracles import (
+    naive_fourth_powers,
+    plain_truncation_radii,
+    tail_abs_sum,
+    theta_1d,
+    theta_2d_naive,
+)
 
 
 def small_y_points():
@@ -78,6 +84,25 @@ class TestTruncation:
         with pytest.raises(sr.ResourceLimitError):
             sr.truncation_radius(1e-9, 1e-10)
 
+    def test_refusal_needs_no_search(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(theta, "tail_bound", lambda *args: calls.append(args) or 1.0)
+        with pytest.raises(sr.ResourceLimitError):
+            sr.truncation_radius(1e-9, 1e-10)
+        assert calls == []
+
+    def test_search_start_keeps_every_radius(self):
+        # the search starts near the answer; the plain scan from r = 1 agrees
+        tols = np.geomspace(1e-14, 1e-2, 70)
+        for y_min in np.geomspace(1e-6, 3.0, 400):
+            got = []
+            for tol in tols:
+                try:
+                    got.append(sr.truncation_radius(float(y_min), float(tol)))
+                except sr.ResourceLimitError:
+                    got.append(None)
+            assert got == plain_truncation_radii(sr.tail_bound, float(y_min), tols)
+
     @pytest.mark.parametrize("y_min", [1e-60, 1e-120])
     def test_tiny_ymin_hits_the_cap(self, y_min):
         # exp(-2 pi y_min s) rounds to 1 here; the bound must stay finite
@@ -91,6 +116,35 @@ class TestTruncation:
         # worst case characteristic shift a = (1/2, 1/2) at Y = y_min * I
         brute = tail_abs_sum((1, 1, 0, 0), y_min * np.eye(2), radius)
         assert brute <= sr.tail_bound(radius, y_min)
+
+
+class TestKernel:
+    # Re tau2 and Im tau2 both nonzero; at radius 2 the truncated odd sums
+    # are 1e-7 or more, far above rounding, so all 16 cells are checked
+    TAU = sr.SiegelPoint(0.17 + 0.75j, -0.23 + 0.21j, 0.41 + 0.85j)
+    RADIUS = 2
+
+    def assert_matches_double_loop(self):
+        chars = sr.all_characteristics()
+        table = theta._theta_table(self.TAU, self.RADIUS)
+        got = np.array([table[theta._cell(m)] for m in chars])
+        want = np.array([theta_2d_naive(m.bits, self.TAU.matrix, self.RADIUS) for m in chars])
+        assert min(abs(w) for m, w in zip(chars, want) if not m.is_even) > 1e-9
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_all_sixteen_match_double_loop(self):
+        self.assert_matches_double_loop()
+
+    def test_slab_boundaries_inside_both_halves(self, monkeypatch):
+        # the axis has 2 (2r + 1) = 10 entries; slabs of 3 rows end at 3, 6, 9
+        size = 2 * (2 * self.RADIUS + 1)
+        monkeypatch.setattr(theta, "_SLAB_TERMS", 3 * size)
+        self.assert_matches_double_loop()
+
+    def test_cached_axis_is_linear_in_radius(self):
+        r = 30
+        assert sum(a.nbytes for a in theta._axis(r)) <= 64 * (2 * r + 1) * 16
+        assert theta._axis.cache_info().maxsize is not None
 
 
 class TestThetaConstant:
