@@ -10,6 +10,7 @@ bounded real parts, and the nineteen Gottschling determinant conditions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -127,31 +128,52 @@ def is_in_H2(tau) -> bool:
     return _positive_definite(float(m[0, 0].imag), float(m[0, 1].imag), float(m[1, 1].imag))
 
 
-_J_BLOCKS = np.block(
-    [[np.zeros((2, 2), dtype=np.int64), np.eye(2, dtype=np.int64)],
-     [-np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)]]
-)
+def _integer_rows(m) -> tuple:
+    """The rows of a 4x4 integer matrix as tuples of Python ints.
+
+    This is the one check for matrices that come from outside.  Raises
+    InvalidInputError unless m is 4x4 with finite integer entries (floats
+    are accepted only at integral values), and ResourceLimitError on an
+    entry of magnitude 2^63 or more, which the int64 view cannot hold.
+    """
+    a = np.asarray(m, dtype=object)
+    if a.shape != (4, 4):
+        raise InvalidInputError(f"expected a 4x4 matrix, got shape {a.shape}")
+    flat = a.ravel().tolist()
+    for i, x in enumerate(flat):
+        if type(x) is not int:
+            if not (isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x):
+                raise InvalidInputError(f"matrix entries must be finite integers, got {x!r}")
+            flat[i] = int(x)
+    if max(map(abs, flat)) >= 2**63:
+        raise ResourceLimitError("a matrix entry of magnitude 2^63 or more is past int64")
+    return tuple(flat[0:4]), tuple(flat[4:8]), tuple(flat[8:12]), tuple(flat[12:16])
+
+
+def _omega(u, v) -> int:
+    """The symplectic form u J v^t of two rows, J = [[0, I], [-I, 0]]."""
+    return u[0] * v[2] + u[1] * v[3] - u[2] * v[0] - u[3] * v[1]
+
+
+def _preserves_form(rows) -> bool:
+    """M J M^t = J for M given by rows: entry (i, j) of M J M^t is the form
+    of rows i and j, which is antisymmetric, so the six pairs i < j decide."""
+    r0, r1, r2, r3 = rows
+    return (_omega(r0, r1), _omega(r0, r2), _omega(r0, r3),
+            _omega(r1, r2), _omega(r1, r3), _omega(r2, r3)) == (0, 1, 0, 0, 1, 0)
 
 
 def is_symplectic(m) -> bool:
-    """Exact integer check of M^t J M = J."""
-    a = np.asarray(m)
-    if a.shape != (4, 4):
-        raise InvalidInputError(f"expected a 4x4 matrix, got shape {a.shape}")
-    if not np.issubdtype(a.dtype, np.integer):
-        ai = np.rint(np.asarray(a, dtype=float)).astype(np.int64)
-        if not np.array_equal(ai, np.asarray(a, dtype=float)):
-            raise InvalidInputError("matrix entries must be integers")
-        a = ai
-    a = a.astype(np.int64)
-    return np.array_equal(a.T @ _J_BLOCKS @ a, _J_BLOCKS)
+    """Exact integer check of M J M^t = J, which is equivalent to M^t J M = J."""
+    return _preserves_form(_integer_rows(m))
 
 
 def _check_product_bound(max_a: int, max_b: int) -> None:
     """Refuse a 4x4 integer product whose factors have these largest |entries|.
 
     Each product entry is a sum of four products, so this bound keeps the
-    product within int64; past it numpy would wrap silently.
+    product within int64, which the ``mat`` view and the JSON readers of the
+    result assume.
     """
     bound = 4 * max_a * max_b
     if bound >= 2**63:
@@ -160,16 +182,24 @@ def _check_product_bound(max_a: int, max_b: int) -> None:
 
 @dataclass(frozen=True)
 class SymplecticMatrix:
-    """Element of Sp4(Z) in block form [[A, B], [C, D]]."""
+    """Element of Sp4(Z) in block form [[A, B], [C, D]], stored exactly as
+    four rows of Python ints.  The constructor takes any 4x4 array-like of
+    integers, checked by _integer_rows, that preserves the symplectic form."""
 
-    mat: np.ndarray
+    rows: tuple
 
     def __post_init__(self):
-        a = np.asarray(self.mat, dtype=np.int64)
-        object.__setattr__(self, "mat", a)
-        a.setflags(write=False)
-        if not is_symplectic(a):
+        rows = _integer_rows(self.rows)
+        object.__setattr__(self, "rows", rows)
+        if not _preserves_form(rows):
             raise InvalidInputError("matrix does not preserve the symplectic form")
+
+    @property
+    def mat(self) -> np.ndarray:
+        """A fresh read-only int64 array of the matrix."""
+        a = np.array(self.rows, dtype=np.int64)
+        a.setflags(write=False)
+        return a
 
     @property
     def blocks(self):
@@ -178,29 +208,22 @@ class SymplecticMatrix:
         return m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:]
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        _check_product_bound(int(np.abs(self.mat).max()), int(np.abs(other.mat).max()))
-        return SymplecticMatrix(self.mat @ other.mat)
+        return SymplecticMatrix(_compose(self.rows, other.rows))
 
     def inverse(self) -> "SymplecticMatrix":
-        # M^-1 = J^-1 M^t J, exactly in integers.
-        return SymplecticMatrix(-_J_BLOCKS @ self.mat.T @ _J_BLOCKS)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymplecticMatrix):
-            return NotImplemented
-        return np.array_equal(self.mat, other.mat)
-
-    def __hash__(self):
-        return hash(self.mat.tobytes())
+        """[[D^t, -B^t], [-C^t, A^t]], the inverse of a symplectic matrix."""
+        (a00, a01, b00, b01), (a10, a11, b10, b11), (c00, c01, d00, d01), (c10, c11, d10, d11) = self.rows
+        return SymplecticMatrix(((d00, d10, -b00, -b10), (d01, d11, -b01, -b11),
+                                 (-c00, -c10, a00, a10), (-c01, -c11, a01, a11)))
 
 
-J = SymplecticMatrix(_J_BLOCKS)
+J = SymplecticMatrix(((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0)))
 
 
 def is_level2(gamma) -> bool:
     """True iff gamma is congruent to the identity matrix mod 2."""
-    m = gamma.mat if isinstance(gamma, SymplecticMatrix) else np.asarray(gamma, dtype=np.int64)
-    return bool(np.all((m - np.eye(4, dtype=np.int64)) % 2 == 0))
+    rows = gamma.rows if isinstance(gamma, SymplecticMatrix) else _integer_rows(gamma)
+    return all(x % 2 == (i == j) for i, row in enumerate(rows) for j, x in enumerate(row))
 
 
 def _translation_rows(b1: int, b2: int, b4: int):
@@ -217,18 +240,18 @@ def _gl2_rows(u00: int, u01: int, u10: int, u11: int):
 
 def translation(b) -> SymplecticMatrix:
     """The shift tau -> tau + B for a symmetric integer matrix B."""
-    bm = np.asarray(b, dtype=np.int64)
+    bm = np.asarray(b, dtype=object)
     if bm.shape != (2, 2) or bm[0, 1] != bm[1, 0]:
         raise InvalidInputError("translation block must be symmetric 2x2 integer")
-    return SymplecticMatrix(np.array(_translation_rows(bm[0, 0], bm[0, 1], bm[1, 1]), dtype=np.int64))
+    return SymplecticMatrix(_translation_rows(bm[0, 0], bm[0, 1], bm[1, 1]))
 
 
 def gl2_embedding(u) -> SymplecticMatrix:
     """Embed U in GL2(Z) as the symplectic matrix acting by tau -> U^t tau U."""
-    um = np.asarray(u, dtype=np.int64)
-    if um[0, 0] * um[1, 1] - um[0, 1] * um[1, 0] not in (1, -1):
+    um = np.asarray(u, dtype=object)
+    if um.shape != (2, 2) or um[0, 0] * um[1, 1] - um[0, 1] * um[1, 0] not in (1, -1):
         raise InvalidInputError("matrix is not in GL2(Z)")
-    return SymplecticMatrix(np.array(_gl2_rows(*um.ravel().tolist()), dtype=np.int64))
+    return SymplecticMatrix(_gl2_rows(*um.flat))
 
 
 def _act_entries(g, t1: complex, t2: complex, t4: complex) -> tuple[complex, complex, complex]:
@@ -262,9 +285,9 @@ def act(gamma, tau) -> SiegelPoint:
     A tau given as an array goes through SiegelPoint.from_matrix.  Raises
     ConditioningError when |det(C tau + D)| < CONDITION_EPS.
     """
-    g = gamma if isinstance(gamma, SymplecticMatrix) else SymplecticMatrix(np.asarray(gamma))
+    g = gamma if isinstance(gamma, SymplecticMatrix) else SymplecticMatrix(gamma)
     p = tau if isinstance(tau, SiegelPoint) else SiegelPoint.from_matrix(tau)
-    return SiegelPoint(*_act_entries(g.mat.tolist(), complex(p.tau1), complex(p.tau2), complex(p.tau4)))
+    return SiegelPoint(*_act_entries(g.rows, complex(p.tau1), complex(p.tau2), complex(p.tau4)))
 
 
 @lru_cache(maxsize=1)
@@ -277,56 +300,18 @@ def gottschling_matrices() -> tuple[SymplecticMatrix, ...]:
     off-diagonal S = [[0,e],[e,0]]; tau1; tau4; and tau1 + 2e tau2 + tau4 + d
     for e = +-1, d in {0,1,-1}.
     """
-    mats: list[SymplecticMatrix] = []
-
-    def inv_block(s):
-        m = np.zeros((4, 4), dtype=np.int64)
-        m[:2, 2:] = -np.eye(2, dtype=np.int64)
-        m[2:, :2] = np.eye(2, dtype=np.int64)
-        m[2:, 2:] = np.asarray(s, dtype=np.int64)
-        return SymplecticMatrix(m)
-
-    for d1 in (-1, 0, 1):
-        for d2 in (-1, 0, 1):
-            mats.append(inv_block([[d1, 0], [0, d2]]))
-    for e in (1, -1):
-        mats.append(inv_block([[0, e], [e, 0]]))
-
+    # [[0, -I], [I, S]]: det(C tau + D) = det(tau + S).
+    shifts = [(d1, 0, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)] + [(0, e, 0) for e in (1, -1)]
+    rows = [((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, s1, s2), (0, 1, s2, s4)) for s1, s2, s4 in shifts]
     # Act as SL2 on the tau1 (resp. tau4) corner: det = tau1 (resp. tau4).
-    m1 = np.zeros((4, 4), dtype=np.int64)
-    m1[:2, :2] = np.diag([0, 1])
-    m1[:2, 2:] = np.diag([-1, 0])
-    m1[2:, :2] = np.diag([1, 0])
-    m1[2:, 2:] = np.diag([0, 1])
-    mats.append(SymplecticMatrix(m1))
-
-    m4 = np.zeros((4, 4), dtype=np.int64)
-    m4[:2, :2] = np.diag([1, 0])
-    m4[:2, 2:] = np.diag([0, -1])
-    m4[2:, :2] = np.diag([0, 1])
-    m4[2:, 2:] = np.diag([1, 0])
-    mats.append(SymplecticMatrix(m4))
-
+    rows.append(((0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)))
+    rows.append(((1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0)))
     # Rank-one C = [[1,e],[e,1]] family: det = tau1 + 2e tau2 + tau4 + d.
     for e in (1, -1):
-        base = np.zeros((4, 4), dtype=np.int64)
-        base[:2, :2] = np.eye(2, dtype=np.int64)
-        base[:2, 2:] = np.array([[-1, 0], [0, 0]])
-        base[2:, :2] = np.array([[1, e], [e, 1]])
-        base[2:, 2:] = np.array([[0, 0], [-e, 1]])
-        g0 = SymplecticMatrix(base)
-        mats.append(g0)
-        mats.append(g0 @ translation([[0, e], [e, -1]]))
-        mats.append(g0 @ translation([[0, 0], [0, -1]]))
-
-    assert len(mats) == 19
-    return tuple(mats)
-
-
-@lru_cache(maxsize=1)
-def _gottschling_rows() -> tuple:
-    """Each of :func:`gottschling_matrices` as a tuple of rows of Python ints."""
-    return tuple(tuple(map(tuple, g.mat.tolist())) for g in gottschling_matrices())
+        base = ((1, 0, -1, 0), (0, 1, 0, 0), (1, e, 0, 0), (e, 1, -e, 1))
+        rows += [base, _compose(base, _translation_rows(0, e, -1)), _compose(base, _translation_rows(0, 0, -1))]
+    assert len(rows) == 19
+    return tuple(map(SymplecticMatrix, rows))
 
 
 @lru_cache(maxsize=1)
@@ -337,7 +322,7 @@ def _gottschling_coefficients() -> tuple:
     return tuple(
         (c00 * c11 - c01 * c10, c00 * d11 - c10 * d01, c01 * d11 + c10 * d00 - c00 * d10 - c11 * d01,
          c11 * d00 - c01 * d10, d00 * d11 - d01 * d10)
-        for _, _, (c00, c01, d00, d01), (c10, c11, d10, d11) in _gottschling_rows()
+        for _, _, (c00, c01, d00, d01), (c10, c11, d10, d11) in (g.rows for g in gottschling_matrices())
     )
 
 
@@ -404,7 +389,7 @@ def _step(g, point, total):
 
 def _result(point, total, iterations: int) -> ReductionResult:
     """Package the iterate and the witness; the witness is checked to be symplectic here."""
-    return ReductionResult(SiegelPoint(*point), SymplecticMatrix(np.array(total, dtype=np.int64)), iterations)
+    return ReductionResult(SiegelPoint(*point), SymplecticMatrix(total), iterations)
 
 
 def reduce_to_fundamental_domain(tau: SiegelPoint, tol: float = DEFAULT_TOL) -> ReductionResult:
@@ -452,7 +437,7 @@ def reduce_to_fundamental_domain(tau: SiegelPoint, tol: float = DEFAULT_TOL) -> 
         vals = [abs(z) for z in _gottschling_scan(*point)]
         low = min(vals)
         if low < 1.0 - tol:
-            point, total = _step(_gottschling_rows()[vals.index(low)], point, total)
+            point, total = _step(gottschling_matrices()[vals.index(low)].rows, point, total)
             changed = True
 
         if not changed:

@@ -82,14 +82,11 @@ def siegel_point_from_json(data: dict) -> SiegelPoint:
 
 
 def symplectic_to_json(gamma: SymplecticMatrix) -> list[list[int]]:
-    return [[int(x) for x in row] for row in gamma.mat]
+    return [list(r) for r in gamma.rows]
 
 
 def symplectic_from_json(data) -> SymplecticMatrix:
-    arr = np.asarray(data)
-    if arr.shape != (4, 4):
-        raise InvalidInputError("SymplecticMatrix JSON must be a 4x4 integer array")
-    return SymplecticMatrix(arr.astype(np.int64))
+    return SymplecticMatrix(data)
 
 
 def projective_point_to_json(p: ProjectivePoint) -> dict:

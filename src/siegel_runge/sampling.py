@@ -21,6 +21,8 @@ __all__ = [
     "random_level2_matrix",
 ]
 
+_IDENTITY = SymplecticMatrix(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
 
 def sample_reduced_points(n: int, seed: int) -> list[SiegelPoint]:
     """n deterministic pseudo-random fundamental-domain points.
@@ -67,7 +69,7 @@ def random_symplectic_matrix(rng, max_word: int = 8, entry_bound: int | None = N
         gl2_embedding([[0, 1], [1, 0]]),
     ]
     for _ in range(1000):
-        g = SymplecticMatrix(np.eye(4, dtype=np.int64))
+        g = _IDENTITY
         for _ in range(int(rng.integers(1, max_word + 1))):
             kind = int(rng.integers(0, 3))
             if kind == 0:
@@ -76,7 +78,7 @@ def random_symplectic_matrix(rng, max_word: int = 8, entry_bound: int | None = N
                 g = translation(_random_sym_block(rng, -1, 1)) @ g
             else:
                 g = units[int(rng.integers(0, len(units)))] @ g
-        if entry_bound is None or np.max(np.abs(g.mat)) <= entry_bound:
+        if entry_bound is None or max(abs(x) for row in g.rows for x in row) <= entry_bound:
             return g
     raise InvalidInputError(f"could not draw a symplectic word within entry bound {entry_bound}")
 
@@ -91,14 +93,14 @@ def random_level2_matrix(rng, max_word: int = 12, entry_bound: int = 32) -> Symp
     needlessly expensive.
     """
     for _ in range(1000):
-        g = SymplecticMatrix(np.eye(4, dtype=np.int64))
+        g = _IDENTITY
         for _ in range(int(rng.integers(1, max_word + 1))):
             b = 2 * _random_sym_block(rng, -1, 1)
             step = translation(b)
             if rng.integers(0, 2):
                 step = J @ step @ J.inverse()
             g = step @ g
-        if np.max(np.abs(g.mat)) <= entry_bound:
+        if max(abs(x) for row in g.rows for x in row) <= entry_bound:
             assert is_level2(g)
             return g
     raise InvalidInputError(f"could not draw a level-2 word within entry bound {entry_bound}")

@@ -161,16 +161,19 @@ def truncation_radius(y_min: float, tol: float) -> int:
     """Smallest box radius whose tail bound is at most tol.
 
     ``y_min`` is the least eigenvalue of Im(tau).  Raises ResourceLimitError
-    if more than 10^4 would be needed.  The search starts where the leading
-    factor 8 exp(-pi y_min s^2) of :func:`tail_bound` reaches tol: below
-    that radius the bound exceeds tol by a factor (r + 1) / q >= 2, so no
-    smaller radius can pass, rounding included.
+    if more than 10^4 would be needed.  The search starts where
+    8 exp(-pi y_min s^2) max(1, 1 / (4 pi y_min)) reaches tol.  The bound is
+    at least 8 exp(-pi y_min s^2) (r + 1) / q, and q <= 2 pi y_min s with
+    s < r + 1 gives (r + 1) / q >= max(2, 1 / (2 pi y_min)); so below that
+    radius the bound exceeds tol by a factor 2 or more, and no smaller
+    radius can pass, rounding included.
     """
     if y_min <= 0.0:
         raise InvalidInputError("y_min must be positive")
     if not 0.0 < tol < 1.0:
         raise InvalidInputError("tol must lie in (0, 1)")
-    start = math.sqrt(math.log(8.0 / tol) / (math.pi * y_min)) + _A_NORM - 1.0
+    lead = 8.0 / tol * max(1.0, 1.0 / (4.0 * math.pi * y_min))
+    start = math.sqrt(math.log(lead) / (math.pi * y_min)) + _A_NORM - 1.0
     if start <= _MAX_RADIUS:
         for r in range(max(1, math.ceil(start)), _MAX_RADIUS + 1):
             if tail_bound(r, y_min) <= tol:

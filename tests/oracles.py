@@ -64,6 +64,22 @@ def act_solve(gamma, tau_mat) -> np.ndarray:
     return 0.5 * (res + res.T)
 
 
+J4 = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]], dtype=object)
+
+
+def symplectic_by_products(m) -> bool:
+    """M^t J M == J by numpy products of exact object arrays; the library
+    tests the six symplectic-form values of pairs of rows instead."""
+    a = np.asarray(m, dtype=object)
+    return bool(np.array_equal(a.T @ J4 @ a, J4))
+
+
+def symplectic_inverse(m) -> np.ndarray:
+    """-J M^t J, the inverse of a symplectic M, by numpy products; the
+    library writes the blocks of the inverse out directly."""
+    return -J4 @ np.asarray(m, dtype=object).T @ J4
+
+
 def small_indices(coords, rel_tol: float) -> set[int]:
     """Indices i with |coords[i]| <= rel_tol * max|coords|."""
     mags = np.abs(coords)

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import siegel_runge as sr
 from siegel_runge.halfspace import _gottschling_scan, gottschling_matrices
+from siegel_runge.json_io import symplectic_from_json
 
-from oracles import act_solve
+from oracles import act_solve, symplectic_by_products, symplectic_inverse
 
 
 I2 = np.eye(2)
@@ -70,10 +71,62 @@ class TestSymplectic:
         with pytest.raises(sr.InvalidInputError):
             sr.is_symplectic(np.full((4, 4), 0.5))
 
-    def test_inverse_and_product(self):
+    @pytest.mark.parametrize("draw", [sr.random_symplectic_matrix, sr.random_level2_matrix],
+                             ids=lambda f: f.__name__)
+    def test_inverse_and_product(self, draw):
         rng = np.random.default_rng(0)
-        g = sr.random_symplectic_matrix(rng)
-        assert (g @ g.inverse()).mat.tolist() == np.eye(4, dtype=int).tolist()
+        for _ in range(200):
+            g = draw(rng)
+            assert (g @ g.inverse()).mat.tolist() == np.eye(4, dtype=int).tolist()
+            assert (g.inverse() @ g).mat.tolist() == np.eye(4, dtype=int).tolist()
+            assert g.inverse().mat.tolist() == symplectic_inverse(g.mat).tolist()
+
+    def test_agrees_with_product_oracle(self):
+        # words, and every single-entry +-1 perturbation of them, which is
+        # never symplectic; the oracle decides each one independently
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            m = sr.random_symplectic_matrix(rng).mat
+            assert sr.is_symplectic(m) and symplectic_by_products(m)
+            for i in range(4):
+                for j in range(4):
+                    for step in (1, -1):
+                        bent = m.copy()
+                        bent[i, j] += step
+                        assert sr.is_symplectic(bent) == symplectic_by_products(bent)
+
+    def test_integer_forms_are_equal(self):
+        rows = sr.random_symplectic_matrix(np.random.default_rng(2)).mat.tolist()
+        forms = [sr.SymplecticMatrix(np.array(rows, dtype=t)) for t in (np.int64, float, object)]
+        assert forms[0] == forms[1] == forms[2]
+        assert len({hash(g) for g in forms}) == 1
+
+    def test_mat_is_a_read_only_int64_view(self):
+        m = sr.J.mat
+        assert m.dtype == np.int64
+        with pytest.raises(ValueError):
+            m[0, 0] = 5
+        assert sr.J.mat.tolist() == [list(r) for r in sr.J.rows]
+
+    @pytest.mark.parametrize("entry", [1.7, float("nan"), float("inf")])
+    @pytest.mark.parametrize("build", [sr.SymplecticMatrix, symplectic_from_json, sr.is_symplectic,
+                                       sr.is_level2, lambda m: sr.act(m, sr.SiegelPoint(1j, 0, 1j))],
+                             ids=["constructor", "from_json", "is_symplectic", "is_level2", "act"])
+    def test_non_integer_entry_rejected(self, build, entry):
+        # an identity whose corner used to be truncated to 1 and accepted
+        m = np.eye(4).tolist()
+        m[3][3] = entry
+        with pytest.raises(sr.InvalidInputError):
+            build(m)
+
+    @pytest.mark.parametrize("build", [sr.SymplecticMatrix, symplectic_from_json, sr.is_symplectic])
+    def test_entry_past_int64_is_resource_limit(self, build):
+        # the shift by 2^63, which used to wrap to -2^63 or raise a bare
+        # OverflowError
+        m = np.eye(4, dtype=int).tolist()
+        m[0][2] = 2**63
+        with pytest.raises(sr.ResourceLimitError):
+            build(m)
 
     @pytest.mark.parametrize("k", [10**9, 4 * 10**9])
     def test_product_exact_or_refused(self, k):
@@ -184,6 +237,7 @@ class TestGottschling:
         mats = gottschling_matrices()
         assert len(mats) == 19
         assert len({g.mat.tobytes() for g in mats}) == 19
+        assert all(symplectic_by_products(g.mat) for g in mats)
 
     def test_cocycle_determinants(self):
         # the documented det(C tau + D) values, in construction order

@@ -91,6 +91,14 @@ class TestTruncation:
             sr.truncation_radius(1e-9, 1e-10)
         assert calls == []
 
+    def test_search_starts_near_the_answer(self, monkeypatch):
+        # the plain start at the leading factor made 663 calls here
+        calls = []
+        bound = theta.tail_bound
+        monkeypatch.setattr(theta, "tail_bound", lambda *args: calls.append(args) or bound(*args))
+        sr.truncation_radius(1e-6, 1e-8)
+        assert len(calls) <= 40
+
     def test_search_start_keeps_every_radius(self):
         # the search starts near the answer; the plain scan from r = 1 agrees
         tols = np.geomspace(1e-14, 1e-2, 70)
