@@ -49,7 +49,7 @@ for n in (2, 4, 6, 8):
 print()
 print("level 2 in detail: the ten product divisors meet only inside the boundary")
 print("-" * 55)
-witness = sr.siegel_incidence(2)
+witness = sr.siegel_incidence()
 print(f"  maximal outside-Y subsets: {[sorted(s) for s in witness.outside_y]}")
 print(f"  m_Y = {sr.m_y_value(witness)}, so the condition is s_L < 10:")
 for s in (9, 10):

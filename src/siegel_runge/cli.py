@@ -5,17 +5,26 @@ reduction, the projective embedding, vanishing analysis, relation rank from
 seeded samples, tube membership, Runge verdicts, the explicit bound cases
 and Weil heights.  Verdicts live in the payload ("holds"), never in the
 exit code: 0 means the run succeeded, 2 malformed input, 1 numerical
-failure.  Output is byte-reproducible for identical arguments and seed.
+failure.  The JSON wire format lives here too: :func:`dumps_canonical`
+prints floats with 12 significant digits, so output is byte-reproducible
+for identical arguments and seed; :func:`siegel_point_to_json` and
+:func:`siegel_point_from_json` encode a point of H2; ``_run`` builds the
+``embed`` and ``reduce`` payloads and ``_parse_incidence`` reads
+DivisorIncidence JSON for ``runge --incidence-file``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from . import embedding, halfspace, theta
+import numpy as np
+
+from . import theta
 from .embedding import (
+    DEFAULT_REL_TOL,
     in_tube,
     near_zero_coordinates,
     psi,
@@ -23,19 +32,55 @@ from .embedding import (
     relation_singular_values,
 )
 from .errors import InvalidInputError, SiegelRungeError
-from .halfspace import reduce_to_fundamental_domain
+from .halfspace import SiegelPoint, reduce_to_fundamental_domain
 from .heights import bound_case_a, bound_case_b, weil_height_gaussian, weil_height_rational
-from .json_io import (
-    dumps_canonical,
-    incidence_from_json,
-    projective_point_to_json,
-    reduction_to_json,
-    siegel_point_from_json,
-    siegel_point_to_json,
-)
-from .runge import m_y_value, runge_condition, siegel_runge_condition
+from .runge import DivisorIncidence, m_y_value, runge_condition, siegel_runge_condition
 from .sampling import sample_reduced_points
 from .theta import Characteristic, theta_constant
+
+
+def dumps_canonical(obj) -> str:
+    """Serialize dicts/lists/numbers/strings deterministically.
+
+    Dict insertion order is kept; floats use fixed 12-significant-digit
+    formatting; ints stay ints.
+    """
+    if obj is None or obj is True or obj is False:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise InvalidInputError("cannot serialize non-finite numbers")
+        return f"{float(obj):.12g}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        inner = ", ".join(f"{json.dumps(str(k))}: {dumps_canonical(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        return dumps_canonical(obj.tolist())
+    raise InvalidInputError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _pair(z: complex) -> list[float]:
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def siegel_point_to_json(tau: SiegelPoint) -> dict:
+    return {"tau1": _pair(tau.tau1), "tau2": _pair(tau.tau2), "tau4": _pair(tau.tau4)}
+
+
+def siegel_point_from_json(data: dict) -> SiegelPoint:
+    try:
+        vals = [complex(data[k][0], data[k][1]) for k in ("tau1", "tau2", "tau4")]
+    except (KeyError, TypeError, IndexError) as exc:
+        raise InvalidInputError(f"malformed SiegelPoint JSON: {exc}") from exc
+    return SiegelPoint(*vals)
+
 
 _TAU_HELP = "SiegelPoint JSON {\"tau1\":[re,im],\"tau2\":[re,im],\"tau4\":[re,im]}"
 
@@ -53,6 +98,15 @@ def _parse_tau(args):
     else:
         data = json.loads(args.tau)
     return siegel_point_from_json(data)
+
+
+def _parse_incidence(path: str) -> DivisorIncidence:
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    try:
+        return DivisorIncidence.from_subsets(int(data["r"]), [set(s) for s in data["outside_Y"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed DivisorIncidence JSON: {exc}") from exc
 
 
 def _parse_bits(text: str) -> Characteristic:
@@ -86,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduce to the fundamental domain")
     _add_tau_arguments(p)
-    p.add_argument("--tol", type=float, default=halfspace.DEFAULT_TOL)
 
     p = sub.add_parser("embed", help="the ten theta fourth powers as a projective point")
     _add_tau_arguments(p)
@@ -94,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vanishing", help="indices of near-zero embedding coordinates")
     _add_tau_arguments(p)
-    p.add_argument("--rel-tol", type=float, default=embedding.DEFAULT_REL_TOL)
 
     p = sub.add_parser("rank", help="rank of the span of seeded sample embeddings")
     p.add_argument("--samples", type=int, required=True)
@@ -137,14 +189,20 @@ def _run(args) -> dict:
         }
 
     if args.command == "reduce":
-        return reduction_to_json(reduce_to_fundamental_domain(_parse_tau(args), tol=args.tol))
+        res = reduce_to_fundamental_domain(_parse_tau(args))
+        return {
+            "reduced": siegel_point_to_json(res.reduced),
+            "transform": [list(r) for r in res.transform.rows],
+            "iterations": res.iterations,
+        }
 
     if args.command == "embed":
-        return projective_point_to_json(psi(_parse_tau(args), tol=args.tol))
+        point = psi(_parse_tau(args), tol=args.tol)
+        return {"coords": [_pair(z) for z in point.coords], "order": "lex(a1,a2,b1,b2)"}
 
     if args.command == "vanishing":
-        indices = near_zero_coordinates(psi(_parse_tau(args)), args.rel_tol)
-        return {"indices": sorted(indices), "rel_tol": args.rel_tol}
+        indices = near_zero_coordinates(psi(_parse_tau(args)))
+        return {"indices": sorted(indices), "rel_tol": DEFAULT_REL_TOL}
 
     if args.command == "rank":
         points = [psi(t) for t in sample_reduced_points(args.samples, args.seed)]
@@ -170,8 +228,7 @@ def _run(args) -> dict:
             raise InvalidInputError("pass exactly one of --n or --incidence-file")
         if args.n is not None:
             return siegel_runge_condition(args.n, args.s).to_json()
-        with open(args.incidence_file, "r", encoding="utf-8") as fh:
-            inc = incidence_from_json(json.load(fh))
+        inc = _parse_incidence(args.incidence_file)
         return runge_condition(m_y_value(inc), args.s, inc.r).to_json()
 
     if args.command == "bounds":
@@ -209,9 +266,5 @@ def dispatch(argv=None) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    return dispatch(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(dispatch())

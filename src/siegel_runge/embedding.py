@@ -92,10 +92,10 @@ def projective_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
     return float(s[1] / s[0])
 
 
-def near_zero_coordinates(p: ProjectivePoint, rel_tol: float = DEFAULT_REL_TOL) -> set[int]:
-    """Indices i with |coords[i]| <= rel_tol * max|coords|."""
+def near_zero_coordinates(p: ProjectivePoint) -> set[int]:
+    """Indices i with |coords[i]| <= DEFAULT_REL_TOL * max|coords|."""
     mags = np.abs(p.coords)
-    return set(np.flatnonzero(mags <= rel_tol * mags.max()).tolist())
+    return set(np.flatnonzero(mags <= DEFAULT_REL_TOL * mags.max()).tolist())
 
 
 def is_product_locus(tau) -> bool | None:

@@ -33,8 +33,8 @@ __all__ = [
     "reduce_to_fundamental_domain",
 ]
 
-#: Default tolerance of the reduction loop.
-DEFAULT_TOL = 1e-9
+#: Tolerance of the reduction loop: a Gottschling step fires below 1 - _TOL.
+_TOL = 1e-9
 
 #: |det(C tau + D)| below this raises ConditioningError in act().
 CONDITION_EPS = 1e-12
@@ -50,7 +50,8 @@ class SiegelPoint:
     """Point of H2, stored as the three independent entries of tau.
 
     tau = [[tau1, tau2], [tau2, tau4]]; symmetry holds by construction and
-    Im(tau) must be positive definite.
+    Im(tau) must be positive definite.  Each entry must be a number
+    (numbers.Complex) and is stored as a Python complex.
     """
 
     tau1: complex
@@ -58,7 +59,17 @@ class SiegelPoint:
     tau4: complex
 
     def __post_init__(self):
-        _check_entries(complex(self.tau1), complex(self.tau2), complex(self.tau4))
+        t1, t2, t4 = self.tau1, self.tau2, self.tau4
+        # entries computed inside the package are Python complexes already and
+        # skip the numbers.Complex test, which would double the constructor's cost
+        if not type(t1) is type(t2) is type(t4) is complex:
+            if not all(isinstance(z, numbers.Complex) for z in (t1, t2, t4)):
+                raise InvalidInputError(f"SiegelPoint entries must be numbers: {(t1, t2, t4)!r}")
+            t1, t2, t4 = complex(t1), complex(t2), complex(t4)
+            object.__setattr__(self, "tau1", t1)
+            object.__setattr__(self, "tau2", t2)
+            object.__setattr__(self, "tau4", t4)
+        _check_entries(t1, t2, t4)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -84,7 +95,7 @@ class SiegelPoint:
         if abs(m[0, 1] - m[1, 0]) > _SYM_TOL * scale:
             raise InvalidInputError("matrix is not symmetric within tolerance")
         off = 0.5 * (m[0, 1] + m[1, 0])
-        return cls(complex(m[0, 0]), complex(off), complex(m[1, 1]))
+        return cls(m[0, 0], off, m[1, 1])
 
     def min_imag_eigenvalue(self) -> float:
         """Smallest eigenvalue of Im(tau) (positive on H2).
@@ -92,7 +103,7 @@ class SiegelPoint:
         Taken as det / lam_max, with det = y1 (y4 - y2^2 / y1), because
         0.5 (tr - disc) cancels to 0 when the eigenvalues are far apart.
         """
-        y1, y2, y4 = complex(self.tau1).imag, complex(self.tau2).imag, complex(self.tau4).imag
+        y1, y2, y4 = self.tau1.imag, self.tau2.imag, self.tau4.imag
         lam_max = 0.5 * (y1 + y4 + math.hypot(y1 - y4, 2.0 * y2))
         return (y1 / lam_max) * (y4 - y2 * (y2 / y1))
 
@@ -287,7 +298,7 @@ def act(gamma, tau) -> SiegelPoint:
     """
     g = gamma if isinstance(gamma, SymplecticMatrix) else SymplecticMatrix(gamma)
     p = tau if isinstance(tau, SiegelPoint) else SiegelPoint.from_matrix(tau)
-    return SiegelPoint(*_act_entries(g.rows, complex(p.tau1), complex(p.tau2), complex(p.tau4)))
+    return SiegelPoint(*_act_entries(g.rows, p.tau1, p.tau2, p.tau4))
 
 
 @lru_cache(maxsize=1)
@@ -392,14 +403,14 @@ def _result(point, total, iterations: int) -> ReductionResult:
     return ReductionResult(SiegelPoint(*point), SymplecticMatrix(total), iterations)
 
 
-def reduce_to_fundamental_domain(tau: SiegelPoint, tol: float = DEFAULT_TOL) -> ReductionResult:
+def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
     """Move tau into the fundamental domain of Sp4(Z) acting on H2.
 
     The loop alternates three steps until none of them fires:
 
     1. Minkowski-reduce Im(tau) by a GL2(Z) congruence,
     2. translate Re(tau) into [-1/2, 1/2] entrywise,
-    3. apply a Gottschling matrix whenever its |det(C tau + D)| < 1 - tol
+    3. apply a Gottschling matrix whenever its |det(C tau + D)| < 1 - _TOL (1e-9)
        (the first of the smallest, in the order of gottschling_matrices()).
 
     Step 3 strictly increases det Im(tau), which bounds the number of passes.
@@ -414,10 +425,8 @@ def reduce_to_fundamental_domain(tau: SiegelPoint, tol: float = DEFAULT_TOL) -> 
     """
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
-    if tol <= 0.0:
-        raise InvalidInputError("tol must be positive")
 
-    point = (complex(tau.tau1), complex(tau.tau2), complex(tau.tau4))
+    point = (tau.tau1, tau.tau2, tau.tau4)
     total = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     iterations = 0
     for _ in range(_MAX_ITER):
@@ -436,7 +445,7 @@ def reduce_to_fundamental_domain(tau: SiegelPoint, tol: float = DEFAULT_TOL) -> 
 
         vals = [abs(z) for z in _gottschling_scan(*point)]
         low = min(vals)
-        if low < 1.0 - tol:
+        if low < 1.0 - _TOL:
             point, total = _step(gottschling_matrices()[vals.index(low)].rows, point, total)
             changed = True
 

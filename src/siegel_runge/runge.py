@@ -129,10 +129,8 @@ def siegel_runge_condition(n: int, s_l: int) -> RungeVerdict:
     return runge_condition(siegel_m_y(n), s_l, siegel_divisor_count(n))
 
 
-def siegel_incidence(n: int = 2) -> DivisorIncidence:
+def siegel_incidence() -> DivisorIncidence:
     """Incidence witness at level 2: ten divisors, pairwise intersections
     all inside the boundary, so the maximal outside-Y subsets are the
     singletons and m_Y = 1."""
-    if n != 2:
-        raise InvalidInputError("an incidence witness is only available at level 2")
     return DivisorIncidence.from_subsets(10, [{i} for i in range(1, 11)])

@@ -72,9 +72,9 @@ def test_c02_diagonal_factorization():
 
 
 def test_c03_product_locus_detection():
-    product_zeros = sr.near_zero_coordinates(sr.psi(sr.SiegelPoint(1j, 0, 1j)), 1e-6)
+    product_zeros = sr.near_zero_coordinates(sr.psi(sr.SiegelPoint(1j, 0, 1j)))
     counts = {
-        len(sr.near_zero_coordinates(sr.psi(tau), 1e-6))
+        len(sr.near_zero_coordinates(sr.psi(tau)))
         for tau in sr.sample_reduced_points(50, seed=1)
     }
     ok = len(product_zeros) == 1 and counts == {0}
@@ -87,7 +87,7 @@ def _decay_sets(path):
     got, want = [], []
     for t in (2, 5, 10, 20):
         tau1, tau4 = path(t)
-        got.append(sr.near_zero_coordinates(sr.psi(sr.SiegelPoint(tau1, 0, tau4)), 1e-6))
+        got.append(sr.near_zero_coordinates(sr.psi(sr.SiegelPoint(tau1, 0, tau4))))
         want.append(small_indices(diagonal_fourth_powers(tau1, tau4), 1e-6))
     return got, want
 

@@ -1,22 +1,44 @@
+import importlib
 import json
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
 import siegel_runge as sr
-from siegel_runge.cli import dispatch
-from siegel_runge.json_io import (
-    dumps_canonical,
-    projective_point_from_json,
-    siegel_point_from_json,
-    siegel_point_to_json,
-    symplectic_from_json,
-)
+from siegel_runge.cli import dispatch, dumps_canonical, siegel_point_from_json, siegel_point_to_json
 
 from oracles import theta_1d
 
 TAU_I = '{"tau1": [0, 1], "tau2": [0, 0], "tau4": [0, 1]}'
+SQUEEZED = '{"tau1": [3.13, 0.2], "tau2": [-0.79, 0.05], "tau4": [1.96, 0.3]}'
+REDUCED = ('{"tau1": [0.0328308813305, 1.96936618739], "tau2": [-0.0942514670301, 0.646605667881], '
+           '"tau4": [0.367995105265, 2.74981227577]}')
+
+#: Exact stdout of commands whose digits involve no BLAS summation order
+#: (embed, theta and rank may differ in their last digit between builds).
+GOLDEN = {
+    "runge": (["runge", "--n", "4", "--s", "9"], '{"holds": true, "m": 13, "s": 9, "r": 130}'),
+    "runge-fails": (["runge", "--n", "2", "--s", "10"], '{"holds": false, "m": 1, "s": 10, "r": 10}'),
+    "bounds-a": (["bounds", "--case", "a", "--sp", "3", "--field", "Qi"],
+                 '{"case": "a", "holds": true, "h_psi": 10.75, "h_faltings": 1070, "s_p": 3, '
+                 '"field": "imaginary_quadratic"}'),
+    "bounds-b": (["bounds", "--case", "b", "--sp", "2", "--places", "3", "--t", "1.25"],
+                 '{"case": "b", "holds": true, "h_psi": 21.8479632679, "h_faltings": 1519.00798792, '
+                 '"s_p": 2, "places": 3, "t": 1.25}'),
+    "height-rational": (["height", "--rational", "6", "10", "15"], '{"height": 2.7080502011}'),
+    "height-gaussian": (["height", "--gaussian", "1,1", "2,0", "3,-4"], '{"height": 1.60943791243}'),
+    "reduce": (["reduce", "--tau", SQUEEZED],
+               '{"reduced": ' + REDUCED + ', "transform": [[2, -1, -7, 3], [-1, -2, 2, 3], '
+               '[0, 1, 1, -2], [-1, 0, 3, -1]], "iterations": 3}'),
+    "tube": (["tube", "--tau", SQUEEZED, "--t", "1.9"],
+             '{"holds": true, "t": 1.9, "im_tau4": 2.74981227577, "reduced": ' + REDUCED + '}'),
+    "vanishing-product": (["vanishing", "--tau", TAU_I], '{"indices": [9], "rel_tol": 1e-06}'),
+    "vanishing-cusp": (["vanishing", "--tau", '{"tau1": [0, 1], "tau2": [0, 0], "tau4": [0, 50]}'],
+                       '{"indices": [4, 5, 8, 9], "rel_tol": 1e-06}'),
+}
 
 
 def run_ok(capsys, argv):
@@ -39,6 +61,15 @@ class TestVerdictCommands:
         path.write_text(json.dumps({"r": 3, "outside_Y": [[1, 2], [1, 3], [2, 3]]}))
         data = run_ok(capsys, ["runge", "--incidence-file", str(path), "--s", "1"])
         assert data == {"holds": True, "m": 2, "s": 1, "r": 3}
+
+    @pytest.mark.parametrize("payload", ['{"r": 3}', "[1, 2]", '{"r": "x", "outside_Y": [[1]]}',
+                                         '{"r": 3, "outside_Y": [["a"]]}'],
+                             ids=["no-subsets", "list", "r-not-int", "index-not-int"])
+    def test_malformed_incidence_file_is_exit_two(self, capsys, tmp_path, payload):
+        path = tmp_path / "inc.json"
+        path.write_text(payload)
+        assert dispatch(["runge", "--incidence-file", str(path), "--s", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed DivisorIncidence JSON")
 
     def test_runge_needs_exactly_one_source(self, capsys):
         assert dispatch(["runge", "--n", "2", "--s", "9", "--incidence-file", "x.json"]) == 2
@@ -89,7 +120,7 @@ class TestNumericCommands:
 
     def test_embed_round_trips(self, capsys):
         data = run_ok(capsys, ["embed", "--tau", TAU_I])
-        point = projective_point_from_json(data)
+        point = sr.ProjectivePoint([complex(re, im) for re, im in data["coords"]], 1e-8)
         assert data["order"] == "lex(a1,a2,b1,b2)"
         assert len(point.coords) == 10
 
@@ -103,7 +134,7 @@ class TestNumericCommands:
         )
         data = run_ok(capsys, ["reduce", "--tau", dumps_canonical(siegel_point_to_json(tau))])
         reduced = siegel_point_from_json(data["reduced"])
-        witness = symplectic_from_json(data["transform"])
+        witness = sr.SymplecticMatrix(data["transform"])
         assert np.max(np.abs(sr.act(witness, tau).matrix - reduced.matrix)) <= 1e-9
         assert data["iterations"] <= 1000
 
@@ -166,6 +197,24 @@ class TestDeterminismAndErrors:
         tau = '{"tau1": [0, 1e-60], "tau2": [0, 0], "tau4": [0, 1]}'
         assert dispatch([*command, "--tau", tau]) == 1
         assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_exact_stdout(self, capsys, name):
+        argv, want = GOLDEN[name]
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out == want + "\n"
+
+    def test_console_script(self, capsys, monkeypatch):
+        tomllib = pytest.importorskip("tomllib")
+        with open(pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["siegel-runge"]
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(sys, "argv", ["siegel-runge", "runge", "--n", "2", "--s", "9"])
+        assert entry() == 0
+        assert json.loads(capsys.readouterr().out) == {"holds": True, "m": 1, "s": 9, "r": 10}
 
 
 class TestCanonicalSerializer:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import siegel_runge as sr
 from siegel_runge.halfspace import _gottschling_scan, gottschling_matrices
-from siegel_runge.json_io import symplectic_from_json
 
 from oracles import act_solve, symplectic_by_products, symplectic_inverse
 
@@ -54,7 +53,26 @@ class TestMembership:
         with pytest.raises(sr.InvalidInputError):
             sr.SiegelPoint(1j, 0, -1j)
         with pytest.raises(sr.InvalidInputError):
+            sr.SiegelPoint(1j, 0j, -1j)
+        with pytest.raises(sr.InvalidInputError):
             sr.SiegelPoint.from_matrix(np.array([[1j, 0.5], [0.3, 1j]]))
+
+    @pytest.mark.parametrize("entries", [("1j", "0", "2j"), (1j, None, 1j), (1j, 0, [1j])],
+                             ids=["strings", "none", "list"])
+    def test_non_numeric_entries_rejected(self, entries):
+        # strings were stored as given; in_tube, psi and theta_constant then
+        # failed with AttributeError or TypeError
+        with pytest.raises(sr.InvalidInputError):
+            sr.SiegelPoint(*entries)
+
+    @pytest.mark.parametrize("entries", [(1j, 0, 1j), (np.complex128(1j), np.int64(0), 1j),
+                                         (1j, np.float64(0.0), np.complex128(1j))],
+                             ids=["int", "numpy-int", "numpy-float"])
+    def test_entries_stored_as_complex(self, entries):
+        p = sr.SiegelPoint(*entries)
+        assert all(type(z) is complex for z in (p.tau1, p.tau2, p.tau4))
+        want = sr.SiegelPoint(1j, 0j, 1j)
+        assert p == want and hash(p) == hash(want)
 
 
 class TestSymplectic:
@@ -109,9 +127,9 @@ class TestSymplectic:
         assert sr.J.mat.tolist() == [list(r) for r in sr.J.rows]
 
     @pytest.mark.parametrize("entry", [1.7, float("nan"), float("inf")])
-    @pytest.mark.parametrize("build", [sr.SymplecticMatrix, symplectic_from_json, sr.is_symplectic,
+    @pytest.mark.parametrize("build", [sr.SymplecticMatrix, sr.is_symplectic,
                                        sr.is_level2, lambda m: sr.act(m, sr.SiegelPoint(1j, 0, 1j))],
-                             ids=["constructor", "from_json", "is_symplectic", "is_level2", "act"])
+                             ids=["constructor", "is_symplectic", "is_level2", "act"])
     def test_non_integer_entry_rejected(self, build, entry):
         # an identity whose corner used to be truncated to 1 and accepted
         m = np.eye(4).tolist()
@@ -119,7 +137,7 @@ class TestSymplectic:
         with pytest.raises(sr.InvalidInputError):
             build(m)
 
-    @pytest.mark.parametrize("build", [sr.SymplecticMatrix, symplectic_from_json, sr.is_symplectic])
+    @pytest.mark.parametrize("build", [sr.SymplecticMatrix, sr.is_symplectic])
     def test_entry_past_int64_is_resource_limit(self, build):
         # the shift by 2^63, which used to wrap to -2^63 or raise a bare
         # OverflowError
@@ -184,6 +202,22 @@ class TestAction:
     def test_j_fixes_i_identity(self):
         out = sr.act(sr.J, sr.SiegelPoint(1j, 0, 1j))
         assert np.allclose(out.matrix, 1j * I2, atol=1e-15)
+
+    @pytest.mark.parametrize("u", [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]],
+                                   [[2, 1], [1, 1]], [[1, 0], [3, -1]], [[-2, 3], [1, -1]]])
+    def test_gl2_embedding_is_congruence(self, u):
+        g = sr.gl2_embedding(u)
+        um = np.array(u, dtype=float)
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            tau = rand_tau(rng)
+            assert np.max(np.abs(sr.act(g, tau).matrix - um.T @ tau.matrix @ um)) <= 1e-12
+
+    @pytest.mark.parametrize("u", [[[2, 0], [0, 1]], [[1, 1], [1, 3]], [[1, 0, 0], [0, 1, 0]], [[1]]],
+                             ids=["det2", "det2-offdiagonal", "2x3", "1x1"])
+    def test_gl2_embedding_rejects(self, u):
+        with pytest.raises(sr.InvalidInputError):
+            sr.gl2_embedding(u)
 
     def test_preserves_h2(self):
         rng = np.random.default_rng(3)
@@ -319,10 +353,6 @@ class TestReduction:
         moved = sr.act(g, tau)
         res = sr.reduce_to_fundamental_domain(moved)
         assert np.max(np.abs(sr.act(res.transform, moved).matrix - res.reduced.matrix)) <= 1e-12
-
-    def test_bad_tol_rejected(self):
-        with pytest.raises(sr.InvalidInputError):
-            sr.reduce_to_fundamental_domain(sr.SiegelPoint(1j, 0, 1j), tol=0.0)
 
     def test_overflowing_transform_raises(self):
         # With Im(tau) scaled by 1e-40 the witness transform outgrows int64;

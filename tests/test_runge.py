@@ -149,14 +149,10 @@ class TestSiegelSpecialization:
 
 class TestSiegelIncidence:
     def test_witness(self):
-        inc = sr.siegel_incidence(2)
+        inc = sr.siegel_incidence()
         assert inc.r == 10
         assert sr.m_y_value(inc) == 1
         assert sr.runge_condition(sr.m_y_value(inc), 9, inc.r).holds
 
     def test_matches_closed_formula(self):
-        assert sr.m_y_value(sr.siegel_incidence(2)) == sr.siegel_m_y(2)
-
-    def test_other_levels_unsupported(self):
-        with pytest.raises(sr.InvalidInputError):
-            sr.siegel_incidence(4)
+        assert sr.m_y_value(sr.siegel_incidence()) == sr.siegel_m_y(2)
