@@ -104,7 +104,7 @@ def _parse_incidence(path: str) -> DivisorIncidence:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        return DivisorIncidence.from_subsets(int(data["r"]), [set(s) for s in data["outside_Y"]])
+        return DivisorIncidence.from_subsets(data["r"], [set(s) for s in data["outside_Y"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed DivisorIncidence JSON: {exc}") from exc
 

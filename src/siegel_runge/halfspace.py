@@ -36,7 +36,8 @@ __all__ = [
 #: Tolerance of the reduction loop: a Gottschling step fires below 1 - _TOL.
 _TOL = 1e-9
 
-#: |det(C tau + D)| below this raises ConditioningError in act().
+#: |det(C tau + D)| below this times min(1, |m00 m11| + |m01 m10|), the size
+#: of the two products it is the difference of, raises ConditioningError in act().
 CONDITION_EPS = 1e-12
 
 _MAX_ITER = 1000
@@ -265,13 +266,16 @@ def gl2_embedding(u) -> SymplecticMatrix:
     return SymplecticMatrix(_gl2_rows(*um.flat))
 
 
-def _act_entries(g, t1: complex, t2: complex, t4: complex) -> tuple[complex, complex, complex]:
+def _act_entries(g, t1: complex, t2: complex, t4: complex) -> tuple[tuple[complex, ...], complex]:
     """(A tau + B)(C tau + D)^-1 at tau = [[t1, t2], [t2, t4]] in closed 2x2 form.
 
     ``g`` is [[A, B], [C, D]] as four rows of integers.  The image is
-    N adj(M) / det(M) with N = A tau + B and M = C tau + D, re-symmetrized
-    and returned as its entries (tau1, tau2, tau4).  Raises ConditioningError
-    when |det(M)| < CONDITION_EPS.
+    N adj(M) / det(M) with N = A tau + B and M = C tau + D, re-symmetrized;
+    returns its entries (tau1, tau2, tau4) and det(M).  Raises
+    ConditioningError when |det(M)| < CONDITION_EPS min(1, |m00 m11| + |m01 m10|):
+    the test is relative to the two products det(M) is the difference of,
+    so a cancellation raises while a small tau, whose products are small
+    too, does not.
     """
     (a00, a01, b00, b01), (a10, a11, b10, b11), (c00, c01, d00, d01), (c10, c11, d10, d11) = g
     m00 = c00 * t1 + c01 * t2 + d00
@@ -279,26 +283,30 @@ def _act_entries(g, t1: complex, t2: complex, t4: complex) -> tuple[complex, com
     m10 = c10 * t1 + c11 * t2 + d10
     m11 = c10 * t2 + c11 * t4 + d11
     det = m00 * m11 - m01 * m10
-    if abs(det) < CONDITION_EPS:
-        raise ConditioningError(f"|det(C tau + D)| = {abs(det):.3e} below {CONDITION_EPS:.1e}")
+    # min(1, s) spelled out so that the usual case computes no s
+    if abs(det) < CONDITION_EPS and abs(det) < CONDITION_EPS * (abs(m00 * m11) + abs(m01 * m10)):
+        raise ConditioningError(
+            f"|det(C tau + D)| = {abs(det):.3e} below {CONDITION_EPS:.1e} relative to its products"
+        )
     n00 = a00 * t1 + a01 * t2 + b00
     n01 = a00 * t2 + a01 * t4 + b01
     n10 = a10 * t1 + a11 * t2 + b10
     n11 = a10 * t2 + a11 * t4 + b11
     return ((n00 * m11 - n01 * m10) / det,
             0.5 * ((n01 * m00 - n00 * m01) / det + (n10 * m11 - n11 * m10) / det),
-            (n11 * m00 - n10 * m01) / det)
+            (n11 * m00 - n10 * m01) / det), det
 
 
 def act(gamma, tau) -> SiegelPoint:
     """Apply tau -> (A tau + B)(C tau + D)^-1 and re-symmetrize the result.
 
     A tau given as an array goes through SiegelPoint.from_matrix.  Raises
-    ConditioningError when |det(C tau + D)| < CONDITION_EPS.
+    ConditioningError when |det(C tau + D)| < CONDITION_EPS times
+    min(1, |m00 m11| + |m01 m10|) for M = C tau + D.
     """
     g = gamma if isinstance(gamma, SymplecticMatrix) else SymplecticMatrix(gamma)
     p = tau if isinstance(tau, SiegelPoint) else SiegelPoint.from_matrix(tau)
-    return SiegelPoint(*_act_entries(g.rows, p.tau1, p.tau2, p.tau4))
+    return SiegelPoint(*_act_entries(g.rows, p.tau1, p.tau2, p.tau4)[0])
 
 
 @lru_cache(maxsize=1)
@@ -393,7 +401,7 @@ def _compose(a, b):
 
 def _step(g, point, total):
     """Apply g, given as rows, to the iterate, which must stay in H2, and to the witness."""
-    point = _act_entries(g, *point)
+    point = _act_entries(g, *point)[0]
     _check_entries(*point)
     return point, _compose(g, total)
 

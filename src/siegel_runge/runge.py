@@ -15,6 +15,8 @@ an exact incidence witness available at n = 2.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
@@ -33,6 +35,16 @@ __all__ = [
 _MAX_LEVEL = 20
 
 
+def _integral(x) -> int:
+    """x as an int.  Raises InvalidInputError unless x is an integral number,
+    so that 3.9 is refused rather than truncated to 3."""
+    if type(x) is not int:
+        if not (isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x):
+            raise InvalidInputError(f"incidence data must be integers, got {x!r}")
+        x = int(x)
+    return x
+
+
 @dataclass(frozen=True)
 class DivisorIncidence:
     """Incidence data for r divisors.
@@ -41,16 +53,18 @@ class DivisorIncidence:
     not contained in Y.  The family is normalized on construction to its
     antichain of maximal subsets (smaller subsets are implied by downward
     closure).  Every divisor must appear in some subset: a divisor contained
-    in Y is outside the supported setup and rejected.
+    in Y is outside the supported setup and rejected.  ``r`` and the indices
+    must be integral numbers; 3.9 raises InvalidInputError.
     """
 
     r: int
     outside_y: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "r", _integral(self.r))
         if self.r < 1:
             raise InvalidInputError("divisor count r must be at least 1")
-        sets = {frozenset(int(i) for i in s) for s in self.outside_y}
+        sets = {frozenset(_integral(i) for i in s) for s in self.outside_y}
         sets.discard(frozenset())
         for s in sets:
             if not all(1 <= i <= self.r for i in s):

@@ -24,6 +24,20 @@ Two exact identities worth knowing (both tested):
 
 Truncation is rigorous: the returned error bound dominates the absolute
 value of the discarded tail via a comparison with a geometric series.
+
+The fourth powers are weight-2 forms for the level-2 group, so for M =
+[[A, B], [C, D]] in Sp4(Z)
+
+    theta^4(M tau) = det(C tau + D)^2 rho(M mod 2) theta^4(tau),
+
+with rho a signed 10x10 permutation that depends on M mod 2 only (Igusa,
+Theta Functions, 1972, ch. V; Mumford, Tata Lectures on Theta I, II.5).
+:func:`theta_fourth_vector` uses it for points whose box at tau would be
+large: it sums the box at the fundamental-domain image of tau instead, at
+the tolerance scaled by |det(C tau + D)|^2, and maps the values back
+through the exact table of rho over the 720 classes of Sp4(F2).  Theta
+constants themselves pick up eighth roots of unity under Sp4(Z), so
+:func:`theta_constant` always sums at tau.
 """
 
 from __future__ import annotations
@@ -35,7 +49,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .halfspace import SiegelPoint
+from .halfspace import (
+    J,
+    SiegelPoint,
+    _act_entries,
+    _gl2_rows,
+    _translation_rows,
+    reduce_to_fundamental_domain,
+)
 
 __all__ = [
     "Characteristic",
@@ -57,6 +78,11 @@ DEFAULT_TOL = 1e-10
 DEFAULT_TOL_FOURTH = 1e-8
 
 _MAX_RADIUS = 10_000
+
+#: theta_fourth_vector sums boxes up to this radius directly and evaluates
+#: points that need more through the fundamental domain; near this radius
+#: the two routes cost the same.
+_ROUTE_RADIUS = 16
 
 #: Most exponential terms evaluated at once; larger boxes go in slabs of rows.
 _SLAB_TERMS = 1 << 16
@@ -168,19 +194,27 @@ def truncation_radius(y_min: float, tol: float) -> int:
     radius the bound exceeds tol by a factor 2 or more, and no smaller
     radius can pass, rounding included.
     """
+    r = _radius_up_to(y_min, tol, _MAX_RADIUS)
+    if r is None:
+        raise ResourceLimitError(
+            f"tolerance {tol:.1e} at y_min {y_min:.3e} needs a box radius beyond {_MAX_RADIUS}"
+        )
+    return r
+
+
+def _radius_up_to(y_min: float, tol: float, cap: int) -> int | None:
+    """The radius of :func:`truncation_radius`, or None if it exceeds cap."""
     if y_min <= 0.0:
         raise InvalidInputError("y_min must be positive")
     if not 0.0 < tol < 1.0:
         raise InvalidInputError("tol must lie in (0, 1)")
     lead = 8.0 / tol * max(1.0, 1.0 / (4.0 * math.pi * y_min))
     start = math.sqrt(math.log(lead) / (math.pi * y_min)) + _A_NORM - 1.0
-    if start <= _MAX_RADIUS:
-        for r in range(max(1, math.ceil(start)), _MAX_RADIUS + 1):
+    if start <= cap:
+        for r in range(max(1, math.ceil(start)), cap + 1):
             if tail_bound(r, y_min) <= tol:
                 return r
-    raise ResourceLimitError(
-        f"tolerance {tol:.1e} at y_min {y_min:.3e} needs a box radius beyond {_MAX_RADIUS}"
-    )
+    return None
 
 
 @lru_cache(maxsize=64)
@@ -256,6 +290,13 @@ def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaVal
     return ThetaValue(complex(_theta_table(tau, r)[_cell(m)]), tail_bound(r, y_min))
 
 
+def _fourth_inner_tol(y_min: float, tol: float) -> float:
+    """tol / (4 U^3) with U = (1 + y_min^(-1/2))^2, divided out so that it
+    underflows to 0 rather than overflow at tiny y_min."""
+    s = 1.0 + 1.0 / math.sqrt(y_min)
+    return tol / 4.0 / s / s / s / s / s / s
+
+
 def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     """The 10 values Theta_m(tau)^4, ordered by :func:`even_characteristics`.
 
@@ -266,14 +307,136 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     over n is at most its peak 1 plus the integral y^(-1/2).  So U bounds
     the absolute series, hence both the constant z and any partial sum w,
     and |z^4 - w^4| = |z - w| |z^3 + z^2 w + z w^2 + w^3| <= 4 U^3 |z - w|.
+
+    The box is summed at tau itself while its radius is at most
+    _ROUTE_RADIUS (16).  A point that needs more, including one whose inner
+    tolerance underflows or whose radius passes the 10^4 cap, goes through
+    the fundamental domain instead: with T = [[A, B], [C, D]] the witness of
+    :func:`reduce_to_fundamental_domain` and q = T tau recomputed from tau,
+
+        theta^4(tau) = det(C tau + D)^-2 rho(T)^-1 theta^4(q),
+
+    where rho(T) is the signed permutation of :func:`_rho_table`.  The box at
+    q meets the absolute tolerance tol |det(C tau + D)|^2 (at most 1/2), so
+    the result keeps the absolute error tol.  The route costs one reduction,
+    which a small box does not repay; near radius 16 the two cost the same.
+    Raises ResourceLimitError when det(C tau + D)^2 underflows the tolerance
+    or the result leaves the double range.
     """
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
+    if not tol > 0.0:
+        raise InvalidInputError("tol must be positive")
     y_min = tau.min_imag_eigenvalue()
-    # tol / (4 U^3) with U = s^2, divided out so it underflows to 0 rather
-    # than overflow at tiny y_min
-    s = 1.0 + 1.0 / math.sqrt(y_min)
-    inner = tol / 4.0 / s / s / s / s / s / s
+    inner = _fourth_inner_tol(y_min, tol)
+    r = _radius_up_to(y_min, inner, _ROUTE_RADIUS) if inner > 0.0 else None
+    if r is None:
+        return _fourth_through_domain(tau, tol)
+    return _theta_table(tau, r)[_EVEN_CELLS] ** 4
+
+
+def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
+    """theta_fourth_vector(tau, tol) from the box at the reduced point; see there."""
+    transform = reduce_to_fundamental_domain(tau).transform
+    (t1, t2, t4), det = _act_entries(transform.rows, tau.tau1, tau.tau2, tau.tau4)
+    q = SiegelPoint(t1, t2, t4)
+    det2 = det * det
+    y_min = q.min_imag_eigenvalue()
+    inner = _fourth_inner_tol(y_min, min(tol * abs(det2), 0.5))
     if inner == 0.0:
-        raise ResourceLimitError(f"the inner tolerance underflows at y_min {y_min:.3e}")
-    return _theta_table(tau, truncation_radius(y_min, inner))[_EVEN_CELLS] ** 4
+        raise ResourceLimitError(f"det(C tau + D)^2 = {det2:.3e} underflows the tolerance")
+    values = _theta_table(q, truncation_radius(y_min, inner))[_EVEN_CELLS] ** 4
+    perm, sign = _rho_table()[_mod2_key(transform.rows)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = sign * values[perm] / det2
+    if not np.isfinite(out).all():
+        raise ResourceLimitError("theta fourth powers leave the double range")
+    return out
+
+
+def _char_action(rows, bits) -> tuple[int, int, int, int]:
+    """Numerator bits of M.m = (D a - C b, -B a + A b) + 1/2 diag(C D^t, A B^t)
+    mod 1 for m with bits (x, y) = (2a, 2b); mod 2 the signs drop out."""
+    (a00, a01, b00, b01), (a10, a11, b10, b11), (c00, c01, d00, d01), (c10, c11, d10, d11) = rows
+    x1, x2, y1, y2 = bits
+    return ((d00 * x1 + d01 * x2 + c00 * y1 + c01 * y2 + c00 * d00 + c01 * d01) % 2,
+            (d10 * x1 + d11 * x2 + c10 * y1 + c11 * y2 + c10 * d10 + c11 * d11) % 2,
+            (b00 * x1 + b01 * x2 + a00 * y1 + a01 * y2 + a00 * b00 + a01 * b01) % 2,
+            (b10 * x1 + b11 * x2 + a10 * y1 + a11 * y2 + a10 * b10 + a11 * b11) % 2)
+
+
+def _mod2_key(rows) -> int:
+    """The 16 bits of a 4x4 integer matrix mod 2, row-major, as one int."""
+    key = 0
+    for row in rows:
+        for x in row:
+            key = 2 * key + (x & 1)
+    return key
+
+
+def _generators() -> list[tuple[tuple, tuple[int, ...], tuple[int, ...]]]:
+    """(rows, perm, sign) of J, the three elementary translations and the
+    GL2 generators swap and shear, which generate Sp4(Z).
+
+    theta^4(M tau)[perm[j]] = sign[j] det(C tau + D)^2 theta^4(tau)[j], with
+    perm from :func:`_char_action`.  The signs come from the series:
+    tau -> tau + B multiplies the term at n + a by exp(i pi (n+a)^t B (n+a)),
+    which moves b to b + B a + diag(B) / 2 and leaves the factor
+    exp(i pi a^t B a), so (-1)^(B11 x1 + B22 x2) at a = x / 2 after the
+    fourth power; tau -> U^t tau U is the substitution n -> U n, and
+    J is Poisson summation, theta[a, b](-tau^-1) = det(tau / i)^(1/2)
+    exp(2 i pi a.b) theta[b, -a](tau), whose fourth powers carry
+    det(tau / i)^2 = det(tau)^2 in genus 2 and no sign.
+    """
+    evens = [m.bits for m in even_characteristics()]
+    index = {bits: j for j, bits in enumerate(evens)}
+    gens = []
+    for rows, b in ((J.rows, None),
+                    (_translation_rows(1, 0, 0), (1, 0)),
+                    (_translation_rows(0, 1, 0), (0, 0)),
+                    (_translation_rows(0, 0, 1), (0, 1)),
+                    (_gl2_rows(0, 1, 1, 0), None),
+                    (_gl2_rows(1, 1, 0, 1), None)):
+        perm = tuple(index[_char_action(rows, bits)] for bits in evens)
+        sign = tuple(1 if b is None else (-1) ** (b[0] * x1 + b[1] * x2) for x1, x2, _, _ in evens)
+        gens.append((rows, perm, sign))
+    return gens
+
+
+def _mul_mod2(g: int, m: int) -> int:
+    """g m mod 2 for 4x4 matrices over F2 stored as in :func:`_mod2_key`:
+    row i of g m is the sum of the rows k of m with g[i, k] = 1."""
+    rows = [(m >> shift) & 15 for shift in (12, 8, 4, 0)]
+    out = 0
+    for shift in (12, 8, 4, 0):
+        gi, row = (g >> shift) & 15, 0
+        for k in range(4):
+            if gi & (8 >> k):
+                row ^= rows[k]
+        out = out << 4 | row
+    return out
+
+
+@lru_cache(maxsize=1)
+def _rho_table() -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """rho on all 720 classes of Sp4(Z) mod 2 (the group Sp4(F2)), keyed by
+    :func:`_mod2_key`, as the index array and signs that undo it:
+    theta^4(tau) = sign * theta^4(M tau)[perm] / det(C tau + D)^2.
+
+    Breadth-first search from the identity over left products with
+    :func:`_generators`, composing rho(g M) = rho(g) rho(M).  Built on the
+    first routed call, not at import.
+    """
+    gens = [(_mod2_key(rows), perm, sign) for rows, perm, sign in _generators()]
+    ident = _mod2_key(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    found = {ident: (tuple(range(10)), (1,) * 10)}
+    queue = [ident]
+    for m in queue:
+        perm_m, sign_m = found[m]
+        for g, perm_g, sign_g in gens:
+            gm = _mul_mod2(g, m)
+            if gm not in found:
+                found[gm] = (tuple(perm_g[p] for p in perm_m),
+                             tuple(sign_g[p] * s for p, s in zip(perm_m, sign_m)))
+                queue.append(gm)
+    return {key: (np.array(perm), np.array(sign, dtype=float)) for key, (perm, sign) in found.items()}

@@ -49,6 +49,16 @@ def diagonal_fourth_powers(tau1: complex, tau4: complex) -> np.ndarray:
     ])
 
 
+def jacobi_fourth_powers(y1: float, y4: float) -> np.ndarray:
+    """Ten even theta fourth powers at diag(i y1, i y4) from the Jacobi
+    inversion theta_ab(i y) = y^(-1/2) theta_ba(i / y) on each axis, which
+    stays exact for tiny y, where the series at i y converges slowly."""
+    return np.array([
+        (theta_1d(b1, a1, 1j / y1) * theta_1d(b2, a2, 1j / y4)) ** 4 / (y1 * y4) ** 2
+        for a1, a2, b1, b2 in EVEN_BITS
+    ])
+
+
 def naive_fourth_powers(tau_mat, radius: int = 25) -> np.ndarray:
     """Ten even theta fourth powers from the double-loop sum."""
     return np.array([theta_2d_naive(bits, tau_mat, radius) ** 4 for bits in EVEN_BITS])

@@ -10,7 +10,7 @@ import pytest
 import siegel_runge as sr
 from siegel_runge.cli import dispatch, dumps_canonical, siegel_point_from_json, siegel_point_to_json
 
-from oracles import theta_1d
+from oracles import jacobi_fourth_powers, theta_1d
 
 TAU_I = '{"tau1": [0, 1], "tau2": [0, 0], "tau4": [0, 1]}'
 SQUEEZED = '{"tau1": [3.13, 0.2], "tau2": [-0.79, 0.05], "tau4": [1.96, 0.3]}'
@@ -63,8 +63,9 @@ class TestVerdictCommands:
         assert data == {"holds": True, "m": 2, "s": 1, "r": 3}
 
     @pytest.mark.parametrize("payload", ['{"r": 3}', "[1, 2]", '{"r": "x", "outside_Y": [[1]]}',
-                                         '{"r": 3, "outside_Y": [["a"]]}'],
-                             ids=["no-subsets", "list", "r-not-int", "index-not-int"])
+                                         '{"r": 3, "outside_Y": [["a"]]}',
+                                         '{"r": 3.9, "outside_Y": [[1.5, 2], [3]]}'],
+                             ids=["no-subsets", "list", "r-not-int", "index-not-int", "non-integral"])
     def test_malformed_incidence_file_is_exit_two(self, capsys, tmp_path, payload):
         path = tmp_path / "inc.json"
         path.write_text(payload)
@@ -174,29 +175,44 @@ class TestDeterminismAndErrors:
         assert dispatch(["embed", "--tau", '{"tau1": [0, -1], "tau2": [0, 0], "tau4": [0, 1]}']) == 2
 
     def test_numerical_failure_is_exit_one(self, capsys):
-        # valid input, but the tolerance is unreachable at this depth
+        # valid input, but the tolerance is unreachable at this depth: theta
+        # sums at tau itself, where the box radius would pass the cap
         nearly_degenerate = '{"tau1": [0, 1e-07], "tau2": [0, 0], "tau4": [0, 1e-07]}'
-        assert dispatch(["embed", "--tau", nearly_degenerate]) == 1
+        assert dispatch(["theta", "--char", "0,0,0,0", "--tau", nearly_degenerate]) == 1
 
     def test_unknown_subcommand_is_exit_two(self, capsys):
         assert dispatch(["frobnicate"]) == 2
 
-    @pytest.mark.parametrize("y", ["1e-60", "1e-120"])
-    @pytest.mark.parametrize("command", [["theta", "--char", "0,0,0,0"], ["embed"]],
-                             ids=["theta", "embed"])
+    @pytest.mark.parametrize(("command", "y"), [(["theta", "--char", "0,0,0,0"], "1e-60"),
+                                                (["theta", "--char", "0,0,0,0"], "1e-120"),
+                                                (["embed"], "1e-120")],
+                             ids=["theta-1e-60", "theta-1e-120", "embed-1e-120"])
     def test_tiny_imaginary_part_is_numerical_failure(self, capsys, command, y):
-        # a valid point of H2 whose theta sums need a radius past the cap
+        # theta sums at tau, where the box radius would pass the cap; embed
+        # goes through the fundamental domain, and at 1e-120 its factor
+        # det(tau)^2 = y^4 underflows
         tau = f'{{"tau1": [0, {y}], "tau2": [0, 0], "tau4": [0, {y}]}}'
         assert dispatch([*command, "--tau", tau]) == 1
         assert capsys.readouterr().err.startswith("numerical failure:")
 
-    @pytest.mark.parametrize("command", [["theta", "--char", "0,0,0,0"], ["embed"]],
-                             ids=["theta", "embed"])
+    @pytest.mark.parametrize("command", [["theta", "--char", "0,0,0,0"]], ids=["theta"])
     def test_far_apart_eigenvalues_are_numerical_failure(self, capsys, command):
-        # y_min = 1e-60 is positive; the theta sums need a radius past the cap
+        # y_min = 1e-60 is positive; the theta sums at tau need a radius past
+        # the cap (embed goes through the fundamental domain, tested below)
         tau = '{"tau1": [0, 1e-60], "tau2": [0, 0], "tau4": [0, 1]}'
         assert dispatch([*command, "--tau", tau]) == 1
         assert capsys.readouterr().err.startswith("numerical failure:")
+
+    @pytest.mark.parametrize(("y1", "y4"), [("1e-60", "1e-60"), ("1e-60", "1")],
+                             ids=["tiny", "far-apart"])
+    def test_embed_of_tiny_imaginary_part_goes_through_the_domain(self, capsys, y1, y4):
+        # psi at diag(i y1, i y4) is evaluated at the reduced point; the
+        # Jacobi inversion on each axis gives the values
+        tau = f'{{"tau1": [0, {y1}], "tau2": [0, 0], "tau4": [0, {y4}]}}'
+        coords = run_ok(capsys, ["embed", "--tau", tau])["coords"]
+        got = np.array([complex(*c) for c in coords])
+        want = jacobi_fourth_powers(float(y1), float(y4))
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 class TestGoldenOutput:

@@ -261,9 +261,14 @@ class TestAction:
         assert_matches_solve(g, sr.sample_reduced_points(1, seed=point_seed)[0])
 
     def test_near_singular_cocycle_raises(self):
-        tiny = sr.SiegelPoint(1e-7j, 0, 1e-7j)
+        # det(-tau) = (1 + 1e-13 i)^2 - 1 cancels to 2e-13 against products of size 1
+        near = sr.SiegelPoint(1 + 1e-13j, 1, 1 + 1e-13j)
         with pytest.raises(sr.ConditioningError):
-            sr.act(sr.J, tiny)
+            sr.act(sr.J, near)
+
+    def test_small_tau_is_not_ill_conditioned(self):
+        # |det tau| = 1e-120, but -tau^-1 is exact: the test is relative to tau
+        assert sr.act(sr.J, sr.SiegelPoint(1e-60j, 0, 1e-60j)) == sr.SiegelPoint(1e60j, 0, 1e60j)
 
 
 class TestGottschling:
@@ -353,6 +358,13 @@ class TestReduction:
         moved = sr.act(g, tau)
         res = sr.reduce_to_fundamental_domain(moved)
         assert np.max(np.abs(sr.act(res.transform, moved).matrix - res.reduced.matrix)) <= 1e-12
+
+    def test_tiny_point_reduces_through_j(self):
+        tiny = sr.SiegelPoint(1e-60j, 0, 1e-60j)
+        res = sr.reduce_to_fundamental_domain(tiny)
+        assert res.transform in (sr.J, sr.J.inverse())
+        assert res.reduced == sr.SiegelPoint(1e60j, 0, 1e60j)
+        assert sr.act(res.transform, tiny) == res.reduced
 
     def test_overflowing_transform_raises(self):
         # With Im(tau) scaled by 1e-40 the witness transform outgrows int64;

@@ -87,6 +87,16 @@ class TestIncidenceNormalization:
         with pytest.raises(sr.InvalidInputError):
             incidence(0, [])
 
+    @pytest.mark.parametrize(("r", "subsets"), [(3.9, [{1, 2}, {3}]), (3, [{1.5, 2}, {3}])],
+                             ids=["r", "index"])
+    def test_non_integral_data_rejected(self, r, subsets):
+        # int() truncated these to r = 3 and index 1
+        with pytest.raises(sr.InvalidInputError):
+            incidence(r, subsets)
+
+    def test_integral_floats_accepted(self):
+        assert incidence(3.0, [{1.0, 2}, {3}]) == incidence(3, [{1, 2}, {3}])
+
 
 class TestCondition:
     def test_examples(self):

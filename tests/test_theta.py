@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from siegel_runge import theta
 from siegel_runge.theta import Characteristic
 
 from oracles import (
+    EVEN_BITS,
+    jacobi_fourth_powers,
     naive_fourth_powers,
     plain_truncation_radii,
     tail_abs_sum,
@@ -250,9 +255,19 @@ class TestFourthVector:
 
     @pytest.mark.parametrize("y", [1e-60, 1e-120])
     def test_tiny_imaginary_part_hits_the_cap(self, y):
-        # at 1e-120 the inner tolerance tol / (4 U^3) underflows to 0
-        with pytest.raises(sr.ResourceLimitError):
-            sr.theta_fourth_vector(sr.SiegelPoint(y * 1j, 0, y * 1j))
+        # diag(iy, iy) goes through J to diag(i/y, i/y); by Jacobi the fourth
+        # powers are y^-4 where b = 0 and vanish elsewhere.  The cap left is
+        # det(tau)^2 = y^4, which underflows at 1e-120
+        tau = sr.SiegelPoint(y * 1j, 0, y * 1j)
+        if y ** 4 == 0.0:
+            with pytest.raises(sr.ResourceLimitError):
+                sr.theta_fourth_vector(tau)
+            return
+        want = jacobi_fourth_powers(y, y)
+        assert [bits for bits, w in zip(EVEN_BITS, want) if w] == [
+            bits for bits in EVEN_BITS if bits[2:] == (0, 0)]
+        got = sr.theta_fourth_vector(tau)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_slabs_match_one_slab(self, monkeypatch):
         tau = small_y_points()[1]
@@ -260,3 +275,187 @@ class TestFourthVector:
         monkeypatch.setattr(theta, "_SLAB_TERMS", 7)
         sliced = sr.theta_fourth_vector(tau)
         assert np.max(np.abs(sliced - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
+def force_route(monkeypatch, route: bool):
+    """Send every later theta_fourth_vector call through the fundamental
+    domain (route=True) or sum every box at tau itself (route=False)."""
+    monkeypatch.setattr(theta, "_ROUTE_RADIUS", 0 if route else theta._MAX_RADIUS)
+
+
+def direct_tolerance(tau, tol):
+    """tol / (4 U^3): a theta constant this close gives its fourth power within tol."""
+    u = (1.0 + tau.min_imag_eigenvalue() ** -0.5) ** 2
+    return tol / (4.0 * u ** 3)
+
+
+def riemann_residual(v):
+    """Riemann's relations 0000 = 0001 + 0100 + 1111 and 0000 = 0010 + 1000 + 1111,
+    relative to max|v|."""
+    i = {bits: k for k, bits in enumerate(EVEN_BITS)}
+    first = v[i[0, 0, 0, 0]] - v[i[0, 0, 0, 1]] - v[i[0, 1, 0, 0]] - v[i[1, 1, 1, 1]]
+    second = v[i[0, 0, 0, 0]] - v[i[0, 0, 1, 0]] - v[i[1, 0, 0, 0]] - v[i[1, 1, 1, 1]]
+    return max(abs(first), abs(second)) / np.max(np.abs(v))
+
+
+#: J, the three elementary translations and the GL2 swap and shear.
+GENERATORS = (sr.J, sr.translation([[1, 0], [0, 0]]), sr.translation([[0, 1], [1, 0]]),
+              sr.translation([[0, 0], [0, 1]]), sr.gl2_embedding([[0, 1], [1, 0]]),
+              sr.gl2_embedding([[1, 1], [0, 1]]))
+
+
+def mod2_key(m) -> int:
+    """The 16 entries of m mod 2, row-major, read as a binary number."""
+    return int("".join(str(int(x)) for x in (np.asarray(m) % 2).ravel()), 2)
+
+
+def mod2_matrix(key: int) -> np.ndarray:
+    return np.array([(key >> (15 - k)) & 1 for k in range(16)]).reshape(4, 4)
+
+
+def rho_matrix(perm, sign) -> np.ndarray:
+    """R with theta^4(M tau) = det(C tau + D)^2 R theta^4(tau), from the
+    table entry, which undoes R: theta^4(tau) = sign * theta^4(M tau)[perm] / det^2."""
+    r = np.zeros((10, 10))
+    r[perm, np.arange(10)] = sign
+    return r
+
+
+def class_representatives() -> list:
+    """One integer matrix of each class of Sp4(Z) mod 2, by breadth-first
+    search over words in GENERATORS."""
+    ident = sr.SymplecticMatrix(np.eye(4, dtype=int))
+    reps = {mod2_key(ident.mat): ident}
+    queue = [ident]
+    for m in queue:
+        for g in GENERATORS:
+            gm = g @ m
+            if mod2_key(gm.mat) not in reps:
+                reps[mod2_key(gm.mat)] = gm
+                queue.append(gm)
+    return list(reps.values())
+
+
+#: A reduced point whose imaginary part the gate tests scale down.
+GATE_BASE = sr.SiegelPoint(0.11 + 1.05j, 0.23 + 0.31j, -0.17 + 1.22j)
+
+
+def scaled(s):
+    """GATE_BASE with Im(tau) scaled by s."""
+    entries = (GATE_BASE.tau1, GATE_BASE.tau2, GATE_BASE.tau4)
+    return sr.SiegelPoint(*(complex(z.real, s * z.imag) for z in entries))
+
+
+def scaled_radius(s, tol):
+    """The direct box radius of theta_fourth_vector at scaled(s)."""
+    y = scaled(s).min_imag_eigenvalue()
+    return sr.truncation_radius(y, theta._fourth_inner_tol(y, tol))
+
+
+def c06_inputs():
+    """The points gamma.tau of acceptance check c06."""
+    rng = np.random.default_rng(6)
+    taus = sr.sample_reduced_points(5, seed=3)
+    return [sr.act(sr.random_level2_matrix(rng), tau) for _ in range(20) for tau in taus]
+
+
+class TestRhoTable:
+    def test_720_classes(self):
+        assert len(theta._rho_table()) == 720 == len(class_representatives())
+
+    def test_homomorphism(self):
+        table = {key: rho_matrix(*entry) for key, entry in theta._rho_table().items()}
+        for key, r in table.items():
+            m = mod2_matrix(key)
+            for g in GENERATORS:
+                rg = table[mod2_key(g.mat)]
+                assert np.array_equal(table[mod2_key(g.mat @ m)], rg @ r)
+                assert np.array_equal(table[mod2_key(m @ g.mat)], r @ rg)
+
+    def test_transitive_on_even_characteristics(self):
+        assert {int(perm[0]) for perm, _ in theta._rho_table().values()} == set(range(10))
+
+    def test_permutation_is_the_characteristic_action(self):
+        # M.m = (D a - C b, -B a + A b) + 1/2 diag(C D^t, A B^t) mod 1, on the numerators 2m
+        index = {bits: k for k, bits in enumerate(EVEN_BITS)}
+        for key, (perm, _) in theta._rho_table().items():
+            m = mod2_matrix(key)
+            a, b, c, d = m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:]
+            for k, bits in enumerate(EVEN_BITS):
+                x, y = np.array(bits[:2]), np.array(bits[2:])
+                image = np.concatenate([d @ x - c @ y + np.diag(c @ d.T),
+                                        -b @ x + a @ y + np.diag(a @ b.T)]) % 2
+                assert perm[k] == index[tuple(image.tolist())]
+
+    def test_import_builds_no_table(self):
+        code = "import siegel_runge.theta as t; print(t._rho_table.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "0"
+
+
+class TestRoute:
+    TOL = 1e-8
+
+    def test_every_class_matches_the_direct_sum(self, monkeypatch):
+        # theta_constant at tau never goes through the fundamental domain
+        force_route(monkeypatch, True)
+        for g in class_representatives():
+            tau = sr.act(g, GATE_BASE)
+            inner = direct_tolerance(tau, self.TOL)
+            want = np.array([sr.theta_constant(m, tau, inner).value ** 4 for m in sr.even_characteristics()])
+            got = sr.theta_fourth_vector(tau, self.TOL)
+            assert np.max(np.abs(got - want)) <= 2 * self.TOL
+            assert riemann_residual(got) <= 1e-9
+
+    def test_c06_inputs_match_the_direct_sums(self, monkeypatch):
+        for tau in c06_inputs():
+            force_route(monkeypatch, True)
+            routed = sr.theta_fourth_vector(tau, self.TOL)
+            force_route(monkeypatch, False)
+            direct = sr.theta_fourth_vector(tau, self.TOL)
+            assert np.max(np.abs(routed - direct)) <= 1e-7 * np.max(np.abs(direct))
+            assert riemann_residual(routed) <= 1e-9
+
+    def test_agrees_across_the_gate(self, monkeypatch):
+        # two points a rounding apart whose box radii straddle _ROUTE_RADIUS
+        lo, hi = 1e-3, 1.0
+        assert scaled_radius(lo, self.TOL) > theta._ROUTE_RADIUS >= scaled_radius(hi, self.TOL)
+        while math.nextafter(lo, hi) < hi:
+            mid = math.sqrt(lo * hi)
+            if not lo < mid < hi:
+                mid = math.nextafter(lo, hi)
+            lo, hi = (mid, hi) if scaled_radius(mid, self.TOL) > theta._ROUTE_RADIUS else (lo, mid)
+        below, above = scaled(hi), scaled(lo)
+        reductions = []
+        reduce = theta.reduce_to_fundamental_domain
+        monkeypatch.setattr(theta, "reduce_to_fundamental_domain", lambda t: reductions.append(t) or reduce(t))
+        got_below = sr.theta_fourth_vector(below, self.TOL)
+        got_above = sr.theta_fourth_vector(above, self.TOL)
+        assert reductions == [above]
+        assert np.max(np.abs(got_below - got_above)) <= 2 * self.TOL
+        force_route(monkeypatch, True)
+        assert np.max(np.abs(got_below - sr.theta_fourth_vector(below, self.TOL))) <= 2 * self.TOL
+        force_route(monkeypatch, False)
+        assert np.max(np.abs(got_above - sr.theta_fourth_vector(above, self.TOL))) <= 2 * self.TOL
+
+    def test_reduced_points_sum_directly(self, monkeypatch):
+        monkeypatch.setattr(theta, "reduce_to_fundamental_domain", None)
+        for tau in sr.sample_reduced_points(50, seed=72):
+            sr.theta_fourth_vector(tau)
+
+    def test_gate_adds_no_tail_bound_call(self, monkeypatch):
+        # radii from 3 up to the gate, all summed at tau
+        scales = (0.3, 0.1, 0.055)
+        assert scaled_radius(scales[-1], self.TOL) == theta._ROUTE_RADIUS
+        points = sr.sample_reduced_points(5, seed=73) + [scaled(s) for s in scales]
+        calls = []
+        bound = theta.tail_bound
+        monkeypatch.setattr(theta, "tail_bound", lambda *args: calls.append(args) or bound(*args))
+        for tau in points:
+            y = tau.min_imag_eigenvalue()
+            sr.truncation_radius(y, theta._fourth_inner_tol(y, self.TOL))
+            alone = len(calls)
+            sr.theta_fourth_vector(tau, self.TOL)
+            assert len(calls) == 2 * alone
+            calls.clear()
