@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integrality check."""
+
+import math
+import numbers
 
 
 class SiegelRungeError(Exception):
@@ -27,3 +30,13 @@ class ResourceLimitError(SiegelRungeError, RuntimeError):
 
 class InconsistencyError(SiegelRungeError, RuntimeError):
     """An internal sanity check failed; indicates a bug, not bad input."""
+
+
+def _integral(x) -> int:
+    """x as an int.  Raises InvalidInputError unless x is a finite integral
+    number, so that 3.9 is refused rather than truncated to 3."""
+    if type(x) is not int:
+        if not (isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x):
+            raise InvalidInputError(f"expected an integer, got {x!r}")
+        x = int(x)
+    return x

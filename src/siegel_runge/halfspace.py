@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConditioningError, InvalidInputError, NonConvergenceError, ResourceLimitError
+from .errors import ConditioningError, InvalidInputError, NonConvergenceError, ResourceLimitError, _integral
 
 __all__ = [
     "SiegelPoint",
@@ -151,12 +151,7 @@ def _integer_rows(m) -> tuple:
     a = np.asarray(m, dtype=object)
     if a.shape != (4, 4):
         raise InvalidInputError(f"expected a 4x4 matrix, got shape {a.shape}")
-    flat = a.ravel().tolist()
-    for i, x in enumerate(flat):
-        if type(x) is not int:
-            if not (isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x):
-                raise InvalidInputError(f"matrix entries must be finite integers, got {x!r}")
-            flat[i] = int(x)
+    flat = [x if type(x) is int else _integral(x) for x in a.ravel().tolist()]
     if max(map(abs, flat)) >= 2**63:
         raise ResourceLimitError("a matrix entry of magnitude 2^63 or more is past int64")
     return tuple(flat[0:4]), tuple(flat[4:8]), tuple(flat[8:12]), tuple(flat[12:16])
@@ -178,18 +173,6 @@ def _preserves_form(rows) -> bool:
 def is_symplectic(m) -> bool:
     """Exact integer check of M J M^t = J, which is equivalent to M^t J M = J."""
     return _preserves_form(_integer_rows(m))
-
-
-def _check_product_bound(max_a: int, max_b: int) -> None:
-    """Refuse a 4x4 integer product whose factors have these largest |entries|.
-
-    Each product entry is a sum of four products, so this bound keeps the
-    product within int64, which the ``mat`` view and the JSON readers of the
-    result assume.
-    """
-    bound = 4 * max_a * max_b
-    if bound >= 2**63:
-        raise ResourceLimitError(f"product entries may reach {bound:.3e}, past int64")
 
 
 @dataclass(frozen=True)
@@ -391,8 +374,7 @@ def _minkowski_gl2(y1: float, y2: float, y4: float) -> tuple[int, int, int, int]
 
 def _compose(a, b):
     """Exact integer product a @ b of two 4x4 matrices given as tuples of
-    rows, refused by _check_product_bound where int64 could not hold it."""
-    _check_product_bound(max(map(abs, a[0] + a[1] + a[2] + a[3])), max(map(abs, b[0] + b[1] + b[2] + b[3])))
+    rows; a result past int64 is refused where it becomes a SymplecticMatrix."""
     (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = b
     return tuple((r0 * b00 + r1 * b10 + r2 * b20 + r3 * b30, r0 * b01 + r1 * b11 + r2 * b21 + r3 * b31,
                   r0 * b02 + r1 * b12 + r2 * b22 + r3 * b32, r0 * b03 + r1 * b13 + r2 * b23 + r3 * b33)
@@ -407,7 +389,8 @@ def _step(g, point, total):
 
 
 def _result(point, total, iterations: int) -> ReductionResult:
-    """Package the iterate and the witness; the witness is checked to be symplectic here."""
+    """Package the iterate and the witness; the witness is checked to be
+    symplectic and to fit int64 here."""
     return ReductionResult(SiegelPoint(*point), SymplecticMatrix(total), iterations)
 
 
@@ -423,9 +406,9 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
 
     Step 3 strictly increases det Im(tau), which bounds the number of passes.
     The loop runs on the three entries of tau and on the witness as exact
-    integers; every step checks conditioning (ConditioningError), that the
-    iterate lies in H2 and that the witness fits int64, and the witness is
-    checked to be symplectic once, on return.
+    integers; every step checks conditioning (ConditioningError) and that
+    the iterate lies in H2, and the witness is checked to be symplectic and
+    to fit int64 once, on return.
     Returns the reduced point together with the witness transform and the
     number of passes used; raises NonConvergenceError (carrying the best
     iterate) if 1000 passes do not settle, and ResourceLimitError if the

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import ProjectivePoint, TubeParameter
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _integral
 
 __all__ = [
     "BoundReport",
@@ -33,10 +33,10 @@ FIELD_KINDS = ("rational", "imaginary_quadratic")
 def weil_height_rational(coords) -> float:
     """log max|c_i| after dividing out the integer gcd.
 
-    Scaling-invariant and nonnegative; coordinates must be integers, not all
-    zero.
+    Scaling-invariant and nonnegative; coordinates must be integral numbers,
+    not all zero (2.5 raises InvalidInputError rather than truncating).
     """
-    cs = [int(c) for c in coords]
+    cs = [_integral(c) for c in coords]
     if not cs or all(c == 0 for c in cs):
         raise InvalidInputError("coordinates must not be all zero")
     g = math.gcd(*cs)
@@ -44,15 +44,14 @@ def weil_height_rational(coords) -> float:
 
 
 def _as_gaussian(z) -> tuple[int, int]:
+    """(re, im) of a Gaussian integer given as a number or a pair; both parts
+    must be integral."""
     if isinstance(z, (tuple, list)) and len(z) == 2:
         x, y = z
     else:
         z = complex(z)
         x, y = z.real, z.imag
-    xi, yi = int(round(x)), int(round(y))
-    if xi != x or yi != y:
-        raise InvalidInputError(f"{z!r} is not a Gaussian integer")
-    return xi, yi
+    return _integral(x), _integral(y)
 
 
 def _g_norm(g: tuple[int, int]) -> int:

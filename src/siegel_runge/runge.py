@@ -15,11 +15,9 @@ an exact incidence witness available at n = 2.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _integral
 
 __all__ = [
     "DivisorIncidence",
@@ -33,16 +31,6 @@ __all__ = [
 ]
 
 _MAX_LEVEL = 20
-
-
-def _integral(x) -> int:
-    """x as an int.  Raises InvalidInputError unless x is an integral number,
-    so that 3.9 is refused rather than truncated to 3."""
-    if type(x) is not int:
-        if not (isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x):
-            raise InvalidInputError(f"incidence data must be integers, got {x!r}")
-        x = int(x)
-    return x
 
 
 @dataclass(frozen=True)

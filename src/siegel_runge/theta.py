@@ -31,13 +31,16 @@ The fourth powers are weight-2 forms for the level-2 group, so for M =
     theta^4(M tau) = det(C tau + D)^2 rho(M mod 2) theta^4(tau),
 
 with rho a signed 10x10 permutation that depends on M mod 2 only (Igusa,
-Theta Functions, 1972, ch. V; Mumford, Tata Lectures on Theta I, II.5).
+Theta Functions, 1972, ch. II.5 and ch. V; Mumford, Tata Lectures on Theta
+I, II.5).  Igusa's transformation formula gives it in closed form: rho
+sends m to M.m with the sign (-1)^(tr(B^t C) + x.diag(B^t D) + y.diag(A^t C))
+at 2m = (x, y), the fourth power of kappa(M) e(phi_m(M)); the other terms
+of phi_m are integers and drop out of the fourth power.
 :func:`theta_fourth_vector` uses it for points whose box at tau would be
 large: it sums the box at the fundamental-domain image of tau instead, at
 the tolerance scaled by |det(C tau + D)|^2, and maps the values back
-through the exact table of rho over the 720 classes of Sp4(F2).  Theta
-constants themselves pick up eighth roots of unity under Sp4(Z), so
-:func:`theta_constant` always sums at tau.
+through rho.  Theta constants themselves pick up eighth roots of unity
+under Sp4(Z), so :func:`theta_constant` always sums at tau.
 """
 
 from __future__ import annotations
@@ -49,14 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .halfspace import (
-    J,
-    SiegelPoint,
-    _act_entries,
-    _gl2_rows,
-    _translation_rows,
-    reduce_to_fundamental_domain,
-)
+from .halfspace import SiegelPoint, _act_entries, reduce_to_fundamental_domain
 
 __all__ = [
     "Characteristic",
@@ -316,9 +312,11 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
 
         theta^4(tau) = det(C tau + D)^-2 rho(T)^-1 theta^4(q),
 
-    where rho(T) is the signed permutation of :func:`_rho_table`.  The box at
-    q meets the absolute tolerance tol |det(C tau + D)|^2 (at most 1/2), so
-    the result keeps the absolute error tol.  The route costs one reduction,
+    where rho(T) is the signed permutation of :func:`_rho`, read off T mod 2
+    by Igusa's formula: its signs are kappa(T)^4 e(4 phi_m(T)), from which
+    the terms of phi_m that are integers drop out.  The box at q meets the
+    absolute tolerance tol |det(C tau + D)|^2 (at most 1/2), so the result
+    keeps the absolute error tol.  The route costs one reduction,
     which a small box does not repay; near radius 16 the two cost the same.
     Raises ResourceLimitError when det(C tau + D)^2 underflows the tolerance
     or the result leaves the double range.
@@ -346,7 +344,7 @@ def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
     if inner == 0.0:
         raise ResourceLimitError(f"det(C tau + D)^2 = {det2:.3e} underflows the tolerance")
     values = _theta_table(q, truncation_radius(y_min, inner))[_EVEN_CELLS] ** 4
-    perm, sign = _rho_table()[_mod2_key(transform.rows)]
+    perm, sign = _rho(tuple(tuple(x & 1 for x in row) for row in transform.rows))
     with np.errstate(over="ignore", invalid="ignore"):
         out = sign * values[perm] / det2
     if not np.isfinite(out).all():
@@ -365,78 +363,30 @@ def _char_action(rows, bits) -> tuple[int, int, int, int]:
             (b10 * x1 + b11 * x2 + a10 * y1 + a11 * y2 + a10 * b10 + a11 * b11) % 2)
 
 
-def _mod2_key(rows) -> int:
-    """The 16 bits of a 4x4 integer matrix mod 2, row-major, as one int."""
-    key = 0
-    for row in rows:
-        for x in row:
-            key = 2 * key + (x & 1)
-    return key
+@lru_cache(maxsize=720)
+def _rho(rows) -> tuple[np.ndarray, np.ndarray]:
+    """rho(M) for M = [[A, B], [C, D]] given by rows, as the index array and
+    signs that undo it: theta^4(tau) = sign * theta^4(M tau)[perm] / det(C tau + D)^2.
 
+    Igusa's formula theta[M.m](M tau) = kappa(M) e(phi_m(M)) det(C tau + D)^(1/2)
+    theta[m](tau) gives perm[j], the index of M.m_j (:func:`_char_action`), and
+    in the fourth power, at 2m = (x, y), the sign
 
-def _generators() -> list[tuple[tuple, tuple[int, ...], tuple[int, ...]]]:
-    """(rows, perm, sign) of J, the three elementary translations and the
-    GL2 generators swap and shear, which generate Sp4(Z).
+        kappa(M)^4 e(4 phi_m(M)) = (-1)^(tr(B^t C) + x.diag(B^t D) + y.diag(A^t C)).
 
-    theta^4(M tau)[perm[j]] = sign[j] det(C tau + D)^2 theta^4(tau)[j], with
-    perm from :func:`_char_action`.  The signs come from the series:
-    tau -> tau + B multiplies the term at n + a by exp(i pi (n+a)^t B (n+a)),
-    which moves b to b + B a + diag(B) / 2 and leaves the factor
-    exp(i pi a^t B a), so (-1)^(B11 x1 + B22 x2) at a = x / 2 after the
-    fourth power; tau -> U^t tau U is the substitution n -> U n, and
-    J is Poisson summation, theta[a, b](-tau^-1) = det(tau / i)^(1/2)
-    exp(2 i pi a.b) theta[b, -a](tau), whose fourth powers carry
-    det(tau / i)^2 = det(tau)^2 in genus 2 and no sign.
+    The cross term x^t B^t C y and the term in diag(A B^t) of 4 phi_m are
+    integers, and reducing M.m mod 1 changes Theta by a sign, so both drop
+    out of the fourth power; B^t D and A^t C are symmetric, so x^t B^t D x is
+    x.diag(B^t D) mod 2.  Every term depends on M mod 2 only, and callers pass
+    the rows mod 2, so the cache holds at most the 720 classes of Sp4(F2).
     """
+    (a00, a01, b00, b01), (a10, a11, b10, b11), (c00, c01, d00, d01), (c10, c11, d10, d11) = rows
+    bc = b00 * c00 + b01 * c01 + b10 * c10 + b11 * c11
+    bd1, bd2 = b00 * d00 + b10 * d10, b01 * d01 + b11 * d11
+    ac1, ac2 = a00 * c00 + a10 * c10, a01 * c01 + a11 * c11
     evens = [m.bits for m in even_characteristics()]
-    index = {bits: j for j, bits in enumerate(evens)}
-    gens = []
-    for rows, b in ((J.rows, None),
-                    (_translation_rows(1, 0, 0), (1, 0)),
-                    (_translation_rows(0, 1, 0), (0, 0)),
-                    (_translation_rows(0, 0, 1), (0, 1)),
-                    (_gl2_rows(0, 1, 1, 0), None),
-                    (_gl2_rows(1, 1, 0, 1), None)):
-        perm = tuple(index[_char_action(rows, bits)] for bits in evens)
-        sign = tuple(1 if b is None else (-1) ** (b[0] * x1 + b[1] * x2) for x1, x2, _, _ in evens)
-        gens.append((rows, perm, sign))
-    return gens
-
-
-def _mul_mod2(g: int, m: int) -> int:
-    """g m mod 2 for 4x4 matrices over F2 stored as in :func:`_mod2_key`:
-    row i of g m is the sum of the rows k of m with g[i, k] = 1."""
-    rows = [(m >> shift) & 15 for shift in (12, 8, 4, 0)]
-    out = 0
-    for shift in (12, 8, 4, 0):
-        gi, row = (g >> shift) & 15, 0
-        for k in range(4):
-            if gi & (8 >> k):
-                row ^= rows[k]
-        out = out << 4 | row
-    return out
-
-
-@lru_cache(maxsize=1)
-def _rho_table() -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """rho on all 720 classes of Sp4(Z) mod 2 (the group Sp4(F2)), keyed by
-    :func:`_mod2_key`, as the index array and signs that undo it:
-    theta^4(tau) = sign * theta^4(M tau)[perm] / det(C tau + D)^2.
-
-    Breadth-first search from the identity over left products with
-    :func:`_generators`, composing rho(g M) = rho(g) rho(M).  Built on the
-    first routed call, not at import.
-    """
-    gens = [(_mod2_key(rows), perm, sign) for rows, perm, sign in _generators()]
-    ident = _mod2_key(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
-    found = {ident: (tuple(range(10)), (1,) * 10)}
-    queue = [ident]
-    for m in queue:
-        perm_m, sign_m = found[m]
-        for g, perm_g, sign_g in gens:
-            gm = _mul_mod2(g, m)
-            if gm not in found:
-                found[gm] = (tuple(perm_g[p] for p in perm_m),
-                             tuple(sign_g[p] * s for p, s in zip(perm_m, sign_m)))
-                queue.append(gm)
-    return {key: (np.array(perm), np.array(sign, dtype=float)) for key, (perm, sign) in found.items()}
+    perm = np.array([evens.index(_char_action(rows, bits)) for bits in evens])
+    sign = np.array([1 - 2 * ((bc + x1 * bd1 + x2 * bd2 + y1 * ac1 + y2 * ac2) % 2)
+                     for x1, x2, y1, y2 in evens], dtype=float)
+    perm.flags.writeable = sign.flags.writeable = False
+    return perm, sign

@@ -146,10 +146,10 @@ class TestSymplectic:
         with pytest.raises(sr.ResourceLimitError):
             build(m)
 
-    @pytest.mark.parametrize("k", [10**9, 4 * 10**9])
+    @pytest.mark.parametrize("k", [10**9, 2**31, 4 * 10**9])
     def test_product_exact_or_refused(self, k):
         # [[I, B], [0, I]] @ [[I, 0], [C, I]] has corner 1 + k^2, which
-        # leaves int64 once k^2 >= 2^63.
+        # leaves int64 once k^2 >= 2^63; at k = 2^31 it is 1 + 2^62 and fits.
         upper = np.eye(4, dtype=np.int64)
         upper[0, 2] = k
         lower = np.eye(4, dtype=np.int64)

@@ -30,6 +30,16 @@ class TestRationalHeight:
         with pytest.raises(sr.InvalidInputError):
             sr.weil_height_rational([0, 0, 0])
 
+    @pytest.mark.parametrize("coords", [[2.5, 5], [float("nan"), 1], [float("inf"), 1]],
+                             ids=["half", "nan", "inf"])
+    def test_non_integral_rejected(self, coords):
+        # (2.5 : 5) = (1 : 2) has height log 2; int() truncation read log 5
+        with pytest.raises(sr.InvalidInputError):
+            sr.weil_height_rational(coords)
+
+    def test_integral_floats_accepted(self):
+        assert sr.weil_height_rational([2.0, 4.0, 8]) == sr.weil_height_rational([2, 4, 8])
+
     @given(coord_lists, nonzero_int)
     @settings(max_examples=200, deadline=None)
     def test_scaling_invariance(self, coords, lam):
@@ -67,6 +77,13 @@ class TestGaussianHeight:
     def test_non_integral_rejected(self):
         with pytest.raises(sr.InvalidInputError):
             sr.weil_height_gaussian([0.5 + 1j, 2])
+
+    @pytest.mark.parametrize("z", [float("nan"), complex(1, float("nan")), (1, float("inf")), (1, 0.5)],
+                             ids=["nan", "nan-imag", "inf-pair", "half-pair"])
+    def test_non_finite_or_non_integral_part_rejected(self, z):
+        # both parts go through one integrality check
+        with pytest.raises(sr.InvalidInputError):
+            sr.weil_height_gaussian([z, 1])
 
     @given(gaussian_lists)
     @settings(max_examples=150, deadline=None)

@@ -309,13 +309,9 @@ def mod2_key(m) -> int:
     return int("".join(str(int(x)) for x in (np.asarray(m) % 2).ravel()), 2)
 
 
-def mod2_matrix(key: int) -> np.ndarray:
-    return np.array([(key >> (15 - k)) & 1 for k in range(16)]).reshape(4, 4)
-
-
 def rho_matrix(perm, sign) -> np.ndarray:
-    """R with theta^4(M tau) = det(C tau + D)^2 R theta^4(tau), from the
-    table entry, which undoes R: theta^4(tau) = sign * theta^4(M tau)[perm] / det^2."""
+    """R with theta^4(M tau) = det(C tau + D)^2 R theta^4(tau), from the pair
+    of theta._rho, which undoes R: theta^4(tau) = sign * theta^4(M tau)[perm] / det^2."""
     r = np.zeros((10, 10))
     r[perm, np.arange(10)] = sign
     return r
@@ -359,27 +355,39 @@ def c06_inputs():
     return [sr.act(sr.random_level2_matrix(rng), tau) for _ in range(20) for tau in taus]
 
 
+def rho(m):
+    """rho of a SymplecticMatrix, from its rows mod 2 as the route passes them."""
+    return theta._rho(tuple(tuple(x & 1 for x in row) for row in m.rows))
+
+
 class TestRhoTable:
     def test_720_classes(self):
-        assert len(theta._rho_table()) == 720 == len(class_representatives())
+        # distinct signed permutations on the 720 classes, read off M mod 2 only
+        reps = class_representatives()
+        seen = set()
+        for g in reps:
+            r = rho_matrix(*rho(g))
+            assert np.array_equal(rho_matrix(*theta._rho(g.rows)), r)
+            seen.add(r.tobytes())
+        assert len(seen) == 720 == len(reps)
 
     def test_homomorphism(self):
-        table = {key: rho_matrix(*entry) for key, entry in theta._rho_table().items()}
-        for key, r in table.items():
-            m = mod2_matrix(key)
+        for h in class_representatives():
+            r = rho_matrix(*rho(h))
             for g in GENERATORS:
-                rg = table[mod2_key(g.mat)]
-                assert np.array_equal(table[mod2_key(g.mat @ m)], rg @ r)
-                assert np.array_equal(table[mod2_key(m @ g.mat)], r @ rg)
+                rg = rho_matrix(*rho(g))
+                assert np.array_equal(rho_matrix(*rho(g @ h)), rg @ r)
+                assert np.array_equal(rho_matrix(*rho(h @ g)), r @ rg)
 
     def test_transitive_on_even_characteristics(self):
-        assert {int(perm[0]) for perm, _ in theta._rho_table().values()} == set(range(10))
+        assert {int(rho(g)[0][0]) for g in class_representatives()} == set(range(10))
 
     def test_permutation_is_the_characteristic_action(self):
         # M.m = (D a - C b, -B a + A b) + 1/2 diag(C D^t, A B^t) mod 1, on the numerators 2m
         index = {bits: k for k, bits in enumerate(EVEN_BITS)}
-        for key, (perm, _) in theta._rho_table().items():
-            m = mod2_matrix(key)
+        for g in class_representatives():
+            perm = rho(g)[0]
+            m = np.array(g.rows)
             a, b, c, d = m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:]
             for k, bits in enumerate(EVEN_BITS):
                 x, y = np.array(bits[:2]), np.array(bits[2:])
@@ -388,7 +396,7 @@ class TestRhoTable:
                 assert perm[k] == index[tuple(image.tolist())]
 
     def test_import_builds_no_table(self):
-        code = "import siegel_runge.theta as t; print(t._rho_table.cache_info().currsize)"
+        code = "import siegel_runge; from siegel_runge import theta; print(theta._rho.cache_info().currsize)"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert out.stdout.strip() == "0"
