@@ -37,7 +37,8 @@ __all__ = [
 _TOL = 1e-9
 
 #: |det(C tau + D)| below this times min(1, |m00 m11| + |m01 m10|), the size
-#: of the two products it is the difference of, raises ConditioningError in act().
+#: of the two products it is the difference of, raises ConditioningError in
+#: act(), and so does det(C tau + D) = 0 when both products underflow.
 CONDITION_EPS = 1e-12
 
 _MAX_ITER = 1000
@@ -118,6 +119,11 @@ def _positive_definite(y1: float, y2: float, y4: float) -> bool:
 def _check_entries(t1: complex, t2: complex, t4: complex) -> None:
     """Raise InvalidInputError unless (t1, t2, t4) are the finite entries of
     a point of H2."""
+    # a finite sum has finite terms; a point failing this fast test, or one
+    # whose sum overflows, goes on to the checks that name the failure
+    s = t1 + t2 + t4
+    if s.real - s.real == 0.0 == s.imag - s.imag and _positive_definite(t1.imag, t2.imag, t4.imag):
+        return
     if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in (t1, t2, t4)):
         raise InvalidInputError("SiegelPoint entries must be finite")
     if not _positive_definite(t1.imag, t2.imag, t4.imag):
@@ -148,13 +154,19 @@ def _integer_rows(m) -> tuple:
     are accepted only at integral values), and ResourceLimitError on an
     entry of magnitude 2^63 or more, which the int64 view cannot hold.
     """
-    a = np.asarray(m, dtype=object)
-    if a.shape != (4, 4):
-        raise InvalidInputError(f"expected a 4x4 matrix, got shape {a.shape}")
-    flat = [x if type(x) is int else _integral(x) for x in a.ravel().tolist()]
+    # rows computed inside the package, four 4-tuples of ints, skip numpy
+    rows = m
+    is_rows = type(m) is tuple and set(map(type, m)) == {tuple} and tuple(map(len, m)) == (4, 4, 4, 4)
+    flat = m[0] + m[1] + m[2] + m[3] if is_rows else ()
+    if set(map(type, flat)) != {int}:
+        a = np.asarray(m, dtype=object)
+        if a.shape != (4, 4):
+            raise InvalidInputError(f"expected a 4x4 matrix, got shape {a.shape}")
+        flat = [x if type(x) is int else _integral(x) for x in a.ravel().tolist()]
+        rows = tuple(flat[0:4]), tuple(flat[4:8]), tuple(flat[8:12]), tuple(flat[12:16])
     if max(map(abs, flat)) >= 2**63:
         raise ResourceLimitError("a matrix entry of magnitude 2^63 or more is past int64")
-    return tuple(flat[0:4]), tuple(flat[4:8]), tuple(flat[8:12]), tuple(flat[12:16])
+    return rows
 
 
 def _omega(u, v) -> int:
@@ -258,7 +270,8 @@ def _act_entries(g, t1: complex, t2: complex, t4: complex) -> tuple[tuple[comple
     ConditioningError when |det(M)| < CONDITION_EPS min(1, |m00 m11| + |m01 m10|):
     the test is relative to the two products det(M) is the difference of,
     so a cancellation raises while a small tau, whose products are small
-    too, does not.
+    too, does not.  det(M) = 0 raises too, also when both products
+    underflow to 0.
     """
     (a00, a01, b00, b01), (a10, a11, b10, b11), (c00, c01, d00, d01), (c10, c11, d10, d11) = g
     m00 = c00 * t1 + c01 * t2 + d00
@@ -267,7 +280,7 @@ def _act_entries(g, t1: complex, t2: complex, t4: complex) -> tuple[tuple[comple
     m11 = c10 * t2 + c11 * t4 + d11
     det = m00 * m11 - m01 * m10
     # min(1, s) spelled out so that the usual case computes no s
-    if abs(det) < CONDITION_EPS and abs(det) < CONDITION_EPS * (abs(m00 * m11) + abs(m01 * m10)):
+    if abs(det) < CONDITION_EPS and abs(det) <= CONDITION_EPS * (abs(m00 * m11) + abs(m01 * m10)):
         raise ConditioningError(
             f"|det(C tau + D)| = {abs(det):.3e} below {CONDITION_EPS:.1e} relative to its products"
         )
@@ -285,7 +298,7 @@ def act(gamma, tau) -> SiegelPoint:
 
     A tau given as an array goes through SiegelPoint.from_matrix.  Raises
     ConditioningError when |det(C tau + D)| < CONDITION_EPS times
-    min(1, |m00 m11| + |m01 m10|) for M = C tau + D.
+    min(1, |m00 m11| + |m01 m10|) for M = C tau + D, or det(C tau + D) = 0.
     """
     g = gamma if isinstance(gamma, SymplecticMatrix) else SymplecticMatrix(gamma)
     p = tau if isinstance(tau, SiegelPoint) else SiegelPoint.from_matrix(tau)
@@ -316,23 +329,20 @@ def gottschling_matrices() -> tuple[SymplecticMatrix, ...]:
     return tuple(map(SymplecticMatrix, rows))
 
 
-@lru_cache(maxsize=1)
-def _gottschling_coefficients() -> tuple:
-    """(det C, p1, p2, p4, det D) of each of :func:`gottschling_matrices`,
-    with det(C tau + D) = det C det tau + p1 tau1 + p2 tau2 + p4 tau4 + det D
-    for symmetric tau."""
-    return tuple(
-        (c00 * c11 - c01 * c10, c00 * d11 - c10 * d01, c01 * d11 + c10 * d00 - c00 * d10 - c11 * d01,
-         c11 * d00 - c01 * d10, d00 * d11 - d01 * d10)
-        for _, _, (c00, c01, d00, d01), (c10, c11, d10, d11) in (g.rows for g in gottschling_matrices())
-    )
+def _gottschling_scan(t1: complex, t2: complex, t4: complex) -> tuple[complex, ...]:
+    """The nineteen det(C tau + D) at tau, in the order of gottschling_matrices().
 
-
-def _gottschling_scan(t1: complex, t2: complex, t4: complex) -> list[complex]:
-    """The nineteen det(C tau + D) at tau, in the order of gottschling_matrices()."""
-    det_tau = t1 * t4 - t2 * t2
-    return [dc * det_tau + p1 * t1 + p2 * t2 + p4 * t4 + dd
-            for dc, p1, p2, p4, dd in _gottschling_coefficients()]
+    Each is det C det(tau) + p1 tau1 + p2 tau2 + p4 tau4 + det D, summed in
+    that order with the zero terms dropped and the partial sums
+    det(tau) +- tau1 and tau1 +- 2 tau2 + tau4 shared.  Adding a zero term
+    or multiplying by +-1 or 2 is exact, so every value has the magnitude of
+    the full sum.
+    """
+    det = t1 * t4 - t2 * t2
+    dm, dp, w = det - t1, det + t1, t2 + t2
+    sp, sm = t1 + w + t4, t1 - w + t4
+    return (dm - t4 + 1, det - t4, dp - t4 - 1, dm, det, dp, dm + t4 - 1, det + t4, dp + t4 + 1,
+            det - w - 1, det + w - 1, t1, t4, sp, sp + 1, sp - 1, sm, sm + 1, sm - 1)
 
 
 @dataclass(frozen=True)
@@ -381,17 +391,11 @@ def _compose(a, b):
                  for r0, r1, r2, r3 in a)
 
 
-def _step(g, point, total):
-    """Apply g, given as rows, to the iterate, which must stay in H2, and to the witness."""
-    point = _act_entries(g, *point)[0]
-    _check_entries(*point)
-    return point, _compose(g, total)
-
-
-def _result(point, total, iterations: int) -> ReductionResult:
-    """Package the iterate and the witness; the witness is checked to be
-    symplectic and to fit int64 here."""
-    return ReductionResult(SiegelPoint(*point), SymplecticMatrix(total), iterations)
+def _mix(p: int, r, q: int, s):
+    """The row p r + q s of integers."""
+    r0, r1, r2, r3 = r
+    s0, s1, s2, s3 = s
+    return p * r0 + q * s0, p * r1 + q * s1, p * r2 + q * s2, p * r3 + q * s3
 
 
 def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
@@ -406,9 +410,19 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
 
     Step 3 strictly increases det Im(tau), which bounds the number of passes.
     The loop runs on the three entries of tau and on the witness as exact
-    integers; every step checks conditioning (ConditioningError) and that
-    the iterate lies in H2, and the witness is checked to be symplectic and
-    to fit int64 once, on return.
+    integer rows, each step with only the arithmetic its matrix needs, and
+    gives the floats of the generic action _act_entries up to the sign of an
+    exact zero.  A translation [[I, B], [0, I]] has det(C tau + D) = 1, so
+    it adds B exactly and changes the top two witness rows only.  A GL2 step
+    (C = 0, D = U^-1) forms U^t tau U from the generic products, whose
+    division by det U = +-1 is exact while products of two entries of U stay
+    below 2^53, and updates the witness block by block.  The scan keeps the
+    order of summation of the nineteen determinants, so it picks the same
+    index.  A Gottschling step uses the generic action and product and
+    checks conditioning (ConditioningError); it and the GL2 step check that
+    the iterate lies in H2.  The witness is checked against int64 after each
+    Gottschling step, so one that outgrows it is refused within a pass, and
+    to be symplectic on return.
     Returns the reduced point together with the witness transform and the
     number of passes used; raises NonConvergenceError (carrying the best
     iterate) if 1000 passes do not settle, and ResourceLimitError if the
@@ -417,33 +431,45 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
 
-    point = (tau.tau1, tau.tau2, tau.tau4)
-    total = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    iterations = 0
-    for _ in range(_MAX_ITER):
-        iterations += 1
+    t1, t2, t4 = tau.tau1, tau.tau2, tau.tau4
+    r0, r1, r2, r3 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+    for iterations in range(1, _MAX_ITER + 1):
         changed = False
 
-        u = _minkowski_gl2(point[0].imag, point[1].imag, point[2].imag)
+        u00, u01, u10, u11 = u = _minkowski_gl2(t1.imag, t2.imag, t4.imag)
         if u != (1, 0, 0, 1):
-            point, total = _step(_gl2_rows(*u), point, total)
+            # N = U^t tau; with M = D = U^-1 the image N M^-1 is N U
+            n00, n01 = u00 * t1 + u10 * t2, u00 * t2 + u10 * t4
+            n10, n11 = u01 * t1 + u11 * t2, u01 * t2 + u11 * t4
+            t1, t2, t4 = (n00 * u00 + n01 * u10, 0.5 * ((n01 * u11 + n00 * u01) + (n10 * u00 + n11 * u10)),
+                          n11 * u11 + n10 * u01)
+            _check_entries(t1, t2, t4)
+            det = u00 * u11 - u01 * u10
+            r0, r1, r2, r3 = (_mix(u00, r0, u10, r1), _mix(u01, r0, u11, r1),
+                              _mix(det * u11, r2, -det * u01, r3), _mix(-det * u10, r2, det * u00, r3))
             changed = True
 
-        b = tuple(-round(z.real) for z in point)
-        if b != (0, 0, 0):
-            point, total = _step(_translation_rows(*b), point, total)
+        b1, b2, b4 = -round(t1.real), -round(t2.real), -round(t4.real)
+        if b1 or b2 or b4:
+            t1, t2, t4 = t1 + b1, t2 + b2, t4 + b4
+            r0, r1 = _mix(1, r0, 1, _mix(b1, r2, b2, r3)), _mix(1, r1, 1, _mix(b2, r2, b4, r3))
             changed = True
 
-        vals = [abs(z) for z in _gottschling_scan(*point)]
+        vals = list(map(abs, _gottschling_scan(t1, t2, t4)))
         low = min(vals)
         if low < 1.0 - _TOL:
-            point, total = _step(gottschling_matrices()[vals.index(low)].rows, point, total)
+            g = gottschling_matrices()[vals.index(low)].rows
+            (t1, t2, t4), _ = _act_entries(g, t1, t2, t4)
+            _check_entries(t1, t2, t4)
+            r0, r1, r2, r3 = _compose(g, (r0, r1, r2, r3))
+            if max(map(abs, r0 + r1 + r2 + r3)) >= 2**63:
+                raise ResourceLimitError("the reduction witness has an entry past int64")
             changed = True
 
         if not changed:
-            return _result(point, total, iterations)
+            return ReductionResult(SiegelPoint(t1, t2, t4), SymplecticMatrix((r0, r1, r2, r3)), iterations)
 
     raise NonConvergenceError(
         f"reduction did not settle in {_MAX_ITER} passes",
-        best=_result(point, total, iterations),
+        best=ReductionResult(SiegelPoint(t1, t2, t4), SymplecticMatrix((r0, r1, r2, r3)), iterations),
     )

@@ -11,6 +11,7 @@ never attempt to compute a Faltings height.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,15 @@ def weil_height_rational(coords) -> float:
 
 def _as_gaussian(z) -> tuple[int, int]:
     """(re, im) of a Gaussian integer given as a number or a pair; both parts
-    must be integral."""
+    must be integral.  Integers and pairs are taken exactly; only other
+    numbers pass through complex, whose parts are floats."""
     if isinstance(z, (tuple, list)) and len(z) == 2:
         x, y = z
-    else:
+    elif isinstance(z, numbers.Complex) and not isinstance(z, numbers.Integral):
         z = complex(z)
         x, y = z.real, z.imag
+    else:  # an integer, or what _integral refuses
+        x, y = z, 0
     return _integral(x), _integral(y)
 
 
@@ -93,9 +97,10 @@ def weil_height_gaussian(coords) -> float:
     """Weil height of a projective point with Gaussian-integer coordinates.
 
     Normalizes by the Z[i]-gcd, then returns log of the largest coordinate
-    modulus; agrees with :func:`weil_height_rational` on rational input.
-    Coordinates may be complex numbers with integral parts or (re, im)
-    pairs.
+    modulus, as half the log of the exact integer norm; agrees with
+    :func:`weil_height_rational` on rational input.  Coordinates may be
+    integers or (re, im) pairs, taken exactly, or complex numbers with
+    integral parts.
     """
     cs = [_as_gaussian(c) for c in coords]
     if not cs or all(c == (0, 0) for c in cs):
@@ -104,7 +109,7 @@ def weil_height_gaussian(coords) -> float:
     for c in cs:
         g = _g_gcd(g, c)
     normalized = [_g_exact_div(c, g) for c in cs]
-    return math.log(math.sqrt(max(_g_norm(c) for c in normalized)))
+    return 0.5 * math.log(max(_g_norm(c) for c in normalized))
 
 
 def archimedean_height_estimate(points, degree: int, multiplicities=None) -> float:

@@ -2,13 +2,19 @@
 
 Everything here deliberately avoids the library's code paths: plain double
 loops for theta sums, a Hermite-form lattice index for Gaussian content, and
-literal orbit enumeration for the divisor counts.
+literal orbit enumeration for the divisor counts.  The one exception is
+reduce_reference, the generic form of the reduction loop built from the
+library's own action and product, against which the specialised steps of
+reduce_to_fundamental_domain must agree bit for bit.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from siegel_runge import halfspace as hs
+from siegel_runge.errors import NonConvergenceError
 
 
 def theta_1d(a_bit: int, b_bit: int, w: complex, radius: int = 40) -> complex:
@@ -189,3 +195,66 @@ def negation_orbit_divisor_count(n: int) -> int:
     trivial = {tuple((n // 2) * b for b in bits) for bits in odd_bits}
     assert len(trivial) == 6
     return count - len(trivial)
+
+
+def gottschling_coefficients() -> tuple:
+    """(det C, p1, p2, p4, det D) of each Gottschling matrix, with
+    det(C tau + D) = det C det tau + p1 tau1 + p2 tau2 + p4 tau4 + det D for
+    symmetric tau, read off the matrices' blocks."""
+    return tuple(
+        (c00 * c11 - c01 * c10, c00 * d11 - c10 * d01, c01 * d11 + c10 * d00 - c00 * d10 - c11 * d01,
+         c11 * d00 - c01 * d10, d00 * d11 - d01 * d10)
+        for _, _, (c00, c01, d00, d01), (c10, c11, d10, d11) in (g.rows for g in hs.gottschling_matrices())
+    )
+
+
+def gottschling_scan_by_coefficients(t1: complex, t2: complex, t4: complex) -> list[complex]:
+    """The nineteen det(C tau + D) from the coefficient form, every term kept."""
+    det_tau = t1 * t4 - t2 * t2
+    return [dc * det_tau + p1 * t1 + p2 * t2 + p4 * t4 + dd
+            for dc, p1, p2, p4, dd in gottschling_coefficients()]
+
+
+def reduce_reference(tau):
+    """The reduction loop in its generic form: every step, GL2, translation
+    and Gottschling alike, applies its matrix through the full fractional
+    linear action and composes the witness by a full 4x4 product, and the
+    scan uses the coefficient form.  Same passes, step order, tolerance and
+    first-minimum rule as reduce_to_fundamental_domain; the witness is
+    checked against int64 only on return."""
+    def step(g, point, total):
+        point = hs._act_entries(g, *point)[0]
+        hs._check_entries(*point)
+        return point, hs._compose(g, total)
+
+    def result(point, total, iterations):
+        return hs.ReductionResult(hs.SiegelPoint(*point), hs.SymplecticMatrix(total), iterations)
+
+    point = (tau.tau1, tau.tau2, tau.tau4)
+    total = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    iterations = 0
+    for _ in range(hs._MAX_ITER):
+        iterations += 1
+        changed = False
+
+        u = hs._minkowski_gl2(point[0].imag, point[1].imag, point[2].imag)
+        if u != (1, 0, 0, 1):
+            point, total = step(hs._gl2_rows(*u), point, total)
+            changed = True
+
+        b = tuple(-round(z.real) for z in point)
+        if b != (0, 0, 0):
+            point, total = step(hs._translation_rows(*b), point, total)
+            changed = True
+
+        vals = [abs(z) for z in gottschling_scan_by_coefficients(*point)]
+        low = min(vals)
+        if low < 1.0 - hs._TOL:
+            point, total = step(hs.gottschling_matrices()[vals.index(low)].rows, point, total)
+            changed = True
+
+        if not changed:
+            return result(point, total, iterations)
+
+    raise NonConvergenceError(f"reduction did not settle in {hs._MAX_ITER} passes",
+                              best=result(point, total, iterations))

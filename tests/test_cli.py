@@ -195,6 +195,15 @@ class TestDeterminismAndErrors:
         assert dispatch([*command, "--tau", tau]) == 1
         assert capsys.readouterr().err.startswith("numerical failure:")
 
+    @pytest.mark.parametrize("command", [["reduce"], ["embed"], ["vanishing"], ["tube", "--t", "1"]],
+                             ids=["reduce", "embed", "vanishing", "tube"])
+    def test_vanishing_cocycle_is_numerical_failure(self, capsys, command):
+        # det(tau) = 1e-400 underflows to 0 in the first Gottschling step of
+        # the reduction, which raised a bare ZeroDivisionError
+        tau = '{"tau1": [0, 1e-200], "tau2": [0, 0], "tau4": [0, 1e-200]}'
+        assert dispatch([*command, "--tau", tau]) == 1
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
     @pytest.mark.parametrize("command", [["theta", "--char", "0,0,0,0"]], ids=["theta"])
     def test_far_apart_eigenvalues_are_numerical_failure(self, capsys, command):
         # y_min = 1e-60 is positive; the theta sums at tau need a radius past

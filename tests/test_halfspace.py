@@ -1,12 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import siegel_runge as sr
-from siegel_runge.halfspace import _gottschling_scan, gottschling_matrices
+from siegel_runge import halfspace
+from siegel_runge.halfspace import _gottschling_scan, _integer_rows, gottschling_matrices
 
-from oracles import act_solve, symplectic_by_products, symplectic_inverse
+from oracles import (act_solve, gottschling_scan_by_coefficients, reduce_reference, symplectic_by_products,
+                     symplectic_inverse)
 
 
 I2 = np.eye(2)
@@ -146,6 +150,35 @@ class TestSymplectic:
         with pytest.raises(sr.ResourceLimitError):
             build(m)
 
+    @pytest.mark.parametrize("entry", [True, np.int64(-3), 2.0, 2**63 - 1, 2**63, -2**63, 1.5, "1"],
+                             ids=["bool", "numpy-int64", "integral-float", "int64-max", "2^63", "-2^63",
+                                  "half", "string"])
+    @pytest.mark.parametrize("as_lists", [False, True], ids=["tuples", "lists"])
+    def test_int_rows_fast_path_matches_conversion(self, entry, as_lists):
+        # four 4-tuples of exact ints skip the numpy conversion; every other
+        # input must come out, or fail, as through it
+        def outcome(m):
+            try:
+                rows = _integer_rows(m)
+            except sr.SiegelRungeError as exc:
+                return type(exc)
+            assert all(type(x) is int for row in rows for x in row)
+            return rows
+
+        rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        rows[1][3] = entry
+        given_rows = rows if as_lists else tuple(map(tuple, rows))
+        assert outcome(given_rows) == outcome(np.array(rows, dtype=object))
+
+    def test_int_rows_fast_path_checks_the_shape_and_the_form(self):
+        ragged = ((1, 0, 0, 0, 0), (1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        with pytest.raises(sr.InvalidInputError):
+            _integer_rows(ragged)
+        doubled = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        with pytest.raises(sr.InvalidInputError):
+            sr.SymplecticMatrix(doubled)
+        assert _integer_rows(doubled) == doubled
+
     @pytest.mark.parametrize("k", [10**9, 2**31, 4 * 10**9])
     def test_product_exact_or_refused(self, k):
         # [[I, B], [0, I]] @ [[I, 0], [C, I]] has corner 1 + k^2, which
@@ -266,6 +299,12 @@ class TestAction:
         with pytest.raises(sr.ConditioningError):
             sr.act(sr.J, near)
 
+    def test_vanishing_cocycle_raises(self):
+        # det(-tau) = 1e-400 and both of its products underflow to 0; the
+        # relative test read 0 < 0 and the division raised ZeroDivisionError
+        with pytest.raises(sr.ConditioningError):
+            sr.act(sr.J, sr.SiegelPoint(1e-200j, 0, 1e-200j))
+
     def test_small_tau_is_not_ill_conditioned(self):
         # |det tau| = 1e-120, but -tau^-1 is exact: the test is relative to tau
         assert sr.act(sr.J, sr.SiegelPoint(1e-60j, 0, 1e-60j)) == sr.SiegelPoint(1e60j, 0, 1e60j)
@@ -374,3 +413,83 @@ class TestReduction:
         squeezed = sr.SiegelPoint(*(complex(z.real, 1e-40 * z.imag) for z in entries))
         with pytest.raises(sr.ResourceLimitError):
             sr.reduce_to_fundamental_domain(squeezed)
+
+
+def point_bits(p):
+    """The six doubles of a point as bytes: equal bytes are equal bits."""
+    return struct.pack("<6d", p.tau1.real, p.tau1.imag, p.tau2.real, p.tau2.imag, p.tau4.real, p.tau4.imag)
+
+
+def reduction_outcome(reduce, tau):
+    """Reduced point bits, witness rows and pass count, or the error type."""
+    try:
+        res = reduce(tau)
+    except sr.SiegelRungeError as exc:
+        return type(exc)
+    return point_bits(res.reduced), res.transform.rows, res.iterations
+
+
+def squeeze(p, scale):
+    """p with Im(tau) scaled by scale."""
+    return sr.SiegelPoint(*(complex(z.real, scale * z.imag) for z in (p.tau1, p.tau2, p.tau4)))
+
+
+def reduction_inputs(point_seed, word_seed, n):
+    """Domain points, their level-2 and Sp4(Z) images, and the points with
+    Im scaled by 1e-2 to 1e-6."""
+    rng = np.random.default_rng(word_seed)
+    for p in sr.sample_reduced_points(n, seed=point_seed):
+        yield p
+        yield sr.act(sr.random_level2_matrix(rng), p)
+        yield sr.act(sr.random_symplectic_matrix(rng), p)
+        yield from (squeeze(p, 10.0 ** -e) for e in (2, 3, 4, 5, 6))
+
+
+class TestSpecialisedReduction:
+    """The reduction's translation, GL2 and scan steps against the generic
+    loop of reduce_reference: the same bits, witness and pass count."""
+
+    def test_matches_generic_loop(self):
+        for tau in reduction_inputs(47, 53, 30):
+            want = reduction_outcome(reduce_reference, tau)
+            assert isinstance(want, tuple)
+            assert reduction_outcome(sr.reduce_to_fundamental_domain, tau) == want
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_generic_loop_on_random_words(self, word_seed, point_seed):
+        for tau in reduction_inputs(point_seed, word_seed, 1):
+            want = reduction_outcome(reduce_reference, tau)
+            assert reduction_outcome(sr.reduce_to_fundamental_domain, tau) == want
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_scan_matches_coefficient_form(self, parts):
+        t1, t2, t4 = complex(*parts[0:2]), complex(*parts[2:4]), complex(*parts[4:6])
+        got = [abs(z) for z in _gottschling_scan(t1, t2, t4)]
+        assert got == [abs(z) for z in gottschling_scan_by_coefficients(t1, t2, t4)]
+
+    def test_scan_matches_coefficient_form_on_reduction_inputs(self):
+        for tau in reduction_inputs(59, 61, 10):
+            entries = (tau.tau1, tau.tau2, tau.tau4)
+            got = [abs(z) for z in _gottschling_scan(*entries)]
+            assert got == [abs(z) for z in gottschling_scan_by_coefficients(*entries)]
+
+    @pytest.mark.parametrize("scale", [1e-40, 1e-100])
+    def test_witness_past_int64_stops_at_that_step(self, monkeypatch, scale):
+        # the loop used to run on with big integers until the iterate
+        # settled and refused the witness only on return
+        largest = []
+        compose = halfspace._compose
+
+        def recording_compose(a, b):
+            out = compose(a, b)
+            largest.append(max(abs(x) for row in out for x in row))
+            return out
+
+        monkeypatch.setattr(halfspace, "_compose", recording_compose)
+        p = sr.sample_reduced_points(6, seed=3)[0]
+        with pytest.raises(sr.ResourceLimitError):
+            sr.reduce_to_fundamental_domain(squeeze(p, scale))
+        assert largest[-1] >= 2**63
+        assert max(largest[:-1]) < 2**63

@@ -85,6 +85,25 @@ class TestGaussianHeight:
         with pytest.raises(sr.InvalidInputError):
             sr.weil_height_gaussian([z, 1])
 
+    @pytest.mark.parametrize("z", ["abc", None], ids=["string", "none"])
+    def test_non_number_rejected(self, z):
+        # complex("abc") raised a bare ValueError
+        with pytest.raises(sr.InvalidInputError):
+            sr.weil_height_gaussian([z, 1])
+
+    @pytest.mark.parametrize("big", [2**60 + 1, (2**60 + 1, 0)], ids=["int", "pair"])
+    def test_integer_past_double_precision_is_exact(self, big):
+        # an int went through complex() and was rounded to 2^60, which gave
+        # log 2^59 for the point (2^60 + 1 : 2)
+        want = sr.weil_height_rational([2**60 + 1, 2])
+        assert sr.weil_height_gaussian([big, 2]) == pytest.approx(want, rel=1e-15)
+        assert want == pytest.approx(math.log(2**60 + 1), rel=1e-15)
+
+    def test_norm_past_double_range(self):
+        # the squared modulus 2^1200 has no float square root
+        got = sr.weil_height_gaussian([(2**600, 0), (1, 0)])
+        assert got == pytest.approx(600 * math.log(2), rel=1e-15)
+
     @given(gaussian_lists)
     @settings(max_examples=150, deadline=None)
     def test_matches_ideal_norm_oracle(self, coords):
