@@ -12,7 +12,7 @@ the tube test Im(tau4) >= t delimits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,11 +50,13 @@ _RANK_CUTOFF = 1e-6
 class ProjectivePoint:
     """Point of P^9 given by 10 complex coordinates, not all tiny.
 
-    ``tol`` records the absolute evaluation tolerance the coordinates carry.
+    ``tol`` records the absolute evaluation tolerance the coordinates carry;
+    ``sup`` is max|coords|, computed once here.
     """
 
     coords: np.ndarray
     tol: float
+    sup: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=complex)
@@ -62,7 +64,8 @@ class ProjectivePoint:
             raise InvalidInputError(f"expected 10 coordinates, got shape {c.shape}")
         object.__setattr__(self, "coords", c)
         c.setflags(write=False)
-        if np.max(np.abs(c)) <= 10.0 * self.tol:
+        object.__setattr__(self, "sup", float(np.abs(c).max()))
+        if self.sup <= 10.0 * self.tol:
             raise InconsistencyError(
                 "all coordinates are below 10x the evaluation tolerance; "
                 "theta fourth powers have no common zero on H2"
@@ -70,7 +73,7 @@ class ProjectivePoint:
 
     def normalized(self) -> np.ndarray:
         """Coordinates scaled to unit sup-norm."""
-        return self.coords / np.max(np.abs(self.coords))
+        return self.coords / self.sup
 
 
 def psi(tau, tol: float = DEFAULT_TOL_FOURTH) -> ProjectivePoint:
@@ -94,8 +97,7 @@ def projective_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
 
 def near_zero_coordinates(p: ProjectivePoint) -> set[int]:
     """Indices i with |coords[i]| <= DEFAULT_REL_TOL * max|coords|."""
-    mags = np.abs(p.coords)
-    return set(np.flatnonzero(mags <= DEFAULT_REL_TOL * mags.max()).tolist())
+    return set((np.abs(p.coords) <= DEFAULT_REL_TOL * p.sup).nonzero()[0].tolist())
 
 
 def is_product_locus(tau) -> bool | None:
@@ -117,7 +119,7 @@ def relation_singular_values(samples: list[ProjectivePoint]) -> np.ndarray:
     """Singular values of the matrix of sup-normalized sample coordinates."""
     if len(samples) < 10:
         raise InvalidInputError(f"need at least 10 samples, got {len(samples)}")
-    m = np.vstack([p.normalized() for p in samples])
+    m = np.array([p.coords for p in samples]) / np.array([p.sup for p in samples])[:, None]
     return np.linalg.svd(m, compute_uv=False)
 
 

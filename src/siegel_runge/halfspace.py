@@ -363,21 +363,41 @@ def _congruence(y1: float, y2: float, y4: float, u00: int, u01: int, u10: int, u
 
 def _minkowski_gl2(y1: float, y2: float, y4: float) -> tuple[int, int, int, int]:
     """Entries (u00, u01, u10, u11) of U in GL2(Z) with G = U^t Y U satisfying
-    0 <= 2 G12 <= G11 <= G22, by Gauss reduction of Y = [[y1, y2], [y2, y4]]."""
+    0 <= 2 G12 <= G11 <= G22, by Gauss reduction of a positive definite
+    Y = [[y1, y2], [y2, y4]].
+
+    A swap lowers G11.  A reduction step keeps G11 and lowers |G12|, and in
+    exact arithmetic G22 too.  A swap gives the new G11 the bits of the old
+    G22 and a reduction step keeps the bits of G11, so every step strictly
+    lowers (G11, |G12|) in lexicographic order, G11 stays positive, and the
+    loop cannot cycle.  A step that would not lower |G12|, or would leave
+    G22 non-positive, is decided by rounding in U^t Y U and is not taken.
+    If then 2 |G12| <= (1 + _TOL) G11, G is reduced up to rounding and the
+    loop ends; otherwise the rounding in G12 exceeds _TOL G11 / 2, as on a
+    form with a condition number of about 1/eps or more, and
+    ConditioningError is raised.
+    """
     u00, u01, u10, u11 = 1, 0, 0, 1
-    for _ in range(256):
-        g11, g12, g22 = _congruence(y1, y2, y4, u00, u01, u10, u11)
+    g11, g12, g22 = _congruence(y1, y2, y4, u00, u01, u10, u11)
+    while True:
         if g11 > g22:
             u00, u01, u10, u11 = u01, u00, u11, u10
+            g11, g12, g22 = _congruence(y1, y2, y4, u00, u01, u10, u11)
             continue
         r = round(g12 / g11)
-        if r != 0:
-            u01, u11 = u01 - r * u00, u11 - r * u10
-            continue
-        break
-    else:  # pragma: no cover - Gauss reduction of a 2x2 form always exits
-        raise NonConvergenceError("Minkowski reduction did not settle")
-    if _congruence(y1, y2, y4, u00, u01, u10, u11)[1] < 0.0:
+        if r == 0:
+            break
+        v01, v11 = u01 - r * u00, u11 - r * u10
+        _, h12, h22 = _congruence(y1, y2, y4, u00, v01, u10, v11)
+        if not (0.0 < h22 and abs(h12) < abs(g12)):
+            if 2.0 * abs(g12) <= (1.0 + _TOL) * g11:
+                break
+            raise ConditioningError(
+                f"Gauss reduction of Im(tau) lost precision: a step by {r} takes G22 = {g22:.3e} "
+                f"to {h22:.3e} and |G12| = {abs(g12):.3e} to {abs(h12):.3e}, with G11 = {g11:.3e}"
+            )
+        u01, u11, g12, g22 = v01, v11, h12, h22
+    if g12 < 0.0:
         u01, u11 = -u01, -u11
     return u00, u01, u10, u11
 
@@ -420,9 +440,11 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
     order of summation of the nineteen determinants, so it picks the same
     index.  A Gottschling step uses the generic action and product and
     checks conditioning (ConditioningError); it and the GL2 step check that
-    the iterate lies in H2.  The witness is checked against int64 after each
-    Gottschling step, so one that outgrows it is refused within a pass, and
-    to be symplectic on return.
+    the iterate lies in H2.  The Gauss reduction behind step 1 raises
+    ConditioningError when rounding, not the form, decides a step.  The
+    witness is checked against int64 after each Gottschling step, so one
+    that outgrows it is refused within a pass, and to be symplectic on
+    return.
     Returns the reduced point together with the witness transform and the
     number of passes used; raises NonConvergenceError (carrying the best
     iterate) if 1000 passes do not settle, and ResourceLimitError if the

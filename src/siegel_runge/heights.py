@@ -138,8 +138,8 @@ def archimedean_height_estimate(points, degree: int, multiplicities=None) -> flo
         raise InvalidInputError("multiplicities must sum to the degree")
     total = 0.0
     for p, mult in zip(points, multiplicities):
-        coords = p.coords if isinstance(p, ProjectivePoint) else np.asarray(p, dtype=complex)
-        total += mult * math.log(float(np.max(np.abs(coords))))
+        sup = p.sup if isinstance(p, ProjectivePoint) else float(np.max(np.abs(np.asarray(p, dtype=complex))))
+        total += mult * math.log(sup)
     return total / degree
 
 

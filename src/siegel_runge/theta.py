@@ -16,14 +16,18 @@ would evaluate the series at 2 tau and transform under a conjugated group.
 Two exact identities worth knowing (both tested):
 
 * Theta_m vanishes identically iff m is odd (terms cancel in pairs
-  n <-> -n - 2a).
+  n <-> -n - 2a, that is n + a <-> -(n + a)).
 * Theta_m(tau + 2B) picks up the unimodular factor i^(4 a^t B a) for
   symmetric integer B, so the fourth powers have exact period 2 entrywise
   in Re(tau) while the constants themselves may rotate by a fourth root of
   unity.
 
-Truncation is rigorous: the returned error bound dominates the absolute
-value of the discarded tail via a comparison with a geometric series.
+Truncation is rigorous.  The box of radius R is |n_i + a_i| <= R + 1/2,
+which is symmetric under n + a -> -(n + a) and contains max|n_i| <= R, so
+the bound on the absolute tail beyond the latter (a comparison with a
+geometric series) dominates what the box leaves out.  On the symmetric box
+the terms of an odd m cancel in pairs, so odd constants come out exactly 0,
+and the kernel exponentiates only the half n1 + a1 >= 0.
 
 The fourth powers are weight-2 forms for the level-2 group, so for M =
 [[A, B], [C, D]] in Sp4(Z)
@@ -165,7 +169,8 @@ _A_NORM = math.sqrt(2.0) / 2.0
 
 
 def tail_bound(radius: int, y_min: float) -> float:
-    """Upper bound for the absolute tail beyond the box max|n_i| <= radius."""
+    """Upper bound for the absolute tail beyond the box max|n_i| <= radius,
+    hence beyond the larger box |n_i + a_i| <= radius + 1/2 that is summed."""
     if radius < 0:
         raise InvalidInputError("radius must be nonnegative")
     if y_min <= 0.0:
@@ -214,44 +219,65 @@ def _radius_up_to(y_min: float, tol: float, cap: int) -> int | None:
 
 
 @lru_cache(maxsize=64)
-def _axis(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The joint axis v = (n, n + 1/2) for n = -r..r, v^2, and the sign rows.
+def _axis(r: int) -> tuple[np.ndarray, ...]:
+    """The joint axis v = (n, n + 1/2) with |v| <= r + 1/2, that is n = -r..r
+    for the integer half and n = -r-1..r for the half-integer half, its half
+    v >= 0 for the rows, and the sign rows of both.
 
-    Sign row 2a + b is (-1)^(n b) on the half of v with shift a and 0 on the
-    other half; it is stored complex so that the products with the complex
-    exponentials need no cast.  Every array is O(r), so the cache stays small.
+    Returns (v, v^2, signs, w, w^2, half_signs) with w = v[v >= 0].  Sign
+    row 2a + b of ``signs`` is (-1)^(n b) on the half of v with shift a and 0
+    on the other half; ``half_signs`` is its restriction to w, weighted 1 at
+    w = 0 and 2 elsewhere.  The signs are stored complex so that the
+    products with the complex exponentials need no cast.  Every array is
+    O(r), so the cache stays small.
     """
-    n = np.arange(-r, r + 1)
-    v = np.concatenate([n, n + 0.5])
-    signs = np.kron(np.eye(2), [np.ones(n.size), 1.0 - 2.0 * (n & 1)]).astype(complex)
-    v2 = v * v
-    for a in (v, v2, signs):
+    n = np.arange(-r - 1, r + 1)
+    v = np.concatenate([n[1:], n + 0.5])
+    alt = 1.0 - 2.0 * (n & 1)
+    signs = np.zeros((4, v.size), dtype=complex)
+    signs[0, :n.size - 1], signs[1, :n.size - 1] = 1.0, alt[1:]
+    signs[2, n.size - 1:], signs[3, n.size - 1:] = 1.0, alt
+    half = v >= 0.0
+    w = v[half]
+    half_signs = signs[:, half] * np.where(w == 0.0, 1.0, 2.0)
+    arrays = v, v * v, signs, w, w * w, half_signs
+    for a in arrays:
         a.flags.writeable = False
-    return v, v2, signs
+    return arrays
 
 
 def _theta_table(tau: SiegelPoint, r: int) -> np.ndarray:
-    """All 16 sums over the box max(|n1|, |n2|) <= r as one 4x4 array.
+    """All 16 sums over the box max(|n1 + a1|, |n2 + a2|) <= r + 1/2 as one
+    4x4 array.
 
     Entry [2 a1 + b1, 2 a2 + b2] is the truncated Theta_m for m with bits
     (a1, a2, b1, b2); :func:`_cell` gives the index pair.  Over the joint
     axis v = (n, n + 1/2), the array E = exp(i pi (v1^2 tau1 + 2 v1 v2 tau2
     + v2^2 tau4)) on v x v holds all four shifts a as its four blocks.  The
     phase exp(2 i pi n.b) = (-1)^(n1 b1 + n2 b2) factors over the two axes,
-    so all 16 come out of one signs @ E @ signs^t whose entries are exactly
-    0 or +-1.  Rows of E go in slabs of at most _SLAB_TERMS terms, so
-    memory stays linear in r.
+    so all 16 come out of one product of sign rows, E and sign rows.  The
+    box is symmetric under v -> -v, E(-v) = E(v), and the phase of -v is
+    (-1)^(4 a.b) times that of v.  So the terms of an odd m cancel in pairs
+    and its cell is set to exactly 0, and an even cell is twice the sum over
+    the rows v1 > 0 plus the row v1 = 0.  Only the rows v1 >= 0 are
+    exponentiated, and the table is half_signs @ E[v1 >= 0] @ signs^t, with
+    sign entries 0, +-1 and +-2 that scale exactly.  Rows go in slabs of at
+    most _SLAB_TERMS terms, so memory stays linear in r.
     """
-    v, v2, signs = _axis(r)
-    row = (1j * math.pi * tau.tau1) * v2
+    v, v2, signs, w, w2, half_signs = _axis(r)
+    row = (1j * math.pi * tau.tau1) * w2
     col = (1j * math.pi * tau.tau4) * v2
     cross = (2j * math.pi * tau.tau2) * v
     rows = max(1, _SLAB_TERMS // v.size)
     table = np.zeros((4, 4), dtype=complex)
-    for lo in range(0, v.size, rows):
+    for lo in range(0, w.size, rows):
         hi = lo + rows
-        e = np.exp(row[lo:hi, None] + v[lo:hi, None] * cross + col)
-        table += signs[:, lo:hi] @ e @ signs.T
+        e = np.exp(row[lo:hi, None] + w[lo:hi, None] * cross + col)
+        # accumulate through a numpy complex loop, not by returning the
+        # products: after an OpenBLAS zgemm, complex exp runs about 15 times
+        # slower until such a loop has run
+        table += half_signs[:, lo:hi] @ e @ signs.T
+    table[_ODD_CELLS] = 0.0
     return table
 
 
@@ -263,6 +289,9 @@ def _cell(m: Characteristic) -> tuple[int, int]:
 
 #: Index pair of the ten even characteristics, in their order.
 _EVEN_CELLS = tuple(np.array(ix) for ix in zip(*map(_cell, even_characteristics())))
+
+#: Index pair of the six odd characteristics.
+_ODD_CELLS = tuple(np.array(ix) for ix in zip(*map(_cell, odd_characteristics())))
 
 
 def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaValue:
@@ -277,7 +306,8 @@ def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaVal
     Returns
     -------
     ThetaValue with ``error_bound <= tol``.  The sum runs over the box
-    max(|n1|, |n2|) <= R with R from :func:`truncation_radius`.
+    max(|n1 + a1|, |n2 + a2|) <= R + 1/2 with R from
+    :func:`truncation_radius`; for odd m it is exactly 0.
     """
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)

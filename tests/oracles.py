@@ -10,6 +10,7 @@ reduce_to_fundamental_domain must agree bit for bit.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +37,18 @@ def theta_2d_naive(bits, tau_mat, radius: int = 25) -> complex:
             v1, v2 = n1 + a1, n2 + a2
             q = v1 * v1 * tau_mat[0, 0] + 2 * v1 * v2 * tau_mat[0, 1] + v2 * v2 * tau_mat[1, 1]
             total += (-1) ** ((n1 * b1 + n2 * b2) % 2) * np.exp(1j * np.pi * q)
+    return complex(total)
+
+
+def theta_2d_symmetric(bits, tau_mat, radius: int) -> complex:
+    """Plain double-loop genus-2 theta sum in raster order over the box
+    |n_i + a_i| <= radius + 1/2, which is symmetric under n + a -> -(n + a)."""
+    total = 0j
+    for n1 in range(-radius - bits[0], radius + 1):
+        for n2 in range(-radius - bits[1], radius + 1):
+            v1, v2 = n1 + bits[0] / 2.0, n2 + bits[1] / 2.0
+            q = v1 * v1 * tau_mat[0, 0] + 2 * v1 * v2 * tau_mat[0, 1] + v2 * v2 * tau_mat[1, 1]
+            total += (-1) ** ((n1 * bits[2] + n2 * bits[3]) % 2) * np.exp(1j * np.pi * q)
     return complex(total)
 
 
@@ -195,6 +208,24 @@ def negation_orbit_divisor_count(n: int) -> int:
     trivial = {tuple((n // 2) * b for b in bits) for bits in odd_bits}
     assert len(trivial) == 6
     return count - len(trivial)
+
+
+def gram_exact(y1: float, y2: float, y4: float, u) -> tuple:
+    """(G11, G12, G22) of G = U^t Y U in exact rational arithmetic of the
+    float entries of Y = [[y1, y2], [y2, y4]]."""
+    a, b, d = Fraction(y1), Fraction(y2), Fraction(y4)
+    u00, u01, u10, u11 = u
+    return (u00 * u00 * a + 2 * u00 * u10 * b + u10 * u10 * d,
+            u00 * u01 * a + (u00 * u11 + u10 * u01) * b + u10 * u11 * d,
+            u01 * u01 * a + 2 * u01 * u11 * b + u11 * u11 * d)
+
+
+def condition_number_exact(y1: float, y2: float, y4: float) -> float:
+    """(trace Y)^2 / det Y of the float entries taken exactly, which is
+    within a factor 4 of lambda_max / lambda_min; inf unless det Y > 0."""
+    a, b, d = Fraction(y1), Fraction(y2), Fraction(y4)
+    det = a * d - b * b
+    return float((a + d) ** 2 / det) if det > 0 else math.inf
 
 
 def gottschling_coefficients() -> tuple:

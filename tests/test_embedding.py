@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import siegel_runge as sr
+
+from oracles import small_indices
 
 
 PRODUCT_POINT = sr.SiegelPoint(1j, 0, 1.3j)
@@ -38,6 +42,20 @@ class TestPsi:
     def test_all_zero_coordinates_rejected(self):
         with pytest.raises(sr.InconsistencyError):
             sr.ProjectivePoint(np.full(10, 1e-12 + 0j), 1e-8)
+
+    def test_sup_is_read_by_every_consumer(self):
+        taus = list(sr.sample_reduced_points(12, seed=64)) + [PRODUCT_POINT, sr.SiegelPoint(1j, 0, 6j)]
+        points = [sr.psi(tau) for tau in taus]
+        for p in points:
+            top = np.abs(p.coords).max()
+            assert p.sup == top
+            assert sr.near_zero_coordinates(p) == small_indices(p.coords, 1e-6)
+            assert sr.archimedean_height_estimate([p], 1) == math.log(top)
+            assert np.array_equal(p.normalized(), p.coords / top)
+        assert any(sr.near_zero_coordinates(p) for p in points)
+        rows = np.vstack([p.coords / np.abs(p.coords).max() for p in points])
+        assert np.array_equal(sr.relation_singular_values(points), np.linalg.svd(rows, compute_uv=False))
+        assert "sup" not in repr(points[0])
 
     def test_distance_separates_points(self):
         p = sr.psi(GENERIC_POINT)

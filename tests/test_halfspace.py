@@ -9,8 +9,8 @@ import siegel_runge as sr
 from siegel_runge import halfspace
 from siegel_runge.halfspace import _gottschling_scan, _integer_rows, gottschling_matrices
 
-from oracles import (act_solve, gottschling_scan_by_coefficients, reduce_reference, symplectic_by_products,
-                     symplectic_inverse)
+from oracles import (act_solve, condition_number_exact, gottschling_scan_by_coefficients, gram_exact,
+                     reduce_reference, symplectic_by_products, symplectic_inverse)
 
 
 I2 = np.eye(2)
@@ -413,6 +413,86 @@ class TestReduction:
         squeezed = sr.SiegelPoint(*(complex(z.real, 1e-40 * z.imag) for z in entries))
         with pytest.raises(sr.ResourceLimitError):
             sr.reduce_to_fundamental_domain(squeezed)
+
+
+class TestGaussReduction:
+    """_minkowski_gl2 on forms where rounding decides a Gauss step."""
+
+    #: Past about 1/eps the rounding in U^t Y U reaches G11.
+    ILL_CONDITIONED = 1.0 / np.finfo(float).eps
+
+    def test_lost_precision_raises_conditioning_error(self):
+        # Im(tau) is positive definite, but its entries exceed its smallest
+        # eigenvalue by 1e22: rounding flips G12 = -+0.09375 against
+        # G11 = 0.1855, so a loop that took every step would cycle
+        tau = sr.SiegelPoint(0.1 + 7477561613.005426j, 0.2 + 13242761716040.928j,
+                             -0.3 + 2.3452931175160616e16j)
+        assert tau.min_imag_eigenvalue() > 0.0
+        assert condition_number_exact(tau.tau1.imag, tau.tau2.imag, tau.tau4.imag) > self.ILL_CONDITIONED
+        with pytest.raises(sr.ConditioningError, match="lost precision"):
+            sr.reduce_to_fundamental_domain(tau)
+
+    @pytest.mark.parametrize("y", [(1.0, 0.50000001, 1e9), (1.0, 0.5 + 2.0 ** -50, 1e17)])
+    def test_step_that_lowers_only_g12_is_taken(self, y):
+        # 2 G12 just above G11 asks for a step by 1, which lowers G22 by less
+        # than half an ulp: G22 rounds to itself but |G12| goes down
+        assert halfspace._congruence(*y, 1, -1, 0, 1)[2] == y[2]
+        u = halfspace._minkowski_gl2(*y)
+        assert u == (1, 1, 0, -1)
+        g11, g12, g22 = gram_exact(*y, u)
+        assert 0 <= 2 * g12 <= g11 <= g22
+        res = sr.reduce_to_fundamental_domain(sr.SiegelPoint(*(1j * v for v in y)))
+        assert minkowski_ok(res.reduced.imag)
+
+    def test_tie_decided_by_rounding_ends_reduced(self):
+        # A well-conditioned form whose G12 lands on +-G11 / 2 up to rounding:
+        # steps by +-1 would flip G12 between 0.5 and -0.5 forever, so the
+        # step that does not lower |G12| must not be taken
+        y = (23.618443969079408, 19.118443969079415, 15.61844396907942)
+        assert condition_number_exact(*y) < 1e3
+        u = halfspace._minkowski_gl2(*y)
+        assert u == (1, 4, -1, -5)
+        g11, g12, g22 = gram_exact(*y, u)
+        assert 0 <= 2 * g12 <= g11 <= g22
+        tau = sr.SiegelPoint(*(1j * v for v in y))
+        res = sr.reduce_to_fundamental_domain(tau)
+        assert np.max(np.abs(sr.act(res.transform, tau).matrix - res.reduced.matrix)) <= 1e-13
+        assert minkowski_ok(res.reduced.imag)
+
+    def check_reduced_or_ill_conditioned(self, y1, y2, y4):
+        """The float Gram matrix of the U returned is reduced, and only a
+        form past about 1/eps raises ConditioningError."""
+        try:
+            u = halfspace._minkowski_gl2(y1, y2, y4)
+        except sr.ConditioningError:
+            assert condition_number_exact(y1, y2, y4) > self.ILL_CONDITIONED
+            return
+        g11, g12, g22 = halfspace._congruence(y1, y2, y4, *u)
+        assert u[0] * u[3] - u[1] * u[2] in (1, -1)
+        assert 0.0 <= 2.0 * g12 <= (1.0 + 1e-9) * g11 and g11 <= g22
+
+    @given(st.floats(-8, 2), st.floats(-8, 2), st.floats(0, 3.2), st.floats(0, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_skewed_forms_end_reduced_or_refused(self, log_l1, log_l2, angle, log_shear):
+        # R^t diag(l) R sheared by [[1, k], [0, 1]]
+        c, s, k = np.cos(angle), np.sin(angle), 10.0 ** log_shear
+        r = np.array([[c, -s], [s, c]]) @ np.array([[1.0, k], [0.0, 1.0]])
+        y = r.T @ np.diag([10.0 ** log_l1, 10.0 ** log_l2]) @ r
+        y1, y2, y4 = y[0, 0], 0.5 * (y[0, 1] + y[1, 0]), y[1, 1]
+        if halfspace._positive_definite(y1, y2, y4):
+            self.check_reduced_or_ill_conditioned(y1, y2, y4)
+
+    @given(st.floats(-3, 3), st.integers(-64, 64), st.booleans(), st.floats(0, 17),
+           st.integers(-9, 9), st.integers(-9, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_near_boundary_forms_end_reduced_or_refused(self, log_g11, ulps, negative, log_ratio, a, b):
+        # G with 2 |G12| within 64 ulps of G11 and G22 / G11 up to 1e17,
+        # moved by the unimodular [[1, a], [b, 1 + a b]] in floats
+        g11 = 10.0 ** log_g11
+        g12 = g11 * (0.5 + ulps * 2.0 ** -53) * (-1.0 if negative else 1.0)
+        y = halfspace._congruence(g11, g12, g11 * 10.0 ** log_ratio, 1, a, b, 1 + a * b)
+        if halfspace._positive_definite(*y):
+            self.check_reduced_or_ill_conditioned(*y)
 
 
 def point_bits(p):

@@ -18,6 +18,7 @@ from oracles import (
     tail_abs_sum,
     theta_1d,
     theta_2d_naive,
+    theta_2d_symmetric,
 )
 
 
@@ -132,8 +133,9 @@ class TestTruncation:
 
 
 class TestKernel:
-    # Re tau2 and Im tau2 both nonzero; at radius 2 the truncated odd sums
-    # are 1e-7 or more, far above rounding, so all 16 cells are checked
+    # Re tau2 and Im tau2 both nonzero; at radius 2 the terms on the edge of
+    # the box are 1e-7 or more, far above rounding, so a wrong weight or a
+    # missing row or column shows in the even cells
     TAU = sr.SiegelPoint(0.17 + 0.75j, -0.23 + 0.21j, 0.41 + 0.85j)
     RADIUS = 2
 
@@ -141,17 +143,31 @@ class TestKernel:
         chars = sr.all_characteristics()
         table = theta._theta_table(self.TAU, self.RADIUS)
         got = np.array([table[theta._cell(m)] for m in chars])
-        want = np.array([theta_2d_naive(m.bits, self.TAU.matrix, self.RADIUS) for m in chars])
-        assert min(abs(w) for m, w in zip(chars, want) if not m.is_even) > 1e-9
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        want = np.array([theta_2d_symmetric(m.bits, self.TAU.matrix, self.RADIUS) for m in chars])
+        scale = np.max(np.abs(want))
+        # the loop knows nothing of the pairing: its odd sums cancel to rounding
+        assert max(abs(w) for m, w in zip(chars, want) if not m.is_even) <= 1e-13 * scale
+        assert min(abs(w) for m, w in zip(chars, want) if m.is_even) > 1e-2
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
     def test_all_sixteen_match_double_loop(self):
         self.assert_matches_double_loop()
 
+    def test_even_cells_within_the_tail_of_the_integer_box(self):
+        # the box grew from max|n_i| <= R by terms of the tail beyond it
+        table = theta._theta_table(self.TAU, self.RADIUS)
+        bound = sr.tail_bound(self.RADIUS, self.TAU.min_imag_eigenvalue())
+        for m in sr.even_characteristics():
+            old = theta_2d_naive(m.bits, self.TAU.matrix, self.RADIUS)
+            assert abs(table[theta._cell(m)] - old) <= bound
+
     def test_slab_boundaries_inside_both_halves(self, monkeypatch):
-        # the axis has 2 (2r + 1) = 10 entries; slabs of 3 rows end at 3, 6, 9
-        size = 2 * (2 * self.RADIUS + 1)
-        monkeypatch.setattr(theta, "_SLAB_TERMS", 3 * size)
+        # rows are v1 = 0, 1, 2, 1/2, 3/2, 5/2 (2r + 2 of them) against
+        # 4r + 3 columns; slabs of 2 rows end at 2 and 4, one inside each half
+        v, _, _, w, _, _ = theta._axis(self.RADIUS)
+        assert list(w) == [0.0, 1.0, 2.0, 0.5, 1.5, 2.5]
+        assert v.size == 4 * self.RADIUS + 3
+        monkeypatch.setattr(theta, "_SLAB_TERMS", 2 * v.size)
         self.assert_matches_double_loop()
 
     def test_cached_axis_is_linear_in_radius(self):
@@ -162,11 +178,9 @@ class TestKernel:
 
 class TestThetaConstant:
     def test_odd_vanish(self):
-        rng = np.random.default_rng(31)
         for tau in sr.sample_reduced_points(5, seed=31):
             for m in sr.odd_characteristics():
-                tv = sr.theta_constant(m, tau, 5e-13)
-                assert abs(tv.value) <= 1e-12
+                assert sr.theta_constant(m, tau, 5e-13).value == 0
 
     def test_diagonal_factorization(self):
         rng = np.random.default_rng(32)
