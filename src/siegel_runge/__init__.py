@@ -66,7 +66,6 @@ from .theta import (
     all_characteristics,
     even_characteristics,
     odd_characteristics,
-    parity,
     tail_bound,
     theta_constant,
     theta_fourth_vector,

@@ -1,11 +1,12 @@
 """Weil heights over Q and Q(i), and the explicit height-bound formulas.
 
 Heights use the max-norm at archimedean places and natural logarithms
-throughout; projective coordinates are normalized to unit content (gcd 1),
-which both Z and the Gaussian integers support exactly.  The two bound
-evaluators package the explicit constants of the final theorem: they only
-consume the combinatorial inputs (bad-place counts, tube parameter) and
-never attempt to compute a Faltings height.
+throughout.  The finite places enter only through the norm of the content
+ideal, an exact integer: the gcd of the coordinates over Z, and over Z[i]
+a gcd of rational integers, described at :func:`weil_height_gaussian`.
+The two bound evaluators package the explicit constants of the final
+theorem: they only consume the combinatorial inputs (bad-place counts,
+tube parameter) and never attempt to compute a Faltings height.
 """
 
 from __future__ import annotations
@@ -58,58 +59,26 @@ def _as_gaussian(z) -> tuple[int, int]:
     return _integral(x), _integral(y)
 
 
-def _g_norm(g: tuple[int, int]) -> int:
-    return g[0] * g[0] + g[1] * g[1]
-
-
-def _g_mul(u, v):
-    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
-
-def _divround(a: int, b: int) -> int:
-    # round-half-up of a/b for b > 0, exact in integers
-    return (2 * a + b) // (2 * b)
-
-
-def _g_mod(u, v):
-    # remainder of u/v with norm at most half the norm of v
-    n = _g_norm(v)
-    num = _g_mul(u, (v[0], -v[1]))
-    q = (_divround(num[0], n), _divround(num[1], n))
-    return (u[0] - q[0] * v[0] + q[1] * v[1], u[1] - q[0] * v[1] - q[1] * v[0])
-
-
-def _g_gcd(u, v):
-    while v != (0, 0):
-        u, v = v, _g_mod(u, v)
-    return u
-
-
-def _g_exact_div(u, g):
-    n = _g_norm(g)
-    num = _g_mul(u, (g[0], -g[1]))
-    if num[0] % n or num[1] % n:
-        raise InvalidInputError("exact Gaussian division failed")
-    return (num[0] // n, num[1] // n)
-
-
 def weil_height_gaussian(coords) -> float:
     """Weil height of a projective point with Gaussian-integer coordinates.
 
-    Normalizes by the Z[i]-gcd, then returns log of the largest coordinate
-    modulus, as half the log of the exact integer norm; agrees with
-    :func:`weil_height_rational` on rational input.  Coordinates may be
-    integers or (re, im) pairs, taken exactly, or complex numbers with
-    integral parts.
+    The height is (1/2) log(max_k N(c_k) / N(g)) for the content ideal
+    (g).  The c_k and i c_k span (g) as a sublattice of Z[i] = Z^2 of index
+    N(g), and that index is the gcd of the lattice's 2x2 minors, which are
+    Re and Im of c_j conj(c_k) over all pairs j <= k.  Each N(c_k / g) =
+    N(c_k) / N(g) is an integer, so the quotient is exact and the result
+    agrees with :func:`weil_height_rational` on rational input.  Coordinates
+    may be integers or (re, im) pairs, taken exactly, or complex numbers
+    with integral parts.
     """
     cs = [_as_gaussian(c) for c in coords]
     if not cs or all(c == (0, 0) for c in cs):
         raise InvalidInputError("coordinates must not be all zero")
-    g = (0, 0)
-    for c in cs:
-        g = _g_gcd(g, c)
-    normalized = [_g_exact_div(c, g) for c in cs]
-    return 0.5 * math.log(max(_g_norm(c) for c in normalized))
+    content = 0
+    for j, (x, y) in enumerate(cs):
+        for u, v in cs[j:]:
+            content = math.gcd(content, x * u + y * v, x * v - y * u)
+    return 0.5 * math.log(max(x * x + y * y for x, y in cs) // content)
 
 
 def archimedean_height_estimate(points, degree: int, multiplicities=None) -> float:
@@ -169,8 +138,9 @@ def bound_case_a(s_p: int, field_kind: str = "rational") -> BoundReport:
     """Bounds for Q or an imaginary quadratic field with s_P < 4.
 
     When the condition holds: h(psi(P)) <= 10.75 and the stable Faltings
-    height is <= 1070.
+    height is <= 1070.  s_p must be an integral number.
     """
+    s_p = _integral(s_p)
     if s_p < 0:
         raise InvalidInputError("s_p must be a nonnegative count")
     if field_kind not in FIELD_KINDS:
@@ -180,7 +150,7 @@ def bound_case_a(s_p: int, field_kind: str = "rational") -> BoundReport:
         condition_holds=holds,
         h_psi_bound=10.75 if holds else None,
         h_faltings_bound=1070.0 if holds else None,
-        inputs={"case": "a", "s_p": int(s_p), "field": field_kind},
+        inputs={"case": "a", "s_p": s_p, "field": field_kind},
     )
 
 
@@ -189,8 +159,10 @@ def bound_case_b(s_p: int, archimedean_places: int, t) -> BoundReport:
 
     Requires s_P + (number of archimedean places) < 10; then
     h(psi(P)) <= 4 pi t + 6.14 and the stable Faltings height is at most
-    2 pi t + 535 log(2 pi t + 9), natural logarithm.
+    2 pi t + 535 log(2 pi t + 9), natural logarithm.  s_p and
+    archimedean_places must be integral numbers.
     """
+    s_p, archimedean_places = _integral(s_p), _integral(archimedean_places)
     if s_p < 0:
         raise InvalidInputError("s_p must be a nonnegative count")
     if archimedean_places < 1:
@@ -204,8 +176,8 @@ def bound_case_b(s_p: int, archimedean_places: int, t) -> BoundReport:
         h_faltings_bound=two_pi_t + 535.0 * math.log(two_pi_t + 9.0) if holds else None,
         inputs={
             "case": "b",
-            "s_p": int(s_p),
-            "places": int(archimedean_places),
+            "s_p": s_p,
+            "places": archimedean_places,
             "t": float(tp.t),
         },
     )

@@ -95,14 +95,16 @@ class RungeVerdict:
 
 
 def runge_condition(m_y: int, s: int, r: int) -> RungeVerdict:
-    """The strict inequality m_Y * |S| < r as a verdict record."""
+    """The strict inequality m_Y * |S| < r as a verdict record.  The three
+    counts must be integral numbers; 1.5 raises InvalidInputError."""
+    m_y, s, r = _integral(m_y), _integral(s), _integral(r)
     if m_y < 1 or s < 1 or r < 1:
         raise InvalidInputError("m_y, s and r must all be at least 1")
     return RungeVerdict(m_used=m_y, s=s, r=r, holds=m_y * s < r)
 
 
 def _check_level(n: int) -> int:
-    n = int(n)
+    n = _integral(n)
     if n < 2 or n % 2 != 0 or n > _MAX_LEVEL:
         raise InvalidInputError(f"level must be even with 2 <= n <= {_MAX_LEVEL}, got {n}")
     return n
@@ -126,6 +128,7 @@ def siegel_m_y(n: int) -> int:
 
 def siegel_runge_condition(n: int, s_l: int) -> RungeVerdict:
     """The level-n condition (n^2 - 3) s_L < n^4/2 + 2."""
+    s_l = _integral(s_l)
     if s_l < 1:
         raise InvalidInputError("s_l must be at least 1")
     return runge_condition(siegel_m_y(n), s_l, siegel_divisor_count(n))

@@ -61,7 +61,6 @@ from .halfspace import SiegelPoint, _act_entries, reduce_to_fundamental_domain
 __all__ = [
     "Characteristic",
     "ThetaValue",
-    "parity",
     "all_characteristics",
     "even_characteristics",
     "odd_characteristics",
@@ -121,16 +120,12 @@ class Characteristic:
 
     @property
     def is_even(self) -> bool:
+        """True iff 4 a.b is an even integer."""
         a1, a2, b1, b2 = self.bits
         return (a1 * b1 + a2 * b2) % 2 == 0
 
     def __str__(self):
         return "".join(str(x) for x in self.bits)
-
-
-def parity(m: Characteristic) -> str:
-    """'even' iff 4 a.b is an even integer."""
-    return "even" if m.is_even else "odd"
 
 
 @lru_cache(maxsize=1)

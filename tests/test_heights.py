@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -59,6 +60,17 @@ gaussian_lists = st.lists(gaussian_coord, min_size=1, max_size=5).filter(
 )
 
 
+def gaussian_mul(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+# products of small powers of the unit i, the ramified prime 1 + i, the inert
+# prime 3 and the split pair 2 + i, 2 - i
+gaussian_factors = st.lists(
+    st.sampled_from([(0, 1), (1, 1), (3, 0), (2, 1), (2, -1)]), max_size=8
+).map(lambda fs: functools.reduce(gaussian_mul, fs, (1, 0)))
+
+
 class TestGaussianHeight:
     def test_units(self):
         assert sr.weil_height_gaussian([1, 1j]) == 0.0
@@ -112,16 +124,12 @@ class TestGaussianHeight:
         assert got == pytest.approx(want, abs=1e-12)
         assert got >= -1e-15
 
-    @given(gaussian_lists)
-    @settings(max_examples=100, deadline=None)
-    def test_scaling_by_gaussian_unit_times_integer(self, coords):
-        lam = (3, -2)  # multiply through by 3 - 2i
-        scaled = [
-            (c[0] * lam[0] - c[1] * lam[1], c[0] * lam[1] + c[1] * lam[0]) for c in coords
-        ]
-        assert sr.weil_height_gaussian(scaled) == pytest.approx(
-            sr.weil_height_gaussian(coords), abs=1e-12
-        )
+    @given(gaussian_lists, gaussian_factors)
+    @settings(max_examples=200, deadline=None)
+    def test_scaling_by_gaussian_unit_times_integer(self, coords, lam):
+        scaled = [gaussian_mul(c, lam) for c in coords]
+        # both sides take the log of the same integer
+        assert sr.weil_height_gaussian(scaled) == sr.weil_height_gaussian(coords)
 
 
 class TestArchimedeanEstimate:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +157,44 @@ class TestSiegelSpecialization:
     def test_verdict_carries_formulas(self):
         v = sr.siegel_runge_condition(4, 9)
         assert v.m_used == 13 and v.r == 130
+
+
+# (function, integral arguments, positions of the integer arguments)
+INTEGER_ARGUMENTS = [
+    (sr.siegel_m_y, (2,), (0,)),
+    (sr.siegel_divisor_count, (4,), (0,)),
+    (sr.siegel_runge_condition, (2, 9), (0, 1)),
+    (sr.runge_condition, (1, 9, 10), (0, 1, 2)),
+    (sr.bound_case_a, (3,), (0,)),
+    (sr.bound_case_b, (3, 1, 1.0), (0, 1)),
+]
+
+
+INTEGER_ARGUMENT_CASES = [
+    pytest.param(fn, args, pos, id=f"{fn.__name__}-{pos}")
+    for fn, args, positions in INTEGER_ARGUMENTS
+    for pos in positions
+]
+
+
+def _with(args, pos, value):
+    return args[:pos] + (value,) + args[pos + 1:]
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("bad", [0.5, 0.9, float("nan")], ids=["half", "nine-tenths", "nan"])
+    @pytest.mark.parametrize(("fn", "args", "pos"), INTEGER_ARGUMENT_CASES)
+    def test_non_integral_rejected(self, fn, args, pos, bad):
+        # int() truncated siegel_m_y(2.9) to level 2, and runge_condition and
+        # the bound cases took 1.5 as given or echoed a truncated count
+        value = bad if math.isnan(bad) else args[pos] + bad
+        with pytest.raises(sr.InvalidInputError):
+            fn(*_with(args, pos, value))
+
+    @pytest.mark.parametrize(("fn", "args", "pos"), INTEGER_ARGUMENT_CASES)
+    def test_integral_floats_accepted(self, fn, args, pos):
+        # repr tells 2.0 from 2, so the echoed counts must be the checked ints
+        assert repr(fn(*_with(args, pos, float(args[pos])))) == repr(fn(*args))
 
 
 class TestSiegelIncidence:

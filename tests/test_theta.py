@@ -44,8 +44,8 @@ def rand_diag_tau(rng):
 
 class TestCharacteristics:
     def test_parity_examples(self):
-        assert sr.parity(Characteristic((0, 0, 0, 0))) == "even"
-        assert sr.parity(Characteristic((1, 0, 1, 0))) == "odd"
+        assert Characteristic((0, 0, 0, 0)).is_even
+        assert not Characteristic((1, 0, 1, 0)).is_even
 
     def test_counts(self):
         assert len(sr.all_characteristics()) == 16
