@@ -20,8 +20,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import theta
 from .embedding import (
     DEFAULT_REL_TOL,
@@ -40,16 +38,17 @@ from .theta import Characteristic, theta_constant
 
 
 def dumps_canonical(obj) -> str:
-    """Serialize dicts/lists/numbers/strings deterministically.
+    """Serialize the dicts, lists, strings, numbers and None of ``_run``
+    deterministically.
 
     Dict insertion order is kept; floats use fixed 12-significant-digit
     formatting; ints stay ints.
     """
     if obj is None or obj is True or obj is False:
         return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         if not math.isfinite(obj):
             raise InvalidInputError("cannot serialize non-finite numbers")
         return f"{float(obj):.12g}"
@@ -60,8 +59,6 @@ def dumps_canonical(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return dumps_canonical(obj.tolist())
     raise InvalidInputError(f"cannot serialize object of type {type(obj).__name__}")
 
 

@@ -17,11 +17,7 @@ class ConditioningError(SiegelRungeError, ArithmeticError):
 
 
 class NonConvergenceError(SiegelRungeError, RuntimeError):
-    """An iteration hit its cap.  Carries the best iterate seen so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """An iteration hit its cap."""
 
 
 class ResourceLimitError(SiegelRungeError, RuntimeError):

@@ -347,11 +347,14 @@ def _gottschling_scan(t1: complex, t2: complex, t4: complex) -> tuple[complex, .
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """Outcome of a fundamental-domain reduction: act(transform, original) = reduced."""
+    """Outcome of a fundamental-domain reduction of tau: with transform =
+    [[A, B], [C, D]], reduced = act(transform, tau) bit for bit and
+    cocycle = det(C tau + D), both from one _act_entries at tau."""
 
     reduced: SiegelPoint
     transform: SymplecticMatrix
     iterations: int
+    cocycle: complex
 
 
 def _congruence(y1: float, y2: float, y4: float, u00: int, u01: int, u10: int, u11: int):
@@ -445,10 +448,11 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
     witness is checked against int64 after each Gottschling step, so one
     that outgrows it is refused within a pass, and to be symplectic on
     return.
-    Returns the reduced point together with the witness transform and the
-    number of passes used; raises NonConvergenceError (carrying the best
-    iterate) if 1000 passes do not settle, and ResourceLimitError if the
-    witness transform would outgrow int64.
+    Returns the witness T, the passes used, and act(T, tau) with its cocycle
+    det(C tau + D) from one _act_entries at tau, not the last iterate, which
+    drifts from it on ill-conditioned points.  Raises NonConvergenceError if
+    1000 passes do not settle, and ResourceLimitError if the witness
+    transform would outgrow int64.
     """
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
@@ -489,9 +493,8 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
             changed = True
 
         if not changed:
-            return ReductionResult(SiegelPoint(t1, t2, t4), SymplecticMatrix((r0, r1, r2, r3)), iterations)
+            transform = SymplecticMatrix((r0, r1, r2, r3))
+            image, cocycle = _act_entries(transform.rows, tau.tau1, tau.tau2, tau.tau4)
+            return ReductionResult(SiegelPoint(*image), transform, iterations, cocycle)
 
-    raise NonConvergenceError(
-        f"reduction did not settle in {_MAX_ITER} passes",
-        best=ReductionResult(SiegelPoint(t1, t2, t4), SymplecticMatrix((r0, r1, r2, r3)), iterations),
-    )
+    raise NonConvergenceError(f"reduction did not settle in {_MAX_ITER} passes")

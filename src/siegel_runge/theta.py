@@ -41,10 +41,11 @@ sends m to M.m with the sign (-1)^(tr(B^t C) + x.diag(B^t D) + y.diag(A^t C))
 at 2m = (x, y), the fourth power of kappa(M) e(phi_m(M)); the other terms
 of phi_m are integers and drop out of the fourth power.
 :func:`theta_fourth_vector` uses it for points whose box at tau would be
-large: it sums the box at the fundamental-domain image of tau instead, at
-the tolerance scaled by |det(C tau + D)|^2, and maps the values back
-through rho.  Theta constants themselves pick up eighth roots of unity
-under Sp4(Z), so :func:`theta_constant` always sums at tau.
+large: it sums the box at res.reduced instead, with res the result of
+:func:`~siegel_runge.halfspace.reduce_to_fundamental_domain`, at the
+tolerance scaled by |det(C tau + D)|^2 = |res.cocycle|^2, and maps the
+values back through rho.  Theta constants themselves pick up eighth roots
+of unity under Sp4(Z), so :func:`theta_constant` always sums at tau.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .halfspace import SiegelPoint, _act_entries, reduce_to_fundamental_domain
+from .halfspace import SiegelPoint, reduce_to_fundamental_domain
 
 __all__ = [
     "Characteristic",
@@ -329,11 +330,13 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     the absolute series, hence both the constant z and any partial sum w,
     and |z^4 - w^4| = |z - w| |z^3 + z^2 w + z w^2 + w^3| <= 4 U^3 |z - w|.
 
-    The box is summed at tau itself while its radius is at most
-    _ROUTE_RADIUS (16).  A point that needs more, including one whose inner
-    tolerance underflows or whose radius passes the 10^4 cap, goes through
-    the fundamental domain instead: with T = [[A, B], [C, D]] the witness of
-    :func:`reduce_to_fundamental_domain` and q = T tau recomputed from tau,
+    The box is summed at tau itself, to the inner tolerance of min(tol, 1/2),
+    while its radius is at most _ROUTE_RADIUS (16).  A point that needs
+    more, including one whose inner tolerance underflows or whose radius
+    passes the 10^4 cap, goes through the fundamental domain instead: with
+    res the result of :func:`reduce_to_fundamental_domain` at tau,
+    T = [[A, B], [C, D]] = res.transform, q = res.reduced and
+    det(C tau + D) = res.cocycle,
 
         theta^4(tau) = det(C tau + D)^-2 rho(T)^-1 theta^4(q),
 
@@ -351,7 +354,7 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     if not tol > 0.0:
         raise InvalidInputError("tol must be positive")
     y_min = tau.min_imag_eigenvalue()
-    inner = _fourth_inner_tol(y_min, tol)
+    inner = _fourth_inner_tol(y_min, min(tol, 0.5))
     r = _radius_up_to(y_min, inner, _ROUTE_RADIUS) if inner > 0.0 else None
     if r is None:
         return _fourth_through_domain(tau, tol)
@@ -360,16 +363,14 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
 
 def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
     """theta_fourth_vector(tau, tol) from the box at the reduced point; see there."""
-    transform = reduce_to_fundamental_domain(tau).transform
-    (t1, t2, t4), det = _act_entries(transform.rows, tau.tau1, tau.tau2, tau.tau4)
-    q = SiegelPoint(t1, t2, t4)
-    det2 = det * det
+    res = reduce_to_fundamental_domain(tau)
+    q, det2 = res.reduced, res.cocycle * res.cocycle
     y_min = q.min_imag_eigenvalue()
     inner = _fourth_inner_tol(y_min, min(tol * abs(det2), 0.5))
     if inner == 0.0:
         raise ResourceLimitError(f"det(C tau + D)^2 = {det2:.3e} underflows the tolerance")
     values = _theta_table(q, truncation_radius(y_min, inner))[_EVEN_CELLS] ** 4
-    perm, sign = _rho(tuple(tuple(x & 1 for x in row) for row in transform.rows))
+    perm, sign = _rho(tuple(tuple(x & 1 for x in row) for row in res.transform.rows))
     with np.errstate(over="ignore", invalid="ignore"):
         out = sign * values[perm] / det2
     if not np.isfinite(out).all():

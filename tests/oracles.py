@@ -252,14 +252,12 @@ def reduce_reference(tau):
     linear action and composes the witness by a full 4x4 product, and the
     scan uses the coefficient form.  Same passes, step order, tolerance and
     first-minimum rule as reduce_to_fundamental_domain; the witness is
-    checked against int64 only on return."""
+    checked against int64 only on return, and the result carries its image
+    of tau and cocycle from one _act_entries at tau."""
     def step(g, point, total):
         point = hs._act_entries(g, *point)[0]
         hs._check_entries(*point)
         return point, hs._compose(g, total)
-
-    def result(point, total, iterations):
-        return hs.ReductionResult(hs.SiegelPoint(*point), hs.SymplecticMatrix(total), iterations)
 
     point = (tau.tau1, tau.tau2, tau.tau4)
     total = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -285,7 +283,8 @@ def reduce_reference(tau):
             changed = True
 
         if not changed:
-            return result(point, total, iterations)
+            transform = hs.SymplecticMatrix(total)
+            image, cocycle = hs._act_entries(total, tau.tau1, tau.tau2, tau.tau4)
+            return hs.ReductionResult(hs.SiegelPoint(*image), transform, iterations, cocycle)
 
-    raise NonConvergenceError(f"reduction did not settle in {hs._MAX_ITER} passes",
-                              best=result(point, total, iterations))
+    raise NonConvergenceError(f"reduction did not settle in {hs._MAX_ITER} passes")

@@ -414,6 +414,26 @@ class TestReduction:
         with pytest.raises(sr.ResourceLimitError):
             sr.reduce_to_fundamental_domain(squeezed)
 
+    @pytest.mark.parametrize("scale", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_squeezed_output_satisfies_domain_conditions(self, scale):
+        # on squeezed points the witness image lies furthest from the
+        # loop's last iterate
+        for p in sr.sample_reduced_points(10, seed=29):
+            red = sr.reduce_to_fundamental_domain(squeeze(p, scale)).reduced
+            assert minkowski_ok(red.imag)
+            assert np.max(np.abs(red.matrix.real)) <= 0.5 + 1e-9
+            dets = gottschling_scan_by_coefficients(red.tau1, red.tau2, red.tau4)
+            assert min(map(abs, dets)) >= 1 - 1e-9
+
+    def test_pass_cap_raises_non_convergence(self, monkeypatch):
+        tau = sr.act(sr.J, sr.sample_reduced_points(1, seed=31)[0])
+        assert sr.reduce_to_fundamental_domain(tau).iterations > 1
+        monkeypatch.setattr(halfspace, "_MAX_ITER", 1)
+        with pytest.raises(sr.NonConvergenceError):
+            sr.reduce_to_fundamental_domain(tau)
+        with pytest.raises(sr.NonConvergenceError):
+            reduce_reference(tau)
+
 
 class TestGaussReduction:
     """_minkowski_gl2 on forms where rounding decides a Gauss step."""
@@ -554,6 +574,15 @@ class TestSpecialisedReduction:
             entries = (tau.tau1, tau.tau2, tau.tau4)
             got = [abs(z) for z in _gottschling_scan(*entries)]
             assert got == [abs(z) for z in gottschling_scan_by_coefficients(*entries)]
+
+    def test_reduced_point_and_cocycle_are_the_witness_action(self):
+        tiny = [sr.SiegelPoint(y * 1j, 0, y * 1j) for y in (1e-40, 1e-60)]
+        for tau in [*reduction_inputs(67, 71, 30), *tiny]:
+            res = sr.reduce_to_fundamental_domain(tau)
+            _, cocycle = halfspace._act_entries(res.transform.rows, tau.tau1, tau.tau2, tau.tau4)
+            assert point_bits(res.reduced) == point_bits(sr.act(res.transform, tau))
+            assert struct.pack("<2d", res.cocycle.real, res.cocycle.imag) == struct.pack(
+                "<2d", cocycle.real, cocycle.imag)
 
     @pytest.mark.parametrize("scale", [1e-40, 1e-100])
     def test_witness_past_int64_stops_at_that_step(self, monkeypatch, scale):

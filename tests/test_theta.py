@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -283,6 +284,14 @@ class TestFourthVector:
         got = sr.theta_fourth_vector(tau)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_tol_above_one_half_sums_as_one_half(self):
+        # the route clamps its tolerance at 1/2; the direct sum at tau used to
+        # refuse any tol of 1 or more
+        tau = sr.SiegelPoint(100j, 0, 100j)
+        got = sr.theta_fourth_vector(tau, tol=10.0)
+        assert np.array_equal(got, sr.theta_fourth_vector(tau, tol=0.5))
+        assert np.max(np.abs(got - jacobi_fourth_powers(100.0, 100.0))) <= 0.5
+
     def test_slabs_match_one_slab(self, monkeypatch):
         tau = small_y_points()[1]
         whole = sr.theta_fourth_vector(tau)
@@ -460,6 +469,18 @@ class TestRoute:
         assert np.max(np.abs(got_below - sr.theta_fourth_vector(below, self.TOL))) <= 2 * self.TOL
         force_route(monkeypatch, False)
         assert np.max(np.abs(got_above - sr.theta_fourth_vector(above, self.TOL))) <= 2 * self.TOL
+
+    def test_sums_at_the_reduced_point(self, monkeypatch):
+        # the route sums at the reduction's own reduced point
+        force_route(monkeypatch, True)
+        summed = []
+        table = theta._theta_table
+        monkeypatch.setattr(theta, "_theta_table", lambda q, r: summed.append(q) or table(q, r))
+        for tau in small_y_points():
+            summed.clear()
+            sr.theta_fourth_vector(tau, self.TOL)
+            assert summed == [sr.reduce_to_fundamental_domain(tau).reduced]
+        assert "_act_entries" not in inspect.getsource(theta)
 
     def test_reduced_points_sum_directly(self, monkeypatch):
         monkeypatch.setattr(theta, "reduce_to_fundamental_domain", None)
