@@ -270,8 +270,9 @@ def _act_entries(g, t1: complex, t2: complex, t4: complex) -> tuple[tuple[comple
     ConditioningError when |det(M)| < CONDITION_EPS min(1, |m00 m11| + |m01 m10|):
     the test is relative to the two products det(M) is the difference of,
     so a cancellation raises while a small tau, whose products are small
-    too, does not.  det(M) = 0 raises too, also when both products
-    underflow to 0.
+    too, does not.  A failed test is redone on 2^k g with the largest entry
+    of M in [1/2, 1), exactly: underflowed products (tau = diag(1e-200 i,
+    1e-200 i)) pass and det(M) may be 0; M below 2^-900 is refused.
     """
     (a00, a01, b00, b01), (a10, a11, b10, b11), (c00, c01, d00, d01), (c10, c11, d10, d11) = g
     m00 = c00 * t1 + c01 * t2 + d00
@@ -281,9 +282,14 @@ def _act_entries(g, t1: complex, t2: complex, t4: complex) -> tuple[tuple[comple
     det = m00 * m11 - m01 * m10
     # min(1, s) spelled out so that the usual case computes no s
     if abs(det) < CONDITION_EPS and abs(det) <= CONDITION_EPS * (abs(m00 * m11) + abs(m01 * m10)):
-        raise ConditioningError(
-            f"|det(C tau + D)| = {abs(det):.3e} below {CONDITION_EPS:.1e} relative to its products"
-        )
+        k = -math.frexp(max(map(abs, (m00, m01, m10, m11))))[1]
+        if k == 0 or k > 900:
+            raise ConditioningError(
+                f"|det(C tau + D)| = {abs(det):.3e} below {CONDITION_EPS:.1e} relative to its products"
+            )
+        f = 2.0 ** k
+        image, det = _act_entries(tuple(tuple(f * x for x in row) for row in g), t1, t2, t4)
+        return image, det / f / f
     n00 = a00 * t1 + a01 * t2 + b00
     n01 = a00 * t2 + a01 * t4 + b01
     n10 = a10 * t1 + a11 * t2 + b10

@@ -26,8 +26,11 @@ Truncation is rigorous.  The box of radius R is |n_i + a_i| <= R + 1/2,
 which is symmetric under n + a -> -(n + a) and contains max|n_i| <= R, so
 the bound on the absolute tail beyond the latter (a comparison with a
 geometric series) dominates what the box leaves out.  On the symmetric box
-the terms of an odd m cancel in pairs, so odd constants come out exactly 0,
-and the kernel exponentiates only the half n1 + a1 >= 0.
+the terms of an odd m cancel in pairs, so odd constants are exactly 0, and
+the kernel exponentiates only the half n1 + a1 >= 0.  Flattened, that half
+gives the ten even sums as K @ exp(c @ Q) with c = (tau1, tau2, tau4), Q the
+exponents and K the signs; both are O(r^2), so they are cached only up to
+radius 16 and built in slabs of rows past it.
 
 The fourth powers are weight-2 forms for the level-2 group, so for M =
 [[A, B], [C, D]] in Sp4(Z)
@@ -84,8 +87,11 @@ _MAX_RADIUS = 10_000
 #: the two routes cost the same.
 _ROUTE_RADIUS = 16
 
-#: Most exponential terms evaluated at once; larger boxes go in slabs of rows.
-_SLAB_TERMS = 1 << 16
+#: Radii whose (Q, K) stay cached, 2.9 MB for all 16; fixed, not _ROUTE_RADIUS.
+_FUSED_RADIUS = 16
+
+#: Most terms per slab of (Q, K), 13 complex numbers each, past _FUSED_RADIUS.
+_SLAB_TERMS = 1 << 12
 
 
 @dataclass(frozen=True, order=True)
@@ -223,9 +229,9 @@ def _axis(r: int) -> tuple[np.ndarray, ...]:
     Returns (v, v^2, signs, w, w^2, half_signs) with w = v[v >= 0].  Sign
     row 2a + b of ``signs`` is (-1)^(n b) on the half of v with shift a and 0
     on the other half; ``half_signs`` is its restriction to w, weighted 1 at
-    w = 0 and 2 elsewhere.  The signs are stored complex so that the
-    products with the complex exponentials need no cast.  Every array is
-    O(r), so the cache stays small.
+    w = 0 and 2 elsewhere, both complex like the exponentials.  These are
+    O(r); the matrices of :func:`_fused_rows` are O(r^2), cached only up to
+    radius _FUSED_RADIUS.
     """
     n = np.arange(-r - 1, r + 1)
     v = np.concatenate([n[1:], n + 0.5])
@@ -242,52 +248,47 @@ def _axis(r: int) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _theta_table(tau: SiegelPoint, r: int) -> np.ndarray:
-    """All 16 sums over the box max(|n1 + a1|, |n2 + a2|) <= r + 1/2 as one
-    4x4 array.
-
-    Entry [2 a1 + b1, 2 a2 + b2] is the truncated Theta_m for m with bits
-    (a1, a2, b1, b2); :func:`_cell` gives the index pair.  Over the joint
-    axis v = (n, n + 1/2), the array E = exp(i pi (v1^2 tau1 + 2 v1 v2 tau2
-    + v2^2 tau4)) on v x v holds all four shifts a as its four blocks.  The
-    phase exp(2 i pi n.b) = (-1)^(n1 b1 + n2 b2) factors over the two axes,
-    so all 16 come out of one product of sign rows, E and sign rows.  The
-    box is symmetric under v -> -v, E(-v) = E(v), and the phase of -v is
-    (-1)^(4 a.b) times that of v.  So the terms of an odd m cancel in pairs
-    and its cell is set to exactly 0, and an even cell is twice the sum over
-    the rows v1 > 0 plus the row v1 = 0.  Only the rows v1 >= 0 are
-    exponentiated, and the table is half_signs @ E[v1 >= 0] @ signs^t, with
-    sign entries 0, +-1 and +-2 that scale exactly.  Rows go in slabs of at
-    most _SLAB_TERMS terms, so memory stays linear in r.
-    """
+def _fused_rows(r: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (Q, K) on the rows w[lo:hi] x v of the half box of :func:`_axis`,
+    flattened row by row so that a slab of rows is a column range: with Q (3 x N)
+    = i pi (w^2, 2 w v, v^2), c @ Q is the exponent at (v1, v2) = (w, v), and row
+    j of K (10 x N) is half_signs[2 a1 + b1] (x) signs[2 a2 + b2] for the j-th
+    even characteristic (a1, a2, b1, b2)."""
     v, v2, signs, w, w2, half_signs = _axis(r)
-    row = (1j * math.pi * tau.tau1) * w2
-    col = (1j * math.pi * tau.tau4) * v2
-    cross = (2j * math.pi * tau.tau2) * v
-    rows = max(1, _SLAB_TERMS // v.size)
-    table = np.zeros((4, 4), dtype=complex)
-    for lo in range(0, w.size, rows):
-        hi = lo + rows
-        e = np.exp(row[lo:hi, None] + w[lo:hi, None] * cross + col)
-        # accumulate through a numpy complex loop, not by returning the
-        # products: after an OpenBLAS zgemm, complex exp runs about 15 times
-        # slower until such a loop has run
-        table += half_signs[:, lo:hi] @ e @ signs.T
-    table[_ODD_CELLS] = 0.0
-    return table
+    w, w2 = w[lo:hi, None], w2[lo:hi, None]
+    q = 1j * math.pi * np.stack(np.broadcast_arrays(w2, 2.0 * w * v, v2)).reshape(3, -1)
+    a1, a2, b1, b2 = np.array([m.bits for m in even_characteristics()]).T
+    k = (half_signs[2 * a1 + b1, lo:hi, None] * signs[2 * a2 + b2, None, :]).reshape(10, -1)
+    q.flags.writeable = k.flags.writeable = False
+    return q, k
 
 
-def _cell(m: Characteristic) -> tuple[int, int]:
-    """Index pair of Theta_m in the 4x4 array of :func:`_theta_table`."""
-    a1, a2, b1, b2 = m.bits
-    return 2 * a1 + b1, 2 * a2 + b2
+#: (Q, K) on the whole half box, for r <= _FUSED_RADIUS only.
+_fused = lru_cache(maxsize=_FUSED_RADIUS)(lambda r: _fused_rows(r, 0, 2 * r + 2))
 
 
-#: Index pair of the ten even characteristics, in their order.
-_EVEN_CELLS = tuple(np.array(ix) for ix in zip(*map(_cell, even_characteristics())))
+def _even_sums(tau: SiegelPoint, r: int) -> np.ndarray:
+    """The ten even Theta_m over the box max(|n1 + a1|, |n2 + a2|) <= r + 1/2,
+    ordered by :func:`even_characteristics`, as K @ exp(c @ Q) with c =
+    (tau1, tau2, tau4) and (Q, K) of :func:`_fused_rows`.
 
-#: Index pair of the six odd characteristics.
-_ODD_CELLS = tuple(np.array(ix) for ix in zip(*map(_cell, odd_characteristics())))
+    The exponentials on the joint axis v x v hold all four shifts a as blocks
+    and the phase (-1)^(n.b) factors over the axes.  The box is symmetric
+    under v -> -v, which keeps E and flips the phase by (-1)^(4 a.b): odd
+    terms cancel in pairs and an even sum is twice the rows v1 > 0 plus the
+    row v1 = 0, weights that scale exactly.  Past radius _FUSED_RADIUS, (Q, K)
+    come in slabs of at most _SLAB_TERMS terms, at least one row each.
+    """
+    c = np.array((tau.tau1, tau.tau2, tau.tau4))
+    rows = max(1, _SLAB_TERMS // (4 * r + 3))
+    slabs = ([_fused(r)] if r <= _FUSED_RADIUS
+             else (_fused_rows(r, lo, lo + rows) for lo in range(0, 2 * r + 2, rows)))
+    out = np.zeros(10, dtype=complex)
+    for q, k in slabs:
+        # a numpy complex loop, not the bare product: after an OpenBLAS
+        # zgemm, complex exp runs about 15 times slower until one has run
+        out += k @ np.exp(c @ q)
+    return out
 
 
 def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaValue:
@@ -309,7 +310,8 @@ def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaVal
         tau = SiegelPoint.from_matrix(tau)
     y_min = tau.min_imag_eigenvalue()
     r = truncation_radius(y_min, tol)
-    return ThetaValue(complex(_theta_table(tau, r)[_cell(m)]), tail_bound(r, y_min))
+    value = complex(_even_sums(tau, r)[even_characteristics().index(m)]) if m.is_even else 0j
+    return ThetaValue(value, tail_bound(r, y_min))
 
 
 def _fourth_inner_tol(y_min: float, tol: float) -> float:
@@ -358,7 +360,9 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     r = _radius_up_to(y_min, inner, _ROUTE_RADIUS) if inner > 0.0 else None
     if r is None:
         return _fourth_through_domain(tau, tol)
-    return _theta_table(tau, r)[_EVEN_CELLS] ** 4
+    out = _even_sums(tau, r)
+    out **= 4
+    return out
 
 
 def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
@@ -369,7 +373,7 @@ def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
     inner = _fourth_inner_tol(y_min, min(tol * abs(det2), 0.5))
     if inner == 0.0:
         raise ResourceLimitError(f"det(C tau + D)^2 = {det2:.3e} underflows the tolerance")
-    values = _theta_table(q, truncation_radius(y_min, inner))[_EVEN_CELLS] ** 4
+    values = _even_sums(q, truncation_radius(y_min, inner)) ** 4
     perm, sign = _rho(tuple(tuple(x & 1 for x in row) for row in res.transform.rows))
     with np.errstate(over="ignore", invalid="ignore"):
         out = sign * values[perm] / det2

@@ -299,11 +299,27 @@ class TestAction:
         with pytest.raises(sr.ConditioningError):
             sr.act(sr.J, near)
 
-    def test_vanishing_cocycle_raises(self):
+    def test_underflowed_cocycle_is_scaled(self):
         # det(-tau) = 1e-400 and both of its products underflow to 0; the
-        # relative test read 0 < 0 and the division raised ZeroDivisionError
+        # test and the image are redone on M and N scaled by 2^k, exactly
+        tau = sr.SiegelPoint(1e-200j, 0, 1e-200j)
+        assert sr.act(sr.J, tau) == sr.SiegelPoint(1e200j, 0, 1e200j)
+        image, cocycle = halfspace._act_entries(sr.J.rows, tau.tau1, tau.tau2, tau.tau4)
+        assert cocycle == 0
+        # a larger tiny point keeps its cocycle, scaled back exactly
+        tau = sr.SiegelPoint(2.0**-600 * 1j, 0, 2.0**-500 * 1j)
+        image, cocycle = halfspace._act_entries(sr.J.rows, tau.tau1, tau.tau2, tau.tau4)
+        assert cocycle == -(2.0**-1100) and image == (2.0**600 * 1j, 0, 2.0**500 * 1j)
+        # below 2^-900 the scaled rows of g could overflow: refused as before
         with pytest.raises(sr.ConditioningError):
-            sr.act(sr.J, sr.SiegelPoint(1e-200j, 0, 1e-200j))
+            sr.act(sr.J, sr.SiegelPoint(1e-280j, 0, 1e-280j))
+
+    def test_cancelling_cocycle_raises_at_any_scale(self):
+        # rows of M = C tau + D equal, with products that underflow: the
+        # scaled retry still sees det(M) = 0 and refuses it
+        rows = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0))
+        with pytest.raises(sr.ConditioningError):
+            halfspace._act_entries(rows, 1e-200j, 1e-200j, 1e-200j)
 
     def test_small_tau_is_not_ill_conditioned(self):
         # |det tau| = 1e-120, but -tau^-1 is exact: the test is relative to tau

@@ -136,45 +136,93 @@ class TestTruncation:
 class TestKernel:
     # Re tau2 and Im tau2 both nonzero; at radius 2 the terms on the edge of
     # the box are 1e-7 or more, far above rounding, so a wrong weight or a
-    # missing row or column shows in the even cells
+    # missing row or column shows in the even sums
     TAU = sr.SiegelPoint(0.17 + 0.75j, -0.23 + 0.21j, 0.41 + 0.85j)
     RADIUS = 2
 
-    def assert_matches_double_loop(self):
+    def assert_matches_double_loop(self, tau=TAU, radius=RADIUS):
+        # the kernel sums the even characteristics; an odd one is exactly 0
         chars = sr.all_characteristics()
-        table = theta._theta_table(self.TAU, self.RADIUS)
-        got = np.array([table[theta._cell(m)] for m in chars])
-        want = np.array([theta_2d_symmetric(m.bits, self.TAU.matrix, self.RADIUS) for m in chars])
+        even = dict(zip(sr.even_characteristics(), theta._even_sums(tau, radius)))
+        got = np.array([even.get(m, 0.0) for m in chars])
+        want = np.array([theta_2d_symmetric(m.bits, tau.matrix, radius) for m in chars])
         scale = np.max(np.abs(want))
         # the loop knows nothing of the pairing: its odd sums cancel to rounding
         assert max(abs(w) for m, w in zip(chars, want) if not m.is_even) <= 1e-13 * scale
         assert min(abs(w) for m, w in zip(chars, want) if m.is_even) > 1e-2
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
+    def spy_slabs(self, monkeypatch):
+        """Record the row ranges the kernel builds, and refuse the cache."""
+        slabs = []
+        rows = theta._fused_rows
+        monkeypatch.setattr(theta, "_fused_rows", lambda r, lo, hi: slabs.append((lo, hi)) or rows(r, lo, hi))
+        monkeypatch.setattr(theta, "_fused", None)
+        return slabs
+
     def test_all_sixteen_match_double_loop(self):
         self.assert_matches_double_loop()
 
     def test_even_cells_within_the_tail_of_the_integer_box(self):
         # the box grew from max|n_i| <= R by terms of the tail beyond it
-        table = theta._theta_table(self.TAU, self.RADIUS)
+        sums = theta._even_sums(self.TAU, self.RADIUS)
         bound = sr.tail_bound(self.RADIUS, self.TAU.min_imag_eigenvalue())
-        for m in sr.even_characteristics():
-            old = theta_2d_naive(m.bits, self.TAU.matrix, self.RADIUS)
-            assert abs(table[theta._cell(m)] - old) <= bound
+        for m, got in zip(sr.even_characteristics(), sums):
+            assert abs(got - theta_2d_naive(m.bits, self.TAU.matrix, self.RADIUS)) <= bound
 
     def test_slab_boundaries_inside_both_halves(self, monkeypatch):
-        # rows are v1 = 0, 1, 2, 1/2, 3/2, 5/2 (2r + 2 of them) against
-        # 4r + 3 columns; slabs of 2 rows end at 2 and 4, one inside each half
+        # with the cache capped below the radius, rows v1 = 0, 1, 2, 1/2, 3/2,
+        # 5/2 (2r + 2 of them) against 4r + 3 columns go in slabs; slabs of 2
+        # rows end at 2 and 4, one inside each half
         v, _, _, w, _, _ = theta._axis(self.RADIUS)
         assert list(w) == [0.0, 1.0, 2.0, 0.5, 1.5, 2.5]
         assert v.size == 4 * self.RADIUS + 3
+        monkeypatch.setattr(theta, "_FUSED_RADIUS", self.RADIUS - 1)
         monkeypatch.setattr(theta, "_SLAB_TERMS", 2 * v.size)
+        slabs = self.spy_slabs(monkeypatch)
         self.assert_matches_double_loop()
+        assert slabs == [(0, 2), (2, 4), (4, 6)]
+
+    def test_radius_past_the_cache_in_slabs(self, monkeypatch):
+        # Im(TAU) over 40: the edge terms at radius 17 are 1e-7 or more.
+        # Slabs of 7 of the 36 rows end at 7 and 14 inside the integer half
+        # (18 rows) and at 21, 28 and 35 inside the half-integer one.
+        entries = self.TAU.tau1, self.TAU.tau2, self.TAU.tau4
+        tau = sr.SiegelPoint(*(complex(z.real, z.imag / 40) for z in entries))
+        radius = theta._FUSED_RADIUS + 1
+        monkeypatch.setattr(theta, "_SLAB_TERMS", 7 * (4 * radius + 3))
+        slabs = self.spy_slabs(monkeypatch)
+        self.assert_matches_double_loop(tau, radius)
+        assert slabs == [(lo, lo + 7) for lo in range(0, 2 * radius + 2, 7)]
 
     def test_cached_axis_is_linear_in_radius(self):
         r = 30
         assert sum(a.nbytes for a in theta._axis(r)) <= 64 * (2 * r + 1) * 16
         assert theta._axis.cache_info().maxsize is not None
+
+    def test_fused_cache_is_read_only_and_capped(self, monkeypatch):
+        assert theta._FUSED_RADIUS == 16
+        assert theta._fused.cache_info().maxsize == theta._FUSED_RADIUS
+        q, k = theta._fused(3)
+        assert q.shape == (3, 8 * 15) and k.shape == (10, 8 * 15)
+        assert not q.flags.writeable and not k.flags.writeable
+        cached = []
+        fused = theta._fused
+        monkeypatch.setattr(theta, "_fused", lambda r: cached.append(r) or fused(r))
+        # theta_constant sums at tau for any radius; only those up to the cap
+        # reach the cache
+        far = scaled(0.01)
+        assert sr.truncation_radius(far.min_imag_eigenvalue(), 1e-10) > theta._FUSED_RADIUS
+        sr.theta_constant(sr.even_characteristics()[0], far, 1e-10)
+        assert cached == []
+        for radius in range(1, theta._FUSED_RADIUS + 1):
+            tau = scaled(scale_for_radius(radius, TestRoute.TOL))
+            got = sr.theta_fourth_vector(tau, TestRoute.TOL)
+            want = np.array([sr.theta_constant(m, tau, direct_tolerance(tau, TestRoute.TOL)).value ** 4
+                             for m in sr.even_characteristics()])
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert sorted(set(cached)) == list(range(1, theta._FUSED_RADIUS + 1))
+        assert fused.cache_info().currsize <= theta._FUSED_RADIUS
 
 
 class TestThetaConstant:
@@ -293,6 +341,8 @@ class TestFourthVector:
         assert np.max(np.abs(got - jacobi_fourth_powers(100.0, 100.0))) <= 0.5
 
     def test_slabs_match_one_slab(self, monkeypatch):
+        # summed at tau, past the cached radii
+        force_route(monkeypatch, False)
         tau = small_y_points()[1]
         whole = sr.theta_fourth_vector(tau)
         monkeypatch.setattr(theta, "_SLAB_TERMS", 7)
@@ -369,6 +419,14 @@ def scaled_radius(s, tol):
     """The direct box radius of theta_fourth_vector at scaled(s)."""
     y = scaled(s).min_imag_eigenvalue()
     return sr.truncation_radius(y, theta._fourth_inner_tol(y, tol))
+
+
+def scale_for_radius(radius, tol):
+    """A scale s with scaled_radius(s, tol) == radius, by bisection in log s."""
+    lo, hi = 1e-3, 1e3
+    while (r := scaled_radius(math.sqrt(lo * hi), tol)) != radius:
+        lo, hi = (math.sqrt(lo * hi), hi) if r > radius else (lo, math.sqrt(lo * hi))
+    return math.sqrt(lo * hi)
 
 
 def c06_inputs():
@@ -474,8 +532,8 @@ class TestRoute:
         # the route sums at the reduction's own reduced point
         force_route(monkeypatch, True)
         summed = []
-        table = theta._theta_table
-        monkeypatch.setattr(theta, "_theta_table", lambda q, r: summed.append(q) or table(q, r))
+        sums = theta._even_sums
+        monkeypatch.setattr(theta, "_even_sums", lambda q, r: summed.append(q) or sums(q, r))
         for tau in small_y_points():
             summed.clear()
             sr.theta_fourth_vector(tau, self.TOL)
