@@ -11,6 +11,10 @@ for identical arguments and seed; :func:`siegel_point_to_json` and
 :func:`siegel_point_from_json` encode a point of H2; ``_run`` builds the
 ``embed`` and ``reduce`` payloads and ``_parse_incidence`` reads
 DivisorIncidence JSON for ``runge --incidence-file``.
+
+Only ``theta``, ``embed``, ``vanishing`` and ``rank`` sum theta series, and
+only their branches of ``_run`` import the numpy modules theta, embedding and
+sampling; the other five commands run without loading numpy.
 """
 
 from __future__ import annotations
@@ -20,21 +24,10 @@ import json
 import math
 import sys
 
-from . import theta
-from .embedding import (
-    DEFAULT_REL_TOL,
-    in_tube,
-    near_zero_coordinates,
-    psi,
-    relation_rank,
-    relation_singular_values,
-)
-from .errors import InvalidInputError, SiegelRungeError
-from .halfspace import SiegelPoint, reduce_to_fundamental_domain
+from .errors import DEFAULT_TOL, DEFAULT_TOL_FOURTH, InvalidInputError, SiegelRungeError
+from .halfspace import SiegelPoint, in_tube, reduce_to_fundamental_domain
 from .heights import bound_case_a, bound_case_b, weil_height_gaussian, weil_height_rational
 from .runge import DivisorIncidence, m_y_value, runge_condition, siegel_runge_condition
-from .sampling import sample_reduced_points
-from .theta import Characteristic, theta_constant
 
 
 def dumps_canonical(obj) -> str:
@@ -106,12 +99,11 @@ def _parse_incidence(path: str) -> DivisorIncidence:
         raise InvalidInputError(f"malformed DivisorIncidence JSON: {exc}") from exc
 
 
-def _parse_bits(text: str) -> Characteristic:
+def _parse_bits(text: str) -> tuple[int, ...]:
     try:
-        bits = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise InvalidInputError(f"cannot parse characteristic {text!r}") from exc
-    return Characteristic(bits)
 
 
 def _parse_gaussian(text: str) -> tuple[int, int]:
@@ -133,14 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta", help="evaluate one theta constant")
     _add_tau_arguments(p)
     p.add_argument("--char", required=True, help="characteristic bits a1,a2,b1,b2 (1 means 1/2)")
-    p.add_argument("--tol", type=float, default=theta.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = sub.add_parser("reduce", help="reduce to the fundamental domain")
     _add_tau_arguments(p)
 
     p = sub.add_parser("embed", help="the ten theta fourth powers as a projective point")
     _add_tau_arguments(p)
-    p.add_argument("--tol", type=float, default=theta.DEFAULT_TOL_FOURTH)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL_FOURTH)
 
     p = sub.add_parser("vanishing", help="indices of near-zero embedding coordinates")
     _add_tau_arguments(p)
@@ -176,8 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> dict:
     if args.command == "theta":
+        from .theta import Characteristic, theta_constant
+
         tau = _parse_tau(args)
-        m = _parse_bits(args.char)
+        m = Characteristic(_parse_bits(args.char))
         tv = theta_constant(m, tau, args.tol)
         return {
             "char": list(m.bits),
@@ -194,14 +188,21 @@ def _run(args) -> dict:
         }
 
     if args.command == "embed":
+        from .embedding import psi
+
         point = psi(_parse_tau(args), tol=args.tol)
         return {"coords": [_pair(z) for z in point.coords], "order": "lex(a1,a2,b1,b2)"}
 
     if args.command == "vanishing":
+        from .embedding import DEFAULT_REL_TOL, near_zero_coordinates, psi
+
         indices = near_zero_coordinates(psi(_parse_tau(args)))
         return {"indices": sorted(indices), "rel_tol": DEFAULT_REL_TOL}
 
     if args.command == "rank":
+        from .embedding import psi, relation_rank, relation_singular_values
+        from .sampling import sample_reduced_points
+
         points = [psi(t) for t in sample_reduced_points(args.samples, args.seed)]
         svals = relation_singular_values(points)
         return {

@@ -6,7 +6,10 @@ orbit; the full integral symplectic group permutes the coordinates up to a
 common factor.  Exactly one coordinate vanishes on the locus parametrizing
 products of elliptic curves, and more coordinates decay together as the
 fundamental-domain representative escapes toward the cusps, which is what
-the tube test Im(tau4) >= t delimits.
+the tube test Im(tau4) >= t of :func:`~siegel_runge.halfspace.in_tube`
+delimits.  The archimedean height estimate reads the sup-norm a
+ProjectivePoint carries, so it lives here rather than with the exact
+heights of :mod:`~siegel_runge.heights`.
 """
 
 from __future__ import annotations
@@ -17,24 +20,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InconsistencyError, InvalidInputError
-from .halfspace import SiegelPoint, reduce_to_fundamental_domain
+from .halfspace import reduce_to_fundamental_domain
 from .theta import DEFAULT_TOL_FOURTH, theta_fourth_vector
 
 __all__ = [
-    "MIN_TUBE_PARAMETER",
     "ProjectivePoint",
-    "TubeParameter",
     "psi",
     "projective_distance",
     "near_zero_coordinates",
     "is_product_locus",
     "relation_singular_values",
     "relation_rank",
-    "in_tube",
+    "archimedean_height_estimate",
 ]
-
-#: Tube parameters below sqrt(3)/2 do not describe a neighborhood of the cusps.
-MIN_TUBE_PARAMETER = math.sqrt(3.0) / 2.0
 
 #: Relative cutoff used when deciding whether a coordinate is "near zero".
 DEFAULT_REL_TOL = 1e-6
@@ -134,24 +132,34 @@ def relation_rank(samples: list[ProjectivePoint]) -> int:
     return int(np.sum(s > _RANK_CUTOFF * s[0]))
 
 
-@dataclass(frozen=True)
-class TubeParameter:
-    """Height parameter of the cusp neighborhood; must be >= sqrt(3)/2."""
+def archimedean_height_estimate(points, degree: int, multiplicities=None) -> float:
+    """Archimedean part of a height from one embedding value per place.
 
-    t: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.t) or self.t < MIN_TUBE_PARAMETER:
-            raise InvalidInputError(
-                f"tube parameter must be >= sqrt(3)/2 ~ {MIN_TUBE_PARAMETER:.6f}, got {self.t}"
-            )
-
-
-def in_tube(reduced_tau: SiegelPoint, t) -> bool:
-    """Membership of a fundamental-domain representative in the cusp tube.
-
-    ``reduced_tau`` must already be reduced (the tube is defined inside the
-    fundamental domain); membership is Im(tau4) >= t.
+    Assumes the coordinates are algebraic integers of unit content, so the
+    finite places contribute nothing; the estimate is
+    (1/degree) * sum_v mult_v * log max|coords_v|.  A place is given as a
+    ProjectivePoint, whose sup is read, or as any array-like of complex
+    coordinates.  When multiplicities are omitted they are inferred: all
+    real places if degree == len(points), all complex (weight 2) if
+    degree == 2 * len(points).
     """
-    tp = t if isinstance(t, TubeParameter) else TubeParameter(float(t))
-    return reduced_tau.tau4.imag >= tp.t
+    if not points:
+        raise InvalidInputError("need at least one archimedean embedding")
+    if degree < 1:
+        raise InvalidInputError("degree must be a positive integer")
+    if multiplicities is None:
+        if degree == len(points):
+            multiplicities = [1] * len(points)
+        elif degree == 2 * len(points):
+            multiplicities = [2] * len(points)
+        else:
+            raise InvalidInputError(
+                "cannot infer place multiplicities; pass them explicitly"
+            )
+    if len(multiplicities) != len(points) or sum(multiplicities) != degree:
+        raise InvalidInputError("multiplicities must sum to the degree")
+    total = 0.0
+    for p, mult in zip(points, multiplicities):
+        sup = p.sup if isinstance(p, ProjectivePoint) else float(np.max(np.abs(np.asarray(p, dtype=complex))))
+        total += mult * math.log(sup)
+    return total / degree

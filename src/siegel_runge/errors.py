@@ -1,7 +1,18 @@
-"""Exception types shared across the package, and the one integrality check."""
+"""Exception types shared across the package, the one integrality check,
+and the default error tolerances of theta evaluation.
+
+The tolerances live here, not in :mod:`~siegel_runge.theta`, so that the CLI
+parser reads them without importing numpy; theta re-exports both.
+"""
 
 import math
 import numbers
+
+#: Default absolute tolerance for a single theta constant.
+DEFAULT_TOL = 1e-10
+
+#: Default component-wise tolerance after fourth powers.
+DEFAULT_TOL_FOURTH = 1e-8
 
 
 class SiegelRungeError(Exception):

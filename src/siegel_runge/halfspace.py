@@ -5,6 +5,12 @@ definite imaginary part.  Sp4(Z) acts on it by fractional linear
 transformations tau -> (A tau + B)(C tau + D)^-1, and every orbit meets the
 classical fundamental domain cut out by Minkowski reduction of Im(tau),
 bounded real parts, and the nineteen Gottschling determinant conditions.
+The cusp tube Im(tau4) >= t is cut out inside that domain, so its test
+lives here too.
+
+Everything on the reduction path is plain Python on complex numbers and
+integer rows; the few helpers that build or read numpy arrays import numpy
+when called, so the array-free CLI commands never load it.
 """
 
 from __future__ import annotations
@@ -14,13 +20,13 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ConditioningError, InvalidInputError, NonConvergenceError, ResourceLimitError, _integral
 
 __all__ = [
+    "MIN_TUBE_PARAMETER",
     "SiegelPoint",
     "SymplecticMatrix",
+    "TubeParameter",
     "ReductionResult",
     "J",
     "is_in_H2",
@@ -31,6 +37,7 @@ __all__ = [
     "gl2_embedding",
     "gottschling_matrices",
     "reduce_to_fundamental_domain",
+    "in_tube",
 ]
 
 #: Tolerance of the reduction loop: a Gottschling step fires below 1 - _TOL.
@@ -74,13 +81,15 @@ class SiegelPoint:
         _check_entries(t1, t2, t4)
 
     @property
-    def matrix(self) -> np.ndarray:
-        """tau as a 2x2 complex array."""
+    def matrix(self):
+        """tau as a 2x2 complex numpy array."""
+        import numpy as np
+
         return np.array([[self.tau1, self.tau2], [self.tau2, self.tau4]], dtype=complex)
 
     @property
-    def imag(self) -> np.ndarray:
-        """Im(tau) as a real 2x2 array."""
+    def imag(self):
+        """Im(tau) as a real 2x2 numpy array."""
         return self.matrix.imag
 
     @classmethod
@@ -90,6 +99,8 @@ class SiegelPoint:
         The off-diagonal entries are averaged; they may differ by at most
         1e-12 relative to the largest entry.
         """
+        import numpy as np
+
         m = np.asarray(tau, dtype=complex)
         if m.shape != (2, 2):
             raise InvalidInputError(f"expected a 2x2 matrix, got shape {m.shape}")
@@ -136,6 +147,8 @@ def is_in_H2(tau) -> bool:
     Positive definiteness is checked through the leading minors of Im(tau).
     Raises InvalidInputError on non-finite entries.
     """
+    import numpy as np
+
     m = np.asarray(tau, dtype=complex)
     if m.shape != (2, 2):
         raise InvalidInputError(f"expected a 2x2 matrix, got shape {m.shape}")
@@ -159,6 +172,8 @@ def _integer_rows(m) -> tuple:
     is_rows = type(m) is tuple and set(map(type, m)) == {tuple} and tuple(map(len, m)) == (4, 4, 4, 4)
     flat = m[0] + m[1] + m[2] + m[3] if is_rows else ()
     if set(map(type, flat)) != {int}:
+        import numpy as np
+
         a = np.asarray(m, dtype=object)
         if a.shape != (4, 4):
             raise InvalidInputError(f"expected a 4x4 matrix, got shape {a.shape}")
@@ -202,8 +217,10 @@ class SymplecticMatrix:
             raise InvalidInputError("matrix does not preserve the symplectic form")
 
     @property
-    def mat(self) -> np.ndarray:
-        """A fresh read-only int64 array of the matrix."""
+    def mat(self):
+        """A fresh read-only int64 numpy array of the matrix."""
+        import numpy as np
+
         a = np.array(self.rows, dtype=np.int64)
         a.setflags(write=False)
         return a
@@ -247,6 +264,8 @@ def _gl2_rows(u00: int, u01: int, u10: int, u11: int):
 
 def translation(b) -> SymplecticMatrix:
     """The shift tau -> tau + B for a symmetric integer matrix B."""
+    import numpy as np
+
     bm = np.asarray(b, dtype=object)
     if bm.shape != (2, 2) or bm[0, 1] != bm[1, 0]:
         raise InvalidInputError("translation block must be symmetric 2x2 integer")
@@ -255,6 +274,8 @@ def translation(b) -> SymplecticMatrix:
 
 def gl2_embedding(u) -> SymplecticMatrix:
     """Embed U in GL2(Z) as the symplectic matrix acting by tau -> U^t tau U."""
+    import numpy as np
+
     um = np.asarray(u, dtype=object)
     if um.shape != (2, 2) or um[0, 0] * um[1, 1] - um[0, 1] * um[1, 0] not in (1, -1):
         raise InvalidInputError("matrix is not in GL2(Z)")
@@ -504,3 +525,30 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
             return ReductionResult(SiegelPoint(*image), transform, iterations, cocycle)
 
     raise NonConvergenceError(f"reduction did not settle in {_MAX_ITER} passes")
+
+
+#: Tube parameters below sqrt(3)/2 do not describe a neighborhood of the cusps.
+MIN_TUBE_PARAMETER = math.sqrt(3.0) / 2.0
+
+
+@dataclass(frozen=True)
+class TubeParameter:
+    """Height parameter of the cusp neighborhood; must be >= sqrt(3)/2."""
+
+    t: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.t) or self.t < MIN_TUBE_PARAMETER:
+            raise InvalidInputError(
+                f"tube parameter must be >= sqrt(3)/2 ~ {MIN_TUBE_PARAMETER:.6f}, got {self.t}"
+            )
+
+
+def in_tube(reduced_tau: SiegelPoint, t) -> bool:
+    """Membership of a fundamental-domain representative in the cusp tube.
+
+    ``reduced_tau`` must already be reduced (the tube is defined inside the
+    fundamental domain); membership is Im(tau4) >= t.
+    """
+    tp = t if isinstance(t, TubeParameter) else TubeParameter(float(t))
+    return reduced_tau.tau4.imag >= tp.t

@@ -1,4 +1,4 @@
-"""Weil heights over Q and Q(i), and the explicit height-bound formulas.
+"""Exact Weil heights over Q and Q(i), and the explicit height-bound cases.
 
 Heights use the max-norm at archimedean places and natural logarithms
 throughout.  The finite places enter only through the norm of the content
@@ -6,7 +6,10 @@ ideal, an exact integer: the gcd of the coordinates over Z, and over Z[i]
 a gcd of rational integers, described at :func:`weil_height_gaussian`.
 The two bound evaluators package the explicit constants of the final
 theorem: they only consume the combinatorial inputs (bad-place counts,
-tube parameter) and never attempt to compute a Faltings height.
+tube parameter) and never attempt to compute a Faltings height.  Everything
+here is integer and float arithmetic without numpy; the height estimate
+from floating-point embedding values is
+:func:`~siegel_runge.embedding.archimedean_height_estimate`.
 """
 
 from __future__ import annotations
@@ -15,16 +18,13 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
-from .embedding import ProjectivePoint, TubeParameter
 from .errors import InvalidInputError, _integral
+from .halfspace import TubeParameter
 
 __all__ = [
     "BoundReport",
     "weil_height_rational",
     "weil_height_gaussian",
-    "archimedean_height_estimate",
     "bound_case_a",
     "bound_case_b",
 ]
@@ -79,37 +79,6 @@ def weil_height_gaussian(coords) -> float:
         for u, v in cs[j:]:
             content = math.gcd(content, x * u + y * v, x * v - y * u)
     return 0.5 * math.log(max(x * x + y * y for x, y in cs) // content)
-
-
-def archimedean_height_estimate(points, degree: int, multiplicities=None) -> float:
-    """Archimedean part of a height from one embedding value per place.
-
-    Assumes the coordinates are algebraic integers of unit content, so the
-    finite places contribute nothing; the estimate is
-    (1/degree) * sum_v mult_v * log max|coords_v|.  When multiplicities are
-    omitted they are inferred: all real places if degree == len(points), all
-    complex (weight 2) if degree == 2 * len(points).
-    """
-    if not points:
-        raise InvalidInputError("need at least one archimedean embedding")
-    if degree < 1:
-        raise InvalidInputError("degree must be a positive integer")
-    if multiplicities is None:
-        if degree == len(points):
-            multiplicities = [1] * len(points)
-        elif degree == 2 * len(points):
-            multiplicities = [2] * len(points)
-        else:
-            raise InvalidInputError(
-                "cannot infer place multiplicities; pass them explicitly"
-            )
-    if len(multiplicities) != len(points) or sum(multiplicities) != degree:
-        raise InvalidInputError("multiplicities must sum to the degree")
-    total = 0.0
-    for p, mult in zip(points, multiplicities):
-        sup = p.sup if isinstance(p, ProjectivePoint) else float(np.max(np.abs(np.asarray(p, dtype=complex))))
-        total += mult * math.log(sup)
-    return total / degree
 
 
 @dataclass(frozen=True)

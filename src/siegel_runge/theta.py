@@ -59,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import DEFAULT_TOL, DEFAULT_TOL_FOURTH, InvalidInputError, ResourceLimitError
 from .halfspace import SiegelPoint, reduce_to_fundamental_domain
 
 __all__ = [
@@ -73,12 +73,6 @@ __all__ = [
     "theta_constant",
     "theta_fourth_vector",
 ]
-
-#: Default absolute tolerance for a single theta constant.
-DEFAULT_TOL = 1e-10
-
-#: Default component-wise tolerance after fourth powers.
-DEFAULT_TOL_FOURTH = 1e-8
 
 _MAX_RADIUS = 10_000
 

@@ -1,14 +1,17 @@
 import importlib
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
 import siegel_runge as sr
-from siegel_runge.cli import dispatch, dumps_canonical, siegel_point_from_json, siegel_point_to_json
+from siegel_runge import theta
+from siegel_runge.cli import build_parser, dispatch, dumps_canonical, siegel_point_from_json, siegel_point_to_json
 
 from oracles import jacobi_fourth_powers, theta_1d
 
@@ -270,3 +273,88 @@ class TestCanonicalSerializer:
     def test_non_finite_rejected(self):
         with pytest.raises(sr.InvalidInputError):
             dumps_canonical({"x": float("nan")})
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+#: Runs the CLI module as ``python -m siegel_runge.cli`` does, then reports on
+#: stderr whether numpy was imported; the exit code passes through.
+PROBE = ("import runpy, sys\n"
+         "try:\n"
+         "    runpy.run_module('siegel_runge.cli', run_name='__main__', alter_sys=True)\n"
+         "finally:\n"
+         "    print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n")
+
+INCIDENCE = {"r": 3, "outside_Y": [[1, 2], [1, 3], [2, 3]]}
+
+#: Commands that must run without numpy, with their exit codes.
+ARRAY_FREE = {
+    "reduce": (["reduce", "--tau", SQUEEZED], 0),
+    "tube": (["tube", "--tau", SQUEEZED, "--t", "1.9"], 0),
+    "runge-n": (["runge", "--n", "4", "--s", "9"], 0),
+    "runge-incidence": (["runge", "--incidence-file", "{incidence}", "--s", "1"], 0),
+    "bounds-a": (["bounds", "--case", "a", "--sp", "3", "--field", "Qi"], 0),
+    "bounds-b": (["bounds", "--case", "b", "--sp", "2", "--places", "3", "--t", "1.25"], 0),
+    "height-rational": (["height", "--rational", "6", "10", "15"], 0),
+    "height-gaussian": (["height", "--gaussian", "1,1", "2,0", "3,-4"], 0),
+    "help": (["--help"], 0),
+    "usage-error": (["bounds", "--sp", "1"], 2),
+}
+
+#: Commands that sum theta series; they load numpy and must still work.
+NUMERIC = {
+    "theta": ["theta", "--tau", TAU_I, "--char", "0,0,0,0"],
+    "embed": ["embed", "--tau", TAU_I],
+    "vanishing": ["vanishing", "--tau", TAU_I],
+    "rank": ["rank", "--samples", "12", "--seed", "3"],
+}
+
+
+def run_child(argv):
+    """The CLI in a fresh interpreter: (exit code, stdout, numpy loaded)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("numpy loaded: "), proc.stderr
+    return proc.returncode, proc.stdout, last == "numpy loaded: True"
+
+
+def run_in_process(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = dispatch(argv)
+    except SystemExit as exc:  # --help exits from inside argparse
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+class TestColdPath:
+    @pytest.mark.parametrize("name", ARRAY_FREE)
+    def test_array_free_commands_never_import_numpy(self, capsys, monkeypatch, tmp_path, name):
+        path = tmp_path / "inc.json"
+        path.write_text(json.dumps(INCIDENCE))
+        argv, want_code = ARRAY_FREE[name]
+        argv = [a.replace("{incidence}", str(path)) for a in argv]
+        code, out, numpy_loaded = run_child(argv)
+        assert code == want_code
+        assert not numpy_loaded
+        assert (code, out) == run_in_process(capsys, monkeypatch, argv)
+
+    @pytest.mark.parametrize("name", NUMERIC)
+    def test_numeric_commands_still_work(self, capsys, monkeypatch, name):
+        code, out, _ = run_child(NUMERIC[name])
+        assert code == 0
+        assert (code, out) == run_in_process(capsys, monkeypatch, NUMERIC[name])
+
+    def test_package_and_cli_import_without_numpy(self):
+        # cli imports errors, halfspace, heights and runge at the top
+        code = "import sys, siegel_runge, siegel_runge.cli; print('numpy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_tol_defaults_are_the_theta_defaults(self):
+        parser = build_parser()
+        assert parser.parse_args(["theta", "--tau", TAU_I, "--char", "0,0,0,0"]).tol == theta.DEFAULT_TOL
+        assert parser.parse_args(["embed", "--tau", TAU_I]).tol == theta.DEFAULT_TOL_FOURTH

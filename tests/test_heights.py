@@ -155,6 +155,16 @@ class TestArchimedeanEstimate:
         assert a == b
         assert math.isfinite(a)
 
+    @pytest.mark.parametrize("form", ["point", "list", "tuple", "ndarray"])
+    def test_sup_of_every_place_form(self, form):
+        p = sr.psi(sr.SiegelPoint(0.1 + 1.1j, 0.2 + 0.3j, -0.3 + 1.2j))
+        coords = [complex(z) for z in p.coords]
+        place = {"point": p, "list": coords, "tuple": tuple(coords), "ndarray": np.array(coords)}[form]
+        # the sup as the estimate took it when it lived in heights
+        sup = float(np.max(np.abs(np.asarray(p.coords, dtype=complex))))
+        assert sr.archimedean_height_estimate([place], 1) == math.log(sup)
+        assert sr.archimedean_height_estimate([place, place], 4) == math.log(sup)
+
     def test_invalid_inputs(self):
         p = sr.psi(sr.SiegelPoint(1j, 0, 1j))
         with pytest.raises(sr.InvalidInputError):
