@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InconsistencyError, InvalidInputError
+from .errors import InconsistencyError, InvalidInputError, _integral
 from .halfspace import reduce_to_fundamental_domain
 from .theta import DEFAULT_TOL_FOURTH, theta_fourth_vector
 
@@ -139,12 +139,14 @@ def archimedean_height_estimate(points, degree: int, multiplicities=None) -> flo
     finite places contribute nothing; the estimate is
     (1/degree) * sum_v mult_v * log max|coords_v|.  A place is given as a
     ProjectivePoint, whose sup is read, or as any array-like of complex
-    coordinates.  When multiplicities are omitted they are inferred: all
-    real places if degree == len(points), all complex (weight 2) if
-    degree == 2 * len(points).
+    coordinates.  The degree must be an integral number, and each explicit
+    multiplicity 1 (a real place) or 2 (a complex place).  When
+    multiplicities are omitted they are inferred: all real places if
+    degree == len(points), all complex if degree == 2 * len(points).
     """
     if not points:
         raise InvalidInputError("need at least one archimedean embedding")
+    degree = _integral(degree)
     if degree < 1:
         raise InvalidInputError("degree must be a positive integer")
     if multiplicities is None:
@@ -156,6 +158,8 @@ def archimedean_height_estimate(points, degree: int, multiplicities=None) -> flo
             raise InvalidInputError(
                 "cannot infer place multiplicities; pass them explicitly"
             )
+    elif not all(mult in (1, 2) for mult in multiplicities):
+        raise InvalidInputError(f"a place has multiplicity 1 or 2, got {list(multiplicities)}")
     if len(multiplicities) != len(points) or sum(multiplicities) != degree:
         raise InvalidInputError("multiplicities must sum to the degree")
     total = 0.0

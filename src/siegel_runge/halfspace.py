@@ -8,9 +8,9 @@ bounded real parts, and the nineteen Gottschling determinant conditions.
 The cusp tube Im(tau4) >= t is cut out inside that domain, so its test
 lives here too.
 
-Everything on the reduction path is plain Python on complex numbers and
-integer rows; the few helpers that build or read numpy arrays import numpy
-when called, so the array-free CLI commands never load it.
+Everything here is plain Python on complex numbers and integer rows; matrix
+arguments, arrays too, are read by _square_rows.  Only SiegelPoint.matrix and
+SymplecticMatrix.mat import numpy, when called, because they return arrays.
 """
 
 from __future__ import annotations
@@ -99,16 +99,10 @@ class SiegelPoint:
         The off-diagonal entries are averaged; they may differ by at most
         1e-12 relative to the largest entry.
         """
-        import numpy as np
-
-        m = np.asarray(tau, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidInputError(f"expected a 2x2 matrix, got shape {m.shape}")
-        scale = max(1.0, np.max(np.abs(m)))
-        if abs(m[0, 1] - m[1, 0]) > _SYM_TOL * scale:
+        (t1, t12), (t21, t4) = _square_rows(tau, 2, _complex)
+        if abs(t12 - t21) > _SYM_TOL * max(1.0, abs(t1), abs(t12), abs(t21), abs(t4)):
             raise InvalidInputError("matrix is not symmetric within tolerance")
-        off = 0.5 * (m[0, 1] + m[1, 0])
-        return cls(m[0, 0], off, m[1, 1])
+        return cls(t1, 0.5 * (t12 + t21), t4)
 
     def min_imag_eigenvalue(self) -> float:
         """Smallest eigenvalue of Im(tau) (positive on H2).
@@ -147,38 +141,46 @@ def is_in_H2(tau) -> bool:
     Positive definiteness is checked through the leading minors of Im(tau).
     Raises InvalidInputError on non-finite entries.
     """
-    import numpy as np
-
-    m = np.asarray(tau, dtype=complex)
-    if m.shape != (2, 2):
-        raise InvalidInputError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    (t1, t12), (t21, t4) = _square_rows(tau, 2, _complex)
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in (t1, t12, t21, t4)):
         raise InvalidInputError("matrix entries must be finite")
-    if m[0, 1] != m[1, 0]:
+    if t12 != t21:
         return False
-    return _positive_definite(float(m[0, 0].imag), float(m[0, 1].imag), float(m[1, 1].imag))
+    return _positive_definite(t1.imag, t12.imag, t4.imag)
+
+
+def _square_rows(m, n: int, entry=None) -> tuple:
+    """The rows of an n x n matrix argument as tuples of entry(x), or of x.
+    The one reader of matrices from outside: arrays are read through their
+    tolist(), and lengths are checked before iterating, so a generator, a
+    scalar or a 3-d array is refused.  Raises InvalidInputError, also in
+    place of a TypeError, ValueError or OverflowError from len or entry."""
+    if hasattr(m, "tolist"):
+        m = m.tolist()
+    try:
+        if len(m) == n and set(map(len, m)) == {n}:
+            return tuple(map(tuple, m)) if entry is None else tuple(tuple(map(entry, row)) for row in m)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"cannot read a {n}x{n} matrix: {exc}") from exc
+    raise InvalidInputError(f"expected a {n}x{n} matrix")
+
+
+def _complex(x) -> complex:
+    """x as a Python complex; TypeError unless x is a number, so "1j" is refused."""
+    if not isinstance(x, numbers.Complex):
+        raise TypeError(f"expected a number, got {x!r}")
+    return complex(x)
 
 
 def _integer_rows(m) -> tuple:
-    """The rows of a 4x4 integer matrix as tuples of Python ints.
-
-    This is the one check for matrices that come from outside.  Raises
-    InvalidInputError unless m is 4x4 with finite integer entries (floats
-    are accepted only at integral values), and ResourceLimitError on an
-    entry of magnitude 2^63 or more, which the int64 view cannot hold.
-    """
-    # rows computed inside the package, four 4-tuples of ints, skip numpy
-    rows = m
-    is_rows = type(m) is tuple and set(map(type, m)) == {tuple} and tuple(map(len, m)) == (4, 4, 4, 4)
-    flat = m[0] + m[1] + m[2] + m[3] if is_rows else ()
+    """The rows of a 4x4 integer matrix as tuples of Python ints.  Entries go
+    through _integral, so 2.0 is read as 2 and 1.5 is refused; one of
+    magnitude 2^63 or more, past the int64 view, raises ResourceLimitError."""
+    rows = _square_rows(m, 4)
+    flat = rows[0] + rows[1] + rows[2] + rows[3]
     if set(map(type, flat)) != {int}:
-        import numpy as np
-
-        a = np.asarray(m, dtype=object)
-        if a.shape != (4, 4):
-            raise InvalidInputError(f"expected a 4x4 matrix, got shape {a.shape}")
-        flat = [x if type(x) is int else _integral(x) for x in a.ravel().tolist()]
-        rows = tuple(flat[0:4]), tuple(flat[4:8]), tuple(flat[8:12]), tuple(flat[12:16])
+        flat = tuple(map(_integral, flat))
+        rows = flat[0:4], flat[4:8], flat[8:12], flat[12:16]
     if max(map(abs, flat)) >= 2**63:
         raise ResourceLimitError("a matrix entry of magnitude 2^63 or more is past int64")
     return rows
@@ -264,22 +266,18 @@ def _gl2_rows(u00: int, u01: int, u10: int, u11: int):
 
 def translation(b) -> SymplecticMatrix:
     """The shift tau -> tau + B for a symmetric integer matrix B."""
-    import numpy as np
-
-    bm = np.asarray(b, dtype=object)
-    if bm.shape != (2, 2) or bm[0, 1] != bm[1, 0]:
+    (b1, b2), (b3, b4) = _square_rows(b, 2, _integral)
+    if b2 != b3:
         raise InvalidInputError("translation block must be symmetric 2x2 integer")
-    return SymplecticMatrix(_translation_rows(bm[0, 0], bm[0, 1], bm[1, 1]))
+    return SymplecticMatrix(_translation_rows(b1, b2, b4))
 
 
 def gl2_embedding(u) -> SymplecticMatrix:
     """Embed U in GL2(Z) as the symplectic matrix acting by tau -> U^t tau U."""
-    import numpy as np
-
-    um = np.asarray(u, dtype=object)
-    if um.shape != (2, 2) or um[0, 0] * um[1, 1] - um[0, 1] * um[1, 0] not in (1, -1):
+    (u00, u01), (u10, u11) = _square_rows(u, 2, _integral)
+    if u00 * u11 - u01 * u10 not in (1, -1):
         raise InvalidInputError("matrix is not in GL2(Z)")
-    return SymplecticMatrix(_gl2_rows(*um.flat))
+    return SymplecticMatrix(_gl2_rows(u00, u01, u10, u11))
 
 
 def _act_entries(g, t1: complex, t2: complex, t4: complex) -> tuple[tuple[complex, ...], complex]:

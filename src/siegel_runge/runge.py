@@ -16,6 +16,7 @@ an exact incidence witness available at n = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import InvalidInputError, _integral
 
@@ -59,10 +60,12 @@ class DivisorIncidence:
                 raise InvalidInputError(f"subset {sorted(s)} uses indices outside 1..{self.r}")
         maximal = [s for s in sets if not any(s < t for t in sets)]
         covered = frozenset().union(*maximal) if maximal else frozenset()
-        missing = [i for i in range(1, self.r + 1) if i not in covered]
-        if missing:
+        # the indices lie in 1..r, so only a short cover leaves some out
+        if len(covered) < self.r:
+            missing = list(islice((i for i in range(1, self.r + 1) if i not in covered), 10))
             raise InvalidInputError(
-                f"divisors {missing} appear in no subset (contained in Y); unsupported"
+                f"{self.r - len(covered)} divisors appear in no subset (contained in Y), "
+                f"first {missing}; unsupported"
             )
         maximal.sort(key=lambda s: (len(s), sorted(s)))
         object.__setattr__(self, "outside_y", tuple(maximal))

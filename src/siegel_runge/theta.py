@@ -300,6 +300,8 @@ def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaVal
     max(|n1 + a1|, |n2 + a2|) <= R + 1/2 with R from
     :func:`truncation_radius`; for odd m it is exactly 0.
     """
+    if not isinstance(m, Characteristic):
+        raise InvalidInputError(f"expected a Characteristic, got {m!r}")
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
     y_min = tau.min_imag_eigenvalue()

@@ -5,7 +5,10 @@ loops for theta sums, a Hermite-form lattice index for Gaussian content, and
 literal orbit enumeration for the divisor counts.  The one exception is
 reduce_reference, the generic form of the reduction loop built from the
 library's own action and product, against which the specialised steps of
-reduce_to_fundamental_domain must agree bit for bit.
+reduce_to_fundamental_domain must agree bit for bit.  The numpy matrix
+readers at the end are the ones halfspace used before it read matrix
+arguments in plain Python; they keep the library's integrality check and
+row builders.
 """
 
 import itertools
@@ -15,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from siegel_runge import halfspace as hs
-from siegel_runge.errors import NonConvergenceError
+from siegel_runge.errors import InvalidInputError, NonConvergenceError, ResourceLimitError, _integral
 
 
 def theta_1d(a_bit: int, b_bit: int, w: complex, radius: int = 40) -> complex:
@@ -288,3 +291,54 @@ def reduce_reference(tau):
             return hs.ReductionResult(hs.SiegelPoint(*image), transform, iterations, cocycle)
 
     raise NonConvergenceError(f"reduction did not settle in {hs._MAX_ITER} passes")
+
+
+def integer_rows_reference(m) -> tuple:
+    """Rows of a 4x4 integer matrix read through a numpy object array."""
+    a = np.asarray(m, dtype=object)
+    if a.shape != (4, 4):
+        raise InvalidInputError(f"expected a 4x4 matrix, got shape {a.shape}")
+    flat = [x if type(x) is int else _integral(x) for x in a.ravel().tolist()]
+    if max(map(abs, flat)) >= 2**63:
+        raise ResourceLimitError("a matrix entry of magnitude 2^63 or more is past int64")
+    return tuple(flat[0:4]), tuple(flat[4:8]), tuple(flat[8:12]), tuple(flat[12:16])
+
+
+def translation_reference(b) -> tuple:
+    """Rows of the shift by B, read through a numpy object array."""
+    bm = np.asarray(b, dtype=object)
+    if bm.shape != (2, 2) or bm[0, 1] != bm[1, 0]:
+        raise InvalidInputError("translation block must be symmetric 2x2 integer")
+    return integer_rows_reference(hs._translation_rows(bm[0, 0], bm[0, 1], bm[1, 1]))
+
+
+def gl2_embedding_reference(u) -> tuple:
+    """Rows of the embedding of U in GL2(Z), read through a numpy object array."""
+    um = np.asarray(u, dtype=object)
+    if um.shape != (2, 2) or um[0, 0] * um[1, 1] - um[0, 1] * um[1, 0] not in (1, -1):
+        raise InvalidInputError("matrix is not in GL2(Z)")
+    return integer_rows_reference(hs._gl2_rows(*um.flat))
+
+
+def from_matrix_reference(tau):
+    """SiegelPoint of a symmetric 2x2 matrix read through a complex numpy array."""
+    m = np.asarray(tau, dtype=complex)
+    if m.shape != (2, 2):
+        raise InvalidInputError(f"expected a 2x2 matrix, got shape {m.shape}")
+    scale = max(1.0, np.max(np.abs(m)))
+    if abs(m[0, 1] - m[1, 0]) > hs._SYM_TOL * scale:
+        raise InvalidInputError("matrix is not symmetric within tolerance")
+    off = 0.5 * (m[0, 1] + m[1, 0])
+    return hs.SiegelPoint(m[0, 0], off, m[1, 1])
+
+
+def is_in_h2_reference(tau) -> bool:
+    """Membership in H2 of a 2x2 matrix read through a complex numpy array."""
+    m = np.asarray(tau, dtype=complex)
+    if m.shape != (2, 2):
+        raise InvalidInputError(f"expected a 2x2 matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidInputError("matrix entries must be finite")
+    if m[0, 1] != m[1, 0]:
+        return False
+    return hs._positive_definite(float(m[0, 0].imag), float(m[0, 1].imag), float(m[1, 1].imag))

@@ -75,6 +75,13 @@ class TestVerdictCommands:
         assert dispatch(["runge", "--incidence-file", str(path), "--s", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: malformed DivisorIncidence JSON")
 
+    def test_uncovered_divisors_in_incidence_file_is_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "inc.json"
+        path.write_text(json.dumps({"r": 10**6, "outside_Y": [[1]]}))
+        assert dispatch(["runge", "--incidence-file", str(path), "--s", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed DivisorIncidence JSON") and len(err) < 1000
+
     def test_runge_needs_exactly_one_source(self, capsys):
         assert dispatch(["runge", "--n", "2", "--s", "9", "--incidence-file", "x.json"]) == 2
 
@@ -350,6 +357,23 @@ class TestColdPath:
     def test_package_and_cli_import_without_numpy(self):
         # cli imports errors, halfspace, heights and runge at the top
         code = "import sys, siegel_runge, siegel_runge.cli; print('numpy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_matrix_arguments_are_read_without_numpy(self):
+        code = ("import sys\n"
+                "import siegel_runge as sr\n"
+                "rows = [[1, 0, 1, 2], [0, 1, 2, 3], [0, 0, 1, 0], [0, 0, 0, 1]]\n"
+                "tau = [[0.1 + 1.1j, 0.2 + 0.3j], [0.2 + 0.3j, -0.3 + 1.2j]]\n"
+                "g = sr.SymplecticMatrix(rows)\n"
+                "assert sr.translation([[1, 2], [2, 3]]) == g\n"
+                "assert sr.is_symplectic(rows) and not sr.is_level2(rows)\n"
+                "sr.gl2_embedding([[2, 1], [1, 1]])\n"
+                "assert sr.act(rows, tau) == sr.act(g, sr.SiegelPoint.from_matrix(tau))\n"
+                "assert sr.is_in_H2(tau)\n"
+                "sr.reduce_to_fundamental_domain(tau)\n"
+                "print('numpy' in sys.modules)\n")
         env = dict(os.environ, PYTHONPATH=str(SRC))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert out.stdout.strip() == "False"

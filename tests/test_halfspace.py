@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ import siegel_runge as sr
 from siegel_runge import halfspace
 from siegel_runge.halfspace import _gottschling_scan, _integer_rows, gottschling_matrices
 
-from oracles import (act_solve, condition_number_exact, gottschling_scan_by_coefficients, gram_exact,
-                     reduce_reference, symplectic_by_products, symplectic_inverse)
+from oracles import (act_solve, condition_number_exact, from_matrix_reference, gl2_embedding_reference,
+                     gottschling_scan_by_coefficients, gram_exact, integer_rows_reference, is_in_h2_reference,
+                     reduce_reference, symplectic_by_products, symplectic_inverse, translation_reference)
 
 
 I2 = np.eye(2)
@@ -618,3 +620,126 @@ class TestSpecialisedReduction:
             sr.reduce_to_fundamental_domain(squeeze(p, scale))
         assert largest[-1] >= 2**63
         assert max(largest[:-1]) < 2**63
+
+
+def _with_off_diagonal(base, value):
+    rows = [list(row) for row in base]
+    rows[0][1] = rows[1][0] = value
+    return rows
+
+
+def _np_matrix(base):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        return np.matrix(base)
+
+
+#: Matrix arguments built from an n x n base given as nested lists: array
+#: types, wrong shapes and containers, and odd entries at (0, 1) and (1, 0).
+READER_GRID = {
+    "tuple": lambda b: tuple(map(tuple, b)),
+    "list": lambda b: [list(row) for row in b],
+    "int64": lambda b: np.array(b).real.astype(np.int64),
+    "float": lambda b: np.array(b).real.astype(float),
+    "object": lambda b: np.array(b, dtype=object),
+    "bool": lambda b: np.array(b).real.astype(bool),
+    "complex": lambda b: np.array(b, dtype=complex),
+    "np-matrix": _np_matrix,
+    "numpy-scalar-entries": lambda b: [list(row) for row in np.array(b)],
+    "numpy-scalar": lambda b: np.array(b)[0, 0],
+    "0-d": lambda b: np.array(b[0][0]),
+    "generator": lambda b: (row for row in b),
+    "ragged": lambda b: [list(row) for row in b[:-1]] + [list(b[-1][:-1])],
+    "1x1": lambda b: [[b[0][0]]],
+    "2x3": lambda b: [[1, 0, 0], [0, 1, 0]],
+    "4x4x1": lambda b: np.zeros((4, 4, 1), dtype=np.int64),
+    "nxnx1": lambda b: [[[x] for x in row] for row in b],
+    "flat-16": lambda b: list(range(16)),
+    "flat-base": lambda b: [x for row in b for x in row],
+    "string": lambda b: "ab",
+    "string-rows": lambda b: ["1" * len(b)] * len(b),
+    "string-entry": lambda b: _with_off_diagonal(b, "0.25+0.5j"),
+    "none": lambda b: None,
+    "none-entry": lambda b: _with_off_diagonal(b, None),
+    "nan-entry": lambda b: _with_off_diagonal(b, float("nan")),
+    "inf-entry": lambda b: _with_off_diagonal(b, float("inf")),
+    "2^63-entry": lambda b: _with_off_diagonal(b, 2**63),
+    "-2^63-entry": lambda b: _with_off_diagonal(b, -2**63),
+    "float-2^63-entry": lambda b: _with_off_diagonal(b, 2.0**63),
+    "huge-int-entry": lambda b: _with_off_diagonal(b, 10**400),
+    "true-entry": lambda b: _with_off_diagonal(b, True),
+    "half-entry": lambda b: _with_off_diagonal(b, 1.5),
+}
+
+TAU_BASE = [[0.5 + 1j, 0.25 + 0.5j], [0.25 + 0.5j, -0.5 + 2j]]
+
+#: Each reader as (new code, numpy reference, base matrix).
+READERS = {
+    "integer_rows": (_integer_rows, integer_rows_reference,
+                     [[2, -1, -7, 3], [-1, -2, 2, 3], [0, 1, 1, -2], [-1, 0, 3, -1]]),
+    "translation": (lambda b: sr.translation(b).rows, translation_reference, [[1, 2], [2, -3]]),
+    "gl2_embedding": (lambda u: sr.gl2_embedding(u).rows, gl2_embedding_reference, [[2, 1], [1, 1]]),
+    "from_matrix": (sr.SiegelPoint.from_matrix, from_matrix_reference, TAU_BASE),
+    "is_in_H2": (sr.is_in_H2, is_in_h2_reference, TAU_BASE),
+}
+
+#: Inputs on which the numpy reader leaked an exception that is not a
+#: SiegelRungeError; the plain reader raises InvalidInputError on each.
+NUMPY_LEAKS = {
+    ("gl2_embedding", "string-entry"): TypeError,
+    ("gl2_embedding", "none-entry"): TypeError,
+    ("from_matrix", "generator"): TypeError,
+    ("from_matrix", "ragged"): ValueError,
+    ("from_matrix", "string"): ValueError,
+    ("from_matrix", "huge-int-entry"): OverflowError,
+    ("is_in_H2", "generator"): TypeError,
+    ("is_in_H2", "ragged"): ValueError,
+    ("is_in_H2", "string"): ValueError,
+    ("is_in_H2", "huge-int-entry"): OverflowError,
+}
+
+#: Inputs whose numeric strings numpy parsed into complex entries.  Entries
+#: must be numbers, as for SiegelPoint and the integer readers, so these
+#: now raise InvalidInputError.
+NUMPY_PARSED_STRINGS = {("from_matrix", "string-entry"), ("is_in_H2", "string-entry")}
+
+
+def reader_outcome(read, arg):
+    """("ok", value), ("error", SiegelRungeError subclass) or ("leak", other exception type)."""
+    try:
+        return "ok", read(arg)
+    except sr.SiegelRungeError as exc:
+        return "error", type(exc)
+    except Exception as exc:
+        return "leak", type(exc)
+
+
+def element_types(value):
+    if isinstance(value, sr.SiegelPoint):
+        return type(value.tau1), type(value.tau2), type(value.tau4)
+    if isinstance(value, tuple):
+        return tuple, tuple((type(row), tuple(map(type, row))) for row in value)
+    return type(value)
+
+
+class TestMatrixReader:
+    @pytest.mark.parametrize("case", READER_GRID)
+    @pytest.mark.parametrize("reader", READERS)
+    def test_agrees_with_numpy_reader(self, reader, case):
+        read, reference, base = READERS[reader]
+        with warnings.catch_warnings():
+            # numpy warns on inf - inf; outside the test suite that is no error
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = reader_outcome(reference, READER_GRID[case](base))
+        got = reader_outcome(read, READER_GRID[case](base))
+        if (reader, case) in NUMPY_LEAKS:
+            assert want == ("leak", NUMPY_LEAKS[reader, case])
+            assert got == ("error", sr.InvalidInputError)
+        elif (reader, case) in NUMPY_PARSED_STRINGS:
+            assert want[0] == "ok"
+            assert got == ("error", sr.InvalidInputError)
+        elif want[0] == "ok":
+            assert got == want
+            assert element_types(got[1]) == element_types(want[1])
+        else:
+            assert got == want

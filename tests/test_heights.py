@@ -176,6 +176,26 @@ class TestArchimedeanEstimate:
         with pytest.raises(sr.InvalidInputError):
             sr.archimedean_height_estimate([p], 2, multiplicities=[1])
 
+    @pytest.mark.parametrize(("degree", "mults"), [(2, [3, -1]), (3, [1.5, 1.5]), (4, [4, 0]), (2, [2, 0])],
+                             ids=["negative", "half", "four", "zero"])
+    def test_impossible_multiplicities_rejected(self, degree, mults):
+        # [3, -1] and [1.5, 1.5] sum to the degree and were once accepted
+        p = sr.psi(sr.SiegelPoint(1j, 0, 1j))
+        with pytest.raises(sr.InvalidInputError):
+            sr.archimedean_height_estimate([p, p], degree, multiplicities=mults)
+
+    @pytest.mark.parametrize("degree", [1.5, float("nan"), "1"])
+    def test_non_integral_degree_rejected(self, degree):
+        p = sr.psi(sr.SiegelPoint(1j, 0, 1j))
+        with pytest.raises(sr.InvalidInputError):
+            sr.archimedean_height_estimate([p], degree)
+
+    def test_explicit_multiplicities_and_integral_degree_accepted(self):
+        p = sr.psi(sr.SiegelPoint(1j, 0, 1j))
+        want = sr.archimedean_height_estimate([p, p], 3, multiplicities=[1, 2])
+        assert sr.archimedean_height_estimate([p, p], 3.0, multiplicities=[1, 2]) == want
+        assert want == sr.archimedean_height_estimate([p], 1)
+
 
 class TestBoundCaseA:
     def test_holds_with_three_bad_places(self):

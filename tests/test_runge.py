@@ -77,6 +77,14 @@ class TestIncidenceNormalization:
         with pytest.raises(sr.InvalidInputError):
             incidence(3, [{1, 2}])
 
+    def test_uncovered_divisors_are_named_briefly(self):
+        # the message once listed all 999999 uncovered indices, 7.9 MB
+        with pytest.raises(sr.InvalidInputError) as info:
+            incidence(10**6, [{1}])
+        message = str(info.value)
+        assert len(message) < 1000
+        assert "999999 divisors" in message and "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11]" in message
+
     def test_index_bounds(self):
         with pytest.raises(sr.InvalidInputError):
             incidence(2, [{1}, {2}, {3}])

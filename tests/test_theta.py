@@ -226,6 +226,12 @@ class TestKernel:
 
 
 class TestThetaConstant:
+    @pytest.mark.parametrize("m", [(0, 0, 0, 0), "0000", None], ids=["tuple", "string", "none"])
+    def test_characteristic_required(self, m):
+        # a bits tuple once raised AttributeError: 'tuple' object has no attribute 'is_even'
+        with pytest.raises(sr.InvalidInputError):
+            sr.theta_constant(m, sr.SiegelPoint(1j, 0, 1j))
+
     def test_odd_vanish(self):
         for tau in sr.sample_reduced_points(5, seed=31):
             for m in sr.odd_characteristics():
