@@ -38,12 +38,10 @@ _MODULE_EXPORTS = {
         "ReductionResult",
         "SiegelPoint",
         "SymplecticMatrix",
-        "TubeParameter",
         "act",
         "gl2_embedding",
         "gottschling_matrices",
         "in_tube",
-        "is_in_H2",
         "is_level2",
         "is_symplectic",
         "reduce_to_fundamental_domain",

@@ -29,6 +29,9 @@ from .halfspace import SiegelPoint, in_tube, reduce_to_fundamental_domain
 from .heights import bound_case_a, bound_case_b, weil_height_gaussian, weil_height_rational
 from .runge import DivisorIncidence, m_y_value, runge_condition, siegel_runge_condition
 
+#: Most samples ``rank`` takes; each costs a psi evaluation and a kept point.
+_MAX_SAMPLES = 100_000
+
 
 def dumps_canonical(obj) -> str:
     """Serialize the dicts, lists, strings, numbers and None of ``_run``
@@ -94,7 +97,7 @@ def _parse_incidence(path: str) -> DivisorIncidence:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        return DivisorIncidence.from_subsets(data["r"], [set(s) for s in data["outside_Y"]])
+        return DivisorIncidence(data["r"], data["outside_Y"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed DivisorIncidence JSON: {exc}") from exc
 
@@ -200,6 +203,8 @@ def _run(args) -> dict:
         return {"indices": sorted(indices), "rel_tol": DEFAULT_REL_TOL}
 
     if args.command == "rank":
+        if not 10 <= args.samples <= _MAX_SAMPLES:
+            raise InvalidInputError(f"--samples must be between 10 and {_MAX_SAMPLES}, got {args.samples}")
         from .embedding import psi, relation_rank, relation_singular_values
         from .sampling import sample_reduced_points
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InconsistencyError, InvalidInputError, _integral
-from .halfspace import reduce_to_fundamental_domain
+from .halfspace import in_tube, reduce_to_fundamental_domain
 from .theta import DEFAULT_TOL_FOURTH, theta_fourth_vector
 
 __all__ = [
@@ -46,10 +46,10 @@ _RANK_CUTOFF = 1e-6
 
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """Point of P^9 given by 10 complex coordinates, not all tiny.
+    """Point of P^9 given by 10 finite complex coordinates, not all tiny.
 
     ``tol`` records the absolute evaluation tolerance the coordinates carry;
-    ``sup`` is max|coords|, computed once here.
+    ``sup`` is max|coords|, computed once here; a non-finite one is refused.
     """
 
     coords: np.ndarray
@@ -63,6 +63,8 @@ class ProjectivePoint:
         object.__setattr__(self, "coords", c)
         c.setflags(write=False)
         object.__setattr__(self, "sup", float(np.abs(c).max()))
+        if not math.isfinite(self.sup):
+            raise InvalidInputError(f"coordinates must be finite, got sup {self.sup}")
         if self.sup <= 10.0 * self.tol:
             raise InconsistencyError(
                 "all coordinates are below 10x the evaluation tolerance; "
@@ -108,7 +110,7 @@ def is_product_locus(tau) -> bool | None:
     coordinate is no longer a meaningful signal.
     """
     reduced = reduce_to_fundamental_domain(tau).reduced
-    if reduced.tau4.imag >= DEFAULT_TUBE_CUTOFF:
+    if in_tube(reduced, DEFAULT_TUBE_CUTOFF):
         return None
     return len(near_zero_coordinates(psi(reduced))) == 1
 
@@ -139,7 +141,7 @@ def archimedean_height_estimate(points, degree: int, multiplicities=None) -> flo
     finite places contribute nothing; the estimate is
     (1/degree) * sum_v mult_v * log max|coords_v|.  A place is given as a
     ProjectivePoint, whose sup is read, or as any array-like of complex
-    coordinates.  The degree must be an integral number, and each explicit
+    coordinates, finite and not all zero.  The degree must be an integral number, and each explicit
     multiplicity 1 (a real place) or 2 (a complex place).  When
     multiplicities are omitted they are inferred: all real places if
     degree == len(points), all complex if degree == 2 * len(points).
@@ -165,5 +167,7 @@ def archimedean_height_estimate(points, degree: int, multiplicities=None) -> flo
     total = 0.0
     for p, mult in zip(points, multiplicities):
         sup = p.sup if isinstance(p, ProjectivePoint) else float(np.max(np.abs(np.asarray(p, dtype=complex))))
+        if not 0.0 < sup < math.inf:
+            raise InvalidInputError(f"a place needs finite coordinates, not all zero; got sup {sup}")
         total += mult * math.log(sup)
     return total / degree

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,10 +27,8 @@ __all__ = [
     "MIN_TUBE_PARAMETER",
     "SiegelPoint",
     "SymplecticMatrix",
-    "TubeParameter",
     "ReductionResult",
     "J",
-    "is_in_H2",
     "is_symplectic",
     "is_level2",
     "act",
@@ -135,34 +134,32 @@ def _check_entries(t1: complex, t2: complex, t4: complex) -> None:
         raise InvalidInputError("Im(tau) is not positive definite")
 
 
-def is_in_H2(tau) -> bool:
-    """True iff tau is symmetric with positive definite imaginary part.
-
-    Positive definiteness is checked through the leading minors of Im(tau).
-    Raises InvalidInputError on non-finite entries.
-    """
-    (t1, t12), (t21, t4) = _square_rows(tau, 2, _complex)
-    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in (t1, t12, t21, t4)):
-        raise InvalidInputError("matrix entries must be finite")
-    if t12 != t21:
-        return False
-    return _positive_definite(t1.imag, t12.imag, t4.imag)
-
-
 def _square_rows(m, n: int, entry=None) -> tuple:
     """The rows of an n x n matrix argument as tuples of entry(x), or of x.
     The one reader of matrices from outside: arrays are read through their
     tolist(), and lengths are checked before iterating, so a generator, a
-    scalar or a 3-d array is refused.  Raises InvalidInputError, also in
-    place of a TypeError, ValueError or OverflowError from len or entry."""
+    scalar or a 3-d array is refused, and so is a set or mapping, as the
+    matrix or as a row, whose iteration order is no row order.  Raises
+    InvalidInputError, also in place of a TypeError, ValueError or
+    OverflowError from len or entry."""
     if hasattr(m, "tolist"):
         m = m.tolist()
     try:
-        if len(m) == n and set(map(len, m)) == {n}:
+        if len(m) == n and set(map(len, m)) == {n} and _ordered(m):
             return tuple(map(tuple, m)) if entry is None else tuple(tuple(map(entry, row)) for row in m)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"cannot read a {n}x{n} matrix: {exc}") from exc
     raise InvalidInputError(f"expected a {n}x{n} matrix")
+
+
+#: Matrix and row types _ordered passes without an isinstance test.
+_PLAIN = frozenset({tuple, list})
+
+
+def _ordered(m) -> bool:
+    """False iff m or one of its rows is a set or a mapping."""
+    return (type(m) in _PLAIN and _PLAIN.issuperset(map(type, m))
+            or not any(isinstance(x, (Set, Mapping)) for x in (m, *m)))
 
 
 def _complex(x) -> complex:
@@ -529,17 +526,12 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
 MIN_TUBE_PARAMETER = math.sqrt(3.0) / 2.0
 
 
-@dataclass(frozen=True)
-class TubeParameter:
-    """Height parameter of the cusp neighborhood; must be >= sqrt(3)/2."""
-
-    t: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.t) or self.t < MIN_TUBE_PARAMETER:
-            raise InvalidInputError(
-                f"tube parameter must be >= sqrt(3)/2 ~ {MIN_TUBE_PARAMETER:.6f}, got {self.t}"
-            )
+def _tube_parameter(t) -> float:
+    """t as a float; InvalidInputError unless t is a real number, so that
+    None and "1.0" are refused, and finite and at least MIN_TUBE_PARAMETER."""
+    if isinstance(t, numbers.Real) and MIN_TUBE_PARAMETER <= t < math.inf:
+        return float(t)
+    raise InvalidInputError(f"tube parameter must be >= sqrt(3)/2 ~ {MIN_TUBE_PARAMETER:.6f}, got {t!r}")
 
 
 def in_tube(reduced_tau: SiegelPoint, t) -> bool:
@@ -548,5 +540,4 @@ def in_tube(reduced_tau: SiegelPoint, t) -> bool:
     ``reduced_tau`` must already be reduced (the tube is defined inside the
     fundamental domain); membership is Im(tau4) >= t.
     """
-    tp = t if isinstance(t, TubeParameter) else TubeParameter(float(t))
-    return reduced_tau.tau4.imag >= tp.t
+    return reduced_tau.tau4.imag >= _tube_parameter(t)

@@ -19,7 +19,7 @@ import numbers
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, _integral
-from .halfspace import TubeParameter
+from .halfspace import _tube_parameter
 
 __all__ = [
     "BoundReport",
@@ -136,17 +136,12 @@ def bound_case_b(s_p: int, archimedean_places: int, t) -> BoundReport:
         raise InvalidInputError("s_p must be a nonnegative count")
     if archimedean_places < 1:
         raise InvalidInputError("a number field has at least one archimedean place")
-    tp = t if isinstance(t, TubeParameter) else TubeParameter(float(t))
+    t = _tube_parameter(t)
     holds = s_p + archimedean_places < 10
-    two_pi_t = 2.0 * math.pi * tp.t
+    two_pi_t = 2.0 * math.pi * t
     return BoundReport(
         condition_holds=holds,
         h_psi_bound=2.0 * two_pi_t + 6.14 if holds else None,
         h_faltings_bound=two_pi_t + 535.0 * math.log(two_pi_t + 9.0) if holds else None,
-        inputs={
-            "case": "b",
-            "s_p": s_p,
-            "places": archimedean_places,
-            "t": float(tp.t),
-        },
+        inputs={"case": "b", "s_p": s_p, "places": archimedean_places, "t": t},
     )

@@ -39,11 +39,12 @@ class DivisorIncidence:
     """Incidence data for r divisors.
 
     ``outside_y`` lists subsets of {1..r} whose intersection is nonempty and
-    not contained in Y.  The family is normalized on construction to its
-    antichain of maximal subsets (smaller subsets are implied by downward
-    closure).  Every divisor must appear in some subset: a divisor contained
-    in Y is outside the supported setup and rejected.  ``r`` and the indices
-    must be integral numbers; 3.9 raises InvalidInputError.
+    not contained in Y, as any iterable of iterables of indices.  The family
+    is normalized on construction to the antichain of its maximal subsets,
+    a tuple of frozensets (smaller subsets are implied by downward closure).
+    Every divisor must appear in some subset: a divisor contained in Y is
+    outside the supported setup and rejected.  ``r`` and the indices must be
+    integral numbers; 3.9 raises InvalidInputError.
     """
 
     r: int
@@ -69,10 +70,6 @@ class DivisorIncidence:
             )
         maximal.sort(key=lambda s: (len(s), sorted(s)))
         object.__setattr__(self, "outside_y", tuple(maximal))
-
-    @classmethod
-    def from_subsets(cls, r: int, subsets) -> "DivisorIncidence":
-        return cls(r, tuple(frozenset(s) for s in subsets))
 
 
 def m_y_value(incidence: DivisorIncidence) -> int:
@@ -141,4 +138,4 @@ def siegel_incidence() -> DivisorIncidence:
     """Incidence witness at level 2: ten divisors, pairwise intersections
     all inside the boundary, so the maximal outside-Y subsets are the
     singletons and m_Y = 1."""
-    return DivisorIncidence.from_subsets(10, [{i} for i in range(1, 11)])
+    return DivisorIncidence(10, [{i} for i in range(1, 11)])

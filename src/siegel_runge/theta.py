@@ -103,22 +103,6 @@ class Characteristic:
             raise InvalidInputError("characteristic bits must be four values in {0, 1}")
         object.__setattr__(self, "bits", tuple(int(x) for x in self.bits))
 
-    @classmethod
-    def from_halves(cls, a, b) -> "Characteristic":
-        """Build from the actual values, each component 0 or 1/2."""
-        vals = (*a, *b)
-        if any(v not in (0, 0.5) for v in vals):
-            raise InvalidInputError("characteristic components must be 0 or 1/2")
-        return cls(tuple(int(2 * v) for v in vals))
-
-    @property
-    def a(self) -> tuple[float, float]:
-        return (self.bits[0] / 2.0, self.bits[1] / 2.0)
-
-    @property
-    def b(self) -> tuple[float, float]:
-        return (self.bits[2] / 2.0, self.bits[3] / 2.0)
-
     @property
     def is_even(self) -> bool:
         """True iff 4 a.b is an even integer."""

@@ -330,15 +330,3 @@ def from_matrix_reference(tau):
         raise InvalidInputError("matrix is not symmetric within tolerance")
     off = 0.5 * (m[0, 1] + m[1, 0])
     return hs.SiegelPoint(m[0, 0], off, m[1, 1])
-
-
-def is_in_h2_reference(tau) -> bool:
-    """Membership in H2 of a 2x2 matrix read through a complex numpy array."""
-    m = np.asarray(tau, dtype=complex)
-    if m.shape != (2, 2):
-        raise InvalidInputError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError("matrix entries must be finite")
-    if m[0, 1] != m[1, 0]:
-        return False
-    return hs._positive_definite(float(m[0, 0].imag), float(m[0, 1].imag), float(m[1, 1].imag))

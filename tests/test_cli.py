@@ -178,6 +178,27 @@ class TestDeterminismAndErrors:
         assert dispatch(argv) == 0
         assert first == capsys.readouterr().out
 
+    @pytest.mark.parametrize("samples", ["9", "100001", "100000000", "-5"])
+    def test_samples_out_of_range_is_exit_two_before_any_work(self, capsys, monkeypatch, samples):
+        # 10^8 samples ran for hours, and 9 were all sampled and embedded
+        # before relation_singular_values refused them
+        from siegel_runge import embedding, sampling
+
+        def spy(*args, **kwargs):
+            raise AssertionError("sampled or embedded despite the bad sample count")
+
+        monkeypatch.setattr(embedding, "psi", spy)
+        monkeypatch.setattr(sampling, "sample_reduced_points", spy)
+        assert dispatch(["rank", "--samples", samples, "--seed", "1"]) == 2
+        assert "--samples must be between 10 and 100000" in capsys.readouterr().err
+
+    def test_rank_stdout_is_the_pipeline_output(self, capsys):
+        points = [sr.psi(t) for t in sr.sample_reduced_points(12, 3)]
+        want = dumps_canonical({"rank": sr.relation_rank(points), "n_samples": 12, "seed": 3,
+                                "singular_values": [float(s) for s in sr.relation_singular_values(points)]})
+        assert dispatch(["rank", "--samples", "12", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == want + "\n"
+
     def test_malformed_json_is_exit_two(self, capsys):
         assert dispatch(["embed", "--tau", "{"]) == 2
 
@@ -371,7 +392,7 @@ class TestColdPath:
                 "assert sr.is_symplectic(rows) and not sr.is_level2(rows)\n"
                 "sr.gl2_embedding([[2, 1], [1, 1]])\n"
                 "assert sr.act(rows, tau) == sr.act(g, sr.SiegelPoint.from_matrix(tau))\n"
-                "assert sr.is_in_H2(tau)\n"
+                "assert sr.SiegelPoint.from_matrix(tau).tau2 == 0.2 + 0.3j\n"
                 "sr.reduce_to_fundamental_domain(tau)\n"
                 "print('numpy' in sys.modules)\n")
         env = dict(os.environ, PYTHONPATH=str(SRC))

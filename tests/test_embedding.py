@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ class TestPsi:
     def test_all_zero_coordinates_rejected(self):
         with pytest.raises(sr.InconsistencyError):
             sr.ProjectivePoint(np.full(10, 1e-12 + 0j), 1e-8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(np.inf, 1)],
+                             ids=["nan", "inf", "nan-imag", "inf-real"])
+    def test_non_finite_coordinates_rejected(self, bad):
+        # a nan coordinate once gave sup = nan, an empty vanishing set and a nan height
+        with pytest.raises(sr.InvalidInputError, match="finite"):
+            sr.ProjectivePoint(np.array([bad] + [1] * 9, dtype=complex), 1e-8)
 
     def test_sup_is_read_by_every_consumer(self):
         taus = list(sr.sample_reduced_points(12, seed=64)) + [PRODUCT_POINT, sr.SiegelPoint(1j, 0, 6j)]
@@ -152,7 +160,25 @@ class TestTube:
         assert sr.in_tube(sr.SiegelPoint(1j, 0, 1j), sr.MIN_TUBE_PARAMETER) is True
 
     def test_small_parameter_rejected(self):
-        with pytest.raises(sr.InvalidInputError):
+        with pytest.raises(sr.InvalidInputError, match=r"must be >= sqrt\(3\)/2 ~ 0.866025, got 0.5"):
             sr.in_tube(sr.SiegelPoint(1j, 0, 1j), 0.5)
-        with pytest.raises(sr.InvalidInputError):
-            sr.TubeParameter(0.5)
+
+    @pytest.mark.parametrize("t", [None, "x", "1.0", 1j, float("nan"), float("inf"), -float("inf")],
+                             ids=["none", "word", "numeric-string", "complex", "nan", "inf", "-inf"])
+    def test_parameter_must_be_a_finite_real_number(self, t):
+        # None raised TypeError, "x" a bare ValueError, and "1.0" was parsed
+        with pytest.raises(sr.InvalidInputError, match="tube parameter"):
+            sr.in_tube(sr.SiegelPoint(1j, 0, 1j), t)
+
+    @pytest.mark.parametrize("t", [1, np.float64(0.9), Fraction(9, 10), np.int64(1)],
+                             ids=["int", "float64", "fraction", "int64"])
+    def test_real_number_types_accepted(self, t):
+        assert sr.in_tube(sr.SiegelPoint(1j, 0, 1j), t) is True
+
+    def test_product_locus_detector_decides_the_tube_through_in_tube(self, monkeypatch):
+        from siegel_runge import embedding
+
+        calls = []
+        monkeypatch.setattr(embedding, "in_tube", lambda p, t: calls.append(t) or True)
+        assert sr.is_product_locus(PRODUCT_POINT) is None
+        assert calls == [embedding.DEFAULT_TUBE_CUTOFF]

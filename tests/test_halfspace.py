@@ -11,7 +11,7 @@ from siegel_runge import halfspace
 from siegel_runge.halfspace import _gottschling_scan, _integer_rows, gottschling_matrices
 
 from oracles import (act_solve, condition_number_exact, from_matrix_reference, gl2_embedding_reference,
-                     gottschling_scan_by_coefficients, gram_exact, integer_rows_reference, is_in_h2_reference,
+                     gottschling_scan_by_coefficients, gram_exact, integer_rows_reference,
                      reduce_reference, symplectic_by_products, symplectic_inverse, translation_reference)
 
 
@@ -26,28 +26,40 @@ def rand_tau(rng):
 
 
 class TestMembership:
+    """Membership of H2 is decided by SiegelPoint.from_matrix, which builds
+    the point or raises InvalidInputError naming the failure."""
+
     def test_identity_times_i(self):
-        assert sr.is_in_H2(1j * I2)
+        assert sr.SiegelPoint.from_matrix(1j * I2) == sr.SiegelPoint(1j, 0, 1j)
 
     def test_negative_eigenvalue(self):
-        assert not sr.is_in_H2(np.diag([1j, -1j]))
+        with pytest.raises(sr.InvalidInputError, match="not positive definite"):
+            sr.SiegelPoint.from_matrix(np.diag([1j, -1j]))
 
     def test_indefinite_imaginary_part(self):
+        # both leading minors of Im(tau) decide: y1 = 1 > 0, and y1 y4 - y2^2 flips sign
         z = 10 + 1.001j
-        assert not sr.is_in_H2(np.array([[1j, z], [z, 1j]]))
+        with pytest.raises(sr.InvalidInputError, match="not positive definite"):
+            sr.SiegelPoint.from_matrix(np.array([[1j, z], [z, 1j]]))
         z = 10 + 0.999j
-        assert sr.is_in_H2(np.array([[1j, z], [z, 1j]]))
+        assert sr.SiegelPoint.from_matrix(np.array([[1j, z], [z, 1j]])) == sr.SiegelPoint(1j, z, 1j)
 
     def test_asymmetric_is_rejected(self):
-        assert not sr.is_in_H2(np.array([[1j, 0.5], [0.4, 1j]]))
+        with pytest.raises(sr.InvalidInputError, match="not symmetric"):
+            sr.SiegelPoint.from_matrix(np.array([[1j, 0.5], [0.4, 1j]]))
 
-    def test_non_finite_raises(self):
-        with pytest.raises(sr.InvalidInputError):
-            sr.is_in_H2(np.array([[np.nan * 1j, 0], [0, 1j]]))
+    def test_asymmetry_within_tolerance_is_averaged(self):
+        p = sr.SiegelPoint.from_matrix([[1j, 0.1j + 1e-14], [0.1j, 1j]])
+        assert p.tau2 == 0.5 * ((0.1j + 1e-14) + 0.1j)
+
+    @pytest.mark.parametrize("bad", [np.nan * 1j, np.nan, np.inf * 1j], ids=["nan-imag", "nan", "inf-imag"])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(sr.InvalidInputError, match="finite"):
+            sr.SiegelPoint.from_matrix(np.array([[bad, 0], [0, 1j]]))
 
     def test_tiny_diagonal_is_accepted(self):
         # y1 * y4 underflows to 0 here; the point is still in H2
-        assert sr.is_in_H2(np.diag([1e-200j, 1e-200j]))
+        assert sr.SiegelPoint.from_matrix(np.diag([1e-200j, 1e-200j])) == sr.SiegelPoint(1e-200j, 0, 1e-200j)
         assert sr.SiegelPoint(1e-200j, 0, 1e-200j).min_imag_eigenvalue() > 0
 
     @pytest.mark.parametrize("entries", [(1e-60j, 0, 1j), (1j, 0, 1e-60j)], ids=["tau1", "tau4"])
@@ -669,6 +681,9 @@ READER_GRID = {
     "huge-int-entry": lambda b: _with_off_diagonal(b, 10**400),
     "true-entry": lambda b: _with_off_diagonal(b, True),
     "half-entry": lambda b: _with_off_diagonal(b, 1.5),
+    "set": lambda b: set(map(tuple, b)),
+    "set-rows": lambda b: [set(row) for row in b],
+    "dict": lambda b: dict.fromkeys(map(tuple, b)),
 }
 
 TAU_BASE = [[0.5 + 1j, 0.25 + 0.5j], [0.25 + 0.5j, -0.5 + 2j]]
@@ -680,7 +695,6 @@ READERS = {
     "translation": (lambda b: sr.translation(b).rows, translation_reference, [[1, 2], [2, -3]]),
     "gl2_embedding": (lambda u: sr.gl2_embedding(u).rows, gl2_embedding_reference, [[2, 1], [1, 1]]),
     "from_matrix": (sr.SiegelPoint.from_matrix, from_matrix_reference, TAU_BASE),
-    "is_in_H2": (sr.is_in_H2, is_in_h2_reference, TAU_BASE),
 }
 
 #: Inputs on which the numpy reader leaked an exception that is not a
@@ -692,16 +706,15 @@ NUMPY_LEAKS = {
     ("from_matrix", "ragged"): ValueError,
     ("from_matrix", "string"): ValueError,
     ("from_matrix", "huge-int-entry"): OverflowError,
-    ("is_in_H2", "generator"): TypeError,
-    ("is_in_H2", "ragged"): ValueError,
-    ("is_in_H2", "string"): ValueError,
-    ("is_in_H2", "huge-int-entry"): OverflowError,
+    ("from_matrix", "set"): TypeError,
+    ("from_matrix", "set-rows"): TypeError,
+    ("from_matrix", "dict"): TypeError,
 }
 
 #: Inputs whose numeric strings numpy parsed into complex entries.  Entries
 #: must be numbers, as for SiegelPoint and the integer readers, so these
 #: now raise InvalidInputError.
-NUMPY_PARSED_STRINGS = {("from_matrix", "string-entry"), ("is_in_H2", "string-entry")}
+NUMPY_PARSED_STRINGS = {("from_matrix", "string-entry")}
 
 
 def reader_outcome(read, arg):

@@ -165,6 +165,13 @@ class TestArchimedeanEstimate:
         assert sr.archimedean_height_estimate([place], 1) == math.log(sup)
         assert sr.archimedean_height_estimate([place, place], 4) == math.log(sup)
 
+    @pytest.mark.parametrize("place", [[np.nan, 1], [np.inf], [0, 0], [complex(1, np.nan)], (0j,)],
+                             ids=["nan", "inf", "zeros", "nan-imag", "zero-tuple"])
+    def test_place_needs_finite_nonzero_sup(self, place):
+        # [nan, 1] gave nan, [inf] gave inf and [0, 0] a bare math domain error
+        with pytest.raises(sr.InvalidInputError, match="finite coordinates, not all zero"):
+            sr.archimedean_height_estimate([place], 1)
+
     def test_invalid_inputs(self):
         p = sr.psi(sr.SiegelPoint(1j, 0, 1j))
         with pytest.raises(sr.InvalidInputError):
@@ -243,6 +250,17 @@ class TestBoundCaseB:
     def test_minimal_tube_parameter(self):
         rep = sr.bound_case_b(0, 1, math.sqrt(3) / 2)
         assert rep.h_psi_bound == pytest.approx(4 * math.pi * math.sqrt(3) / 2 + 6.14, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [None, "x", "1.0", float("nan"), float("inf")],
+                             ids=["none", "word", "numeric-string", "nan", "inf"])
+    def test_tube_parameter_validation(self, t):
+        with pytest.raises(sr.InvalidInputError, match="tube parameter"):
+            sr.bound_case_b(0, 1, t)
+
+    def test_tube_parameter_echoed_as_float(self):
+        for t in (1, np.float64(1.0), 1.0):
+            rep = sr.bound_case_b(0, 1, t)
+            assert type(rep.inputs["t"]) is float and rep.inputs["t"] == 1.0
 
     def test_parameter_validation(self):
         with pytest.raises(sr.InvalidInputError):

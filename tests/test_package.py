@@ -10,9 +10,9 @@ EXPORTS = {
                   "projective_distance", "psi", "relation_rank", "relation_singular_values"],
     "errors": ["ConditioningError", "InconsistencyError", "InvalidInputError", "NonConvergenceError",
                "ResourceLimitError", "SiegelRungeError"],
-    "halfspace": ["J", "MIN_TUBE_PARAMETER", "ReductionResult", "SiegelPoint", "SymplecticMatrix", "TubeParameter",
-                  "act", "gl2_embedding", "gottschling_matrices", "in_tube", "is_in_H2", "is_level2",
-                  "is_symplectic", "reduce_to_fundamental_domain", "translation"],
+    "halfspace": ["J", "MIN_TUBE_PARAMETER", "ReductionResult", "SiegelPoint", "SymplecticMatrix", "act",
+                  "gl2_embedding", "gottschling_matrices", "in_tube", "is_level2", "is_symplectic",
+                  "reduce_to_fundamental_domain", "translation"],
     "heights": ["BoundReport", "bound_case_a", "bound_case_b", "weil_height_gaussian", "weil_height_rational"],
     "runge": ["DivisorIncidence", "RungeVerdict", "m_y_value", "runge_condition", "siegel_divisor_count",
               "siegel_incidence", "siegel_m_y", "siegel_runge_condition"],
@@ -34,6 +34,17 @@ class TestLazyExports:
     def test_all_and_dir_list_the_exports(self):
         assert sorted(sr.__all__) == NAMES
         assert dir(sr) == NAMES
+        assert len(NAMES) == 52
+
+    @pytest.mark.parametrize("module", EXPORTS)
+    def test_export_table_matches_the_module_all(self, module):
+        # the package repeats each module's __all__; errors has none
+        mod = importlib.import_module(f"siegel_runge.{module}")
+        if module == "errors":
+            assert not hasattr(mod, "__all__")
+        else:
+            assert sorted(mod.__all__) == sorted(sr._MODULE_EXPORTS[module])
+        assert sorted(sr._MODULE_EXPORTS[module]) == EXPORTS[module]
 
     def test_star_import(self):
         namespace = {}

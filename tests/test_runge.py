@@ -11,7 +11,7 @@ from oracles import negation_orbit_divisor_count
 
 
 def incidence(r, subsets):
-    return DivisorIncidence.from_subsets(r, subsets)
+    return DivisorIncidence(r, subsets)
 
 
 class TestIncidenceValues:
@@ -47,6 +47,14 @@ class TestIncidenceNormalization:
     def test_antichain(self):
         inc = incidence(3, [{1}, {1, 2}, {2}, {3}, {1, 2}])
         assert inc.outside_y == (frozenset({3}), frozenset({1, 2}))
+
+    def test_any_iterable_of_iterables(self):
+        # lists, tuples, generators and sets of indices all give the same antichain
+        want = DivisorIncidence(3, (frozenset({1, 2}), frozenset({2, 3})))
+        assert DivisorIncidence(3, [[1, 2], [2, 3]]) == want
+        assert DivisorIncidence(3, ((2, 1), iter([3, 2]))) == want
+        assert DivisorIncidence(3, (s for s in [{1, 2}, {2, 3}])) == want
+        assert want.outside_y == (frozenset({1, 2}), frozenset({2, 3}))
 
     def test_order_independent(self):
         a = incidence(4, [{1, 2}, {3}, {4}, {2, 1}])

@@ -59,16 +59,17 @@ class TestCharacteristics:
         assert evens[-1].bits == (1, 1, 1, 1)
         assert list(evens) == sorted(evens)
 
-    def test_from_halves(self):
-        m = Characteristic.from_halves((0.5, 0), (0, 0.5))
-        assert m.bits == (1, 0, 0, 1)
-        assert m.a == (0.5, 0.0) and m.b == (0.0, 0.5)
+    def test_bits_are_the_only_way_in(self):
+        # bit 1 stands for 1/2: this is a = (1/2, 0), b = (0, 1/2)
+        m = Characteristic((1, 0, 0, 1))
+        assert m.bits == (1, 0, 0, 1) and m.is_even and str(m) == "1001"
+        assert not hasattr(m, "a") and not hasattr(m, "b") and not hasattr(Characteristic, "from_halves")
 
-    def test_validation(self):
+    @pytest.mark.parametrize("bits", [(0, 0, 0, 2), (0.5, 0, 0, 0), (0, 0, 0), (0, 0, 0, 0, 0)],
+                             ids=["two", "half-as-value", "three-bits", "five-bits"])
+    def test_validation(self, bits):
         with pytest.raises(sr.InvalidInputError):
-            Characteristic((0, 0, 0, 2))
-        with pytest.raises(sr.InvalidInputError):
-            Characteristic.from_halves((0.3, 0), (0, 0))
+            Characteristic(bits)
 
 
 class TestTruncation:
