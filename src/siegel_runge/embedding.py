@@ -48,8 +48,9 @@ _RANK_CUTOFF = 1e-6
 class ProjectivePoint:
     """Point of P^9 given by 10 finite complex coordinates, not all tiny.
 
-    ``tol`` records the absolute evaluation tolerance the coordinates carry;
-    ``sup`` is max|coords|, computed once here; a non-finite one is refused.
+    ``tol`` records the absolute evaluation tolerance the coordinates carry,
+    finite and positive; ``sup`` is max|coords|, computed once here; a
+    non-finite one is refused.
     """
 
     coords: np.ndarray
@@ -57,6 +58,8 @@ class ProjectivePoint:
     sup: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0.0 < self.tol < math.inf:
+            raise InvalidInputError(f"tol must be finite and positive, got {self.tol!r}")
         c = np.asarray(self.coords, dtype=complex)
         if c.shape != (10,):
             raise InvalidInputError(f"expected 10 coordinates, got shape {c.shape}")

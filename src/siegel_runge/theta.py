@@ -30,7 +30,14 @@ the terms of an odd m cancel in pairs, so odd constants are exactly 0, and
 the kernel exponentiates only the half n1 + a1 >= 0.  Flattened, that half
 gives the ten even sums as K @ exp(c @ Q) with c = (tau1, tau2, tau4), Q the
 exponents and K the signs; both are O(r^2), so they are cached only up to
-radius 16 and built in slabs of rows past it.
+radius 16, with the columns v = n + a sorted by |v|^2, and built in slabs of
+rows past it.  R takes the tail alone to below the tolerance; what is left
+of the tolerance is a budget for the terms inside the box that are too
+small to matter.  Every term is at most exp(-pi y_min |v|^2), so the kernel
+sums only the columns with |v|^2 <= S = log(2N / budget) / (pi y_min), N
+the number of columns: a prefix of the sorted cache, or the slabs that hold
+such a column.  The columns dropped move each sum by less than the budget
+(proof at :func:`_even_sums`).
 
 The fourth powers are weight-2 forms for the level-2 group, so for M =
 [[A, B], [C, D]] in Sp4(Z)
@@ -135,10 +142,18 @@ def odd_characteristics() -> tuple[Characteristic, ...]:
 
 @dataclass(frozen=True)
 class ThetaValue:
-    """A computed theta constant with a rigorous absolute error bound."""
+    """A computed theta constant with a rigorous absolute error bound.
+
+    ``radius`` is the box radius R, ``terms`` the number of half-box
+    columns exponentiated (0 for an odd constant, which is exactly 0), and
+    ``error_bound`` the tail beyond the box plus the bound on the columns
+    the kernel dropped inside it.
+    """
 
     value: complex
     error_bound: float
+    radius: int
+    terms: int
 
 
 # Every term satisfies |term| <= exp(-pi y_min |n+a|^2) and |n+a| >= k - c
@@ -175,16 +190,22 @@ def truncation_radius(y_min: float, tol: float) -> int:
     radius the bound exceeds tol by a factor 2 or more, and no smaller
     radius can pass, rounding included.
     """
-    r = _radius_up_to(y_min, tol, _MAX_RADIUS)
-    if r is None:
+    return _truncation(y_min, tol)[0]
+
+
+def _truncation(y_min: float, tol: float) -> tuple[int, float]:
+    """The radius of :func:`truncation_radius` and its tail bound."""
+    found = _radius_up_to(y_min, tol, _MAX_RADIUS)
+    if found is None:
         raise ResourceLimitError(
             f"tolerance {tol:.1e} at y_min {y_min:.3e} needs a box radius beyond {_MAX_RADIUS}"
         )
-    return r
+    return found
 
 
-def _radius_up_to(y_min: float, tol: float, cap: int) -> int | None:
-    """The radius of :func:`truncation_radius`, or None if it exceeds cap."""
+def _radius_up_to(y_min: float, tol: float, cap: int) -> tuple[int, float] | None:
+    """The radius of :func:`truncation_radius` and its tail bound, or None
+    if the radius exceeds cap."""
     if y_min <= 0.0:
         raise InvalidInputError("y_min must be positive")
     if not 0.0 < tol < 1.0:
@@ -193,8 +214,9 @@ def _radius_up_to(y_min: float, tol: float, cap: int) -> int | None:
     start = math.sqrt(math.log(lead) / (math.pi * y_min)) + _A_NORM - 1.0
     if start <= cap:
         for r in range(max(1, math.ceil(start)), cap + 1):
-            if tail_bound(r, y_min) <= tol:
-                return r
+            tail = tail_bound(r, y_min)
+            if tail <= tol:
+                return r, tail
     return None
 
 
@@ -241,28 +263,91 @@ def _fused_rows(r: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return q, k
 
 
-#: (Q, K) on the whole half box, for r <= _FUSED_RADIUS only.
-_fused = lru_cache(maxsize=_FUSED_RADIUS)(lambda r: _fused_rows(r, 0, 2 * r + 2))
+@lru_cache(maxsize=_FUSED_RADIUS)
+def _fused(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (Q, K, count) on the whole half box, for r <= _FUSED_RADIUS
+    only.  The columns of :func:`_fused_rows` come sorted by the norm
+    4|v|^2 = 4 (w^2 + v^2), an integer, so that the columns with
+    4|v|^2 <= j are a prefix of length count[j], for j from 0 to the largest
+    norm in the box, 2 (2r + 1)^2."""
+    _, v2, _, _, w2, _ = _axis(r)
+    norm = (4.0 * (w2[:, None] + v2)).astype(np.intp).ravel()
+    order = np.argsort(norm, kind="stable")
+    q, k = _fused_rows(r, 0, 2 * r + 2)
+    q, k, count = q[:, order], k[:, order], np.cumsum(np.bincount(norm))
+    q.flags.writeable = k.flags.writeable = count.flags.writeable = False
+    return q, k, count
 
 
-def _even_sums(tau: SiegelPoint, r: int) -> np.ndarray:
-    """The ten even Theta_m over the box max(|n1 + a1|, |n2 + a2|) <= r + 1/2,
-    ordered by :func:`even_characteristics`, as K @ exp(c @ Q) with c =
-    (tau1, tau2, tau4) and (Q, K) of :func:`_fused_rows`.
+def _cut(r: int, y_min: float, budget: float) -> int:
+    """The level j = floor(4 S) of the columns 4|v|^2 <= j that
+    :func:`_even_sums` keeps within an error budget, with
+    S = log(2N / budget) / (pi y_min) and N = (2r + 2)(4r + 3) the columns of
+    the half box; the whole box, level 2 (2r + 1)^2, for a budget of 0 or an
+    S past the box.  S carries a relative error of a few units in the last
+    place; the factor 1 + 1e-12 covers it and can only keep more columns."""
+    top = 2 * (2 * r + 1) ** 2
+    if not budget > 0.0:
+        return top
+    s4 = 4.0 * (1.0 + 1e-12) * math.log(2.0 * (2 * r + 2) * (4 * r + 3) / budget) / (math.pi * y_min)
+    return top if s4 >= top else math.floor(s4)
+
+
+def _slabs(r: int, level: int) -> list[tuple[int, int]]:
+    """Row ranges [lo, lo + rows) of the slabs of (Q, K) past the cache, at
+    most _SLAB_TERMS terms and at least one row each, that hold a row
+    w = v1 with 4 w^2 <= level."""
+    kept = 4.0 * _axis(r)[4] <= level
+    rows = max(1, _SLAB_TERMS // (4 * r + 3))
+    return [(lo, lo + rows) for lo in range(0, 2 * r + 2, rows) if kept[lo:lo + rows].any()]
+
+
+def _even_sums(tau: SiegelPoint, r: int, level: int | None = None) -> np.ndarray:
+    """The ten even Theta_m over the columns v = (v1, v2) with 4|v|^2 <= level
+    of the box max(|n1 + a1|, |n2 + a2|) <= r + 1/2 (past the cache, over the
+    whole slabs of rows that hold them), over the whole box if level is
+    None, ordered by :func:`even_characteristics`, as K @ exp(c @ Q) with
+    c = (tau1, tau2, tau4) and (Q, K) of :func:`_fused_rows`.
 
     The exponentials on the joint axis v x v hold all four shifts a as blocks
     and the phase (-1)^(n.b) factors over the axes.  The box is symmetric
     under v -> -v, which keeps E and flips the phase by (-1)^(4 a.b): odd
     terms cancel in pairs and an even sum is twice the rows v1 > 0 plus the
-    row v1 = 0, weights that scale exactly.  Past radius _FUSED_RADIUS, (Q, K)
-    come in slabs of at most _SLAB_TERMS terms, at least one row each.
+    row v1 = 0, weights that scale exactly.  Up to radius _FUSED_RADIUS the
+    columns kept are a prefix of the sorted cache of :func:`_fused`, summed
+    as views.  Past it (Q, K) come in slabs of at most _SLAB_TERMS terms, at
+    least one row each, and only the slabs of :func:`_slabs` are built: a
+    column of a row w = v1 has |v|^2 >= w^2, so a slab whose rows all have
+    4 w^2 > level holds no column that is kept.
+
+    The cut is rigorous.  Let N = (2r + 2)(4r + 3) be the columns of the half
+    box and level = floor(4 S) as :func:`_cut` gives it for a budget, with
+    S = log(2N / budget) / (pi y_min).  A column dropped has the integer
+    4|v|^2 >= level + 1 > 4 S.  It holds at most two terms of each even sum,
+    at v and -v, each of modulus
+
+        exp(-pi v^t Y v) <= exp(-pi y_min |v|^2) < exp(-pi y_min S) = budget / 2N.
+
+    The column v = 0 is always kept (S > 0, as budget < 1 <= 2N), so at most
+    N - 1 columns are dropped and each sum moves by less than
+    budget (N - 1) / N.  A caller whose radius leaves a tail bound
+    tail <= inner passes budget = inner - tail, and each sum stays within
+    tail + budget = inner of its constant.  The sum over any subset of the
+    terms is at most the absolute series, so the bound U of
+    :func:`theta_fourth_vector` and with it the bound 4 U^3 |z - w| on the
+    error of a fourth power hold for the cut sum w as for the whole box.
     """
     c = np.array((tau.tau1, tau.tau2, tau.tau4))
-    rows = max(1, _SLAB_TERMS // (4 * r + 3))
-    slabs = ([_fused(r)] if r <= _FUSED_RADIUS
-             else (_fused_rows(r, lo, lo + rows) for lo in range(0, 2 * r + 2, rows)))
+    if level is None:
+        level = 2 * (2 * r + 1) ** 2
+    if r <= _FUSED_RADIUS:
+        q, k, count = _fused(r)
+        m = count[level]
+        blocks = [(q[:, :m], k[:, :m])]
+    else:
+        blocks = (_fused_rows(r, lo, hi) for lo, hi in _slabs(r, level))
     out = np.zeros(10, dtype=complex)
-    for q, k in slabs:
+    for q, k in blocks:
         # a numpy complex loop, not the bare product: after an OpenBLAS
         # zgemm, complex exp runs about 15 times slower until one has run
         out += k @ np.exp(c @ q)
@@ -280,18 +365,31 @@ def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaVal
 
     Returns
     -------
-    ThetaValue with ``error_bound <= tol``.  The sum runs over the box
-    max(|n1 + a1|, |n2 + a2|) <= R + 1/2 with R from
-    :func:`truncation_radius`; for odd m it is exactly 0.
+    ThetaValue with ``error_bound <= tol``.  The radius R is
+    :func:`truncation_radius`, whose tail bound beyond the box
+    max(|n1 + a1|, |n2 + a2|) <= R + 1/2 is tail <= tol.  Inside the box the
+    kernel keeps the columns v with |v|^2 <= S for the budget tol - tail
+    (:func:`_even_sums`), and ``error_bound`` is tail plus
+    2 exp(-pi y_min (j + 1) / 4) for each column dropped, j = floor(4 S):
+    less than tail + (tol - tail) = tol.  For odd m the value is exactly 0,
+    no column is summed and ``error_bound`` is the tail.
     """
     if not isinstance(m, Characteristic):
         raise InvalidInputError(f"expected a Characteristic, got {m!r}")
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
     y_min = tau.min_imag_eigenvalue()
-    r = truncation_radius(y_min, tol)
-    value = complex(_even_sums(tau, r)[even_characteristics().index(m)]) if m.is_even else 0j
-    return ThetaValue(value, tail_bound(r, y_min))
+    r, tail = _truncation(y_min, tol)
+    if not m.is_even:
+        return ThetaValue(0j, tail, r, 0)
+    level = _cut(r, y_min, tol - tail)
+    value = complex(_even_sums(tau, r, level)[even_characteristics().index(m)])
+    if r <= _FUSED_RADIUS:
+        terms = int(_fused(r)[2][level])
+    else:
+        terms = (4 * r + 3) * sum(min(hi, 2 * r + 2) - lo for lo, hi in _slabs(r, level))
+    dropped = (2 * r + 2) * (4 * r + 3) - terms
+    return ThetaValue(value, tail + 2.0 * dropped * math.exp(-math.pi * y_min * (level + 1) / 4.0), r, terms)
 
 
 def _fourth_inner_tol(y_min: float, tol: float) -> float:
@@ -305,12 +403,15 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     """The 10 values Theta_m(tau)^4, ordered by :func:`even_characteristics`.
 
     Each component carries an absolute error at most tol.  All ten come
-    from one box whose radius meets the inner tolerance tol / (4 U^3) with
-    U = (1 + y_min^(-1/2))^2.  Every term is at most exp(-pi y_min |n+a|^2),
-    which factors over the axes, and each 1-D sum of exp(-pi y (n+a)^2)
-    over n is at most its peak 1 plus the integral y^(-1/2).  So U bounds
-    the absolute series, hence both the constant z and any partial sum w,
-    and |z^4 - w^4| = |z - w| |z^3 + z^2 w + z w^2 + w^3| <= 4 U^3 |z - w|.
+    from one box whose tail bound meets the inner tolerance tol / (4 U^3)
+    with U = (1 + y_min^(-1/2))^2; inside it the kernel drops the columns
+    that the rest of the inner tolerance covers, so each constant is within
+    the inner tolerance (:func:`_even_sums`).  Every term is at most
+    exp(-pi y_min |n+a|^2), which factors over the axes, and each 1-D sum of
+    exp(-pi y (n+a)^2) over n is at most its peak 1 plus the integral
+    y^(-1/2).  So U bounds the absolute series, hence both the constant z
+    and any partial sum w over a subset of its terms, and
+    |z^4 - w^4| = |z - w| |z^3 + z^2 w + z w^2 + w^3| <= 4 U^3 |z - w|.
 
     The box is summed at tau itself, to the inner tolerance of min(tol, 1/2),
     while its radius is at most _ROUTE_RADIUS (16).  A point that needs
@@ -337,10 +438,11 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
         raise InvalidInputError("tol must be positive")
     y_min = tau.min_imag_eigenvalue()
     inner = _fourth_inner_tol(y_min, min(tol, 0.5))
-    r = _radius_up_to(y_min, inner, _ROUTE_RADIUS) if inner > 0.0 else None
-    if r is None:
+    found = _radius_up_to(y_min, inner, _ROUTE_RADIUS) if inner > 0.0 else None
+    if found is None:
         return _fourth_through_domain(tau, tol)
-    out = _even_sums(tau, r)
+    r, tail = found
+    out = _even_sums(tau, r, _cut(r, y_min, inner - tail))
     out **= 4
     return out
 
@@ -353,7 +455,8 @@ def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
     inner = _fourth_inner_tol(y_min, min(tol * abs(det2), 0.5))
     if inner == 0.0:
         raise ResourceLimitError(f"det(C tau + D)^2 = {det2:.3e} underflows the tolerance")
-    values = _even_sums(q, truncation_radius(y_min, inner)) ** 4
+    r, tail = _truncation(y_min, inner)
+    values = _even_sums(q, r, _cut(r, y_min, inner - tail)) ** 4
     perm, sign = _rho(tuple(tuple(x & 1 for x in row) for row in res.transform.rows))
     with np.errstate(over="ignore", invalid="ignore"):
         out = sign * values[perm] / det2

@@ -55,6 +55,33 @@ def theta_2d_symmetric(bits, tau_mat, radius: int) -> complex:
     return complex(total)
 
 
+def theta_2d_disk(bits, tau_mat, radius: int, s: float) -> complex:
+    """theta_2d_symmetric restricted to the disk |n + a|^2 <= s: the double
+    loop over {|n_i + a_i| <= radius + 1/2} with |n + a|^2 <= s."""
+    total = 0j
+    for n1 in range(-radius - bits[0], radius + 1):
+        for n2 in range(-radius - bits[1], radius + 1):
+            v1, v2 = n1 + bits[0] / 2.0, n2 + bits[1] / 2.0
+            if v1 * v1 + v2 * v2 <= s:
+                q = v1 * v1 * tau_mat[0, 0] + 2 * v1 * v2 * tau_mat[0, 1] + v2 * v2 * tau_mat[1, 1]
+                total += (-1) ** ((n1 * bits[2] + n2 * bits[3]) % 2) * np.exp(1j * np.pi * q)
+    return complex(total)
+
+
+def half_box_mass_outside(y_mat, radius: int, s: float) -> float:
+    """2 sum exp(-pi v^t Y v) over the half box v1 >= 0 of the points v of
+    (Z/2)^2 with |v_i| <= radius + 1/2 and |v|^2 > s, all four shifts at
+    once: a bound on what the disk |v|^2 <= s leaves out of each sum."""
+    total = 0.0
+    for i in range(2 * radius + 2):
+        for j in range(-2 * radius - 1, 2 * radius + 2):
+            v1, v2 = i / 2.0, j / 2.0
+            if v1 * v1 + v2 * v2 > s:
+                total += 2.0 * math.exp(-math.pi * (v1 * v1 * y_mat[0, 0] + 2 * v1 * v2 * y_mat[0, 1]
+                                                    + v2 * v2 * y_mat[1, 1]))
+    return total
+
+
 #: Even characteristic bits (a1, a2, b1, b2) in lexicographic order.
 EVEN_BITS = tuple(
     bits

@@ -129,6 +129,11 @@ class TestNumericCommands:
         assert abs(got - want) <= 1e-9
         assert data["error_bound"] <= 1e-10
 
+    def test_theta_payload_keeps_its_keys(self, capsys):
+        # ThetaValue's radius and terms stay off stdout
+        data = run_ok(capsys, ["theta", "--tau", TAU_I, "--char", "0,0,0,0"])
+        assert list(data) == ["char", "value", "error_bound"]
+
     def test_embed_round_trips(self, capsys):
         data = run_ok(capsys, ["embed", "--tau", TAU_I])
         point = sr.ProjectivePoint([complex(re, im) for re, im in data["coords"]], 1e-8)

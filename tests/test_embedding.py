@@ -51,6 +51,14 @@ class TestPsi:
         with pytest.raises(sr.InvalidInputError, match="finite"):
             sr.ProjectivePoint(np.array([bad] + [1] * 9, dtype=complex), 1e-8)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf], ids=["negative", "zero", "nan", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # a tol of -1 once built a point with sup 0 whose normalized coordinates were all nan
+        with pytest.raises(sr.InvalidInputError, match="tol"):
+            sr.ProjectivePoint(np.zeros(10), tol)
+        with pytest.raises(sr.InvalidInputError, match="tol"):
+            sr.ProjectivePoint(np.ones(10), tol)
+
     def test_sup_is_read_by_every_consumer(self):
         taus = list(sr.sample_reduced_points(12, seed=64)) + [PRODUCT_POINT, sr.SiegelPoint(1j, 0, 6j)]
         points = [sr.psi(tau) for tau in taus]

@@ -13,11 +13,13 @@ from siegel_runge.theta import Characteristic
 
 from oracles import (
     EVEN_BITS,
+    half_box_mass_outside,
     jacobi_fourth_powers,
     naive_fourth_powers,
     plain_truncation_radii,
     tail_abs_sum,
     theta_1d,
+    theta_2d_disk,
     theta_2d_naive,
     theta_2d_symmetric,
 )
@@ -41,6 +43,33 @@ def rand_diag_tau(rng):
         0.0,
         complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0)),
     )
+
+
+def cut_points():
+    """Two reduced points, two skewed level-2 images (y_min 0.016 and 0.019),
+    y I and the near-singular diag(0.05 i, 2.5 i), with real parts."""
+    return (list(sr.sample_reduced_points(2, seed=81)) + small_y_points()[1:]
+            + [sr.SiegelPoint(0.2 + 0.35j, 0, -0.1 + 0.35j), sr.SiegelPoint(0.1 + 0.05j, 0, 0.3 + 2.5j)])
+
+
+def disk_norm(r, y_min, budget):
+    """S = log(2N / budget) / (pi y_min), N = (2r + 2)(4r + 3) the half-box columns."""
+    return math.log(2 * (2 * r + 2) * (4 * r + 3) / budget) / (math.pi * y_min)
+
+
+def disk(tau, tol):
+    """The radius R whose tail bound meets tol, that tail, and the S of
+    disk_norm for the budget tol - tail left to the cut."""
+    y = tau.min_imag_eigenvalue()
+    r = sr.truncation_radius(y, tol)
+    tail = sr.tail_bound(r, y)
+    return r, tail, disk_norm(r, y, tol - tail)
+
+
+def disk_columns(r, s):
+    """The half-box columns v with |v|^2 <= s, counted on 2v."""
+    i, j = np.meshgrid(np.arange(2 * r + 2), np.arange(-2 * r - 1, 2 * r + 2))
+    return int(np.count_nonzero(i * i + j * j <= 4 * s))
 
 
 class TestCharacteristics:
@@ -196,6 +225,23 @@ class TestKernel:
         self.assert_matches_double_loop(tau, radius)
         assert slabs == [(lo, lo + 7) for lo in range(0, 2 * radius + 2, 7)]
 
+    def test_slabs_beyond_the_disk_are_never_built(self, monkeypatch):
+        # one row per slab at radius 4: the rows w = 3.5, 4 and 4.5 lie
+        # beyond the disk of a reduced point and are never built
+        tau = cut_points()[0]
+        r, tail, _ = disk(tau, 1e-14)
+        level = theta._cut(r, tau.min_imag_eigenvalue(), 1e-14 - tail)
+        w = theta._axis(r)[3]
+        near = [i for i, x in enumerate(w) if 4 * x * x <= level]
+        assert r == 4 and sorted(x for i, x in enumerate(w) if i not in near) == [3.5, 4.0, 4.5]
+        cached = theta._even_sums(tau, r, level)
+        monkeypatch.setattr(theta, "_FUSED_RADIUS", r - 1)
+        monkeypatch.setattr(theta, "_SLAB_TERMS", 4 * r + 3)
+        slabs = self.spy_slabs(monkeypatch)
+        got = theta._even_sums(tau, r, level)
+        assert slabs == [(i, i + 1) for i in near]
+        assert np.max(np.abs(got - cached)) <= 1e-13 * np.max(np.abs(cached))
+
     def test_cached_axis_is_linear_in_radius(self):
         r = 30
         assert sum(a.nbytes for a in theta._axis(r)) <= 64 * (2 * r + 1) * 16
@@ -204,7 +250,7 @@ class TestKernel:
     def test_fused_cache_is_read_only_and_capped(self, monkeypatch):
         assert theta._FUSED_RADIUS == 16
         assert theta._fused.cache_info().maxsize == theta._FUSED_RADIUS
-        q, k = theta._fused(3)
+        q, k, _ = theta._fused(3)
         assert q.shape == (3, 8 * 15) and k.shape == (10, 8 * 15)
         assert not q.flags.writeable and not k.flags.writeable
         cached = []
@@ -226,12 +272,77 @@ class TestKernel:
         assert fused.cache_info().currsize <= theta._FUSED_RADIUS
 
 
+class TestCut:
+    @pytest.mark.parametrize("budget", [1e-14, 1e-10, 1e-6])
+    def test_prefix_within_the_budget_of_the_box(self, budget):
+        for tau in cut_points():
+            y = tau.min_imag_eigenvalue()
+            r = sr.truncation_radius(y, budget)
+            s = disk_norm(r, y, budget)
+            level = theta._cut(r, y, budget)
+            assert level == min(math.floor(4 * s), 2 * (2 * r + 1) ** 2)
+            box = theta._even_sums(tau, r)
+            assert np.max(np.abs(theta._even_sums(tau, r, level) - box)) <= budget
+            assert half_box_mass_outside(tau.matrix.imag, r, s) <= budget
+
+    @pytest.mark.parametrize("budget", [1e-14, 1e-6])
+    def test_prefix_matches_the_disk_double_loop(self, budget):
+        # the cached radii sum a prefix; past them whole slabs of rows
+        for tau in cut_points()[:2] + cut_points()[4:]:
+            y = tau.min_imag_eigenvalue()
+            r = sr.truncation_radius(y, budget)
+            assert r <= theta._FUSED_RADIUS
+            s = disk_norm(r, y, budget)
+            got = theta._even_sums(tau, r, theta._cut(r, y, budget))
+            want = np.array([theta_2d_disk(bits, tau.matrix, r, s) for bits in EVEN_BITS])
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_zero_budget_sums_the_whole_box(self):
+        for r in (1, 4, theta._FUSED_RADIUS + 1):
+            assert theta._cut(r, 0.5, 0.0) == 2 * (2 * r + 1) ** 2
+        tau = cut_points()[0]
+        assert np.array_equal(theta._even_sums(tau, 3, theta._cut(3, 1.0, 0.0)), theta._even_sums(tau, 3))
+
+    def test_cache_sorted_by_norm_with_its_count_table(self):
+        for r in (1, 2, 5, theta._FUSED_RADIUS):
+            q, k, count = theta._fused(r)
+            assert not (q.flags.writeable or k.flags.writeable or count.flags.writeable)
+            norm = np.rint(4 * (q[0].imag + q[2].imag) / math.pi).astype(int)
+            assert norm.size == (2 * r + 2) * (4 * r + 3)
+            assert np.all(np.diff(norm) >= 0)
+            assert np.array_equal(count, [np.count_nonzero(norm <= j) for j in range(2 * (2 * r + 1) ** 2 + 1)])
+            # the columns of the unsorted half box, each once
+            q0, k0 = theta._fused_rows(r, 0, 2 * r + 2)
+            assert (sorted(map(tuple, np.vstack([q.imag, k.real]).T.tolist()))
+                    == sorted(map(tuple, np.vstack([q0.imag, k0.real]).T.tolist())))
+        assert theta._fused.cache_info().maxsize == theta._FUSED_RADIUS
+
+
 class TestThetaConstant:
     @pytest.mark.parametrize("m", [(0, 0, 0, 0), "0000", None], ids=["tuple", "string", "none"])
     def test_characteristic_required(self, m):
         # a bits tuple once raised AttributeError: 'tuple' object has no attribute 'is_even'
         with pytest.raises(sr.InvalidInputError):
             sr.theta_constant(m, sr.SiegelPoint(1j, 0, 1j))
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    def test_diagnostics_report_the_sum(self, tol):
+        even, odd = sr.even_characteristics()[3], sr.odd_characteristics()[0]
+        for tau in cut_points():
+            r, tail, s = disk(tau, tol)
+            n = (2 * r + 2) * (4 * r + 3)
+            tv = sr.theta_constant(even, tau, tol)
+            assert tv.radius == r
+            assert tail <= tv.error_bound <= tol
+            assert abs(tv.value - theta_2d_naive(even.bits, tau.matrix, r + 8)) <= tv.error_bound
+            if r <= theta._FUSED_RADIUS:
+                # the columns of the disk, and the bound covers what is left out
+                assert tv.terms == disk_columns(r, s) < n
+                assert half_box_mass_outside(tau.matrix.imag, r, s) <= tv.error_bound - tail
+            else:
+                # whole slabs of rows, at least the disk
+                assert disk_columns(r, s) <= tv.terms <= n and tv.terms % (4 * r + 3) == 0
+            assert sr.theta_constant(odd, tau, tol) == sr.ThetaValue(0j, tail, r, 0)
 
     def test_odd_vanish(self):
         for tau in sr.sample_reduced_points(5, seed=31):
@@ -322,6 +433,16 @@ class TestFourthVector:
         for tau in small_y_points():
             got = sr.theta_fourth_vector(tau, tol)
             assert np.max(np.abs(got - naive_fourth_powers(tau.matrix, radius=45))) <= tol
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-4])
+    def test_cut_sums_meet_the_tolerance(self, tol):
+        # summed at tau with the cut; the skewed points are the oracle test's above
+        for tau in cut_points()[:2] + cut_points()[4:]:
+            got = sr.theta_fourth_vector(tau, tol)
+            y = tau.min_imag_eigenvalue()
+            r = sr.truncation_radius(y, theta._fourth_inner_tol(y, tol))
+            assert r <= theta._ROUTE_RADIUS
+            assert np.max(np.abs(got - naive_fourth_powers(tau.matrix, radius=r + 8))) <= tol
 
     @pytest.mark.parametrize("y", [1e-60, 1e-120])
     def test_tiny_imaginary_part_hits_the_cap(self, y):
@@ -540,7 +661,7 @@ class TestRoute:
         force_route(monkeypatch, True)
         summed = []
         sums = theta._even_sums
-        monkeypatch.setattr(theta, "_even_sums", lambda q, r: summed.append(q) or sums(q, r))
+        monkeypatch.setattr(theta, "_even_sums", lambda q, *args: summed.append(q) or sums(q, *args))
         for tau in small_y_points():
             summed.clear()
             sr.theta_fourth_vector(tau, self.TOL)
