@@ -84,18 +84,22 @@ def _add_tau_arguments(sub):
     group.add_argument("--tau-file", help="path to a file holding the same JSON")
 
 
+def _read_json(path: str):
+    """The JSON in the file at path; a file that is not UTF-8 is malformed input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _parse_tau(args):
-    if args.tau_file is not None:
-        with open(args.tau_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(args.tau)
+    data = _read_json(args.tau_file) if args.tau_file is not None else json.loads(args.tau)
     return siegel_point_from_json(data)
 
 
 def _parse_incidence(path: str) -> DivisorIncidence:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     try:
         return DivisorIncidence(data["r"], data["outside_Y"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -205,13 +209,13 @@ def _run(args) -> dict:
     if args.command == "rank":
         if not 10 <= args.samples <= _MAX_SAMPLES:
             raise InvalidInputError(f"--samples must be between 10 and {_MAX_SAMPLES}, got {args.samples}")
-        from .embedding import psi, relation_rank, relation_singular_values
+        from .embedding import _numerical_rank, psi, relation_singular_values
         from .sampling import sample_reduced_points
 
         points = [psi(t) for t in sample_reduced_points(args.samples, args.seed)]
         svals = relation_singular_values(points)
         return {
-            "rank": relation_rank(points),
+            "rank": _numerical_rank(svals),
             "n_samples": args.samples,
             "seed": args.seed,
             "singular_values": [float(s) for s in svals],

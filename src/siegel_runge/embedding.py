@@ -133,7 +133,11 @@ def relation_rank(samples: list[ProjectivePoint]) -> int:
     (their image is the Igusa quartic in a P^4), so generic sampling yields 5.
     Singular values above _RANK_CUTOFF (1e-6) times the largest count toward the rank.
     """
-    s = relation_singular_values(samples)
+    return _numerical_rank(relation_singular_values(samples))
+
+
+def _numerical_rank(s: np.ndarray) -> int:
+    """The count of singular values s, largest first, above _RANK_CUTOFF times s[0]."""
     return int(np.sum(s > _RANK_CUTOFF * s[0]))
 
 
@@ -149,6 +153,7 @@ def archimedean_height_estimate(points, degree: int, multiplicities=None) -> flo
     multiplicities are omitted they are inferred: all real places if
     degree == len(points), all complex if degree == 2 * len(points).
     """
+    points = list(points)
     if not points:
         raise InvalidInputError("need at least one archimedean embedding")
     degree = _integral(degree)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _integral
 from .halfspace import (
     J,
     SiegelPoint,
@@ -31,6 +31,7 @@ def sample_reduced_points(n: int, seed: int) -> list[SiegelPoint]:
     perturbation and Re(tau) uniform in [-1/2, 1/2]^3, then is reduced.  The
     same seed reproduces the identical list.
     """
+    n = _integral(n)
     if n < 1:
         raise InvalidInputError("need n >= 1 sample points")
     rng = np.random.default_rng(seed)

@@ -27,17 +27,17 @@ which is symmetric under n + a -> -(n + a) and contains max|n_i| <= R, so
 the bound on the absolute tail beyond the latter (a comparison with a
 geometric series) dominates what the box leaves out.  On the symmetric box
 the terms of an odd m cancel in pairs, so odd constants are exactly 0, and
-the kernel exponentiates only the half n1 + a1 >= 0.  Flattened, that half
-gives the ten even sums as K @ exp(c @ Q) with c = (tau1, tau2, tau4), Q the
-exponents and K the signs; both are O(r^2), so they are cached only up to
-radius 16, with the columns v = n + a sorted by |v|^2, and built in slabs of
-rows past it.  R takes the tail alone to below the tolerance; what is left
-of the tolerance is a budget for the terms inside the box that are too
-small to matter.  Every term is at most exp(-pi y_min |v|^2), so the kernel
-sums only the columns with |v|^2 <= S = log(2N / budget) / (pi y_min), N
-the number of columns: a prefix of the sorted cache, or the slabs that hold
-such a column.  The columns dropped move each sum by less than the budget
-(proof at :func:`_even_sums`).
+the kernel exponentiates only the half n1 + a1 >= 0.  Up to radius 16,
+flattened, that half gives the ten even sums as K @ exp(c @ Q) with
+c = (tau1, tau2, tau4), Q the exponents and K the signs, cached with the
+columns v = n + a sorted by |v|^2.  R takes the tail alone to below the
+tolerance; the rest of the tolerance is a budget for the terms inside the
+box too small to matter.  Every term is at most exp(-pi y_min |v|^2), so on
+a cached radius the kernel sums only the prefix of columns with
+|v|^2 <= S = log(2N / budget) / (pi y_min), N the number of columns, which
+moves each sum by less than the budget (proof at :func:`_even_sums`).
+(Q, K) are O(r^2), so past radius 16 the kernel sums the whole half box in
+its separable form, sign rows @ exp(exponents) @ sign rows, slab by slab.
 
 The fourth powers are weight-2 forms for the level-2 group, so for M =
 [[A, B], [C, D]] in Sp4(Z)
@@ -66,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DEFAULT_TOL, DEFAULT_TOL_FOURTH, InvalidInputError, ResourceLimitError
+from .errors import DEFAULT_TOL, DEFAULT_TOL_FOURTH, InvalidInputError, ResourceLimitError, _integral
 from .halfspace import SiegelPoint, reduce_to_fundamental_domain
 
 __all__ = [
@@ -91,7 +91,7 @@ _ROUTE_RADIUS = 16
 #: Radii whose (Q, K) stay cached, 2.9 MB for all 16; fixed, not _ROUTE_RADIUS.
 _FUSED_RADIUS = 16
 
-#: Most terms per slab of (Q, K), 13 complex numbers each, past _FUSED_RADIUS.
+#: Most exponentials per slab of rows of the half box past _FUSED_RADIUS.
 _SLAB_TERMS = 1 << 12
 
 
@@ -166,9 +166,10 @@ _A_NORM = math.sqrt(2.0) / 2.0
 def tail_bound(radius: int, y_min: float) -> float:
     """Upper bound for the absolute tail beyond the box max|n_i| <= radius,
     hence beyond the larger box |n_i + a_i| <= radius + 1/2 that is summed."""
+    radius = _integral(radius)
     if radius < 0:
         raise InvalidInputError("radius must be nonnegative")
-    if y_min <= 0.0:
+    if not y_min > 0.0:
         raise InvalidInputError("y_min must be positive")
     s = radius + 1 - _A_NORM
     e = math.exp(-math.pi * y_min * s * s)
@@ -206,7 +207,7 @@ def _truncation(y_min: float, tol: float) -> tuple[int, float]:
 def _radius_up_to(y_min: float, tol: float, cap: int) -> tuple[int, float] | None:
     """The radius of :func:`truncation_radius` and its tail bound, or None
     if the radius exceeds cap."""
-    if y_min <= 0.0:
+    if not y_min > 0.0:
         raise InvalidInputError("y_min must be positive")
     if not 0.0 < tol < 1.0:
         raise InvalidInputError("tol must lie in (0, 1)")
@@ -230,7 +231,7 @@ def _axis(r: int) -> tuple[np.ndarray, ...]:
     row 2a + b of ``signs`` is (-1)^(n b) on the half of v with shift a and 0
     on the other half; ``half_signs`` is its restriction to w, weighted 1 at
     w = 0 and 2 elsewhere, both complex like the exponentials.  These are
-    O(r); the matrices of :func:`_fused_rows` are O(r^2), cached only up to
+    O(r); the matrices of :func:`_fused` are O(r^2), cached only up to
     radius _FUSED_RADIUS.
     """
     n = np.arange(-r - 1, r + 1)
@@ -248,32 +249,27 @@ def _axis(r: int) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _fused_rows(r: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (Q, K) on the rows w[lo:hi] x v of the half box of :func:`_axis`,
-    flattened row by row so that a slab of rows is a column range: with Q (3 x N)
-    = i pi (w^2, 2 w v, v^2), c @ Q is the exponent at (v1, v2) = (w, v), and row
-    j of K (10 x N) is half_signs[2 a1 + b1] (x) signs[2 a2 + b2] for the j-th
-    even characteristic (a1, a2, b1, b2)."""
-    v, v2, signs, w, w2, half_signs = _axis(r)
-    w, w2 = w[lo:hi, None], w2[lo:hi, None]
-    q = 1j * math.pi * np.stack(np.broadcast_arrays(w2, 2.0 * w * v, v2)).reshape(3, -1)
-    a1, a2, b1, b2 = np.array([m.bits for m in even_characteristics()]).T
-    k = (half_signs[2 * a1 + b1, lo:hi, None] * signs[2 * a2 + b2, None, :]).reshape(10, -1)
-    q.flags.writeable = k.flags.writeable = False
-    return q, k
+#: The sign rows 2 a1 + b1 and 2 a2 + b2 that the ten even characteristics
+#: (a1, a2, b1, b2) pair, in their order: an index into the 4 x 4 table.
+_EVEN_CELLS = tuple(np.array([(2 * a1 + b1, 2 * a2 + b2)
+                              for a1, a2, b1, b2 in (m.bits for m in even_characteristics())]).T)
 
 
 @lru_cache(maxsize=_FUSED_RADIUS)
 def _fused(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (Q, K, count) on the whole half box, for r <= _FUSED_RADIUS
-    only.  The columns of :func:`_fused_rows` come sorted by the norm
-    4|v|^2 = 4 (w^2 + v^2), an integer, so that the columns with
-    4|v|^2 <= j are a prefix of length count[j], for j from 0 to the largest
-    norm in the box, 2 (2r + 1)^2."""
-    _, v2, _, _, w2, _ = _axis(r)
-    norm = (4.0 * (w2[:, None] + v2)).astype(np.intp).ravel()
+    """Read-only (Q, K, count) on the half box w x v of :func:`_axis`, for
+    r <= _FUSED_RADIUS only.  With Q (3 x N) = i pi (w^2, 2 w v, v^2), c @ Q is
+    the exponent at (v1, v2) = (w, v); row j of K (10 x N) is
+    half_signs[2 a1 + b1] (x) signs[2 a2 + b2] for the j-th even characteristic.
+    The columns come sorted by the integer 4|v|^2, so that those with
+    4|v|^2 <= j are a prefix of length count[j], j = 0 .. 2 (2r + 1)^2."""
+    v, v2, signs, w, w2, half_signs = _axis(r)
+    w, w2 = w[:, None], w2[:, None]
+    q = 1j * math.pi * np.stack(np.broadcast_arrays(w2, 2.0 * w * v, v2)).reshape(3, -1)
+    rows, cols = _EVEN_CELLS
+    k = (half_signs[rows, :, None] * signs[cols, None, :]).reshape(10, -1)
+    norm = (4.0 * (w2 + v2)).astype(np.intp).ravel()
     order = np.argsort(norm, kind="stable")
-    q, k = _fused_rows(r, 0, 2 * r + 2)
     q, k, count = q[:, order], k[:, order], np.cumsum(np.bincount(norm))
     q.flags.writeable = k.flags.writeable = count.flags.writeable = False
     return q, k, count
@@ -293,38 +289,28 @@ def _cut(r: int, y_min: float, budget: float) -> int:
     return top if s4 >= top else math.floor(s4)
 
 
-def _slabs(r: int, level: int) -> list[tuple[int, int]]:
-    """Row ranges [lo, lo + rows) of the slabs of (Q, K) past the cache, at
-    most _SLAB_TERMS terms and at least one row each, that hold a row
-    w = v1 with 4 w^2 <= level."""
-    kept = 4.0 * _axis(r)[4] <= level
-    rows = max(1, _SLAB_TERMS // (4 * r + 3))
-    return [(lo, lo + rows) for lo in range(0, 2 * r + 2, rows) if kept[lo:lo + rows].any()]
-
-
 def _even_sums(tau: SiegelPoint, r: int, level: int | None = None) -> np.ndarray:
-    """The ten even Theta_m over the columns v = (v1, v2) with 4|v|^2 <= level
-    of the box max(|n1 + a1|, |n2 + a2|) <= r + 1/2 (past the cache, over the
-    whole slabs of rows that hold them), over the whole box if level is
-    None, ordered by :func:`even_characteristics`, as K @ exp(c @ Q) with
-    c = (tau1, tau2, tau4) and (Q, K) of :func:`_fused_rows`.
+    """The ten even Theta_m over the box max(|n1 + a1|, |n2 + a2|) <= r + 1/2,
+    ordered by :func:`even_characteristics`: up to radius _FUSED_RADIUS over
+    the columns v = (v1, v2) with 4|v|^2 <= level, all of them if level is
+    None; past it over the whole box, whatever the level.
 
-    The exponentials on the joint axis v x v hold all four shifts a as blocks
-    and the phase (-1)^(n.b) factors over the axes.  The box is symmetric
-    under v -> -v, which keeps E and flips the phase by (-1)^(4 a.b): odd
-    terms cancel in pairs and an even sum is twice the rows v1 > 0 plus the
-    row v1 = 0, weights that scale exactly.  Up to radius _FUSED_RADIUS the
-    columns kept are a prefix of the sorted cache of :func:`_fused`, summed
-    as views.  Past it (Q, K) come in slabs of at most _SLAB_TERMS terms, at
-    least one row each, and only the slabs of :func:`_slabs` are built: a
-    column of a row w = v1 has |v|^2 >= w^2, so a slab whose rows all have
-    4 w^2 > level holds no column that is kept.
+    The exponentials E on the joint axis v x v hold all four shifts a as
+    blocks and the phase (-1)^(n.b) factors over the axes.  The box is
+    symmetric under v -> -v, which keeps E and flips the phase by
+    (-1)^(4 a.b): odd terms cancel in pairs and an even sum is twice the rows
+    v1 > 0 plus the row v1 = 0, weights that scale exactly.  Up to radius
+    _FUSED_RADIUS the sums are K @ exp(c @ Q) with c = (tau1, tau2, tau4) on
+    the prefix of the sorted columns of :func:`_fused` that is kept, summed
+    as views.  Past it E comes in slabs of at most _SLAB_TERMS terms, at
+    least one row w = v1 >= 0 each, and half_signs @ E @ signs^t adds up all
+    sixteen sums as a 4 x 4 table, whose even cells are read.
 
-    The cut is rigorous.  Let N = (2r + 2)(4r + 3) be the columns of the half
-    box and level = floor(4 S) as :func:`_cut` gives it for a budget, with
-    S = log(2N / budget) / (pi y_min).  A column dropped has the integer
-    4|v|^2 >= level + 1 > 4 S.  It holds at most two terms of each even sum,
-    at v and -v, each of modulus
+    The cut of a cached radius is rigorous.  Let N = (2r + 2)(4r + 3) be the
+    columns of the half box and level = floor(4 S) as :func:`_cut` gives it
+    for a budget, with S = log(2N / budget) / (pi y_min).  A column dropped
+    has the integer 4|v|^2 >= level + 1 > 4 S.  It holds at most two terms of
+    each even sum, at v and -v, each of modulus
 
         exp(-pi v^t Y v) <= exp(-pi y_min |v|^2) < exp(-pi y_min S) = budget / 2N.
 
@@ -337,21 +323,26 @@ def _even_sums(tau: SiegelPoint, r: int, level: int | None = None) -> np.ndarray
     :func:`theta_fourth_vector` and with it the bound 4 U^3 |z - w| on the
     error of a fourth power hold for the cut sum w as for the whole box.
     """
-    c = np.array((tau.tau1, tau.tau2, tau.tau4))
-    if level is None:
-        level = 2 * (2 * r + 1) ** 2
     if r <= _FUSED_RADIUS:
         q, k, count = _fused(r)
-        m = count[level]
-        blocks = [(q[:, :m], k[:, :m])]
-    else:
-        blocks = (_fused_rows(r, lo, hi) for lo, hi in _slabs(r, level))
-    out = np.zeros(10, dtype=complex)
-    for q, k in blocks:
+        m = count[-1 if level is None else level]
+        c = np.array((tau.tau1, tau.tau2, tau.tau4))
+        out = np.zeros(10, dtype=complex)
         # a numpy complex loop, not the bare product: after an OpenBLAS
         # zgemm, complex exp runs about 15 times slower until one has run
-        out += k @ np.exp(c @ q)
-    return out
+        out += k[:, :m] @ np.exp(c @ q[:, :m])
+        return out
+    v, v2, signs, w, w2, half_signs = _axis(r)
+    row = (1j * math.pi * tau.tau1) * w2
+    col = (1j * math.pi * tau.tau4) * v2
+    cross = (2j * math.pi * tau.tau2) * v
+    rows = max(1, _SLAB_TERMS // v.size)
+    table = np.zeros((4, 4), dtype=complex)
+    for lo in range(0, w.size, rows):
+        e = np.exp(row[lo:lo + rows, None] + w[lo:lo + rows, None] * cross + col)
+        # in place, the complex loop that the next slab's exp needs after the zgemm
+        table += half_signs[:, lo:lo + rows] @ e @ signs.T
+    return table[_EVEN_CELLS]
 
 
 def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaValue:
@@ -367,12 +358,13 @@ def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaVal
     -------
     ThetaValue with ``error_bound <= tol``.  The radius R is
     :func:`truncation_radius`, whose tail bound beyond the box
-    max(|n1 + a1|, |n2 + a2|) <= R + 1/2 is tail <= tol.  Inside the box the
-    kernel keeps the columns v with |v|^2 <= S for the budget tol - tail
+    max(|n1 + a1|, |n2 + a2|) <= R + 1/2 is tail <= tol.  Up to radius 16
+    the kernel keeps the columns v with |v|^2 <= S for the budget tol - tail
     (:func:`_even_sums`), and ``error_bound`` is tail plus
     2 exp(-pi y_min (j + 1) / 4) for each column dropped, j = floor(4 S):
-    less than tail + (tol - tail) = tol.  For odd m the value is exactly 0,
-    no column is summed and ``error_bound`` is the tail.
+    less than tail + (tol - tail) = tol.  Past it all (2R + 2)(4R + 3)
+    columns are summed and ``error_bound`` is the tail.  For odd m the value
+    is exactly 0, no column is summed and ``error_bound`` is the tail.
     """
     if not isinstance(m, Characteristic):
         raise InvalidInputError(f"expected a Characteristic, got {m!r}")
@@ -384,12 +376,9 @@ def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaVal
         return ThetaValue(0j, tail, r, 0)
     level = _cut(r, y_min, tol - tail)
     value = complex(_even_sums(tau, r, level)[even_characteristics().index(m)])
-    if r <= _FUSED_RADIUS:
-        terms = int(_fused(r)[2][level])
-    else:
-        terms = (4 * r + 3) * sum(min(hi, 2 * r + 2) - lo for lo, hi in _slabs(r, level))
-    dropped = (2 * r + 2) * (4 * r + 3) - terms
-    return ThetaValue(value, tail + 2.0 * dropped * math.exp(-math.pi * y_min * (level + 1) / 4.0), r, terms)
+    n = (2 * r + 2) * (4 * r + 3)
+    terms = int(_fused(r)[2][level]) if r <= _FUSED_RADIUS else n
+    return ThetaValue(value, tail + 2.0 * (n - terms) * math.exp(-math.pi * y_min * (level + 1) / 4.0), r, terms)
 
 
 def _fourth_inner_tol(y_min: float, tol: float) -> float:

@@ -90,6 +90,25 @@ EVEN_BITS = tuple(
 )
 
 
+def half_box_columns(radius: int) -> list[tuple]:
+    """The terms of the half box v1 >= 0 of the points v of (Z/2)^2 with
+    |v_i| <= radius + 1/2, one tuple each: pi (v1^2, 2 v1 v2, v2^2), then the
+    coefficient of exp(i pi v^t tau v) in each of the ten even sums in
+    EVEN_BITS order, its phase (-1)^(n.b) at v = n + a times 2 (1 on the row
+    v1 = 0), or 0 where the shift a of v is not the characteristic's."""
+    columns = []
+    for i in range(2 * radius + 2):
+        for j in range(-2 * radius - 1, 2 * radius + 2):
+            v1, v2 = i / 2.0, j / 2.0
+            signs = tuple(
+                float((1 if i == 0 else 2) * (-1) ** (((i - a1) // 2 * b1 + (j - a2) // 2 * b2) % 2))
+                if (i % 2, j % 2) == (a1, a2) else 0.0
+                for a1, a2, b1, b2 in EVEN_BITS
+            )
+            columns.append((math.pi * (v1 * v1), math.pi * (2.0 * v1 * v2), math.pi * (v2 * v2)) + signs)
+    return columns
+
+
 def diagonal_fourth_powers(tau1: complex, tau4: complex) -> np.ndarray:
     """Ten even theta fourth powers at diag(tau1, tau4) as 1-variable products."""
     return np.array([

@@ -204,6 +204,24 @@ class TestDeterminismAndErrors:
         assert dispatch(["rank", "--samples", "12", "--seed", "3"]) == 0
         assert capsys.readouterr().out == want + "\n"
 
+    @pytest.mark.parametrize("argv", [["reduce", "--tau-file", "{path}"],
+                                      ["runge", "--incidence-file", "{path}", "--s", "1"]],
+                             ids=["tau-file", "incidence-file"])
+    def test_file_not_utf8_is_exit_two(self, capsys, tmp_path, argv):
+        # the bytes ff fe 00 ended in a UnicodeDecodeError traceback and exit 1
+        path = tmp_path / "in.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert dispatch([arg.format(path=path) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text")
+
+    def test_rank_takes_one_svd(self, capsys, monkeypatch):
+        # the rank was taken by a second SVD of the same samples
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args) or svd(*args, **kwargs))
+        assert run_ok(capsys, ["rank", "--samples", "12"])["rank"] == 5
+        assert len(calls) == 1
+
     def test_malformed_json_is_exit_two(self, capsys):
         assert dispatch(["embed", "--tau", "{"]) == 2
 

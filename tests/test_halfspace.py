@@ -400,6 +400,13 @@ class TestReduction:
             assert np.max(np.abs(res.reduced.matrix - tau0.matrix)) <= 1e-8
             assert res.iterations <= 1000
 
+    @pytest.mark.parametrize("n", [2.5, "3", 0])
+    def test_sample_count_is_a_positive_integer(self, n):
+        # 2.5 raised a bare TypeError from range
+        with pytest.raises(sr.InvalidInputError):
+            sr.sample_reduced_points(n, 1)
+        assert sr.sample_reduced_points(2.0, 1) == sr.sample_reduced_points(2, 1)
+
     def test_idempotent(self):
         for tau in sr.sample_reduced_points(10, seed=23):
             res = sr.reduce_to_fundamental_domain(tau)

@@ -172,6 +172,14 @@ class TestArchimedeanEstimate:
         with pytest.raises(sr.InvalidInputError, match="finite coordinates, not all zero"):
             sr.archimedean_height_estimate([place], 1)
 
+    @pytest.mark.parametrize("form", ["rows", "generator"])
+    def test_places_from_any_iterable(self, form):
+        # a 2 x 10 array raised a bare ValueError (truth value ambiguous) and a
+        # generator a TypeError
+        rows = np.array([[2.0] + [1.0] * 9, [3.0] * 10])
+        places = {"rows": rows, "generator": (row for row in rows)}[form]
+        assert sr.archimedean_height_estimate(places, 2) == (math.log(2.0) + math.log(3.0)) / 2
+
     def test_invalid_inputs(self):
         p = sr.psi(sr.SiegelPoint(1j, 0, 1j))
         with pytest.raises(sr.InvalidInputError):

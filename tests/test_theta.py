@@ -13,6 +13,7 @@ from siegel_runge.theta import Characteristic
 
 from oracles import (
     EVEN_BITS,
+    half_box_columns,
     half_box_mass_outside,
     jacobi_fourth_powers,
     naive_fourth_powers,
@@ -117,6 +118,16 @@ class TestTruncation:
         with pytest.raises(sr.InvalidInputError):
             sr.truncation_radius(1.0, 2.0)
 
+    @pytest.mark.parametrize("call", [lambda: sr.tail_bound(3, math.nan), lambda: sr.truncation_radius(math.nan, 1e-10),
+                                      lambda: sr.tail_bound(2.5, 1.0), lambda: sr.tail_bound(math.inf, 1.0)],
+                             ids=["nan-tail", "nan-radius", "fractional-radius", "infinite-radius"])
+    def test_nan_and_fractional_inputs_refused(self, call):
+        # tail_bound(3, nan) gave nan, truncation_radius(nan, 1e-10) claimed it
+        # needed a radius past the cap, and tail_bound(2.5, 1.0) summed a box
+        # no kernel sums
+        with pytest.raises(sr.InvalidInputError):
+            call()
+
     def test_resource_cap(self):
         with pytest.raises(sr.ResourceLimitError):
             sr.truncation_radius(1e-9, 1e-10)
@@ -182,13 +193,10 @@ class TestKernel:
         assert min(abs(w) for m, w in zip(chars, want) if m.is_even) > 1e-2
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
-    def spy_slabs(self, monkeypatch):
-        """Record the row ranges the kernel builds, and refuse the cache."""
-        slabs = []
-        rows = theta._fused_rows
-        monkeypatch.setattr(theta, "_fused_rows", lambda r, lo, hi: slabs.append((lo, hi)) or rows(r, lo, hi))
+    def refuse_cache(self, monkeypatch, fused_radius):
+        """Cap the cache below the radii summed, and make any use of it fail."""
+        monkeypatch.setattr(theta, "_FUSED_RADIUS", fused_radius)
         monkeypatch.setattr(theta, "_fused", None)
-        return slabs
 
     def test_all_sixteen_match_double_loop(self):
         self.assert_matches_double_loop()
@@ -200,18 +208,18 @@ class TestKernel:
         for m, got in zip(sr.even_characteristics(), sums):
             assert abs(got - theta_2d_naive(m.bits, self.TAU.matrix, self.RADIUS)) <= bound
 
-    def test_slab_boundaries_inside_both_halves(self, monkeypatch):
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_slab_boundaries_inside_both_halves(self, monkeypatch, rows):
         # with the cache capped below the radius, rows v1 = 0, 1, 2, 1/2, 3/2,
         # 5/2 (2r + 2 of them) against 4r + 3 columns go in slabs; slabs of 2
-        # rows end at 2 and 4, one inside each half
+        # rows end at 2 and 4, one inside each half, and one slab of 7 rows
+        # holds them all
         v, _, _, w, _, _ = theta._axis(self.RADIUS)
         assert list(w) == [0.0, 1.0, 2.0, 0.5, 1.5, 2.5]
         assert v.size == 4 * self.RADIUS + 3
-        monkeypatch.setattr(theta, "_FUSED_RADIUS", self.RADIUS - 1)
-        monkeypatch.setattr(theta, "_SLAB_TERMS", 2 * v.size)
-        slabs = self.spy_slabs(monkeypatch)
+        self.refuse_cache(monkeypatch, self.RADIUS - 1)
+        monkeypatch.setattr(theta, "_SLAB_TERMS", rows * v.size)
         self.assert_matches_double_loop()
-        assert slabs == [(0, 2), (2, 4), (4, 6)]
 
     def test_radius_past_the_cache_in_slabs(self, monkeypatch):
         # Im(TAU) over 40: the edge terms at radius 17 are 1e-7 or more.
@@ -220,27 +228,9 @@ class TestKernel:
         entries = self.TAU.tau1, self.TAU.tau2, self.TAU.tau4
         tau = sr.SiegelPoint(*(complex(z.real, z.imag / 40) for z in entries))
         radius = theta._FUSED_RADIUS + 1
+        self.refuse_cache(monkeypatch, theta._FUSED_RADIUS)
         monkeypatch.setattr(theta, "_SLAB_TERMS", 7 * (4 * radius + 3))
-        slabs = self.spy_slabs(monkeypatch)
         self.assert_matches_double_loop(tau, radius)
-        assert slabs == [(lo, lo + 7) for lo in range(0, 2 * radius + 2, 7)]
-
-    def test_slabs_beyond_the_disk_are_never_built(self, monkeypatch):
-        # one row per slab at radius 4: the rows w = 3.5, 4 and 4.5 lie
-        # beyond the disk of a reduced point and are never built
-        tau = cut_points()[0]
-        r, tail, _ = disk(tau, 1e-14)
-        level = theta._cut(r, tau.min_imag_eigenvalue(), 1e-14 - tail)
-        w = theta._axis(r)[3]
-        near = [i for i, x in enumerate(w) if 4 * x * x <= level]
-        assert r == 4 and sorted(x for i, x in enumerate(w) if i not in near) == [3.5, 4.0, 4.5]
-        cached = theta._even_sums(tau, r, level)
-        monkeypatch.setattr(theta, "_FUSED_RADIUS", r - 1)
-        monkeypatch.setattr(theta, "_SLAB_TERMS", 4 * r + 3)
-        slabs = self.spy_slabs(monkeypatch)
-        got = theta._even_sums(tau, r, level)
-        assert slabs == [(i, i + 1) for i in near]
-        assert np.max(np.abs(got - cached)) <= 1e-13 * np.max(np.abs(cached))
 
     def test_cached_axis_is_linear_in_radius(self):
         r = 30
@@ -287,7 +277,7 @@ class TestCut:
 
     @pytest.mark.parametrize("budget", [1e-14, 1e-6])
     def test_prefix_matches_the_disk_double_loop(self, budget):
-        # the cached radii sum a prefix; past them whole slabs of rows
+        # the cached radii sum a prefix
         for tau in cut_points()[:2] + cut_points()[4:]:
             y = tau.min_imag_eigenvalue()
             r = sr.truncation_radius(y, budget)
@@ -311,10 +301,10 @@ class TestCut:
             assert norm.size == (2 * r + 2) * (4 * r + 3)
             assert np.all(np.diff(norm) >= 0)
             assert np.array_equal(count, [np.count_nonzero(norm <= j) for j in range(2 * (2 * r + 1) ** 2 + 1)])
-            # the columns of the unsorted half box, each once
-            q0, k0 = theta._fused_rows(r, 0, 2 * r + 2)
+            # every term of the half box, each once
+            assert not (np.any(q.real) or np.any(k.imag))
             assert (sorted(map(tuple, np.vstack([q.imag, k.real]).T.tolist()))
-                    == sorted(map(tuple, np.vstack([q0.imag, k0.real]).T.tolist())))
+                    == sorted(half_box_columns(r)))
         assert theta._fused.cache_info().maxsize == theta._FUSED_RADIUS
 
 
@@ -340,8 +330,8 @@ class TestThetaConstant:
                 assert tv.terms == disk_columns(r, s) < n
                 assert half_box_mass_outside(tau.matrix.imag, r, s) <= tv.error_bound - tail
             else:
-                # whole slabs of rows, at least the disk
-                assert disk_columns(r, s) <= tv.terms <= n and tv.terms % (4 * r + 3) == 0
+                # the whole half box, so nothing is dropped
+                assert tv.terms == n and tv.error_bound == tail
             assert sr.theta_constant(odd, tau, tol) == sr.ThetaValue(0j, tail, r, 0)
 
     def test_odd_vanish(self):
