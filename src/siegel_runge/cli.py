@@ -40,16 +40,12 @@ def dumps_canonical(obj) -> str:
     Dict insertion order is kept; floats use fixed 12-significant-digit
     formatting; ints stay ints.
     """
-    if obj is None or obj is True or obj is False:
+    if obj is None or isinstance(obj, (bool, int, str)):
         return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(int(obj))
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise InvalidInputError("cannot serialize non-finite numbers")
         return f"{float(obj):.12g}"
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, dict):
         inner = ", ".join(f"{json.dumps(str(k))}: {dumps_canonical(v)}" for k, v in obj.items())
         return "{" + inner + "}"
@@ -106,19 +102,9 @@ def _parse_incidence(path: str) -> DivisorIncidence:
         raise InvalidInputError(f"malformed DivisorIncidence JSON: {exc}") from exc
 
 
-def _parse_bits(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise InvalidInputError(f"cannot parse characteristic {text!r}") from exc
-
-
-def _parse_gaussian(text: str) -> tuple[int, int]:
-    try:
-        re_part, im_part = text.split(",")
-        return int(re_part), int(im_part)
-    except ValueError as exc:
-        raise InvalidInputError(f"cannot parse Gaussian integer {text!r} (want re,im)") from exc
+def _ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, the argparse type of --char and --gaussian."""
+    return tuple(int(x) for x in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="evaluate one theta constant")
     _add_tau_arguments(p)
-    p.add_argument("--char", required=True, help="characteristic bits a1,a2,b1,b2 (1 means 1/2)")
+    p.add_argument("--char", required=True, type=_ints, help="characteristic bits a1,a2,b1,b2 (1 means 1/2)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = sub.add_parser("reduce", help="reduce to the fundamental domain")
@@ -153,9 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
 
     p = sub.add_parser("runge", help="the condition m_Y * s < r")
-    p.add_argument("--n", type=int, help="even level for the closed-formula case")
     p.add_argument("--s", type=int, required=True, help="number of bad places")
-    p.add_argument("--incidence-file", help="DivisorIncidence JSON instead of --n")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--n", type=int, help="even level for the closed-formula case")
+    group.add_argument("--incidence-file", help="DivisorIncidence JSON instead of --n")
 
     p = sub.add_parser("bounds", help="explicit height-bound cases")
     p.add_argument("--case", choices=("a", "b"), required=True)
@@ -168,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("height", help="Weil height of integer or Gaussian coordinates")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rational", type=int, nargs="+", metavar="INT")
-    group.add_argument("--gaussian", nargs="+", metavar="RE,IM")
+    group.add_argument("--gaussian", type=_ints, nargs="+", metavar="RE,IM")
 
     return parser
 
@@ -178,7 +165,7 @@ def _run(args) -> dict:
         from .theta import Characteristic, theta_constant
 
         tau = _parse_tau(args)
-        m = Characteristic(_parse_bits(args.char))
+        m = Characteristic(args.char)
         tv = theta_constant(m, tau, args.tol)
         return {
             "char": list(m.bits),
@@ -231,8 +218,6 @@ def _run(args) -> dict:
         }
 
     if args.command == "runge":
-        if (args.n is None) == (args.incidence_file is None):
-            raise InvalidInputError("pass exactly one of --n or --incidence-file")
         if args.n is not None:
             return siegel_runge_condition(args.n, args.s).to_json()
         inc = _parse_incidence(args.incidence_file)
@@ -242,14 +227,12 @@ def _run(args) -> dict:
         if args.case == "a":
             field = {"Q": "rational", "Qi": "imaginary_quadratic"}.get(args.field, args.field)
             return bound_case_a(args.sp, field).to_json()
-        if args.places is None or args.t is None:
-            raise InvalidInputError("case b needs --places and --t")
         return bound_case_b(args.sp, args.places, args.t).to_json()
 
     if args.command == "height":
         if args.rational is not None:
             return {"height": weil_height_rational(args.rational)}
-        return {"height": weil_height_gaussian([_parse_gaussian(g) for g in args.gaussian])}
+        return {"height": weil_height_gaussian(args.gaussian)}
 
     raise InvalidInputError(f"unknown command {args.command!r}")  # pragma: no cover
 
@@ -262,14 +245,14 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return int(exc.code or 0)
     try:
-        result = _run(args)
+        text = dumps_canonical(_run(args))
     except (InvalidInputError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SiegelRungeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    print(dumps_canonical(result))
+    print(text)
     return 0
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InconsistencyError, InvalidInputError, _integral
+from .errors import _TINY, InconsistencyError, InvalidInputError, _integral, _real, _sequence
 from .halfspace import in_tube, reduce_to_fundamental_domain
 from .theta import DEFAULT_TOL_FOURTH, theta_fourth_vector
 
@@ -58,11 +58,8 @@ class ProjectivePoint:
     sup: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise InvalidInputError(f"tol must be finite and positive, got {self.tol!r}")
-        c = np.asarray(self.coords, dtype=complex)
-        if c.shape != (10,):
-            raise InvalidInputError(f"expected 10 coordinates, got shape {c.shape}")
+        object.__setattr__(self, "tol", _real(self.tol, _TINY, math.inf, "tol must be finite and positive"))
+        c = _numbers(self.coords, "expected 10 coordinates", (10,))
         object.__setattr__(self, "coords", c)
         c.setflags(write=False)
         object.__setattr__(self, "sup", float(np.abs(c).max()))
@@ -77,6 +74,18 @@ class ProjectivePoint:
     def normalized(self) -> np.ndarray:
         """Coordinates scaled to unit sup-norm."""
         return self.coords / self.sup
+
+
+def _numbers(x, what: str = "expected an array of numbers", shape=None) -> np.ndarray:
+    """x as a complex array, of the given shape if any; InvalidInputError, with ``what`` as the
+    message, unless numpy reads x as numbers, which ragged rows, strings, sets and generators are not."""
+    try:
+        a = np.asarray(x)
+        if a.dtype.kind in "biufc" and (shape is None or a.shape == shape):
+            return a.astype(complex, copy=False)
+    except ValueError:  # ragged rows
+        pass
+    raise InvalidInputError(f"{what}, got {x!r}")
 
 
 def psi(tau, tol: float = DEFAULT_TOL_FOURTH) -> ProjectivePoint:
@@ -153,28 +162,19 @@ def archimedean_height_estimate(points, degree: int, multiplicities=None) -> flo
     multiplicities are omitted they are inferred: all real places if
     degree == len(points), all complex if degree == 2 * len(points).
     """
-    points = list(points)
-    if not points:
-        raise InvalidInputError("need at least one archimedean embedding")
-    degree = _integral(degree)
-    if degree < 1:
-        raise InvalidInputError("degree must be a positive integer")
+    points = _sequence(points, None, "the places must be an iterable")
+    if multiplicities is not None:
+        multiplicities = _sequence(multiplicities, _integral, "multiplicities must be integers")
+    degree = _integral(degree, 1, "degree must be a positive integer")
     if multiplicities is None:
-        if degree == len(points):
-            multiplicities = [1] * len(points)
-        elif degree == 2 * len(points):
-            multiplicities = [2] * len(points)
-        else:
-            raise InvalidInputError(
-                "cannot infer place multiplicities; pass them explicitly"
-            )
-    elif not all(mult in (1, 2) for mult in multiplicities):
-        raise InvalidInputError(f"a place has multiplicity 1 or 2, got {list(multiplicities)}")
-    if len(multiplicities) != len(points) or sum(multiplicities) != degree:
-        raise InvalidInputError("multiplicities must sum to the degree")
+        # all real if the degree is the number of places, all complex if twice it; else refused below
+        multiplicities = [degree // max(1, len(points))] * len(points)
+    if len(multiplicities) != len(points) or sum(multiplicities) != degree or not {1, 2} >= set(multiplicities):
+        raise InvalidInputError(f"{len(points)} places need multiplicities of 1 or 2 with sum {degree}, "
+                                f"got {multiplicities}")
     total = 0.0
     for p, mult in zip(points, multiplicities):
-        sup = p.sup if isinstance(p, ProjectivePoint) else float(np.max(np.abs(np.asarray(p, dtype=complex))))
+        sup = p.sup if isinstance(p, ProjectivePoint) else float(np.max(np.abs(_numbers(p)), initial=0.0))
         if not 0.0 < sup < math.inf:
             raise InvalidInputError(f"a place needs finite coordinates, not all zero; got sup {sup}")
         total += mult * math.log(sup)

@@ -1,8 +1,12 @@
-"""Exception types shared across the package, the one integrality check,
-and the default error tolerances of theta evaluation.
+"""Exception types, the readers of raw arguments and the default tolerances.
 
-The tolerances live here, not in :mod:`~siegel_runge.theta`, so that the CLI
-parser reads them without importing numpy; theta re-exports both.
+Raw values (numbers, sequences of them, the CLI's strings and JSON) are read
+once where they enter a public function, by _integral, _real or _sequence
+(matrices by halfspace._square_rows); a malformed one raises InvalidInputError
+(CLI exit 2), and a bool reads as 0 or 1.  Library objects are checked by
+their constructors; result records check nothing.  Anything else is a
+programming error, and a TypeError or AttributeError may escape.  The
+tolerances live here so that the CLI reads them without numpy.
 """
 
 import math
@@ -13,6 +17,9 @@ DEFAULT_TOL = 1e-10
 
 #: Default component-wise tolerance after fourth powers.
 DEFAULT_TOL_FOURTH = 1e-8
+
+#: The least positive float: _real(x, _TINY, high, what) reads x in (0, high).
+_TINY = math.ulp(0.0)
 
 
 class SiegelRungeError(Exception):
@@ -39,11 +46,34 @@ class InconsistencyError(SiegelRungeError, RuntimeError):
     """An internal sanity check failed; indicates a bug, not bad input."""
 
 
-def _integral(x) -> int:
-    """x as an int.  Raises InvalidInputError unless x is a finite integral
-    number, so that 3.9 is refused rather than truncated to 3."""
-    if type(x) is not int:
-        if not (isinstance(x, numbers.Real) and math.isfinite(x) and int(x) == x):
-            raise InvalidInputError(f"expected an integer, got {x!r}")
-        x = int(x)
-    return x
+def _integral(x, least=None, what="expected an integer") -> int:
+    """x as an int, at least ``least`` if given.  InvalidInputError, with ``what`` as
+    the message, unless x is a finite integral real number: 3.9 is not truncated to 3."""
+    try:
+        ok = type(x) is int or (type(x) is float or isinstance(x, numbers.Real)) and int(x) == x
+    except (ValueError, OverflowError):  # NaN and the infinities
+        ok = False
+    if ok and (least is None or x >= least):
+        return int(x)
+    raise InvalidInputError(f"{what}, got {x!r}")
+
+
+def _real(x, low: float, high: float, what: str) -> float:
+    """x as a float in [low, high).  InvalidInputError, with ``what`` as the message, unless x is a
+    real number whose float lies there (an int past the float range is inf): NaN, "1.0" and 1j are not."""
+    try:
+        y = x if type(x) is float else float(x) if type(x) is int or isinstance(x, numbers.Real) else math.nan
+    except OverflowError:
+        y = math.inf
+    if low <= y < high:
+        return y
+    raise InvalidInputError(f"{what}, got {x!r}")
+
+
+def _sequence(x, entry, what: str) -> list:
+    """The items of x as a list, each through entry unless it is None; InvalidInputError, with
+    ``what`` and the cause as the message, for a TypeError, ValueError or OverflowError in reading."""
+    try:
+        return list(x) if entry is None else [entry(v) for v in x]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{what}: {exc}") from exc

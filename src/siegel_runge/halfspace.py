@@ -21,7 +21,8 @@ from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConditioningError, InvalidInputError, NonConvergenceError, ResourceLimitError, _integral
+from .errors import (ConditioningError, InvalidInputError, NonConvergenceError, ResourceLimitError, _integral,
+                     _real, _sequence)
 
 __all__ = [
     "MIN_TUBE_PARAMETER",
@@ -71,9 +72,7 @@ class SiegelPoint:
         # entries computed inside the package are Python complexes already and
         # skip the numbers.Complex test, which would double the constructor's cost
         if not type(t1) is type(t2) is type(t4) is complex:
-            if not all(isinstance(z, numbers.Complex) for z in (t1, t2, t4)):
-                raise InvalidInputError(f"SiegelPoint entries must be numbers: {(t1, t2, t4)!r}")
-            t1, t2, t4 = complex(t1), complex(t2), complex(t4)
+            t1, t2, t4 = _sequence((t1, t2, t4), _complex, "SiegelPoint entries must be numbers")
             object.__setattr__(self, "tau1", t1)
             object.__setattr__(self, "tau2", t2)
             object.__setattr__(self, "tau4", t4)
@@ -525,13 +524,7 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
 #: Tube parameters below sqrt(3)/2 do not describe a neighborhood of the cusps.
 MIN_TUBE_PARAMETER = math.sqrt(3.0) / 2.0
 
-
-def _tube_parameter(t) -> float:
-    """t as a float; InvalidInputError unless t is a real number, so that
-    None and "1.0" are refused, and finite and at least MIN_TUBE_PARAMETER."""
-    if isinstance(t, numbers.Real) and MIN_TUBE_PARAMETER <= t < math.inf:
-        return float(t)
-    raise InvalidInputError(f"tube parameter must be >= sqrt(3)/2 ~ {MIN_TUBE_PARAMETER:.6f}, got {t!r}")
+_TUBE = f"tube parameter must be >= sqrt(3)/2 ~ {MIN_TUBE_PARAMETER:.6f}"
 
 
 def in_tube(reduced_tau: SiegelPoint, t) -> bool:
@@ -540,4 +533,4 @@ def in_tube(reduced_tau: SiegelPoint, t) -> bool:
     ``reduced_tau`` must already be reduced (the tube is defined inside the
     fundamental domain); membership is Im(tau4) >= t.
     """
-    return reduced_tau.tau4.imag >= _tube_parameter(t)
+    return reduced_tau.tau4.imag >= _real(t, MIN_TUBE_PARAMETER, math.inf, _TUBE)

@@ -18,8 +18,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, _integral
-from .halfspace import _tube_parameter
+from .errors import InvalidInputError, _integral, _real, _sequence
+from .halfspace import _TUBE, MIN_TUBE_PARAMETER
 
 __all__ = [
     "BoundReport",
@@ -38,8 +38,8 @@ def weil_height_rational(coords) -> float:
     Scaling-invariant and nonnegative; coordinates must be integral numbers,
     not all zero (2.5 raises InvalidInputError rather than truncating).
     """
-    cs = [_integral(c) for c in coords]
-    if not cs or all(c == 0 for c in cs):
+    cs = _sequence(coords, _integral, "coordinates must be integral numbers")
+    if not any(cs):
         raise InvalidInputError("coordinates must not be all zero")
     g = math.gcd(*cs)
     return math.log(max(abs(c) for c in cs) // g)
@@ -47,16 +47,13 @@ def weil_height_rational(coords) -> float:
 
 def _as_gaussian(z) -> tuple[int, int]:
     """(re, im) of a Gaussian integer given as a number or a pair; both parts
-    must be integral.  Integers and pairs are taken exactly; only other
-    numbers pass through complex, whose parts are floats."""
+    must be integral.  Integers and pairs are taken exactly; other numbers
+    give their real and imaginary parts, and anything else _integral refuses."""
     if isinstance(z, (tuple, list)) and len(z) == 2:
-        x, y = z
-    elif isinstance(z, numbers.Complex) and not isinstance(z, numbers.Integral):
-        z = complex(z)
-        x, y = z.real, z.imag
-    else:  # an integer, or what _integral refuses
-        x, y = z, 0
-    return _integral(x), _integral(y)
+        return _integral(z[0]), _integral(z[1])
+    if isinstance(z, numbers.Integral) or not isinstance(z, numbers.Complex):
+        return _integral(z), 0
+    return _integral(z.real), _integral(z.imag)
 
 
 def weil_height_gaussian(coords) -> float:
@@ -71,8 +68,8 @@ def weil_height_gaussian(coords) -> float:
     may be integers or (re, im) pairs, taken exactly, or complex numbers
     with integral parts.
     """
-    cs = [_as_gaussian(c) for c in coords]
-    if not cs or all(c == (0, 0) for c in cs):
+    cs = _sequence(coords, _as_gaussian, "coordinates must be Gaussian integers")
+    if not any(x or y for x, y in cs):
         raise InvalidInputError("coordinates must not be all zero")
     content = 0
     for j, (x, y) in enumerate(cs):
@@ -109,9 +106,7 @@ def bound_case_a(s_p: int, field_kind: str = "rational") -> BoundReport:
     When the condition holds: h(psi(P)) <= 10.75 and the stable Faltings
     height is <= 1070.  s_p must be an integral number.
     """
-    s_p = _integral(s_p)
-    if s_p < 0:
-        raise InvalidInputError("s_p must be a nonnegative count")
+    s_p = _integral(s_p, 0, "s_p must be a nonnegative count")
     if field_kind not in FIELD_KINDS:
         raise InvalidInputError(f"field_kind must be one of {FIELD_KINDS}")
     holds = s_p < 4
@@ -131,12 +126,9 @@ def bound_case_b(s_p: int, archimedean_places: int, t) -> BoundReport:
     2 pi t + 535 log(2 pi t + 9), natural logarithm.  s_p and
     archimedean_places must be integral numbers.
     """
-    s_p, archimedean_places = _integral(s_p), _integral(archimedean_places)
-    if s_p < 0:
-        raise InvalidInputError("s_p must be a nonnegative count")
-    if archimedean_places < 1:
-        raise InvalidInputError("a number field has at least one archimedean place")
-    t = _tube_parameter(t)
+    s_p = _integral(s_p, 0, "s_p must be a nonnegative count")
+    archimedean_places = _integral(archimedean_places, 1, "a number field has at least one archimedean place")
+    t = _real(t, MIN_TUBE_PARAMETER, math.inf, _TUBE)
     holds = s_p + archimedean_places < 10
     two_pi_t = 2.0 * math.pi * t
     return BoundReport(

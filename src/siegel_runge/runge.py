@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import InvalidInputError, _integral
+from .errors import InvalidInputError, _integral, _sequence
 
 __all__ = [
     "DivisorIncidence",
@@ -51,10 +51,9 @@ class DivisorIncidence:
     outside_y: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _integral(self.r))
-        if self.r < 1:
-            raise InvalidInputError("divisor count r must be at least 1")
-        sets = {frozenset(_integral(i) for i in s) for s in self.outside_y}
+        object.__setattr__(self, "r", _integral(self.r, 1, "divisor count r must be an integer >= 1"))
+        what = "outside_y must be an iterable of subsets of integer indices"
+        sets = {frozenset(_sequence(s, _integral, what)) for s in _sequence(self.outside_y, None, what)}
         sets.discard(frozenset())
         for s in sets:
             if not all(1 <= i <= self.r for i in s):
@@ -97,9 +96,9 @@ class RungeVerdict:
 def runge_condition(m_y: int, s: int, r: int) -> RungeVerdict:
     """The strict inequality m_Y * |S| < r as a verdict record.  The three
     counts must be integral numbers; 1.5 raises InvalidInputError."""
-    m_y, s, r = _integral(m_y), _integral(s), _integral(r)
-    if m_y < 1 or s < 1 or r < 1:
-        raise InvalidInputError("m_y, s and r must all be at least 1")
+    m_y = _integral(m_y, 1, "m_y must be an integer >= 1")
+    s = _integral(s, 1, "s must be an integer >= 1")
+    r = _integral(r, 1, "r must be an integer >= 1")
     return RungeVerdict(m_used=m_y, s=s, r=r, holds=m_y * s < r)
 
 
@@ -128,9 +127,7 @@ def siegel_m_y(n: int) -> int:
 
 def siegel_runge_condition(n: int, s_l: int) -> RungeVerdict:
     """The level-n condition (n^2 - 3) s_L < n^4/2 + 2."""
-    s_l = _integral(s_l)
-    if s_l < 1:
-        raise InvalidInputError("s_l must be at least 1")
+    s_l = _integral(s_l, 1, "s_l must be an integer >= 1")
     return runge_condition(siegel_m_y(n), s_l, siegel_divisor_count(n))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, _integral
+from .errors import InconsistencyError, InvalidInputError, _integral
 from .halfspace import (
     J,
     SiegelPoint,
@@ -23,18 +23,19 @@ __all__ = [
 
 _IDENTITY = SymplecticMatrix(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
 
+#: The GL2(Z) generators of random_symplectic_matrix's words.
+_UNITS = tuple(map(gl2_embedding, ([[1, 1], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [1, 0]])))
+
 
 def sample_reduced_points(n: int, seed: int) -> list[SiegelPoint]:
     """n deterministic pseudo-random fundamental-domain points.
 
     Each draw starts from Im(tau) = I + small random positive semidefinite
     perturbation and Re(tau) uniform in [-1/2, 1/2]^3, then is reduced.  The
-    same seed reproduces the identical list.
+    same seed, an integer >= 0, reproduces the identical list.
     """
-    n = _integral(n)
-    if n < 1:
-        raise InvalidInputError("need n >= 1 sample points")
-    rng = np.random.default_rng(seed)
+    n = _integral(n, 1, "need n >= 1 sample points")
+    rng = np.random.default_rng(_integral(seed, 0, "seed must be an integer >= 0"))
     points = []
     for _ in range(n):
         a = rng.normal(size=(2, 2))
@@ -64,11 +65,8 @@ def random_symplectic_matrix(rng, max_word: int = 8, entry_bound: int | None = N
 
     With ``entry_bound`` set, words are redrawn until all entries fit.
     """
-    units = [
-        gl2_embedding([[1, 1], [0, 1]]),
-        gl2_embedding([[1, 0], [1, 1]]),
-        gl2_embedding([[0, 1], [1, 0]]),
-    ]
+    max_word = _integral(max_word, 1, "max_word must be an integer >= 1")
+    entry_bound = None if entry_bound is None else _integral(entry_bound, 1, "entry_bound must be an integer >= 1")
     for _ in range(1000):
         g = _IDENTITY
         for _ in range(int(rng.integers(1, max_word + 1))):
@@ -78,7 +76,7 @@ def random_symplectic_matrix(rng, max_word: int = 8, entry_bound: int | None = N
             elif kind == 1:
                 g = translation(_random_sym_block(rng, -1, 1)) @ g
             else:
-                g = units[int(rng.integers(0, len(units)))] @ g
+                g = _UNITS[int(rng.integers(0, len(_UNITS)))] @ g
         if entry_bound is None or max(abs(x) for row in g.rows for x in row) <= entry_bound:
             return g
     raise InvalidInputError(f"could not draw a symplectic word within entry bound {entry_bound}")
@@ -88,11 +86,13 @@ def random_level2_matrix(rng, max_word: int = 12, entry_bound: int = 32) -> Symp
     """Random element of the level-2 congruence subgroup.
 
     Words in upper and lower translations by even symmetric blocks; such
-    products are congruent to the identity mod 2 by construction, which the
-    final assertion re-checks.  Entries are capped by redrawing: huge
+    products are congruent to the identity mod 2 by construction, which a
+    final check confirms.  Entries are capped by redrawing: huge
     cocycle factors would push Im(gamma.tau) so low that theta sums become
     needlessly expensive.
     """
+    max_word = _integral(max_word, 1, "max_word must be an integer >= 1")
+    entry_bound = _integral(entry_bound, 1, "entry_bound must be an integer >= 1")
     for _ in range(1000):
         g = _IDENTITY
         for _ in range(int(rng.integers(1, max_word + 1))):
@@ -102,6 +102,7 @@ def random_level2_matrix(rng, max_word: int = 12, entry_bound: int = 32) -> Symp
                 step = J @ step @ J.inverse()
             g = step @ g
         if max(abs(x) for row in g.rows for x in row) <= entry_bound:
-            assert is_level2(g)
+            if not is_level2(g):
+                raise InconsistencyError(f"a word in even translations is not level 2: {g.rows}")
             return g
     raise InvalidInputError(f"could not draw a level-2 word within entry bound {entry_bound}")

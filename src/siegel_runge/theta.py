@@ -66,7 +66,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DEFAULT_TOL, DEFAULT_TOL_FOURTH, InvalidInputError, ResourceLimitError, _integral
+from .errors import (_TINY, DEFAULT_TOL, DEFAULT_TOL_FOURTH, InvalidInputError, ResourceLimitError, _integral,
+                     _real, _sequence)
 from .halfspace import SiegelPoint, reduce_to_fundamental_domain
 
 __all__ = [
@@ -106,9 +107,11 @@ class Characteristic:
     bits: tuple[int, int, int, int]
 
     def __post_init__(self):
-        if len(self.bits) != 4 or any(x not in (0, 1) for x in self.bits):
-            raise InvalidInputError("characteristic bits must be four values in {0, 1}")
-        object.__setattr__(self, "bits", tuple(int(x) for x in self.bits))
+        what = "characteristic bits must be four values in {0, 1}"
+        bits = tuple(_sequence(self.bits, _integral, what))
+        if len(bits) != 4 or not {0, 1}.issuperset(bits):
+            raise InvalidInputError(f"{what}, got {self.bits!r}")
+        object.__setattr__(self, "bits", bits)
 
     @property
     def is_even(self) -> bool:
@@ -142,12 +145,13 @@ def odd_characteristics() -> tuple[Characteristic, ...]:
 
 @dataclass(frozen=True)
 class ThetaValue:
-    """A computed theta constant with a rigorous absolute error bound.
+    """A computed theta constant with a rigorous bound on truncation and cut.
 
     ``radius`` is the box radius R, ``terms`` the number of half-box
     columns exponentiated (0 for an odd constant, which is exactly 0), and
     ``error_bound`` the tail beyond the box plus the bound on the columns
-    the kernel dropped inside it.
+    the kernel dropped inside it, without the floating-point rounding, which
+    exceeded it at tol 1e-14 past the cache (ROADMAP item 2).
     """
 
     value: complex
@@ -166,11 +170,12 @@ _A_NORM = math.sqrt(2.0) / 2.0
 def tail_bound(radius: int, y_min: float) -> float:
     """Upper bound for the absolute tail beyond the box max|n_i| <= radius,
     hence beyond the larger box |n_i + a_i| <= radius + 1/2 that is summed."""
-    radius = _integral(radius)
-    if radius < 0:
-        raise InvalidInputError("radius must be nonnegative")
-    if not y_min > 0.0:
-        raise InvalidInputError("y_min must be positive")
+    radius = _integral(radius, 0, "radius must be an integer >= 0")
+    return _tail(radius, _real(y_min, _TINY, math.inf, "y_min must be finite and positive"))
+
+
+def _tail(radius: int, y_min: float) -> float:
+    """:func:`tail_bound` of arguments already read."""
     s = radius + 1 - _A_NORM
     e = math.exp(-math.pi * y_min * s * s)
     x = 2.0 * math.pi * y_min * s
@@ -191,7 +196,8 @@ def truncation_radius(y_min: float, tol: float) -> int:
     radius the bound exceeds tol by a factor 2 or more, and no smaller
     radius can pass, rounding included.
     """
-    return _truncation(y_min, tol)[0]
+    y_min = _real(y_min, _TINY, math.inf, "y_min must be finite and positive")
+    return _truncation(y_min, _real(tol, _TINY, 1.0, "tol must lie in (0, 1)"))[0]
 
 
 def _truncation(y_min: float, tol: float) -> tuple[int, float]:
@@ -207,15 +213,11 @@ def _truncation(y_min: float, tol: float) -> tuple[int, float]:
 def _radius_up_to(y_min: float, tol: float, cap: int) -> tuple[int, float] | None:
     """The radius of :func:`truncation_radius` and its tail bound, or None
     if the radius exceeds cap."""
-    if not y_min > 0.0:
-        raise InvalidInputError("y_min must be positive")
-    if not 0.0 < tol < 1.0:
-        raise InvalidInputError("tol must lie in (0, 1)")
     lead = 8.0 / tol * max(1.0, 1.0 / (4.0 * math.pi * y_min))
     start = math.sqrt(math.log(lead) / (math.pi * y_min)) + _A_NORM - 1.0
     if start <= cap:
         for r in range(max(1, math.ceil(start)), cap + 1):
-            tail = tail_bound(r, y_min)
+            tail = _tail(r, y_min)
             if tail <= tol:
                 return r, tail
     return None
@@ -346,7 +348,7 @@ def _even_sums(tau: SiegelPoint, r: int, level: int | None = None) -> np.ndarray
 
 
 def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaValue:
-    """Evaluate Theta_m(tau) with absolute error at most tol.
+    """Evaluate Theta_m(tau): truncation and cut error at most tol, rounding aside.
 
     Parameters
     ----------
@@ -370,6 +372,7 @@ def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaVal
         raise InvalidInputError(f"expected a Characteristic, got {m!r}")
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
+    tol = _real(tol, _TINY, 1.0, "tol must lie in (0, 1)")
     y_min = tau.min_imag_eigenvalue()
     r, tail = _truncation(y_min, tol)
     if not m.is_even:
@@ -391,11 +394,13 @@ def _fourth_inner_tol(y_min: float, tol: float) -> float:
 def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     """The 10 values Theta_m(tau)^4, ordered by :func:`even_characteristics`.
 
-    Each component carries an absolute error at most tol.  All ten come
-    from one box whose tail bound meets the inner tolerance tol / (4 U^3)
-    with U = (1 + y_min^(-1/2))^2; inside it the kernel drops the columns
-    that the rest of the inner tolerance covers, so each constant is within
-    the inner tolerance (:func:`_even_sums`).  Every term is at most
+    Each component's error from truncation and the cut is at most tol, but
+    rounding is not bounded: on routed points the absolute tol fails from Im
+    scale 1e-3 down (ROADMAP item 2).  All ten come from one box whose tail
+    bound meets the inner tolerance tol / (4 U^3) with
+    U = (1 + y_min^(-1/2))^2; inside it the kernel drops the columns that
+    the rest of the inner tolerance covers, so each constant is within the
+    inner tolerance (:func:`_even_sums`).  Every term is at most
     exp(-pi y_min |n+a|^2), which factors over the axes, and each 1-D sum of
     exp(-pi y (n+a)^2) over n is at most its peak 1 plus the integral
     y^(-1/2).  So U bounds the absolute series, hence both the constant z
@@ -423,8 +428,7 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     """
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
-    if not tol > 0.0:
-        raise InvalidInputError("tol must be positive")
+    tol = _real(tol, _TINY, math.inf, "tol must be finite and positive")
     y_min = tau.min_imag_eigenvalue()
     inner = _fourth_inner_tol(y_min, min(tol, 0.5))
     found = _radius_up_to(y_min, inner, _ROUTE_RADIUS) if inner > 0.0 else None

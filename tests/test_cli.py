@@ -105,6 +105,12 @@ class TestVerdictCommands:
     def test_tube_small_parameter_is_input_error(self, capsys):
         assert dispatch(["tube", "--tau", TAU_I, "--t", "0.5"]) == 2
 
+    def test_unserializable_bound_is_no_traceback(self, capsys):
+        # 4 pi t overflows to inf, and the serializer's refusal escaped dispatch as a traceback, exit 1
+        assert dispatch(["bounds", "--case", "b", "--sp", "0", "--places", "1", "--t", "1e308"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "cannot serialize non-finite numbers" in err
+
 
 class TestHeights:
     def test_rational(self, capsys):
@@ -196,6 +202,14 @@ class TestDeterminismAndErrors:
         monkeypatch.setattr(sampling, "sample_reduced_points", spy)
         assert dispatch(["rank", "--samples", samples, "--seed", "1"]) == 2
         assert "--samples must be between 10 and 100000" in capsys.readouterr().err
+
+    def test_negative_seed_is_exit_two_before_any_work(self, capsys, monkeypatch):
+        # numpy's ValueError ended in a traceback and exit 1
+        from siegel_runge import embedding
+
+        monkeypatch.setattr(embedding, "psi", None)
+        assert dispatch(["rank", "--samples", "10", "--seed", "-1"]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
 
     def test_rank_stdout_is_the_pipeline_output(self, capsys):
         points = [sr.psi(t) for t in sr.sample_reduced_points(12, 3)]

@@ -117,6 +117,24 @@ class TestSymplectic:
             assert (g.inverse() @ g).mat.tolist() == np.eye(4, dtype=int).tolist()
             assert g.inverse().mat.tolist() == symplectic_inverse(g.mat).tolist()
 
+    @pytest.mark.parametrize("draw", [sr.random_symplectic_matrix, sr.random_level2_matrix],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("kwargs", [{"max_word": 0}, {"max_word": "x"}, {"max_word": 2.5},
+                                        {"entry_bound": 0}, {"entry_bound": "x"}, {"entry_bound": 2.5}],
+                             ids=["word-zero", "word-string", "word-half", "bound-zero", "bound-string", "bound-half"])
+    def test_word_arguments_are_positive_integers(self, draw, kwargs):
+        # max_word=0 raised numpy's ValueError and "x" a TypeError; 2.5 was taken
+        with pytest.raises(sr.InvalidInputError):
+            draw(np.random.default_rng(0), **kwargs)
+
+    def test_level2_check_is_no_assert(self, monkeypatch):
+        # an assert, which python -O drops, made this check
+        from siegel_runge import sampling
+
+        monkeypatch.setattr(sampling, "is_level2", lambda g: False)
+        with pytest.raises(sr.InconsistencyError, match="not level 2"):
+            sr.random_level2_matrix(np.random.default_rng(0))
+
     def test_agrees_with_product_oracle(self):
         # words, and every single-entry +-1 perturbation of them, which is
         # never symplectic; the oracle decides each one independently
@@ -406,6 +424,14 @@ class TestReduction:
         with pytest.raises(sr.InvalidInputError):
             sr.sample_reduced_points(n, 1)
         assert sr.sample_reduced_points(2.0, 1) == sr.sample_reduced_points(2, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", None], ids=["negative", "half", "string", "none"])
+    def test_seed_is_a_nonnegative_integer(self, seed):
+        # -1 raised numpy's ValueError and 2.5 a bare TypeError
+        with pytest.raises(sr.InvalidInputError):
+            sr.sample_reduced_points(2, seed)
+        assert sr.sample_reduced_points(2, 7.0) == sr.sample_reduced_points(2, np.int64(7)) \
+            == sr.sample_reduced_points(2, 7)
 
     def test_idempotent(self):
         for tau in sr.sample_reduced_points(10, seed=23):

@@ -180,6 +180,12 @@ class TestArchimedeanEstimate:
         places = {"rows": rows, "generator": (row for row in rows)}[form]
         assert sr.archimedean_height_estimate(places, 2) == (math.log(2.0) + math.log(3.0)) / 2
 
+    def test_multiplicities_from_a_generator(self):
+        # the 1-or-2 check consumed a generator and len() then raised a bare TypeError
+        p = sr.psi(sr.SiegelPoint(1j, 0, 1j))
+        assert (sr.archimedean_height_estimate([p, p], 2, (m for m in [1, 1]))
+                == sr.archimedean_height_estimate([p, p], 2, [1, 1]))
+
     def test_invalid_inputs(self):
         p = sr.psi(sr.SiegelPoint(1j, 0, 1j))
         with pytest.raises(sr.InvalidInputError):

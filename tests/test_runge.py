@@ -105,6 +105,12 @@ class TestIncidenceNormalization:
         with pytest.raises(sr.InvalidInputError):
             incidence(0, [])
 
+    @pytest.mark.parametrize("subsets", [None, 3, [1, 2, 3]], ids=["none", "int", "flat"])
+    def test_subsets_must_be_iterables(self, subsets):
+        # None raised a bare TypeError
+        with pytest.raises(sr.InvalidInputError):
+            incidence(3, subsets)
+
     @pytest.mark.parametrize(("r", "subsets"), [(3.9, [{1, 2}, {3}]), (3, [{1.5, 2}, {3}])],
                              ids=["r", "index"])
     def test_non_integral_data_rejected(self, r, subsets):

@@ -101,6 +101,13 @@ class TestCharacteristics:
         with pytest.raises(sr.InvalidInputError):
             Characteristic(bits)
 
+    @pytest.mark.parametrize("bits", [None, 5], ids=["none", "int"])
+    def test_bits_must_be_a_sequence(self, bits):
+        # None raised a bare TypeError from len()
+        with pytest.raises(sr.InvalidInputError):
+            Characteristic(bits)
+        assert Characteristic(x for x in (1, 0, 0, 1)) == Characteristic((1, 0, 0, 1))
+
 
 class TestTruncation:
     def test_unit_ymin_needs_tiny_radius(self):
@@ -134,7 +141,7 @@ class TestTruncation:
 
     def test_refusal_needs_no_search(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(theta, "tail_bound", lambda *args: calls.append(args) or 1.0)
+        monkeypatch.setattr(theta, "_tail", lambda *args: calls.append(args) or 1.0)
         with pytest.raises(sr.ResourceLimitError):
             sr.truncation_radius(1e-9, 1e-10)
         assert calls == []
@@ -142,8 +149,8 @@ class TestTruncation:
     def test_search_starts_near_the_answer(self, monkeypatch):
         # the plain start at the leading factor made 663 calls here
         calls = []
-        bound = theta.tail_bound
-        monkeypatch.setattr(theta, "tail_bound", lambda *args: calls.append(args) or bound(*args))
+        bound = theta._tail
+        monkeypatch.setattr(theta, "_tail", lambda *args: calls.append(args) or bound(*args))
         sr.truncation_radius(1e-6, 1e-8)
         assert len(calls) <= 40
 
@@ -669,8 +676,8 @@ class TestRoute:
         assert scaled_radius(scales[-1], self.TOL) == theta._ROUTE_RADIUS
         points = sr.sample_reduced_points(5, seed=73) + [scaled(s) for s in scales]
         calls = []
-        bound = theta.tail_bound
-        monkeypatch.setattr(theta, "tail_bound", lambda *args: calls.append(args) or bound(*args))
+        bound = theta._tail
+        monkeypatch.setattr(theta, "_tail", lambda *args: calls.append(args) or bound(*args))
         for tau in points:
             y = tau.min_imag_eigenvalue()
             sr.truncation_radius(y, theta._fourth_inner_tol(y, self.TOL))
