@@ -6,9 +6,11 @@ by the ten even theta fourth powers, Weil heights over Q and Q(i) with the
 explicit height-bound cases, and the combinatorial finiteness condition
 m_Y * |S| < r together with its even-level specializations.
 
-The names below are imported from their modules on first access (PEP 562)
-and then kept in this module's namespace, so ``import siegel_runge`` loads
-no numpy and a repeated ``siegel_runge.psi`` is a plain attribute lookup.
+``_MODULE_EXPORTS`` below is the list of public names, by the module that
+defines each; no module repeats it in an ``__all__``.  The names are imported
+from their modules on first access (PEP 562) and then kept in this module's
+namespace, so ``import siegel_runge`` loads no numpy and a repeated
+``siegel_runge.psi`` is a plain attribute lookup.
 """
 
 import importlib

@@ -23,16 +23,6 @@ from .errors import _TINY, InconsistencyError, InvalidInputError, _integral, _re
 from .halfspace import in_tube, reduce_to_fundamental_domain
 from .theta import DEFAULT_TOL_FOURTH, theta_fourth_vector
 
-__all__ = [
-    "ProjectivePoint",
-    "psi",
-    "projective_distance",
-    "near_zero_coordinates",
-    "is_product_locus",
-    "relation_singular_values",
-    "relation_rank",
-    "archimedean_height_estimate",
-]
 
 #: Relative cutoff used when deciding whether a coordinate is "near zero".
 DEFAULT_REL_TOL = 1e-6

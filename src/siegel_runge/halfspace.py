@@ -24,21 +24,6 @@ from functools import lru_cache
 from .errors import (ConditioningError, InvalidInputError, NonConvergenceError, ResourceLimitError, _integral,
                      _real, _sequence)
 
-__all__ = [
-    "MIN_TUBE_PARAMETER",
-    "SiegelPoint",
-    "SymplecticMatrix",
-    "ReductionResult",
-    "J",
-    "is_symplectic",
-    "is_level2",
-    "act",
-    "translation",
-    "gl2_embedding",
-    "gottschling_matrices",
-    "reduce_to_fundamental_domain",
-    "in_tube",
-]
 
 #: Tolerance of the reduction loop: a Gottschling step fires below 1 - _TOL.
 _TOL = 1e-9

@@ -21,13 +21,6 @@ from dataclasses import dataclass
 from .errors import InvalidInputError, _integral, _real, _sequence
 from .halfspace import _TUBE, MIN_TUBE_PARAMETER
 
-__all__ = [
-    "BoundReport",
-    "weil_height_rational",
-    "weil_height_gaussian",
-    "bound_case_a",
-    "bound_case_b",
-]
 
 FIELD_KINDS = ("rational", "imaginary_quadratic")
 

@@ -20,16 +20,6 @@ from itertools import islice
 
 from .errors import InvalidInputError, _integral, _sequence
 
-__all__ = [
-    "DivisorIncidence",
-    "RungeVerdict",
-    "m_y_value",
-    "runge_condition",
-    "siegel_divisor_count",
-    "siegel_m_y",
-    "siegel_runge_condition",
-    "siegel_incidence",
-]
 
 _MAX_LEVEL = 20
 

@@ -15,11 +15,6 @@ from .halfspace import (
     translation,
 )
 
-__all__ = [
-    "sample_reduced_points",
-    "random_symplectic_matrix",
-    "random_level2_matrix",
-]
 
 _IDENTITY = SymplecticMatrix(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
 

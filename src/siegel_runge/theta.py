@@ -70,17 +70,6 @@ from .errors import (_TINY, DEFAULT_TOL, DEFAULT_TOL_FOURTH, InvalidInputError, 
                      _real, _sequence)
 from .halfspace import SiegelPoint, reduce_to_fundamental_domain
 
-__all__ = [
-    "Characteristic",
-    "ThetaValue",
-    "all_characteristics",
-    "even_characteristics",
-    "odd_characteristics",
-    "tail_bound",
-    "truncation_radius",
-    "theta_constant",
-    "theta_fourth_vector",
-]
 
 _MAX_RADIUS = 10_000
 
@@ -171,7 +160,9 @@ def tail_bound(radius: int, y_min: float) -> float:
     """Upper bound for the absolute tail beyond the box max|n_i| <= radius,
     hence beyond the larger box |n_i + a_i| <= radius + 1/2 that is summed."""
     radius = _integral(radius, 0, "radius must be an integer >= 0")
-    return _tail(radius, _real(y_min, _TINY, math.inf, "y_min must be finite and positive"))
+    y_min = _real(y_min, _TINY, math.inf, "y_min must be finite and positive")
+    # past 2^1000 pi y_min s^2 > 10^279 for every y_min read: the bound underflows
+    return _tail(radius, y_min) if radius < 2**1000 else 0.0
 
 
 def _tail(radius: int, y_min: float) -> float:
@@ -182,6 +173,9 @@ def _tail(radius: int, y_min: float) -> float:
     rho = math.exp(-x)
     # 1 - rho without cancellation: it stays positive when rho rounds to 1.
     q = -math.expm1(-x)
+    if e == 0.0:
+        # at tiny y_min the factor can overflow where e underflows: the product in logs
+        return math.exp(math.log(8.0 * ((radius + 1) * q + rho)) - 2.0 * math.log(q) - math.pi * y_min * s * s)
     return 8.0 * e * ((radius + 1) / q + rho / q / q)
 
 
@@ -213,8 +207,9 @@ def _truncation(y_min: float, tol: float) -> tuple[int, float]:
 def _radius_up_to(y_min: float, tol: float, cap: int) -> tuple[int, float] | None:
     """The radius of :func:`truncation_radius` and its tail bound, or None
     if the radius exceeds cap."""
-    lead = 8.0 / tol * max(1.0, 1.0 / (4.0 * math.pi * y_min))
-    start = math.sqrt(math.log(lead) / (math.pi * y_min)) + _A_NORM - 1.0
+    # log(8 / tol * max(1, 1 / (4 pi y_min))) as a difference: the product overflows at tiny tol
+    log_lead = math.log(8.0 / min(1.0, 4.0 * math.pi * y_min)) - math.log(tol)
+    start = math.sqrt(log_lead / (math.pi * y_min)) + _A_NORM - 1.0
     if start <= cap:
         for r in range(max(1, math.ceil(start)), cap + 1):
             tail = _tail(r, y_min)
@@ -291,11 +286,11 @@ def _cut(r: int, y_min: float, budget: float) -> int:
     return top if s4 >= top else math.floor(s4)
 
 
-def _even_sums(tau: SiegelPoint, r: int, level: int | None = None) -> np.ndarray:
+def _even_sums(tau: SiegelPoint, r: int, level: int) -> np.ndarray:
     """The ten even Theta_m over the box max(|n1 + a1|, |n2 + a2|) <= r + 1/2,
     ordered by :func:`even_characteristics`: up to radius _FUSED_RADIUS over
-    the columns v = (v1, v2) with 4|v|^2 <= level, all of them if level is
-    None; past it over the whole box, whatever the level.
+    the columns v = (v1, v2) with 4|v|^2 <= level, all of them at level
+    2 (2r + 1)^2; past it over the whole box, whatever the level.
 
     The exponentials E on the joint axis v x v hold all four shifts a as
     blocks and the phase (-1)^(n.b) factors over the axes.  The box is
@@ -327,7 +322,7 @@ def _even_sums(tau: SiegelPoint, r: int, level: int | None = None) -> np.ndarray
     """
     if r <= _FUSED_RADIUS:
         q, k, count = _fused(r)
-        m = count[-1 if level is None else level]
+        m = count[level]
         c = np.array((tau.tau1, tau.tau2, tau.tau4))
         out = np.zeros(10, dtype=complex)
         # a numpy complex loop, not the bare product: after an OpenBLAS
@@ -423,8 +418,8 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     absolute tolerance tol |det(C tau + D)|^2 (at most 1/2), so the result
     keeps the absolute error tol.  The route costs one reduction,
     which a small box does not repay; near radius 16 the two cost the same.
-    Raises ResourceLimitError when det(C tau + D)^2 underflows the tolerance
-    or the result leaves the double range.
+    Raises ResourceLimitError when tol |det(C tau + D)|^2 underflows at the
+    reduced point or the result leaves the double range.
     """
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
@@ -447,7 +442,8 @@ def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
     y_min = q.min_imag_eigenvalue()
     inner = _fourth_inner_tol(y_min, min(tol * abs(det2), 0.5))
     if inner == 0.0:
-        raise ResourceLimitError(f"det(C tau + D)^2 = {det2:.3e} underflows the tolerance")
+        raise ResourceLimitError(f"det(C tau + D)^2 = {det2:.3e} underflows the tolerance" if abs(det2) < 1.0
+                                 else f"the tolerance {tol:.1e} underflows at the reduced point")
     r, tail = _truncation(y_min, inner)
     values = _even_sums(q, r, _cut(r, y_min, inner - tail)) ** 4
     perm, sign = _rho(tuple(tuple(x & 1 for x in row) for row in res.transform.rows))

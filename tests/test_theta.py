@@ -166,6 +166,42 @@ class TestTruncation:
                     got.append(None)
             assert got == plain_truncation_radii(sr.tail_bound, float(y_min), tols)
 
+    def test_search_start_keeps_every_radius_at_tiny_tolerances(self):
+        # below tol 1e-304 the leading factor 8 / tol leaves the double range
+        assert sr.truncation_radius(1.0, 1e-310) == 15
+        assert sr.truncation_radius(0.05, 1e-310) == 68
+        tols = [float(t) for t in np.geomspace(5e-324, 1e-290, 40)]
+        for y_min in np.geomspace(1e-6, 1e3, 60):
+            got = []
+            for tol in tols:
+                try:
+                    got.append(sr.truncation_radius(float(y_min), tol))
+                except sr.ResourceLimitError:
+                    got.append(None)
+            assert got == plain_truncation_radii(sr.tail_bound, float(y_min), tols)
+
+    @pytest.mark.parametrize("radius, y_min", [(2**1000, 5e-324), (2**1100, 1.0), (2**1100, 5e-324)],
+                             ids=["2^1000-tiny", "2^1100-unit", "2^1100-tiny"])
+    def test_bound_underflows_at_huge_radii(self, radius, y_min):
+        # exp(-pi y_min s^2) underflows where (r + 1) / q overflows, and past
+        # 2^1024 s is no float
+        assert sr.tail_bound(radius, y_min) == 0.0
+
+    @pytest.mark.parametrize("radius, y_min", [(1541 * 10**148, 1e-300), (155 * 10**150, 1e-302)],
+                             ids=["1e-300", "1e-302"])
+    def test_bound_survives_an_underflowed_exponential(self, radius, y_min):
+        # exp(-pi y_min s^2) underflows to 0 here, but the factor (r + 1) / q,
+        # near 1 / (2 pi y_min), lifts the bound to near 1e-24
+        from mpmath import mp
+        with mp.workdps(40):
+            s = radius + 1 - mp.sqrt(2) / 2
+            x = 2 * mp.pi * y_min * s
+            q = -mp.expm1(-x)
+            want = 8 * mp.exp(-mp.pi * y_min * s * s) * ((radius + 1) / q + mp.exp(-x) / q / q)
+        assert math.exp(-math.pi * y_min * float(s) ** 2) == 0.0
+        assert sr.tail_bound(radius, y_min) == pytest.approx(float(want), rel=1e-9, abs=0.0)
+        assert float(want) > 1e-27
+
     @pytest.mark.parametrize("y_min", [1e-60, 1e-120])
     def test_tiny_ymin_hits_the_cap(self, y_min):
         # exp(-2 pi y_min s) rounds to 1 here; the bound must stay finite
@@ -191,7 +227,7 @@ class TestKernel:
     def assert_matches_double_loop(self, tau=TAU, radius=RADIUS):
         # the kernel sums the even characteristics; an odd one is exactly 0
         chars = sr.all_characteristics()
-        even = dict(zip(sr.even_characteristics(), theta._even_sums(tau, radius)))
+        even = dict(zip(sr.even_characteristics(), theta._even_sums(tau, radius, 2 * (2 * radius + 1) ** 2)))
         got = np.array([even.get(m, 0.0) for m in chars])
         want = np.array([theta_2d_symmetric(m.bits, tau.matrix, radius) for m in chars])
         scale = np.max(np.abs(want))
@@ -210,7 +246,7 @@ class TestKernel:
 
     def test_even_cells_within_the_tail_of_the_integer_box(self):
         # the box grew from max|n_i| <= R by terms of the tail beyond it
-        sums = theta._even_sums(self.TAU, self.RADIUS)
+        sums = theta._even_sums(self.TAU, self.RADIUS, 2 * (2 * self.RADIUS + 1) ** 2)
         bound = sr.tail_bound(self.RADIUS, self.TAU.min_imag_eigenvalue())
         for m, got in zip(sr.even_characteristics(), sums):
             assert abs(got - theta_2d_naive(m.bits, self.TAU.matrix, self.RADIUS)) <= bound
@@ -278,7 +314,7 @@ class TestCut:
             s = disk_norm(r, y, budget)
             level = theta._cut(r, y, budget)
             assert level == min(math.floor(4 * s), 2 * (2 * r + 1) ** 2)
-            box = theta._even_sums(tau, r)
+            box = theta._even_sums(tau, r, 2 * (2 * r + 1) ** 2)
             assert np.max(np.abs(theta._even_sums(tau, r, level) - box)) <= budget
             assert half_box_mass_outside(tau.matrix.imag, r, s) <= budget
 
@@ -298,7 +334,8 @@ class TestCut:
         for r in (1, 4, theta._FUSED_RADIUS + 1):
             assert theta._cut(r, 0.5, 0.0) == 2 * (2 * r + 1) ** 2
         tau = cut_points()[0]
-        assert np.array_equal(theta._even_sums(tau, 3, theta._cut(3, 1.0, 0.0)), theta._even_sums(tau, 3))
+        assert np.array_equal(theta._even_sums(tau, 3, theta._cut(3, 1.0, 0.0)),
+                              theta._even_sums(tau, 3, 2 * (2 * 3 + 1) ** 2))
 
     def test_cache_sorted_by_norm_with_its_count_table(self):
         for r in (1, 2, 5, theta._FUSED_RADIUS):
@@ -464,6 +501,12 @@ class TestFourthVector:
         got = sr.theta_fourth_vector(tau, tol=10.0)
         assert np.array_equal(got, sr.theta_fourth_vector(tau, tol=0.5))
         assert np.max(np.abs(got - jacobi_fourth_powers(100.0, 100.0))) <= 0.5
+
+    def test_underflowed_tolerance_is_named(self):
+        # at a reduced point det(C tau + D)^2 = 1: the tolerance itself underflows
+        tau = sr.sample_reduced_points(1, seed=3)[0]
+        with pytest.raises(sr.ResourceLimitError, match=r"^the tolerance 4\.9e-324 underflows at the reduced point"):
+            sr.psi(tau, 5e-324)
 
     def test_slabs_match_one_slab(self, monkeypatch):
         # summed at tau, past the cached radii
