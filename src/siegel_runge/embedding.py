@@ -52,9 +52,12 @@ class ProjectivePoint:
         c = _numbers(self.coords, "expected 10 coordinates", (10,))
         object.__setattr__(self, "coords", c)
         c.setflags(write=False)
-        object.__setattr__(self, "sup", float(np.abs(c).max()))
-        if not math.isfinite(self.sup):
-            raise InvalidInputError(f"coordinates must be finite, got sup {self.sup}")
+        # numpy's moduli, which Python's abs of a complex can miss by an ulp;
+        # a plain max skips a nan that is not first, the sum of them does not
+        mags = np.abs(c).tolist()
+        object.__setattr__(self, "sup", max(mags))
+        if not math.isfinite(self.sup) or math.isnan(sum(mags)):
+            raise InvalidInputError(f"coordinates must be finite, got {c}")
         if self.sup <= 10.0 * self.tol:
             raise InconsistencyError(
                 "all coordinates are below 10x the evaluation tolerance; "

@@ -39,6 +39,21 @@ moves each sum by less than the budget (proof at :func:`_even_sums`).
 (Q, K) are O(r^2), so past radius 16 the kernel sums the whole half box in
 its separable form, sign rows @ exp(exponents) @ sign rows, slab by slab.
 
+:func:`theta_fourth_vector` takes the fourth powers from the four b = 0
+constants at 2 tau, by the duplication formula
+
+    Theta_(a, b)(tau)^2 = sum over c in {0, 1/2}^2 of (-1)^(4 b.c) Theta_(c, 0)(2 tau) Theta_(c + a, 0)(2 tau)
+
+(Dupont, thesis, 2006; Labrande and Thome, ANTS XII, 2016), one fixed
+signed 10 x 16 map of their products, squared.  Im(2 tau) = 2 Im(tau), so
+the cut keeps about half the columns it would at tau.  With
+U2 = (1 + (2 y_min)^(-1/2))^2, which bounds the absolute series at 2 tau, the
+four sums within delta give squares within 8 U2 delta and fourth powers
+within 64 U2^3 delta, so the box at 2 tau is summed to tol / (64 U2^3)
+(proof at :func:`_fourth_inner_tol`).  That is the same absolute contract
+as fourth powers of the sums at tau, but a small coordinate comes out of a
+sum of products as large as U2^2, so its relative error is larger.
+
 The fourth powers are weight-2 forms for the level-2 group, so for M =
 [[A, B], [C, D]] in Sp4(Z)
 
@@ -50,8 +65,8 @@ I, II.5).  Igusa's transformation formula gives it in closed form: rho
 sends m to M.m with the sign (-1)^(tr(B^t C) + x.diag(B^t D) + y.diag(A^t C))
 at 2m = (x, y), the fourth power of kappa(M) e(phi_m(M)); the other terms
 of phi_m are integers and drop out of the fourth power.
-:func:`theta_fourth_vector` uses it for points whose box at tau would be
-large: it sums the box at res.reduced instead, with res the result of
+:func:`theta_fourth_vector` uses it for points whose box at 2 tau would be
+large: it sums the box at 2 res.reduced instead, with res the result of
 :func:`~siegel_runge.halfspace.reduce_to_fundamental_domain`, at the
 tolerance scaled by |det(C tau + D)|^2 = |res.cocycle|^2, and maps the
 values back through rho.  Theta constants themselves pick up eighth roots
@@ -73,9 +88,9 @@ from .halfspace import SiegelPoint, reduce_to_fundamental_domain
 
 _MAX_RADIUS = 10_000
 
-#: theta_fourth_vector sums boxes up to this radius directly and evaluates
-#: points that need more through the fundamental domain; near this radius
-#: the two routes cost the same.
+#: theta_fourth_vector sums boxes at 2 tau up to this radius directly and
+#: evaluates points that need more through the fundamental domain; near this
+#: radius the two routes cost the same.
 _ROUTE_RADIUS = 16
 
 #: Radii whose (Q, K) stay cached, 2.9 MB for all 16; fixed, not _ROUTE_RADIUS.
@@ -168,14 +183,16 @@ def tail_bound(radius: int, y_min: float) -> float:
 def _tail(radius: int, y_min: float) -> float:
     """:func:`tail_bound` of arguments already read."""
     s = radius + 1 - _A_NORM
-    e = math.exp(-math.pi * y_min * s * s)
-    x = 2.0 * math.pi * y_min * s
+    # y_min s first: pi y_min would keep only a few bits of a subnormal y_min
+    ys = y_min * s
+    e = math.exp(-math.pi * ys * s)
+    x = 2.0 * math.pi * ys
     rho = math.exp(-x)
     # 1 - rho without cancellation: it stays positive when rho rounds to 1.
     q = -math.expm1(-x)
     if e == 0.0:
         # at tiny y_min the factor can overflow where e underflows: the product in logs
-        return math.exp(math.log(8.0 * ((radius + 1) * q + rho)) - 2.0 * math.log(q) - math.pi * y_min * s * s)
+        return math.exp(math.log(8.0 * ((radius + 1) * q + rho)) - 2.0 * math.log(q) - math.pi * ys * s)
     return 8.0 * e * ((radius + 1) / q + rho / q / q)
 
 
@@ -251,19 +268,59 @@ def _axis(r: int) -> tuple[np.ndarray, ...]:
 _EVEN_CELLS = tuple(np.array([(2 * a1 + b1, 2 * a2 + b2)
                               for a1, a2, b1, b2 in (m.bits for m in even_characteristics())]).T)
 
+#: Row i of the cached K sums the even characteristic _K_ROWS[i]: those with
+#: b = 0 first, in the order a = 00, 01, 10, 11, so that the four sums the
+#: duplication formula reads are the view K[:4]; then the other six.
+_K_ROWS = sorted(range(10), key=lambda j: (even_characteristics()[j].bits[2:] != (0, 0), j))
+
+#: The cells of the 4 x 4 table that hold the four b = 0 sums, in the rows' order.
+_B0_CELLS = tuple(cells[_K_ROWS[:4]] for cells in _EVEN_CELLS)
+
+
+def _duplication() -> np.ndarray:
+    """The signed map D (10 x 16) with Theta_m(tau)^2 = D @ kron(t, t), m even
+    in the order of :func:`even_characteristics` and t the four
+    Theta_(c, 0)(2 tau) in the order c = 00, 01, 10, 11.
+
+    The duplication formula: with m = (a, b) and c in {0, 1/2}^2,
+
+        Theta_(a, b)(tau)^2 = sum over c of (-1)^(4 b.c) Theta_(c, 0)(2 tau) Theta_(c + a, 0)(2 tau).
+
+    In the product of the series for n and n', (n + a) tau (n + a) +
+    (n' + a) tau (n' + a) = 2 (u tau u + w tau w) with u = (n + n')/2 + a and
+    w = (n - n')/2.  (n, n') -> (u, w) is a bijection of Z^2 x Z^2 onto the
+    pairs u in c + a + Z^2, w in c + Z^2 over c in {0, 1/2}^2, and the phase
+    (-1)^(2 (n + n').b) is (-1)^(4 b.c).  Theta_(c + a, 0) needs c + a only
+    mod 1, as b = 0.  For odd m the terms at c and c + a cancel, so the odd
+    rows are not kept.
+    """
+    d = np.zeros((10, 16), dtype=complex)
+    for j, (a1, a2, b1, b2) in enumerate(m.bits for m in even_characteristics()):
+        for c1, c2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            d[j, 4 * (2 * c1 + c2) + 2 * (c1 ^ a1) + (c2 ^ a2)] = (-1) ** (c1 * b1 + c2 * b2)
+    d.flags.writeable = False
+    return d
+
+
+_DUPLICATION = _duplication()
+
+#: kron(t, t) of four values as t[_KRON_LEFT] * t[_KRON_RIGHT].
+_KRON_LEFT, _KRON_RIGHT = np.repeat(np.arange(4), 4), np.tile(np.arange(4), 4)
+
 
 @lru_cache(maxsize=_FUSED_RADIUS)
 def _fused(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (Q, K, count) on the half box w x v of :func:`_axis`, for
     r <= _FUSED_RADIUS only.  With Q (3 x N) = i pi (w^2, 2 w v, v^2), c @ Q is
-    the exponent at (v1, v2) = (w, v); row j of K (10 x N) is
-    half_signs[2 a1 + b1] (x) signs[2 a2 + b2] for the j-th even characteristic.
-    The columns come sorted by the integer 4|v|^2, so that those with
+    the exponent at (v1, v2) = (w, v); row i of K (10 x N) is
+    half_signs[2 a1 + b1] (x) signs[2 a2 + b2] for (a1, a2, b1, b2) the
+    even characteristic number _K_ROWS[i], the four with b = 0 first.  The
+    columns come sorted by the integer 4|v|^2, so that those with
     4|v|^2 <= j are a prefix of length count[j], j = 0 .. 2 (2r + 1)^2."""
     v, v2, signs, w, w2, half_signs = _axis(r)
     w, w2 = w[:, None], w2[:, None]
     q = 1j * math.pi * np.stack(np.broadcast_arrays(w2, 2.0 * w * v, v2)).reshape(3, -1)
-    rows, cols = _EVEN_CELLS
+    rows, cols = (cells[_K_ROWS] for cells in _EVEN_CELLS)
     k = (half_signs[rows, :, None] * signs[cols, None, :]).reshape(10, -1)
     norm = (4.0 * (w2 + v2)).astype(np.intp).ravel()
     order = np.argsort(norm, kind="stable")
@@ -286,11 +343,14 @@ def _cut(r: int, y_min: float, budget: float) -> int:
     return top if s4 >= top else math.floor(s4)
 
 
-def _even_sums(tau: SiegelPoint, r: int, level: int) -> np.ndarray:
-    """The ten even Theta_m over the box max(|n1 + a1|, |n2 + a2|) <= r + 1/2,
-    ordered by :func:`even_characteristics`: up to radius _FUSED_RADIUS over
-    the columns v = (v1, v2) with 4|v|^2 <= level, all of them at level
-    2 (2r + 1)^2; past it over the whole box, whatever the level.
+def _even_sums(tau: SiegelPoint, r: int, level: int, doubled: bool = False) -> np.ndarray:
+    """The ten even Theta_m(tau) over the box max(|n1 + a1|, |n2 + a2|) <= r + 1/2,
+    ordered by :func:`even_characteristics`; with ``doubled``, the four
+    Theta_(a, 0)(2 tau), a = 00, 01, 10, 11, over the same box.  Up to radius
+    _FUSED_RADIUS over the columns v = (v1, v2) with 4|v|^2 <= level, all of
+    them at level 2 (2r + 1)^2; past it over the whole box, whatever the
+    level.  The point summed, tau or 2 tau, enters only through its entries,
+    so 2 tau is never built as a SiegelPoint.
 
     The exponentials E on the joint axis v x v hold all four shifts a as
     blocks and the phase (-1)^(n.b) factors over the axes.  The box is
@@ -299,15 +359,17 @@ def _even_sums(tau: SiegelPoint, r: int, level: int) -> np.ndarray:
     v1 > 0 plus the row v1 = 0, weights that scale exactly.  Up to radius
     _FUSED_RADIUS the sums are K @ exp(c @ Q) with c = (tau1, tau2, tau4) on
     the prefix of the sorted columns of :func:`_fused` that is kept, summed
-    as views.  Past it E comes in slabs of at most _SLAB_TERMS terms, at
-    least one row w = v1 >= 0 each, and half_signs @ E @ signs^t adds up all
-    sixteen sums as a 4 x 4 table, whose even cells are read.
+    as views, the first four rows of K alone when doubled.  Past it E comes
+    in slabs of at most _SLAB_TERMS terms, at least one row w = v1 >= 0 each,
+    and half_signs @ E @ signs^t adds up all sixteen sums as a 4 x 4 table,
+    whose even cells are read, or its four cells b = 0 when doubled.
 
-    The cut of a cached radius is rigorous.  Let N = (2r + 2)(4r + 3) be the
-    columns of the half box and level = floor(4 S) as :func:`_cut` gives it
-    for a budget, with S = log(2N / budget) / (pi y_min).  A column dropped
-    has the integer 4|v|^2 >= level + 1 > 4 S.  It holds at most two terms of
-    each even sum, at v and -v, each of modulus
+    The cut of a cached radius is rigorous.  Let y_min be the least
+    eigenvalue of Im of the point summed (2 y_min(tau) when doubled),
+    N = (2r + 2)(4r + 3) the columns of the half box and level = floor(4 S)
+    as :func:`_cut` gives it for a budget, with S = log(2N / budget) / (pi y_min).
+    A column dropped has the integer 4|v|^2 >= level + 1 > 4 S.  It holds at
+    most two terms of each even sum, at v and -v, each of modulus
 
         exp(-pi v^t Y v) <= exp(-pi y_min |v|^2) < exp(-pi y_min S) = budget / 2N.
 
@@ -316,30 +378,34 @@ def _even_sums(tau: SiegelPoint, r: int, level: int) -> np.ndarray:
     budget (N - 1) / N.  A caller whose radius leaves a tail bound
     tail <= inner passes budget = inner - tail, and each sum stays within
     tail + budget = inner of its constant.  The sum over any subset of the
-    terms is at most the absolute series, so the bound U of
-    :func:`theta_fourth_vector` and with it the bound 4 U^3 |z - w| on the
-    error of a fourth power hold for the cut sum w as for the whole box.
+    terms is at most the absolute series, so the bounds of
+    :func:`_fourth_inner_tol` hold for the cut sums as for the whole box.
     """
+    t1, t2, t4 = tau.tau1, tau.tau2, tau.tau4
+    if doubled:
+        t1, t2, t4 = 2.0 * t1, 2.0 * t2, 2.0 * t4
     if r <= _FUSED_RADIUS:
         q, k, count = _fused(r)
         m = count[level]
-        c = np.array((tau.tau1, tau.tau2, tau.tau4))
+        e = np.exp(np.array((t1, t2, t4)) @ q[:, :m])
+        if doubled:
+            return k[:4, :m] @ e
         out = np.zeros(10, dtype=complex)
         # a numpy complex loop, not the bare product: after an OpenBLAS
         # zgemm, complex exp runs about 15 times slower until one has run
-        out += k[:, :m] @ np.exp(c @ q[:, :m])
+        out[_K_ROWS] += k[:, :m] @ e
         return out
     v, v2, signs, w, w2, half_signs = _axis(r)
-    row = (1j * math.pi * tau.tau1) * w2
-    col = (1j * math.pi * tau.tau4) * v2
-    cross = (2j * math.pi * tau.tau2) * v
+    row = (1j * math.pi * t1) * w2
+    col = (1j * math.pi * t4) * v2
+    cross = (2j * math.pi * t2) * v
     rows = max(1, _SLAB_TERMS // v.size)
     table = np.zeros((4, 4), dtype=complex)
     for lo in range(0, w.size, rows):
         e = np.exp(row[lo:lo + rows, None] + w[lo:lo + rows, None] * cross + col)
         # in place, the complex loop that the next slab's exp needs after the zgemm
         table += half_signs[:, lo:lo + rows] @ e @ signs.T
-    return table[_EVEN_CELLS]
+    return table[_B0_CELLS if doubled else _EVEN_CELLS]
 
 
 def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaValue:
@@ -379,11 +445,40 @@ def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaVal
     return ThetaValue(value, tail + 2.0 * (n - terms) * math.exp(-math.pi * y_min * (level + 1) / 4.0), r, terms)
 
 
-def _fourth_inner_tol(y_min: float, tol: float) -> float:
-    """tol / (4 U^3) with U = (1 + y_min^(-1/2))^2, divided out so that it
-    underflows to 0 rather than overflow at tiny y_min."""
-    s = 1.0 + 1.0 / math.sqrt(y_min)
-    return tol / 4.0 / s / s / s / s / s / s
+def _fourth_inner_tol(y2: float, tol: float) -> float:
+    """The tolerance delta = tol / (64 U2^3) on each Theta_(c, 0)(2 tau) that
+    keeps every Theta_m(tau)^4 of the duplication formula within tol, with
+    y2 = 2 y_min the least eigenvalue of Im(2 tau) and U2 = (1 + y2^(-1/2))^2.
+
+    Every term at 2 tau is at most exp(-pi y2 |n + a|^2), which factors over
+    the axes, and each 1-D sum of exp(-pi y2 (n + a)^2) over n is at most its
+    peak 1 plus the integral y2^(-1/2).  So U2 bounds the absolute series at
+    2 tau, hence each A_c = Theta_(c, 0)(2 tau) and each sum a_c over a
+    subset of its terms, the cut sums of :func:`_even_sums` among them.  If
+    |A_c - a_c| <= delta for all four c, the square
+    theta_m^2 = sum_c +-A_c A_(c+a) and its image s_m = sum_c +-a_c a_(c+a)
+    differ by at most
+
+        sum_c |A_c| |A_(c+a) - a_(c+a)| + |a_(c+a)| |A_c - a_c| <= 4 (2 U2 delta) = 8 U2 delta,
+
+    and |theta_m^2|, |s_m| <= 4 U2^2, so
+    |theta_m^4 - s_m^2| = |theta_m^2 - s_m| |theta_m^2 + s_m| <= 64 U2^3 delta = tol.
+    Rounding is not bounded (ROADMAP item 2).  Divided out term by term, so
+    that it underflows to 0 rather than overflow at tiny y2.
+    """
+    s = 1.0 + 1.0 / math.sqrt(y2)
+    return tol / 64.0 / s / s / s / s / s / s
+
+
+def _fourth_powers(tau: SiegelPoint, r: int, level: int) -> np.ndarray:
+    """The ten Theta_m(tau)^4 from the four Theta_(c, 0)(2 tau) of
+    :func:`_even_sums` (``doubled``) at radius r and level, through the
+    duplication map :func:`_duplication`."""
+    t = _even_sums(tau, r, level, True)
+    # both products are matrix-vector (zgemv), which unlike a zgemm leave the next exp at full speed
+    s = _DUPLICATION @ (t[_KRON_LEFT] * t[_KRON_RIGHT])
+    s *= s
+    return s
 
 
 def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
@@ -391,18 +486,24 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
 
     Each component's error from truncation and the cut is at most tol, but
     rounding is not bounded: on routed points the absolute tol fails from Im
-    scale 1e-3 down (ROADMAP item 2).  All ten come from one box whose tail
-    bound meets the inner tolerance tol / (4 U^3) with
-    U = (1 + y_min^(-1/2))^2; inside it the kernel drops the columns that
-    the rest of the inner tolerance covers, so each constant is within the
-    inner tolerance (:func:`_even_sums`).  Every term is at most
-    exp(-pi y_min |n+a|^2), which factors over the axes, and each 1-D sum of
-    exp(-pi y (n+a)^2) over n is at most its peak 1 plus the integral
-    y^(-1/2).  So U bounds the absolute series, hence both the constant z
-    and any partial sum w over a subset of its terms, and
-    |z^4 - w^4| = |z - w| |z^3 + z^2 w + z w^2 + w^3| <= 4 U^3 |z - w|.
+    scale 1e-3 down (ROADMAP item 2).  The fourth powers come from the four
+    b = 0 constants at 2 tau by the duplication formula
 
-    The box is summed at tau itself, to the inner tolerance of min(tol, 1/2),
+        Theta_(a, b)(tau)^2 = sum over c in {0, 1/2}^2 of (-1)^(4 b.c) Theta_(c, 0)(2 tau) Theta_(c + a, 0)(2 tau),
+
+    one fixed signed map (:func:`_duplication`) from their sixteen products
+    to the ten squares, which are then squared.  Im(2 tau) has least
+    eigenvalue y2 = 2 y_min, so the box at 2 tau needs about 1/sqrt(2) of
+    the radius at tau and the cut keeps about half the columns.  All four
+    come from one box whose tail bound meets the inner tolerance
+    tol / (64 U2^3), U2 = (1 + y2^(-1/2))^2, with the proof at
+    :func:`_fourth_inner_tol`; inside it the kernel drops the columns that
+    the rest of the inner tolerance covers (:func:`_even_sums`).  The
+    absolute contract is the one a direct fourth power had, but a small
+    coordinate now comes out of a cancelling sum of products of values of
+    size up to U2, so its relative error grows as the coordinate shrinks.
+
+    The box is summed at 2 tau, to the inner tolerance of min(tol, 1/2),
     while its radius is at most _ROUTE_RADIUS (16).  A point that needs
     more, including one whose inner tolerance underflows or whose radius
     passes the 10^4 cap, goes through the fundamental domain instead: with
@@ -414,38 +515,37 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
 
     where rho(T) is the signed permutation of :func:`_rho`, read off T mod 2
     by Igusa's formula: its signs are kappa(T)^4 e(4 phi_m(T)), from which
-    the terms of phi_m that are integers drop out.  The box at q meets the
-    absolute tolerance tol |det(C tau + D)|^2 (at most 1/2), so the result
-    keeps the absolute error tol.  The route costs one reduction,
-    which a small box does not repay; near radius 16 the two cost the same.
-    Raises ResourceLimitError when tol |det(C tau + D)|^2 underflows at the
-    reduced point or the result leaves the double range.
+    the terms of phi_m that are integers drop out.  theta^4(q) comes from the
+    box at 2q, to the absolute tolerance tol |det(C tau + D)|^2 (at most
+    1/2), so the result keeps the absolute error tol.  The route costs one
+    reduction, which a small box does not repay; near radius 16 at 2 tau the
+    two cost the same.  Raises ResourceLimitError when
+    tol |det(C tau + D)|^2 underflows at the reduced point or the result
+    leaves the double range.
     """
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
     tol = _real(tol, _TINY, math.inf, "tol must be finite and positive")
-    y_min = tau.min_imag_eigenvalue()
-    inner = _fourth_inner_tol(y_min, min(tol, 0.5))
-    found = _radius_up_to(y_min, inner, _ROUTE_RADIUS) if inner > 0.0 else None
+    y2 = 2.0 * tau.min_imag_eigenvalue()
+    inner = _fourth_inner_tol(y2, min(tol, 0.5))
+    found = _radius_up_to(y2, inner, _ROUTE_RADIUS) if inner > 0.0 else None
     if found is None:
         return _fourth_through_domain(tau, tol)
     r, tail = found
-    out = _even_sums(tau, r, _cut(r, y_min, inner - tail))
-    out **= 4
-    return out
+    return _fourth_powers(tau, r, _cut(r, y2, inner - tail))
 
 
 def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
-    """theta_fourth_vector(tau, tol) from the box at the reduced point; see there."""
+    """theta_fourth_vector(tau, tol) from the box at twice the reduced point; see there."""
     res = reduce_to_fundamental_domain(tau)
     q, det2 = res.reduced, res.cocycle * res.cocycle
-    y_min = q.min_imag_eigenvalue()
-    inner = _fourth_inner_tol(y_min, min(tol * abs(det2), 0.5))
+    y2 = 2.0 * q.min_imag_eigenvalue()
+    inner = _fourth_inner_tol(y2, min(tol * abs(det2), 0.5))
     if inner == 0.0:
         raise ResourceLimitError(f"det(C tau + D)^2 = {det2:.3e} underflows the tolerance" if abs(det2) < 1.0
                                  else f"the tolerance {tol:.1e} underflows at the reduced point")
-    r, tail = _truncation(y_min, inner)
-    values = _even_sums(q, r, _cut(r, y_min, inner - tail)) ** 4
+    r, tail = _truncation(y2, inner)
+    values = _fourth_powers(q, r, _cut(r, y2, inner - tail))
     perm, sign = _rho(tuple(tuple(x & 1 for x in row) for row in res.transform.rows))
     with np.errstate(over="ignore", invalid="ignore"):
         out = sign * values[perm] / det2

@@ -109,6 +109,17 @@ def half_box_columns(radius: int) -> list[tuple]:
     return columns
 
 
+def duplication_squares(sums) -> np.ndarray:
+    """The ten even theta_m(tau)^2 in EVEN_BITS order from the four
+    sums[c1, c2] = theta_(c, 0)(2 tau), c = (c1, c2) / 2, by the duplication
+    formula theta_(a, b)(tau)^2 = sum over c of (-1)^(4 b.c) theta_(c, 0)(2 tau)
+    theta_(c + a, 0)(2 tau), with c + a taken mod 1, term by term.  A fault that
+    scales all four sums alike scales all ten squares alike."""
+    return np.array([sum((-1) ** (c1 * b1 + c2 * b2) * sums[c1, c2] * sums[c1 ^ a1, c2 ^ a2]
+                         for c1, c2 in itertools.product((0, 1), repeat=2))
+                     for a1, a2, b1, b2 in EVEN_BITS])
+
+
 def diagonal_fourth_powers(tau1: complex, tau4: complex) -> np.ndarray:
     """Ten even theta fourth powers at diag(tau1, tau4) as 1-variable products."""
     return np.array([

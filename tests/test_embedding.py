@@ -51,6 +51,16 @@ class TestPsi:
         with pytest.raises(sr.InvalidInputError, match="finite"):
             sr.ProjectivePoint(np.array([bad] + [1] * 9, dtype=complex), 1e-8)
 
+    @pytest.mark.parametrize("position", range(10))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(-np.inf, 1)],
+                             ids=["nan", "inf", "nan-imag", "minus-inf-real"])
+    def test_non_finite_coordinate_refused_at_every_position(self, bad, position):
+        # sup is a plain-Python max, which skips a nan unless it comes first
+        coords = np.linspace(1.0, 2.0, 10).astype(complex)
+        coords[position] = bad
+        with pytest.raises(sr.InvalidInputError, match="finite"):
+            sr.ProjectivePoint(coords, 1e-8)
+
     @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf], ids=["negative", "zero", "nan", "inf"])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         # a tol of -1 once built a point with sup 0 whose normalized coordinates were all nan

@@ -13,6 +13,7 @@ from siegel_runge.theta import Characteristic
 
 from oracles import (
     EVEN_BITS,
+    duplication_squares,
     half_box_columns,
     half_box_mass_outside,
     jacobi_fourth_powers,
@@ -109,6 +110,16 @@ class TestCharacteristics:
         assert Characteristic(x for x in (1, 0, 0, 1)) == Characteristic((1, 0, 0, 1))
 
 
+def mp_tail_bound(radius, y_min):
+    """s = radius + 1 - sqrt(2)/2 and the tail bound of theta.tail_bound, at 40 digits."""
+    from mpmath import mp
+    with mp.workdps(40):
+        s = radius + 1 - mp.sqrt(2) / 2
+        x = 2 * mp.pi * y_min * s
+        q = -mp.expm1(-x)
+        return s, 8 * mp.exp(-mp.pi * y_min * s * s) * ((radius + 1) / q + mp.exp(-x) / q / q)
+
+
 class TestTruncation:
     def test_unit_ymin_needs_tiny_radius(self):
         assert sr.truncation_radius(1.0, 1e-12) <= 4
@@ -192,15 +203,18 @@ class TestTruncation:
     def test_bound_survives_an_underflowed_exponential(self, radius, y_min):
         # exp(-pi y_min s^2) underflows to 0 here, but the factor (r + 1) / q,
         # near 1 / (2 pi y_min), lifts the bound to near 1e-24
-        from mpmath import mp
-        with mp.workdps(40):
-            s = radius + 1 - mp.sqrt(2) / 2
-            x = 2 * mp.pi * y_min * s
-            q = -mp.expm1(-x)
-            want = 8 * mp.exp(-mp.pi * y_min * s * s) * ((radius + 1) / q + mp.exp(-x) / q / q)
+        s, want = mp_tail_bound(radius, y_min)
         assert math.exp(-math.pi * y_min * float(s) ** 2) == 0.0
         assert sr.tail_bound(radius, y_min) == pytest.approx(float(want), rel=1e-9, abs=0.0)
         assert float(want) > 1e-27
+
+    def test_bound_keeps_the_bits_of_a_subnormal_ymin(self):
+        # at y_min = 2e-323 = 4 * 2^-1074 the product pi y_min rounds to
+        # 13 * 2^-1074, 3.5% high, and the bound came out 1e-15 of itself
+        radius, y_min = int(4.013e162), 2e-323
+        _, want = mp_tail_bound(radius, y_min)
+        assert sr.tail_bound(radius, y_min) == pytest.approx(float(want), rel=1e-9, abs=0.0)
+        assert float(want) > 1e-112
 
     @pytest.mark.parametrize("y_min", [1e-60, 1e-120])
     def test_tiny_ymin_hits_the_cap(self, y_min):
@@ -215,6 +229,14 @@ class TestTruncation:
         # worst case characteristic shift a = (1/2, 1/2) at Y = y_min * I
         brute = tail_abs_sum((1, 1, 0, 0), y_min * np.eye(2), radius)
         assert brute <= sr.tail_bound(radius, y_min)
+
+
+#: The shifts c of the four b = 0 constants at 2 tau, in the duplication formula's order.
+B0_SHIFTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+#: The characteristics of the rows of the cached K, as indices into EVEN_BITS:
+#: 0000, 0100, 1000 and 1100 first, then the other six in their order.
+K_ROWS = (0, 4, 6, 8, 1, 2, 3, 5, 7, 9)
 
 
 class TestKernel:
@@ -243,6 +265,15 @@ class TestKernel:
 
     def test_all_sixteen_match_double_loop(self):
         self.assert_matches_double_loop()
+
+    def test_duplication_oracle_gives_the_squares(self):
+        # theta_m(tau)^2 from four double loops at 2 tau against the squared
+        # double loop at tau: reduced, skewed, y I and a near-singular point
+        for tau in cut_points():
+            r = sr.truncation_radius(tau.min_imag_eigenvalue(), 1e-15)
+            sums = {c: theta_2d_symmetric(c + (0, 0), 2.0 * tau.matrix, r) for c in B0_SHIFTS}
+            want = np.array([theta_2d_symmetric(bits, tau.matrix, r) ** 2 for bits in EVEN_BITS])
+            assert np.max(np.abs(duplication_squares(sums) - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_even_cells_within_the_tail_of_the_integer_box(self):
         # the box grew from max|n_i| <= R by terms of the tail beyond it
@@ -298,8 +329,11 @@ class TestKernel:
         for radius in range(1, theta._FUSED_RADIUS + 1):
             tau = scaled(scale_for_radius(radius, TestRoute.TOL))
             got = sr.theta_fourth_vector(tau, TestRoute.TOL)
-            want = np.array([sr.theta_constant(m, tau, direct_tolerance(tau, TestRoute.TOL)).value ** 4
-                             for m in sr.even_characteristics()])
+            # the same four disk sums at 2 tau, from double loops, through the duplication formula
+            y2, inner = 2.0 * tau.min_imag_eigenvalue(), direct_tolerance(tau, TestRoute.TOL)
+            s = disk_norm(radius, y2, inner - sr.tail_bound(radius, y2))
+            sums = {c: theta_2d_disk(c + (0, 0), 2.0 * tau.matrix, radius, s) for c in B0_SHIFTS}
+            want = duplication_squares(sums) ** 2
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert sorted(set(cached)) == list(range(1, theta._FUSED_RADIUS + 1))
         assert fused.cache_info().currsize <= theta._FUSED_RADIUS
@@ -345,10 +379,10 @@ class TestCut:
             assert norm.size == (2 * r + 2) * (4 * r + 3)
             assert np.all(np.diff(norm) >= 0)
             assert np.array_equal(count, [np.count_nonzero(norm <= j) for j in range(2 * (2 * r + 1) ** 2 + 1)])
-            # every term of the half box, each once
+            # every term of the half box, each once, the rows b = 0 first
             assert not (np.any(q.real) or np.any(k.imag))
             assert (sorted(map(tuple, np.vstack([q.imag, k.real]).T.tolist()))
-                    == sorted(half_box_columns(r)))
+                    == sorted(col[:3] + tuple(col[3 + j] for j in K_ROWS) for col in half_box_columns(r)))
         assert theta._fused.cache_info().maxsize == theta._FUSED_RADIUS
 
 
@@ -525,9 +559,12 @@ def force_route(monkeypatch, route: bool):
 
 
 def direct_tolerance(tau, tol):
-    """tol / (4 U^3): a theta constant this close gives its fourth power within tol."""
-    u = (1.0 + tau.min_imag_eigenvalue() ** -0.5) ** 2
-    return tol / (4.0 * u ** 3)
+    """tol / (64 U2^3), U2 = (1 + (2 y_min)^(-1/2))^2: the four b = 0
+    constants at 2 tau this close give the ten fourth powers within tol.  A
+    theta constant at tau this close gives its own fourth power within tol
+    too, as 4 U^3 <= 32 U2^3 for U = (1 + y_min^(-1/2))^2 <= 2 U2."""
+    u2 = (1.0 + (2.0 * tau.min_imag_eigenvalue()) ** -0.5) ** 2
+    return tol / (64.0 * u2 ** 3)
 
 
 def riemann_residual(v):
@@ -584,9 +621,9 @@ def scaled(s):
 
 
 def scaled_radius(s, tol):
-    """The direct box radius of theta_fourth_vector at scaled(s)."""
-    y = scaled(s).min_imag_eigenvalue()
-    return sr.truncation_radius(y, theta._fourth_inner_tol(y, tol))
+    """The direct box radius of theta_fourth_vector at scaled(s), which it sums at 2 scaled(s)."""
+    tau = scaled(s)
+    return sr.truncation_radius(2.0 * tau.min_imag_eigenvalue(), direct_tolerance(tau, tol))
 
 
 def scale_for_radius(radius, tol):
@@ -708,22 +745,34 @@ class TestRoute:
             assert summed == [sr.reduce_to_fundamental_domain(tau).reduced]
         assert "_act_entries" not in inspect.getsource(theta)
 
+    def test_within_tol_of_the_fourth_powers_at_tau(self, monkeypatch):
+        # the duplication at 2 tau against theta_constant at tau itself: every
+        # doubled radius up to the gate, then points past it, which route
+        reductions = []
+        reduce = theta.reduce_to_fundamental_domain
+        monkeypatch.setattr(theta, "reduce_to_fundamental_domain", lambda t: reductions.append(t) or reduce(t))
+        direct = [scaled(scale_for_radius(r, self.TOL)) for r in range(1, theta._ROUTE_RADIUS + 1)]
+        routed = [scaled(0.02)] + small_y_points()[1:]
+        for tau in direct + routed:
+            want = np.array([sr.theta_constant(m, tau, 1e-15).value ** 4 for m in sr.even_characteristics()])
+            assert np.max(np.abs(sr.theta_fourth_vector(tau, self.TOL) - want)) <= self.TOL
+        assert reductions == routed
+
     def test_reduced_points_sum_directly(self, monkeypatch):
         monkeypatch.setattr(theta, "reduce_to_fundamental_domain", None)
         for tau in sr.sample_reduced_points(50, seed=72):
             sr.theta_fourth_vector(tau)
 
     def test_gate_adds_no_tail_bound_call(self, monkeypatch):
-        # radii from 3 up to the gate, all summed at tau
-        scales = (0.3, 0.1, 0.055)
+        # radii from 3 up to the gate, all summed at 2 tau
+        scales = (1.0, 0.3, 0.03)
         assert scaled_radius(scales[-1], self.TOL) == theta._ROUTE_RADIUS
         points = sr.sample_reduced_points(5, seed=73) + [scaled(s) for s in scales]
         calls = []
         bound = theta._tail
         monkeypatch.setattr(theta, "_tail", lambda *args: calls.append(args) or bound(*args))
         for tau in points:
-            y = tau.min_imag_eigenvalue()
-            sr.truncation_radius(y, theta._fourth_inner_tol(y, self.TOL))
+            sr.truncation_radius(2.0 * tau.min_imag_eigenvalue(), direct_tolerance(tau, self.TOL))
             alone = len(calls)
             sr.theta_fourth_vector(tau, self.TOL)
             assert len(calls) == 2 * alone
