@@ -27,17 +27,13 @@ which is symmetric under n + a -> -(n + a) and contains max|n_i| <= R, so
 the bound on the absolute tail beyond the latter (a comparison with a
 geometric series) dominates what the box leaves out.  On the symmetric box
 the terms of an odd m cancel in pairs, so odd constants are exactly 0, and
-the kernel exponentiates only the half n1 + a1 >= 0.  Up to radius 16,
-flattened, that half gives the ten even sums as K @ exp(c @ Q) with
-c = (tau1, tau2, tau4), Q the exponents and K the signs, cached with the
-columns v = n + a sorted by |v|^2.  R takes the tail alone to below the
-tolerance; the rest of the tolerance is a budget for the terms inside the
-box too small to matter.  Every term is at most exp(-pi y_min |v|^2), so on
-a cached radius the kernel sums only the prefix of columns with
-|v|^2 <= S = log(2N / budget) / (pi y_min), N the number of columns, which
-moves each sum by less than the budget (proof at :func:`_even_sums`).
-(Q, K) are O(r^2), so past radius 16 the kernel sums the whole half box in
-its separable form, sign rows @ exp(exponents) @ sign rows, slab by slab.
+a kernel exponentiates only the half n1 + a1 >= 0.  Each public function
+has one kernel.
+
+:func:`theta_constant` sums the whole half box at tau in its separable form,
+sign rows @ exp(exponents) @ sign rows, slab by slab in O(R) memory, and
+reads its own cell of the 4 x 4 table that comes out (:func:`_table`).
+Nothing inside the box is dropped, so its error bound is the tail.
 
 :func:`theta_fourth_vector` takes the fourth powers from the four b = 0
 constants at 2 tau, by the duplication formula
@@ -45,14 +41,23 @@ constants at 2 tau, by the duplication formula
     Theta_(a, b)(tau)^2 = sum over c in {0, 1/2}^2 of (-1)^(4 b.c) Theta_(c, 0)(2 tau) Theta_(c + a, 0)(2 tau)
 
 (Dupont, thesis, 2006; Labrande and Thome, ANTS XII, 2016), one fixed
-signed 10 x 16 map of their products, squared.  Im(2 tau) = 2 Im(tau), so
-the cut keeps about half the columns it would at tau.  With
-U2 = (1 + (2 y_min)^(-1/2))^2, which bounds the absolute series at 2 tau, the
-four sums within delta give squares within 8 U2 delta and fourth powers
-within 64 U2^3 delta, so the box at 2 tau is summed to tol / (64 U2^3)
-(proof at :func:`_fourth_inner_tol`).  That is the same absolute contract
-as fourth powers of the sums at tau, but a small coordinate comes out of a
-sum of products as large as U2^2, so its relative error is larger.
+signed 10 x 16 map of their products, squared.  Flattened, the half box
+gives the four as K @ exp(c @ Q) with c = (2 tau1, 2 tau2, 2 tau4), Q the
+exponents and K the signs, cached up to radius 16 with the columns v = n + a
+sorted by |v|^2 (:func:`_fused`).  R takes the tail alone to below the
+inner tolerance; the rest of it is a budget for the terms inside the box too
+small to matter.  Every term at 2 tau is at most exp(-pi y2 |v|^2) with
+y2 = 2 y_min, so the kernel sums only the prefix of columns with
+|v|^2 <= S = log(2N / budget) / (pi y2), N the number of columns, which
+moves each sum by less than the budget (proof at :func:`_b0_sums`).
+Im(2 tau) = 2 Im(tau), so the cut keeps about half the columns it would at
+tau.  With U2 = (1 + y2^(-1/2))^2, which bounds the absolute series at
+2 tau, the four sums within delta give squares within 8 U2 delta and fourth
+powers within 64 U2^3 delta, so the box at 2 tau is summed to
+tol / (64 U2^3) (proof at :func:`_fourth_inner_tol`).  That is the same
+absolute contract as fourth powers of the sums at tau, but a small
+coordinate comes out of a sum of products as large as U2^2, so its relative
+error is larger.
 
 The fourth powers are weight-2 forms for the level-2 group, so for M =
 [[A, B], [C, D]] in Sp4(Z)
@@ -69,8 +74,9 @@ of phi_m are integers and drop out of the fourth power.
 large: it sums the box at 2 res.reduced instead, with res the result of
 :func:`~siegel_runge.halfspace.reduce_to_fundamental_domain`, at the
 tolerance scaled by |det(C tau + D)|^2 = |res.cocycle|^2, and maps the
-values back through rho.  Theta constants themselves pick up eighth roots
-of unity under Sp4(Z), so :func:`theta_constant` always sums at tau.
+values back through rho.  So the cut kernel never sums past radius 17.
+Theta constants themselves pick up eighth roots of unity under Sp4(Z), so
+:func:`theta_constant` always sums at tau.
 """
 
 from __future__ import annotations
@@ -90,13 +96,10 @@ _MAX_RADIUS = 10_000
 
 #: theta_fourth_vector sums boxes at 2 tau up to this radius directly and
 #: evaluates points that need more through the fundamental domain; near this
-#: radius the two routes cost the same.
+#: radius the two routes cost the same.  It also caps the cache of _fused.
 _ROUTE_RADIUS = 16
 
-#: Radii whose (Q, K) stay cached, 2.9 MB for all 16; fixed, not _ROUTE_RADIUS.
-_FUSED_RADIUS = 16
-
-#: Most exponentials per slab of rows of the half box past _FUSED_RADIUS.
+#: Most exponentials per slab of rows of the half box that _table sums.
 _SLAB_TERMS = 1 << 12
 
 
@@ -149,13 +152,13 @@ def odd_characteristics() -> tuple[Characteristic, ...]:
 
 @dataclass(frozen=True)
 class ThetaValue:
-    """A computed theta constant with a rigorous bound on truncation and cut.
+    """A computed theta constant with a rigorous bound on truncation.
 
     ``radius`` is the box radius R, ``terms`` the number of half-box
-    columns exponentiated (0 for an odd constant, which is exactly 0), and
-    ``error_bound`` the tail beyond the box plus the bound on the columns
-    the kernel dropped inside it, without the floating-point rounding, which
-    exceeded it at tol 1e-14 past the cache (ROADMAP item 2).
+    columns exponentiated, all (2R + 2)(4R + 3) of them (0 for an odd
+    constant, which is exactly 0), and ``error_bound`` the tail beyond the
+    box, without the floating-point rounding, which exceeded it at
+    tol 1e-14 on level-2 images (ROADMAP item 2).
     """
 
     value: complex
@@ -245,8 +248,7 @@ def _axis(r: int) -> tuple[np.ndarray, ...]:
     row 2a + b of ``signs`` is (-1)^(n b) on the half of v with shift a and 0
     on the other half; ``half_signs`` is its restriction to w, weighted 1 at
     w = 0 and 2 elsewhere, both complex like the exponentials.  These are
-    O(r); the matrices of :func:`_fused` are O(r^2), cached only up to
-    radius _FUSED_RADIUS.
+    O(r); the matrices of :func:`_fused` are O(r^2).
     """
     n = np.arange(-r - 1, r + 1)
     v = np.concatenate([n[1:], n + 0.5])
@@ -261,20 +263,6 @@ def _axis(r: int) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-#: The sign rows 2 a1 + b1 and 2 a2 + b2 that the ten even characteristics
-#: (a1, a2, b1, b2) pair, in their order: an index into the 4 x 4 table.
-_EVEN_CELLS = tuple(np.array([(2 * a1 + b1, 2 * a2 + b2)
-                              for a1, a2, b1, b2 in (m.bits for m in even_characteristics())]).T)
-
-#: Row i of the cached K sums the even characteristic _K_ROWS[i]: those with
-#: b = 0 first, in the order a = 00, 01, 10, 11, so that the four sums the
-#: duplication formula reads are the view K[:4]; then the other six.
-_K_ROWS = sorted(range(10), key=lambda j: (even_characteristics()[j].bits[2:] != (0, 0), j))
-
-#: The cells of the 4 x 4 table that hold the four b = 0 sums, in the rows' order.
-_B0_CELLS = tuple(cells[_K_ROWS[:4]] for cells in _EVEN_CELLS)
 
 
 def _duplication() -> np.ndarray:
@@ -308,20 +296,20 @@ _DUPLICATION = _duplication()
 _KRON_LEFT, _KRON_RIGHT = np.repeat(np.arange(4), 4), np.tile(np.arange(4), 4)
 
 
-@lru_cache(maxsize=_FUSED_RADIUS)
+@lru_cache(maxsize=_ROUTE_RADIUS)
 def _fused(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (Q, K, count) on the half box w x v of :func:`_axis`, for
-    r <= _FUSED_RADIUS only.  With Q (3 x N) = i pi (w^2, 2 w v, v^2), c @ Q is
-    the exponent at (v1, v2) = (w, v); row i of K (10 x N) is
-    half_signs[2 a1 + b1] (x) signs[2 a2 + b2] for (a1, a2, b1, b2) the
-    even characteristic number _K_ROWS[i], the four with b = 0 first.  The
+    """Read-only (Q, K, count) on the half box w x v of :func:`_axis`, the
+    kernel of :func:`_b0_sums`.  With Q (3 x N) = i pi (w^2, 2 w v, v^2),
+    c @ Q is the exponent at (v1, v2) = (w, v); row 2 a1 + a2 of K (4 x N) is
+    half_signs[2 a1] (x) signs[2 a2], the terms of Theta_(a, 0).  The
     columns come sorted by the integer 4|v|^2, so that those with
-    4|v|^2 <= j are a prefix of length count[j], j = 0 .. 2 (2r + 1)^2."""
+    4|v|^2 <= j are a prefix of length count[j], j = 0 .. 2 (2r + 1)^2.
+    O(r^2): the 16 radii that the direct path of :func:`theta_fourth_vector`
+    sums hold 1.6 MB."""
     v, v2, signs, w, w2, half_signs = _axis(r)
     w, w2 = w[:, None], w2[:, None]
     q = 1j * math.pi * np.stack(np.broadcast_arrays(w2, 2.0 * w * v, v2)).reshape(3, -1)
-    rows, cols = (cells[_K_ROWS] for cells in _EVEN_CELLS)
-    k = (half_signs[rows, :, None] * signs[cols, None, :]).reshape(10, -1)
+    k = (half_signs[::2, None, :, None] * signs[None, ::2, None, :]).reshape(4, -1)
     norm = (4.0 * (w2 + v2)).astype(np.intp).ravel()
     order = np.argsort(norm, kind="stable")
     q, k, count = q[:, order], k[:, order], np.cumsum(np.bincount(norm))
@@ -331,7 +319,7 @@ def _fused(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _cut(r: int, y_min: float, budget: float) -> int:
     """The level j = floor(4 S) of the columns 4|v|^2 <= j that
-    :func:`_even_sums` keeps within an error budget, with
+    :func:`_b0_sums` keeps within an error budget, with
     S = log(2N / budget) / (pi y_min) and N = (2r + 2)(4r + 3) the columns of
     the half box; the whole box, level 2 (2r + 1)^2, for a budget of 0 or an
     S past the box.  S carries a relative error of a few units in the last
@@ -343,33 +331,21 @@ def _cut(r: int, y_min: float, budget: float) -> int:
     return top if s4 >= top else math.floor(s4)
 
 
-def _even_sums(tau: SiegelPoint, r: int, level: int, doubled: bool = False) -> np.ndarray:
-    """The ten even Theta_m(tau) over the box max(|n1 + a1|, |n2 + a2|) <= r + 1/2,
-    ordered by :func:`even_characteristics`; with ``doubled``, the four
-    Theta_(a, 0)(2 tau), a = 00, 01, 10, 11, over the same box.  Up to radius
-    _FUSED_RADIUS over the columns v = (v1, v2) with 4|v|^2 <= level, all of
-    them at level 2 (2r + 1)^2; past it over the whole box, whatever the
-    level.  The point summed, tau or 2 tau, enters only through its entries,
-    so 2 tau is never built as a SiegelPoint.
+def _b0_sums(c: np.ndarray, r: int, level: int) -> np.ndarray:
+    """The four Theta_(a, 0), a = 00, 01, 10, 11, at the point with entries
+    c = (t1, t2, t4), over the columns v = (v1, v2) with 4|v|^2 <= level of
+    the box max(|n1 + a1|, |n2 + a2|) <= r + 1/2: K @ exp(c @ Q) on the
+    prefix of the sorted columns of :func:`_fused` that is kept, summed as
+    views.  Level 2 (2r + 1)^2 keeps the whole box.  The box is symmetric
+    under v -> -v, which keeps each term of a sum with b = 0, so a sum is
+    twice the rows v1 > 0 plus the row v1 = 0, weights that scale exactly.
 
-    The exponentials E on the joint axis v x v hold all four shifts a as
-    blocks and the phase (-1)^(n.b) factors over the axes.  The box is
-    symmetric under v -> -v, which keeps E and flips the phase by
-    (-1)^(4 a.b): odd terms cancel in pairs and an even sum is twice the rows
-    v1 > 0 plus the row v1 = 0, weights that scale exactly.  Up to radius
-    _FUSED_RADIUS the sums are K @ exp(c @ Q) with c = (tau1, tau2, tau4) on
-    the prefix of the sorted columns of :func:`_fused` that is kept, summed
-    as views, the first four rows of K alone when doubled.  Past it E comes
-    in slabs of at most _SLAB_TERMS terms, at least one row w = v1 >= 0 each,
-    and half_signs @ E @ signs^t adds up all sixteen sums as a 4 x 4 table,
-    whose even cells are read, or its four cells b = 0 when doubled.
-
-    The cut of a cached radius is rigorous.  Let y_min be the least
-    eigenvalue of Im of the point summed (2 y_min(tau) when doubled),
-    N = (2r + 2)(4r + 3) the columns of the half box and level = floor(4 S)
-    as :func:`_cut` gives it for a budget, with S = log(2N / budget) / (pi y_min).
-    A column dropped has the integer 4|v|^2 >= level + 1 > 4 S.  It holds at
-    most two terms of each even sum, at v and -v, each of modulus
+    The cut is rigorous.  Let y_min be the least eigenvalue of Im of the
+    point summed, N = (2r + 2)(4r + 3) the columns of the half box and
+    level = floor(4 S) as :func:`_cut` gives it for a budget, with
+    S = log(2N / budget) / (pi y_min).  A column dropped has the integer
+    4|v|^2 >= level + 1 > 4 S.  It holds at most two terms of each sum, at v
+    and -v, each of modulus
 
         exp(-pi v^t Y v) <= exp(-pi y_min |v|^2) < exp(-pi y_min S) = budget / 2N.
 
@@ -381,35 +357,40 @@ def _even_sums(tau: SiegelPoint, r: int, level: int, doubled: bool = False) -> n
     terms is at most the absolute series, so the bounds of
     :func:`_fourth_inner_tol` hold for the cut sums as for the whole box.
     """
-    t1, t2, t4 = tau.tau1, tau.tau2, tau.tau4
-    if doubled:
-        t1, t2, t4 = 2.0 * t1, 2.0 * t2, 2.0 * t4
-    if r <= _FUSED_RADIUS:
-        q, k, count = _fused(r)
-        m = count[level]
-        e = np.exp(np.array((t1, t2, t4)) @ q[:, :m])
-        if doubled:
-            return k[:4, :m] @ e
-        out = np.zeros(10, dtype=complex)
-        # a numpy complex loop, not the bare product: after an OpenBLAS
-        # zgemm, complex exp runs about 15 times slower until one has run
-        out[_K_ROWS] += k[:, :m] @ e
-        return out
+    q, k, count = _fused(r)
+    m = count[level]
+    return k[:, :m] @ np.exp(c @ q[:, :m])
+
+
+def _table(tau: SiegelPoint, r: int) -> np.ndarray:
+    """The even Theta_m(tau) over the box max(|n1 + a1|, |n2 + a2|) <= r + 1/2
+    as cells [2 a1 + b1, 2 a2 + b2] of a 4 x 4 table, m = (a1, a2, b1, b2);
+    the six odd cells hold no sum.
+
+    The exponentials E on the joint axis v x v of :func:`_axis` hold all
+    four shifts a as blocks and the phase (-1)^(n.b) factors over the axes.
+    The box is symmetric under v -> -v, which keeps E and flips the phase by
+    (-1)^(4 a.b): an even sum is twice the rows v1 > 0 plus the row v1 = 0,
+    weights that scale exactly, while in an odd cell the rows v1 > 0 do not
+    cancel.  E comes in slabs of at most _SLAB_TERMS terms, at least one row
+    w = v1 >= 0 each, and half_signs @ E @ signs^t adds up the table in
+    O(r) memory.
+    """
     v, v2, signs, w, w2, half_signs = _axis(r)
-    row = (1j * math.pi * t1) * w2
-    col = (1j * math.pi * t4) * v2
-    cross = (2j * math.pi * t2) * v
+    row = (1j * math.pi * tau.tau1) * w2
+    col = (1j * math.pi * tau.tau4) * v2
+    cross = (2j * math.pi * tau.tau2) * v
     rows = max(1, _SLAB_TERMS // v.size)
     table = np.zeros((4, 4), dtype=complex)
     for lo in range(0, w.size, rows):
         e = np.exp(row[lo:lo + rows, None] + w[lo:lo + rows, None] * cross + col)
         # in place, the complex loop that the next slab's exp needs after the zgemm
         table += half_signs[:, lo:lo + rows] @ e @ signs.T
-    return table[_B0_CELLS if doubled else _EVEN_CELLS]
+    return table
 
 
 def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaValue:
-    """Evaluate Theta_m(tau): truncation and cut error at most tol, rounding aside.
+    """Evaluate Theta_m(tau): truncation error at most tol, rounding aside.
 
     Parameters
     ----------
@@ -421,28 +402,22 @@ def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaVal
     -------
     ThetaValue with ``error_bound <= tol``.  The radius R is
     :func:`truncation_radius`, whose tail bound beyond the box
-    max(|n1 + a1|, |n2 + a2|) <= R + 1/2 is tail <= tol.  Up to radius 16
-    the kernel keeps the columns v with |v|^2 <= S for the budget tol - tail
-    (:func:`_even_sums`), and ``error_bound`` is tail plus
-    2 exp(-pi y_min (j + 1) / 4) for each column dropped, j = floor(4 S):
-    less than tail + (tol - tail) = tol.  Past it all (2R + 2)(4R + 3)
-    columns are summed and ``error_bound`` is the tail.  For odd m the value
-    is exactly 0, no column is summed and ``error_bound`` is the tail.
+    max(|n1 + a1|, |n2 + a2|) <= R + 1/2 is tail <= tol.  All
+    (2R + 2)(4R + 3) columns of the half box are summed (:func:`_table`),
+    so ``error_bound`` is the tail.  For odd m the value is exactly 0, no
+    column is summed and ``error_bound`` is the tail.
     """
     if not isinstance(m, Characteristic):
         raise InvalidInputError(f"expected a Characteristic, got {m!r}")
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
     tol = _real(tol, _TINY, 1.0, "tol must lie in (0, 1)")
-    y_min = tau.min_imag_eigenvalue()
-    r, tail = _truncation(y_min, tol)
+    r, tail = _truncation(tau.min_imag_eigenvalue(), tol)
     if not m.is_even:
         return ThetaValue(0j, tail, r, 0)
-    level = _cut(r, y_min, tol - tail)
-    value = complex(_even_sums(tau, r, level)[even_characteristics().index(m)])
-    n = (2 * r + 2) * (4 * r + 3)
-    terms = int(_fused(r)[2][level]) if r <= _FUSED_RADIUS else n
-    return ThetaValue(value, tail + 2.0 * (n - terms) * math.exp(-math.pi * y_min * (level + 1) / 4.0), r, terms)
+    a1, a2, b1, b2 = m.bits
+    value = complex(_table(tau, r)[2 * a1 + b1, 2 * a2 + b2])
+    return ThetaValue(value, tail, r, (2 * r + 2) * (4 * r + 3))
 
 
 def _fourth_inner_tol(y2: float, tol: float) -> float:
@@ -454,7 +429,7 @@ def _fourth_inner_tol(y2: float, tol: float) -> float:
     the axes, and each 1-D sum of exp(-pi y2 (n + a)^2) over n is at most its
     peak 1 plus the integral y2^(-1/2).  So U2 bounds the absolute series at
     2 tau, hence each A_c = Theta_(c, 0)(2 tau) and each sum a_c over a
-    subset of its terms, the cut sums of :func:`_even_sums` among them.  If
+    subset of its terms, the cut sums of :func:`_b0_sums` among them.  If
     |A_c - a_c| <= delta for all four c, the square
     theta_m^2 = sum_c +-A_c A_(c+a) and its image s_m = sum_c +-a_c a_(c+a)
     differ by at most
@@ -472,9 +447,10 @@ def _fourth_inner_tol(y2: float, tol: float) -> float:
 
 def _fourth_powers(tau: SiegelPoint, r: int, level: int) -> np.ndarray:
     """The ten Theta_m(tau)^4 from the four Theta_(c, 0)(2 tau) of
-    :func:`_even_sums` (``doubled``) at radius r and level, through the
-    duplication map :func:`_duplication`."""
-    t = _even_sums(tau, r, level, True)
+    :func:`_b0_sums` at radius r and level, through the duplication map
+    :func:`_duplication`.  2 tau enters only through its entries, so it is
+    never built as a SiegelPoint."""
+    t = _b0_sums(np.array((2.0 * tau.tau1, 2.0 * tau.tau2, 2.0 * tau.tau4)), r, level)
     # both products are matrix-vector (zgemv), which unlike a zgemm leave the next exp at full speed
     s = _DUPLICATION @ (t[_KRON_LEFT] * t[_KRON_RIGHT])
     s *= s
@@ -498,7 +474,7 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     come from one box whose tail bound meets the inner tolerance
     tol / (64 U2^3), U2 = (1 + y2^(-1/2))^2, with the proof at
     :func:`_fourth_inner_tol`; inside it the kernel drops the columns that
-    the rest of the inner tolerance covers (:func:`_even_sums`).  The
+    the rest of the inner tolerance covers (:func:`_b0_sums`).  The
     absolute contract is the one a direct fourth power had, but a small
     coordinate now comes out of a cancelling sum of products of values of
     size up to U2, so its relative error grows as the coordinate shrinks.
@@ -536,7 +512,19 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
 
 
 def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
-    """theta_fourth_vector(tau, tol) from the box at twice the reduced point; see there."""
+    """theta_fourth_vector(tau, tol) from the box at twice the reduced point; see there.
+
+    That box has radius at most 17, so the cut kernel serves it as it does
+    the direct path.  Y = Im(q) is Minkowski reduced, 0 <= 2 y2 <= y1 <= y4
+    (here y2 is the off-diagonal entry), so the least eigenvalue
+    (y1 + y4 - sqrt((y4 - y1)^2 + 4 y2^2)) / 2 is at least y1 / 2, as
+    sqrt((y4 - y1)^2 + y1^2) <= y4; and |q1| >= 1 with |Re q1| <= 1/2 gives
+    y1 >= sqrt(3)/2.  So Im(2q) has least eigenvalue at least sqrt(3)/2,
+    and even at the smallest positive inner tolerance, 5e-324, the tail
+    bound falls below it at radius 17 (16 at 1e-300), with the same radius
+    down to 0.99 sqrt(3)/2, far below the rounding of the reduction.  A
+    smaller inner tolerance is 0 and is refused.
+    """
     res = reduce_to_fundamental_domain(tau)
     q, det2 = res.reduced, res.cocycle * res.cocycle
     y2 = 2.0 * q.min_imag_eigenvalue()

@@ -59,21 +59,6 @@ def disk_norm(r, y_min, budget):
     return math.log(2 * (2 * r + 2) * (4 * r + 3) / budget) / (math.pi * y_min)
 
 
-def disk(tau, tol):
-    """The radius R whose tail bound meets tol, that tail, and the S of
-    disk_norm for the budget tol - tail left to the cut."""
-    y = tau.min_imag_eigenvalue()
-    r = sr.truncation_radius(y, tol)
-    tail = sr.tail_bound(r, y)
-    return r, tail, disk_norm(r, y, tol - tail)
-
-
-def disk_columns(r, s):
-    """The half-box columns v with |v|^2 <= s, counted on 2v."""
-    i, j = np.meshgrid(np.arange(2 * r + 2), np.arange(-2 * r - 1, 2 * r + 2))
-    return int(np.count_nonzero(i * i + j * j <= 4 * s))
-
-
 class TestCharacteristics:
     def test_parity_examples(self):
         assert Characteristic((0, 0, 0, 0)).is_even
@@ -235,8 +220,18 @@ class TestTruncation:
 B0_SHIFTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 #: The characteristics of the rows of the cached K, as indices into EVEN_BITS:
-#: 0000, 0100, 1000 and 1100 first, then the other six in their order.
-K_ROWS = (0, 4, 6, 8, 1, 2, 3, 5, 7, 9)
+#: 0000, 0100, 1000 and 1100.
+B0_ROWS = (0, 4, 6, 8)
+
+
+def entries(tau, factor=1.0):
+    """The entries (tau1, tau2, tau4) of factor * tau, as the cut kernel reads them."""
+    return np.array((factor * tau.tau1, factor * tau.tau2, factor * tau.tau4))
+
+
+def b0_cells(table):
+    """The cells of the four b = 0 constants in the 4 x 4 table of theta._table."""
+    return table[[0, 0, 2, 2], [0, 2, 0, 2]]
 
 
 class TestKernel:
@@ -246,11 +241,14 @@ class TestKernel:
     TAU = sr.SiegelPoint(0.17 + 0.75j, -0.23 + 0.21j, 0.41 + 0.85j)
     RADIUS = 2
 
-    def assert_matches_double_loop(self, tau=TAU, radius=RADIUS):
-        # the kernel sums the even characteristics; an odd one is exactly 0
+    def assert_matches_double_loop(self, monkeypatch, tau=TAU, radius=RADIUS):
+        # the table holds the even characteristics; an odd one is exactly 0.
+        # It reads nothing of the cut kernel's cache.
+        monkeypatch.setattr(theta, "_fused", None)
         chars = sr.all_characteristics()
-        even = dict(zip(sr.even_characteristics(), theta._even_sums(tau, radius, 2 * (2 * radius + 1) ** 2)))
-        got = np.array([even.get(m, 0.0) for m in chars])
+        table = theta._table(tau, radius)
+        got = np.array([table[2 * m.bits[0] + m.bits[2], 2 * m.bits[1] + m.bits[3]] if m.is_even else 0.0
+                        for m in chars])
         want = np.array([theta_2d_symmetric(m.bits, tau.matrix, radius) for m in chars])
         scale = np.max(np.abs(want))
         # the loop knows nothing of the pairing: its odd sums cancel to rounding
@@ -258,13 +256,8 @@ class TestKernel:
         assert min(abs(w) for m, w in zip(chars, want) if m.is_even) > 1e-2
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
-    def refuse_cache(self, monkeypatch, fused_radius):
-        """Cap the cache below the radii summed, and make any use of it fail."""
-        monkeypatch.setattr(theta, "_FUSED_RADIUS", fused_radius)
-        monkeypatch.setattr(theta, "_fused", None)
-
-    def test_all_sixteen_match_double_loop(self):
-        self.assert_matches_double_loop()
+    def test_all_sixteen_match_double_loop(self, monkeypatch):
+        self.assert_matches_double_loop(monkeypatch)
 
     def test_duplication_oracle_gives_the_squares(self):
         # theta_m(tau)^2 from four double loops at 2 tau against the squared
@@ -277,34 +270,32 @@ class TestKernel:
 
     def test_even_cells_within_the_tail_of_the_integer_box(self):
         # the box grew from max|n_i| <= R by terms of the tail beyond it
-        sums = theta._even_sums(self.TAU, self.RADIUS, 2 * (2 * self.RADIUS + 1) ** 2)
+        table = theta._table(self.TAU, self.RADIUS)
         bound = sr.tail_bound(self.RADIUS, self.TAU.min_imag_eigenvalue())
-        for m, got in zip(sr.even_characteristics(), sums):
-            assert abs(got - theta_2d_naive(m.bits, self.TAU.matrix, self.RADIUS)) <= bound
+        for a1, a2, b1, b2 in EVEN_BITS:
+            want = theta_2d_naive((a1, a2, b1, b2), self.TAU.matrix, self.RADIUS)
+            assert abs(table[2 * a1 + b1, 2 * a2 + b2] - want) <= bound
 
     @pytest.mark.parametrize("rows", [1, 2, 7])
     def test_slab_boundaries_inside_both_halves(self, monkeypatch, rows):
-        # with the cache capped below the radius, rows v1 = 0, 1, 2, 1/2, 3/2,
-        # 5/2 (2r + 2 of them) against 4r + 3 columns go in slabs; slabs of 2
-        # rows end at 2 and 4, one inside each half, and one slab of 7 rows
-        # holds them all
+        # rows v1 = 0, 1, 2, 1/2, 3/2, 5/2 (2r + 2 of them) against 4r + 3
+        # columns go in slabs; slabs of 2 rows end at 2 and 4, one inside
+        # each half, and one slab of 7 rows holds them all
         v, _, _, w, _, _ = theta._axis(self.RADIUS)
         assert list(w) == [0.0, 1.0, 2.0, 0.5, 1.5, 2.5]
         assert v.size == 4 * self.RADIUS + 3
-        self.refuse_cache(monkeypatch, self.RADIUS - 1)
         monkeypatch.setattr(theta, "_SLAB_TERMS", rows * v.size)
-        self.assert_matches_double_loop()
+        self.assert_matches_double_loop(monkeypatch)
 
     def test_radius_past_the_cache_in_slabs(self, monkeypatch):
-        # Im(TAU) over 40: the edge terms at radius 17 are 1e-7 or more.
-        # Slabs of 7 of the 36 rows end at 7 and 14 inside the integer half
-        # (18 rows) and at 21, 28 and 35 inside the half-integer one.
-        entries = self.TAU.tau1, self.TAU.tau2, self.TAU.tau4
-        tau = sr.SiegelPoint(*(complex(z.real, z.imag / 40) for z in entries))
-        radius = theta._FUSED_RADIUS + 1
-        self.refuse_cache(monkeypatch, theta._FUSED_RADIUS)
+        # Im(TAU) over 40: the edge terms at radius 17, one past the radii
+        # the cut kernel caches, are 1e-7 or more.  Slabs of 7 of the 36 rows
+        # end at 7 and 14 inside the integer half (18 rows) and at 21, 28
+        # and 35 inside the half-integer one.
+        tau = sr.SiegelPoint(*(complex(z.real, z.imag / 40) for z in entries(self.TAU)))
+        radius = theta._ROUTE_RADIUS + 1
         monkeypatch.setattr(theta, "_SLAB_TERMS", 7 * (4 * radius + 3))
-        self.assert_matches_double_loop(tau, radius)
+        self.assert_matches_double_loop(monkeypatch, tau, radius)
 
     def test_cached_axis_is_linear_in_radius(self):
         r = 30
@@ -312,21 +303,24 @@ class TestKernel:
         assert theta._axis.cache_info().maxsize is not None
 
     def test_fused_cache_is_read_only_and_capped(self, monkeypatch):
-        assert theta._FUSED_RADIUS == 16
-        assert theta._fused.cache_info().maxsize == theta._FUSED_RADIUS
+        assert not hasattr(theta, "_FUSED_RADIUS")
+        assert theta._fused.cache_info().maxsize == theta._ROUTE_RADIUS == 16
         q, k, _ = theta._fused(3)
-        assert q.shape == (3, 8 * 15) and k.shape == (10, 8 * 15)
+        assert q.shape == (3, 8 * 15) and k.shape == (4, 8 * 15)
         assert not q.flags.writeable and not k.flags.writeable
+        # the four b = 0 rows for all sixteen radii hold at most 1.6 MiB
+        assert sum(a.nbytes for r in range(1, 17) for a in theta._fused(r)) <= 1.6 * 2**20
         cached = []
         fused = theta._fused
         monkeypatch.setattr(theta, "_fused", lambda r: cached.append(r) or fused(r))
-        # theta_constant sums at tau for any radius; only those up to the cap
-        # reach the cache
-        far = scaled(0.01)
-        assert sr.truncation_radius(far.min_imag_eigenvalue(), 1e-10) > theta._FUSED_RADIUS
-        sr.theta_constant(sr.even_characteristics()[0], far, 1e-10)
+        # theta_constant sums its own kernel at every radius, the cached ones too
+        near, far = scaled(1.0), scaled(0.01)
+        assert (sr.truncation_radius(near.min_imag_eigenvalue(), 1e-10) <= theta._ROUTE_RADIUS
+                < sr.truncation_radius(far.min_imag_eigenvalue(), 1e-10))
+        for tau in (near, far):
+            sr.theta_constant(sr.even_characteristics()[0], tau, 1e-10)
         assert cached == []
-        for radius in range(1, theta._FUSED_RADIUS + 1):
+        for radius in range(1, theta._ROUTE_RADIUS + 1):
             tau = scaled(scale_for_radius(radius, TestRoute.TOL))
             got = sr.theta_fourth_vector(tau, TestRoute.TOL)
             # the same four disk sums at 2 tau, from double loops, through the duplication formula
@@ -335,11 +329,12 @@ class TestKernel:
             sums = {c: theta_2d_disk(c + (0, 0), 2.0 * tau.matrix, radius, s) for c in B0_SHIFTS}
             want = duplication_squares(sums) ** 2
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        assert sorted(set(cached)) == list(range(1, theta._FUSED_RADIUS + 1))
-        assert fused.cache_info().currsize <= theta._FUSED_RADIUS
+        assert sorted(set(cached)) == list(range(1, theta._ROUTE_RADIUS + 1))
+        assert fused.cache_info().currsize <= theta._ROUTE_RADIUS
 
 
 class TestCut:
+    # the cut kernel sums at whatever entries it is given; here at tau itself
     @pytest.mark.parametrize("budget", [1e-14, 1e-10, 1e-6])
     def test_prefix_within_the_budget_of_the_box(self, budget):
         for tau in cut_points():
@@ -348,42 +343,45 @@ class TestCut:
             s = disk_norm(r, y, budget)
             level = theta._cut(r, y, budget)
             assert level == min(math.floor(4 * s), 2 * (2 * r + 1) ** 2)
-            box = theta._even_sums(tau, r, 2 * (2 * r + 1) ** 2)
-            assert np.max(np.abs(theta._even_sums(tau, r, level) - box)) <= budget
+            box = theta._b0_sums(entries(tau), r, 2 * (2 * r + 1) ** 2)
+            # over the whole box the two kernels agree
+            assert np.max(np.abs(box - b0_cells(theta._table(tau, r)))) <= 1e-13 * np.max(np.abs(box))
+            assert np.max(np.abs(theta._b0_sums(entries(tau), r, level) - box)) <= budget
             assert half_box_mass_outside(tau.matrix.imag, r, s) <= budget
 
     @pytest.mark.parametrize("budget", [1e-14, 1e-6])
     def test_prefix_matches_the_disk_double_loop(self, budget):
-        # the cached radii sum a prefix
+        # the cached radii sum a prefix, at tau and at 2 tau
         for tau in cut_points()[:2] + cut_points()[4:]:
-            y = tau.min_imag_eigenvalue()
-            r = sr.truncation_radius(y, budget)
-            assert r <= theta._FUSED_RADIUS
-            s = disk_norm(r, y, budget)
-            got = theta._even_sums(tau, r, theta._cut(r, y, budget))
-            want = np.array([theta_2d_disk(bits, tau.matrix, r, s) for bits in EVEN_BITS])
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            for factor in (1.0, 2.0):
+                y = factor * tau.min_imag_eigenvalue()
+                r = sr.truncation_radius(y, budget)
+                assert r <= theta._ROUTE_RADIUS
+                s = disk_norm(r, y, budget)
+                got = theta._b0_sums(entries(tau, factor), r, theta._cut(r, y, budget))
+                want = np.array([theta_2d_disk(c + (0, 0), factor * tau.matrix, r, s) for c in B0_SHIFTS])
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_zero_budget_sums_the_whole_box(self):
-        for r in (1, 4, theta._FUSED_RADIUS + 1):
+        for r in (1, 4, theta._ROUTE_RADIUS + 1):
             assert theta._cut(r, 0.5, 0.0) == 2 * (2 * r + 1) ** 2
-        tau = cut_points()[0]
-        assert np.array_equal(theta._even_sums(tau, 3, theta._cut(3, 1.0, 0.0)),
-                              theta._even_sums(tau, 3, 2 * (2 * 3 + 1) ** 2))
+        c = entries(cut_points()[0])
+        assert np.array_equal(theta._b0_sums(c, 3, theta._cut(3, 1.0, 0.0)),
+                              theta._b0_sums(c, 3, 2 * (2 * 3 + 1) ** 2))
 
     def test_cache_sorted_by_norm_with_its_count_table(self):
-        for r in (1, 2, 5, theta._FUSED_RADIUS):
+        for r in (1, 2, 5, theta._ROUTE_RADIUS):
             q, k, count = theta._fused(r)
             assert not (q.flags.writeable or k.flags.writeable or count.flags.writeable)
             norm = np.rint(4 * (q[0].imag + q[2].imag) / math.pi).astype(int)
             assert norm.size == (2 * r + 2) * (4 * r + 3)
             assert np.all(np.diff(norm) >= 0)
             assert np.array_equal(count, [np.count_nonzero(norm <= j) for j in range(2 * (2 * r + 1) ** 2 + 1)])
-            # every term of the half box, each once, the rows b = 0 first
+            # every term of the half box, each once, in the rows of the four b = 0 sums
             assert not (np.any(q.real) or np.any(k.imag))
             assert (sorted(map(tuple, np.vstack([q.imag, k.real]).T.tolist()))
-                    == sorted(col[:3] + tuple(col[3 + j] for j in K_ROWS) for col in half_box_columns(r)))
-        assert theta._fused.cache_info().maxsize == theta._FUSED_RADIUS
+                    == sorted(col[:3] + tuple(col[3 + j] for j in B0_ROWS) for col in half_box_columns(r)))
+        assert theta._fused.cache_info().maxsize == theta._ROUTE_RADIUS
 
 
 class TestThetaConstant:
@@ -397,19 +395,15 @@ class TestThetaConstant:
     def test_diagnostics_report_the_sum(self, tol):
         even, odd = sr.even_characteristics()[3], sr.odd_characteristics()[0]
         for tau in cut_points():
-            r, tail, s = disk(tau, tol)
-            n = (2 * r + 2) * (4 * r + 3)
+            y = tau.min_imag_eigenvalue()
+            r = sr.truncation_radius(y, tol)
+            tail = sr.tail_bound(r, y)
             tv = sr.theta_constant(even, tau, tol)
             assert tv.radius == r
             assert tail <= tv.error_bound <= tol
             assert abs(tv.value - theta_2d_naive(even.bits, tau.matrix, r + 8)) <= tv.error_bound
-            if r <= theta._FUSED_RADIUS:
-                # the columns of the disk, and the bound covers what is left out
-                assert tv.terms == disk_columns(r, s) < n
-                assert half_box_mass_outside(tau.matrix.imag, r, s) <= tv.error_bound - tail
-            else:
-                # the whole half box, so nothing is dropped
-                assert tv.terms == n and tv.error_bound == tail
+            # the whole half box at every radius, so nothing is dropped
+            assert tv.terms == (2 * r + 2) * (4 * r + 3) and tv.error_bound == tail
             assert sr.theta_constant(odd, tau, tol) == sr.ThetaValue(0j, tail, r, 0)
 
     def test_odd_vanish(self):
@@ -737,8 +731,8 @@ class TestRoute:
         # the route sums at the reduction's own reduced point
         force_route(monkeypatch, True)
         summed = []
-        sums = theta._even_sums
-        monkeypatch.setattr(theta, "_even_sums", lambda q, *args: summed.append(q) or sums(q, *args))
+        powers = theta._fourth_powers
+        monkeypatch.setattr(theta, "_fourth_powers", lambda q, *args: summed.append(q) or powers(q, *args))
         for tau in small_y_points():
             summed.clear()
             sr.theta_fourth_vector(tau, self.TOL)
