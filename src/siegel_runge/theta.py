@@ -449,8 +449,14 @@ def _fourth_powers(tau: SiegelPoint, r: int, level: int) -> np.ndarray:
     """The ten Theta_m(tau)^4 from the four Theta_(c, 0)(2 tau) of
     :func:`_b0_sums` at radius r and level, through the duplication map
     :func:`_duplication`.  2 tau enters only through its entries, so it is
-    never built as a SiegelPoint."""
-    t = _b0_sums(np.array((2.0 * tau.tau1, 2.0 * tau.tau2, 2.0 * tau.tau4)), r, level)
+    never built as a SiegelPoint.  The fourth powers have exact period 2 in
+    each real entry, so a real part past 1 is first taken mod 2, exactly:
+    the exponent would round a large Re(tau) w^2 and lose the phases.  A
+    reduced point never needs it."""
+    t1, t2, t4 = tau.tau1, tau.tau2, tau.tau4
+    if not (-1.0 <= t1.real <= 1.0 and -1.0 <= t2.real <= 1.0 and -1.0 <= t4.real <= 1.0):
+        t1, t2, t4 = (complex(math.remainder(t.real, 2.0), t.imag) for t in (t1, t2, t4))
+    t = _b0_sums(np.array((2.0 * t1, 2.0 * t2, 2.0 * t4)), r, level)
     # both products are matrix-vector (zgemv), which unlike a zgemm leave the next exp at full speed
     s = _DUPLICATION @ (t[_KRON_LEFT] * t[_KRON_RIGHT])
     s *= s
@@ -479,7 +485,8 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     coordinate now comes out of a cancelling sum of products of values of
     size up to U2, so its relative error grows as the coordinate shrinks.
 
-    The box is summed at 2 tau, to the inner tolerance of min(tol, 1/2),
+    The box is summed at 2 tau with each Re(tau) entry taken mod 2, to the
+    inner tolerance of min(tol, 1/2),
     while its radius is at most _ROUTE_RADIUS (16).  A point that needs
     more, including one whose inner tolerance underflows or whose radius
     passes the 10^4 cap, goes through the fundamental domain instead: with

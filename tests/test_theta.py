@@ -536,6 +536,20 @@ class TestFourthVector:
         with pytest.raises(sr.ResourceLimitError, match=r"^the tolerance 4\.9e-324 underflows at the reduced point"):
             sr.psi(tau, 5e-324)
 
+    @pytest.mark.parametrize("shift", [1e9, 1e15, 8e307])
+    def test_real_parts_taken_mod_two(self, shift):
+        # the fourth powers have period 2 in every real entry.  Summed at
+        # Re(tau1) as given, 1e9 missed by 2.8e-8 and 1e15 by 0.20, and at
+        # 8e307 the exponent overflowed (a RuntimeWarning, an error here) and
+        # psi refused the NaN coordinates
+        tol = 1e-8
+        want = sr.theta_fourth_vector(sr.SiegelPoint(1j, 0.1j, 1.2j), tol)
+        for entries in [(shift + 1j, 0.1j, 1.2j), (1j, shift + 0.1j, 1.2j), (1j, 0.1j, shift + 1.2j),
+                        (shift + 1j, -shift + 0.1j, shift + 1.2j)]:
+            tau = sr.SiegelPoint(*entries)
+            assert np.max(np.abs(sr.theta_fourth_vector(tau, tol) - want)) <= tol
+            assert np.max(np.abs(sr.psi(tau, tol).coords - want)) <= tol
+
     def test_slabs_match_one_slab(self, monkeypatch):
         # summed at tau, past the cached radii
         force_route(monkeypatch, False)
@@ -751,6 +765,25 @@ class TestRoute:
             want = np.array([sr.theta_constant(m, tau, 1e-15).value ** 4 for m in sr.even_characteristics()])
             assert np.max(np.abs(sr.theta_fourth_vector(tau, self.TOL) - want)) <= self.TOL
         assert reductions == routed
+
+    @pytest.mark.parametrize("tol", [5e-324, 1e-300])
+    def test_cut_kernel_radius_at_most_seventeen(self, monkeypatch, tol):
+        # a reduced point has least eigenvalue >= y1 / 2 >= sqrt(3)/4, so the
+        # box at 2q needs radius 17 at most, even at the least inner tolerance
+        assert theta._radius_up_to(math.sqrt(3) / 2, 5e-324, theta._MAX_RADIUS)[0] == 17
+        assert theta._radius_up_to(math.sqrt(3) / 2, 1e-300, theta._MAX_RADIUS)[0] == 16
+        corner = sr.SiegelPoint(0.5 + math.sqrt(3) / 2 * 1j, math.sqrt(3) / 4 * 1j, 0.5 + math.sqrt(3) / 2 * 1j)
+        radii = []
+        fused = theta._fused
+        monkeypatch.setattr(theta, "_fused", lambda r: radii.append(r) or fused(r))
+        for tau in [corner] + small_y_points():
+            try:
+                assert np.isfinite(sr.theta_fourth_vector(tau, tol)).all()
+            except sr.ResourceLimitError:
+                pass
+        assert max(radii, default=0) <= 17
+        # at 5e-324 each inner tolerance underflows; at 1e-300 every point is summed
+        assert len(radii) == (0 if tol < 1e-320 else 4)
 
     def test_reduced_points_sum_directly(self, monkeypatch):
         monkeypatch.setattr(theta, "reduce_to_fundamental_domain", None)
