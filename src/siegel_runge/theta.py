@@ -486,10 +486,10 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     size up to U2, so its relative error grows as the coordinate shrinks.
 
     The box is summed at 2 tau with each Re(tau) entry taken mod 2, to the
-    inner tolerance of min(tol, 1/2),
-    while its radius is at most _ROUTE_RADIUS (16).  A point that needs
-    more, including one whose inner tolerance underflows or whose radius
-    passes the 10^4 cap, goes through the fundamental domain instead: with
+    inner tolerance of min(tol, 1/2), while its radius is at most
+    _ROUTE_RADIUS (16).  A point that needs more, including one whose inner
+    tolerance underflows or whose radius passes the 10^4 cap, goes through
+    the fundamental domain instead: with
     res the result of :func:`reduce_to_fundamental_domain` at tau,
     T = [[A, B], [C, D]] = res.transform, q = res.reduced and
     det(C tau + D) = res.cocycle,
@@ -528,9 +528,9 @@ def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
     sqrt((y4 - y1)^2 + y1^2) <= y4; and |q1| >= 1 with |Re q1| <= 1/2 gives
     y1 >= sqrt(3)/2.  So Im(2q) has least eigenvalue at least sqrt(3)/2,
     and even at the smallest positive inner tolerance, 5e-324, the tail
-    bound falls below it at radius 17 (16 at 1e-300), with the same radius
-    down to 0.99 sqrt(3)/2, far below the rounding of the reduction.  A
-    smaller inner tolerance is 0 and is refused.
+    bound falls below it at radius 17 (16 at 1e-300), and still does at
+    0.99 sqrt(3)/2, a margin far wider than the rounding of the reduction.
+    A smaller inner tolerance is 0 and is refused.
     """
     res = reduce_to_fundamental_domain(tau)
     q, det2 = res.reduced, res.cocycle * res.cocycle
