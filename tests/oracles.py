@@ -68,45 +68,12 @@ def theta_2d_disk(bits, tau_mat, radius: int, s: float) -> complex:
     return complex(total)
 
 
-def half_box_mass_outside(y_mat, radius: int, s: float) -> float:
-    """2 sum exp(-pi v^t Y v) over the half box v1 >= 0 of the points v of
-    (Z/2)^2 with |v_i| <= radius + 1/2 and |v|^2 > s, all four shifts at
-    once: a bound on what the disk |v|^2 <= s leaves out of each sum."""
-    total = 0.0
-    for i in range(2 * radius + 2):
-        for j in range(-2 * radius - 1, 2 * radius + 2):
-            v1, v2 = i / 2.0, j / 2.0
-            if v1 * v1 + v2 * v2 > s:
-                total += 2.0 * math.exp(-math.pi * (v1 * v1 * y_mat[0, 0] + 2 * v1 * v2 * y_mat[0, 1]
-                                                    + v2 * v2 * y_mat[1, 1]))
-    return total
-
-
 #: Even characteristic bits (a1, a2, b1, b2) in lexicographic order.
 EVEN_BITS = tuple(
     bits
     for bits in itertools.product((0, 1), repeat=4)
     if (bits[0] * bits[2] + bits[1] * bits[3]) % 2 == 0
 )
-
-
-def half_box_columns(radius: int) -> list[tuple]:
-    """The terms of the half box v1 >= 0 of the points v of (Z/2)^2 with
-    |v_i| <= radius + 1/2, one tuple each: pi (v1^2, 2 v1 v2, v2^2), then the
-    coefficient of exp(i pi v^t tau v) in each of the ten even sums in
-    EVEN_BITS order, its phase (-1)^(n.b) at v = n + a times 2 (1 on the row
-    v1 = 0), or 0 where the shift a of v is not the characteristic's."""
-    columns = []
-    for i in range(2 * radius + 2):
-        for j in range(-2 * radius - 1, 2 * radius + 2):
-            v1, v2 = i / 2.0, j / 2.0
-            signs = tuple(
-                float((1 if i == 0 else 2) * (-1) ** (((i - a1) // 2 * b1 + (j - a2) // 2 * b2) % 2))
-                if (i % 2, j % 2) == (a1, a2) else 0.0
-                for a1, a2, b1, b2 in EVEN_BITS
-            )
-            columns.append((math.pi * (v1 * v1), math.pi * (2.0 * v1 * v2), math.pi * (v2 * v2)) + signs)
-    return columns
 
 
 def duplication_squares(sums) -> np.ndarray:

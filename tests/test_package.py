@@ -92,6 +92,15 @@ class TestLazyExports:
             sr.no_such_name
 
 
+class TestMutationList:
+    def test_each_edit_applies_once(self):
+        # tests/mutants.py applies each edit to a copy of the source, so a
+        # change that moves mutated code updates the list with it
+        from mutants import MUTANTS, misplaced
+        assert misplaced() == []
+        assert len({name for name, *_ in MUTANTS}) == len(MUTANTS)
+
+
 # --- One validation policy (the errors module docstring) ---------------------
 #
 # A raw value -- a number, a sequence of numbers, a CLI flag -- that is

@@ -1,4 +1,3 @@
-import inspect
 import math
 import os
 import subprocess
@@ -14,8 +13,6 @@ from siegel_runge.theta import Characteristic
 from oracles import (
     EVEN_BITS,
     duplication_squares,
-    half_box_columns,
-    half_box_mass_outside,
     jacobi_fourth_powers,
     naive_fourth_powers,
     plain_truncation_radii,
@@ -57,6 +54,15 @@ def cut_points():
 def disk_norm(r, y_min, budget):
     """S = log(2N / budget) / (pi y_min), N = (2r + 2)(4r + 3) the half-box columns."""
     return math.log(2 * (2 * r + 2) * (4 * r + 3) / budget) / (math.pi * y_min)
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """The points that theta_fourth_vector sends through the fundamental domain, in order."""
+    seen = []
+    reduce = theta.reduce_to_fundamental_domain
+    monkeypatch.setattr(theta, "reduce_to_fundamental_domain", lambda t: seen.append(t) or reduce(t))
+    return seen
 
 
 class TestCharacteristics:
@@ -136,6 +142,9 @@ class TestTruncation:
             sr.truncation_radius(1e-9, 1e-10)
 
     def test_refusal_needs_no_search(self, monkeypatch):
+        """The only killer of "refusal scans to the cap": by the lower bound
+        proved at truncation_radius, a search that would start past the cap
+        is refused without a tail bound."""
         calls = []
         monkeypatch.setattr(theta, "_tail", lambda *args: calls.append(args) or 1.0)
         with pytest.raises(sr.ResourceLimitError):
@@ -143,6 +152,8 @@ class TestTruncation:
         assert calls == []
 
     def test_search_starts_near_the_answer(self, monkeypatch):
+        """The only killer of "search from radius 1": the search starts at
+        the lower bound proved at truncation_radius."""
         # the plain start at the leading factor made 663 calls here
         calls = []
         bound = theta._tail
@@ -219,46 +230,13 @@ class TestTruncation:
 #: The shifts c of the four b = 0 constants at 2 tau, in the duplication formula's order.
 B0_SHIFTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-#: The characteristics of the rows of the cached K, as indices into EVEN_BITS:
-#: 0000, 0100, 1000 and 1100.
-B0_ROWS = (0, 4, 6, 8)
-
 
 def entries(tau, factor=1.0):
     """The entries (tau1, tau2, tau4) of factor * tau, as the cut kernel reads them."""
     return np.array((factor * tau.tau1, factor * tau.tau2, factor * tau.tau4))
 
 
-def b0_cells(table):
-    """The cells of the four b = 0 constants in the 4 x 4 table of theta._table."""
-    return table[[0, 0, 2, 2], [0, 2, 0, 2]]
-
-
 class TestKernel:
-    # Re tau2 and Im tau2 both nonzero; at radius 2 the terms on the edge of
-    # the box are 1e-7 or more, far above rounding, so a wrong weight or a
-    # missing row or column shows in the even sums
-    TAU = sr.SiegelPoint(0.17 + 0.75j, -0.23 + 0.21j, 0.41 + 0.85j)
-    RADIUS = 2
-
-    def assert_matches_double_loop(self, monkeypatch, tau=TAU, radius=RADIUS):
-        # the table holds the even characteristics; an odd one is exactly 0.
-        # It reads nothing of the cut kernel's cache.
-        monkeypatch.setattr(theta, "_fused", None)
-        chars = sr.all_characteristics()
-        table = theta._table(tau, radius)
-        got = np.array([table[2 * m.bits[0] + m.bits[2], 2 * m.bits[1] + m.bits[3]] if m.is_even else 0.0
-                        for m in chars])
-        want = np.array([theta_2d_symmetric(m.bits, tau.matrix, radius) for m in chars])
-        scale = np.max(np.abs(want))
-        # the loop knows nothing of the pairing: its odd sums cancel to rounding
-        assert max(abs(w) for m, w in zip(chars, want) if not m.is_even) <= 1e-13 * scale
-        assert min(abs(w) for m, w in zip(chars, want) if m.is_even) > 1e-2
-        assert np.max(np.abs(got - want)) <= 1e-13 * scale
-
-    def test_all_sixteen_match_double_loop(self, monkeypatch):
-        self.assert_matches_double_loop(monkeypatch)
-
     def test_duplication_oracle_gives_the_squares(self):
         # theta_m(tau)^2 from four double loops at 2 tau against the squared
         # double loop at tau: reduced, skewed, y I and a near-singular point
@@ -268,41 +246,19 @@ class TestKernel:
             want = np.array([theta_2d_symmetric(bits, tau.matrix, r) ** 2 for bits in EVEN_BITS])
             assert np.max(np.abs(duplication_squares(sums) - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_even_cells_within_the_tail_of_the_integer_box(self):
-        # the box grew from max|n_i| <= R by terms of the tail beyond it
-        table = theta._table(self.TAU, self.RADIUS)
-        bound = sr.tail_bound(self.RADIUS, self.TAU.min_imag_eigenvalue())
-        for a1, a2, b1, b2 in EVEN_BITS:
-            want = theta_2d_naive((a1, a2, b1, b2), self.TAU.matrix, self.RADIUS)
-            assert abs(table[2 * a1 + b1, 2 * a2 + b2] - want) <= bound
-
-    @pytest.mark.parametrize("rows", [1, 2, 7])
-    def test_slab_boundaries_inside_both_halves(self, monkeypatch, rows):
-        # rows v1 = 0, 1, 2, 1/2, 3/2, 5/2 (2r + 2 of them) against 4r + 3
-        # columns go in slabs; slabs of 2 rows end at 2 and 4, one inside
-        # each half, and one slab of 7 rows holds them all
-        v, _, _, w, _, _ = theta._axis(self.RADIUS)
-        assert list(w) == [0.0, 1.0, 2.0, 0.5, 1.5, 2.5]
-        assert v.size == 4 * self.RADIUS + 3
-        monkeypatch.setattr(theta, "_SLAB_TERMS", rows * v.size)
-        self.assert_matches_double_loop(monkeypatch)
-
-    def test_radius_past_the_cache_in_slabs(self, monkeypatch):
-        # Im(TAU) over 40: the edge terms at radius 17, one past the radii
-        # the cut kernel caches, are 1e-7 or more.  Slabs of 7 of the 36 rows
-        # end at 7 and 14 inside the integer half (18 rows) and at 21, 28
-        # and 35 inside the half-integer one.
-        tau = sr.SiegelPoint(*(complex(z.real, z.imag / 40) for z in entries(self.TAU)))
-        radius = theta._ROUTE_RADIUS + 1
-        monkeypatch.setattr(theta, "_SLAB_TERMS", 7 * (4 * radius + 3))
-        self.assert_matches_double_loop(monkeypatch, tau, radius)
-
     def test_cached_axis_is_linear_in_radius(self):
+        """The only killer of "axis cache unbounded": theta_constant sums in
+        O(r) memory (the slabs of _table), and so does the cache of _axis."""
         r = 30
         assert sum(a.nbytes for a in theta._axis(r)) <= 64 * (2 * r + 1) * 16
         assert theta._axis.cache_info().maxsize is not None
 
     def test_fused_cache_is_read_only_and_capped(self, monkeypatch):
+        """The only killer of "direct radius r - 1".  At every cached radius
+        the direct path sums the box whose tail bound meets the inner
+        tolerance (truncation_radius) cut at the level of _cut for the rest
+        of it (the proof at _b0_sums), which the double loops reproduce to
+        1e-13.  A box one short still meets tol on every tested point."""
         assert not hasattr(theta, "_FUSED_RADIUS")
         assert theta._fused.cache_info().maxsize == theta._ROUTE_RADIUS == 16
         q, k, _ = theta._fused(3)
@@ -334,24 +290,11 @@ class TestKernel:
 
 
 class TestCut:
-    # the cut kernel sums at whatever entries it is given; here at tau itself
-    @pytest.mark.parametrize("budget", [1e-14, 1e-10, 1e-6])
-    def test_prefix_within_the_budget_of_the_box(self, budget):
-        for tau in cut_points():
-            y = tau.min_imag_eigenvalue()
-            r = sr.truncation_radius(y, budget)
-            s = disk_norm(r, y, budget)
-            level = theta._cut(r, y, budget)
-            assert level == min(math.floor(4 * s), 2 * (2 * r + 1) ** 2)
-            box = theta._b0_sums(entries(tau), r, 2 * (2 * r + 1) ** 2)
-            # over the whole box the two kernels agree
-            assert np.max(np.abs(box - b0_cells(theta._table(tau, r)))) <= 1e-13 * np.max(np.abs(box))
-            assert np.max(np.abs(theta._b0_sums(entries(tau), r, level) - box)) <= budget
-            assert half_box_mass_outside(tau.matrix.imag, r, s) <= budget
-
     @pytest.mark.parametrize("budget", [1e-14, 1e-6])
     def test_prefix_matches_the_disk_double_loop(self, budget):
-        # the cached radii sum a prefix, at tau and at 2 tau
+        """The only killer of "2N -> N in _cut": the prefix kept is the disk
+        |v|^2 <= S, S = log(2N / budget) / (pi y_min), that the proof at
+        _b0_sums needs, at tau and at 2 tau."""
         for tau in cut_points()[:2] + cut_points()[4:]:
             for factor in (1.0, 2.0):
                 y = factor * tau.min_imag_eigenvalue()
@@ -363,25 +306,14 @@ class TestCut:
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_zero_budget_sums_the_whole_box(self):
+        """The only killer of "zero budget cuts to level 0": a tail bound equal
+        to the inner tolerance leaves a budget of 0, and _cut then keeps the
+        whole box."""
         for r in (1, 4, theta._ROUTE_RADIUS + 1):
             assert theta._cut(r, 0.5, 0.0) == 2 * (2 * r + 1) ** 2
         c = entries(cut_points()[0])
         assert np.array_equal(theta._b0_sums(c, 3, theta._cut(3, 1.0, 0.0)),
                               theta._b0_sums(c, 3, 2 * (2 * 3 + 1) ** 2))
-
-    def test_cache_sorted_by_norm_with_its_count_table(self):
-        for r in (1, 2, 5, theta._ROUTE_RADIUS):
-            q, k, count = theta._fused(r)
-            assert not (q.flags.writeable or k.flags.writeable or count.flags.writeable)
-            norm = np.rint(4 * (q[0].imag + q[2].imag) / math.pi).astype(int)
-            assert norm.size == (2 * r + 2) * (4 * r + 3)
-            assert np.all(np.diff(norm) >= 0)
-            assert np.array_equal(count, [np.count_nonzero(norm <= j) for j in range(2 * (2 * r + 1) ** 2 + 1)])
-            # every term of the half box, each once, in the rows of the four b = 0 sums
-            assert not (np.any(q.real) or np.any(k.imag))
-            assert (sorted(map(tuple, np.vstack([q.imag, k.real]).T.tolist()))
-                    == sorted(col[:3] + tuple(col[3 + j] for j in B0_ROWS) for col in half_box_columns(r)))
-        assert theta._fused.cache_info().maxsize == theta._ROUTE_RADIUS
 
 
 class TestThetaConstant:
@@ -497,14 +429,15 @@ class TestFourthVector:
             assert np.max(np.abs(got - naive_fourth_powers(tau.matrix, radius=45))) <= tol
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-4])
-    def test_cut_sums_meet_the_tolerance(self, tol):
-        # summed at tau with the cut; the skewed points are the oracle test's above
+    def test_cut_sums_meet_the_tolerance(self, reductions, tol):
+        # summed at 2 tau with the cut, none routed; the skewed points are the
+        # oracle test's above.  The double loop at tau runs 8 past the radius
+        # whose tail meets direct_tolerance
         for tau in cut_points()[:2] + cut_points()[4:]:
             got = sr.theta_fourth_vector(tau, tol)
-            y = tau.min_imag_eigenvalue()
-            r = sr.truncation_radius(y, theta._fourth_inner_tol(y, tol))
-            assert r <= theta._ROUTE_RADIUS
+            r = sr.truncation_radius(tau.min_imag_eigenvalue(), direct_tolerance(tau, tol))
             assert np.max(np.abs(got - naive_fourth_powers(tau.matrix, radius=r + 8))) <= tol
+        assert reductions == []
 
     @pytest.mark.parametrize("y", [1e-60, 1e-120])
     def test_tiny_imaginary_part_hits_the_cap(self, y):
@@ -550,21 +483,6 @@ class TestFourthVector:
             assert np.max(np.abs(sr.theta_fourth_vector(tau, tol) - want)) <= tol
             assert np.max(np.abs(sr.psi(tau, tol).coords - want)) <= tol
 
-    def test_slabs_match_one_slab(self, monkeypatch):
-        # summed at tau, past the cached radii
-        force_route(monkeypatch, False)
-        tau = small_y_points()[1]
-        whole = sr.theta_fourth_vector(tau)
-        monkeypatch.setattr(theta, "_SLAB_TERMS", 7)
-        sliced = sr.theta_fourth_vector(tau)
-        assert np.max(np.abs(sliced - whole)) <= 1e-13 * np.max(np.abs(whole))
-
-
-def force_route(monkeypatch, route: bool):
-    """Send every later theta_fourth_vector call through the fundamental
-    domain (route=True) or sum every box at tau itself (route=False)."""
-    monkeypatch.setattr(theta, "_ROUTE_RADIUS", 0 if route else theta._MAX_RADIUS)
-
 
 def direct_tolerance(tau, tol):
     """tol / (64 U2^3), U2 = (1 + (2 y_min)^(-1/2))^2: the four b = 0
@@ -593,14 +511,6 @@ GENERATORS = (sr.J, sr.translation([[1, 0], [0, 0]]), sr.translation([[0, 1], [1
 def mod2_key(m) -> int:
     """The 16 entries of m mod 2, row-major, read as a binary number."""
     return int("".join(str(int(x)) for x in (np.asarray(m) % 2).ravel()), 2)
-
-
-def rho_matrix(perm, sign) -> np.ndarray:
-    """R with theta^4(M tau) = det(C tau + D)^2 R theta^4(tau), from the pair
-    of theta._rho, which undoes R: theta^4(tau) = sign * theta^4(M tau)[perm] / det^2."""
-    r = np.zeros((10, 10))
-    r[perm, np.arange(10)] = sign
-    return r
 
 
 def class_representatives() -> list:
@@ -643,53 +553,28 @@ def scale_for_radius(radius, tol):
 
 
 def c06_inputs():
-    """The points gamma.tau of acceptance check c06."""
+    """The pairs (gamma, tau) of acceptance check c06: gamma of level 2, tau reduced."""
     rng = np.random.default_rng(6)
     taus = sr.sample_reduced_points(5, seed=3)
-    return [sr.act(sr.random_level2_matrix(rng), tau) for _ in range(20) for tau in taus]
+    return [(sr.random_level2_matrix(rng), tau) for _ in range(20) for tau in taus]
 
 
-def rho(m):
-    """rho of a SymplecticMatrix, from its rows mod 2 as the route passes them."""
-    return theta._rho(tuple(tuple(x & 1 for x in row) for row in m.rows))
+def cocycle(g, tau) -> complex:
+    """det(C tau + D) for g = [[A, B], [C, D]]."""
+    _, _, c, d = g.blocks
+    m = c @ tau.matrix + d
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def fourth_powers_at_tau(tau) -> np.ndarray:
+    """The ten theta_constant(m, tau, 1e-15)^4, summed at tau itself."""
+    return np.array([sr.theta_constant(m, tau, 1e-15).value ** 4 for m in sr.even_characteristics()])
 
 
 class TestRhoTable:
-    def test_720_classes(self):
-        # distinct signed permutations on the 720 classes, read off M mod 2 only
-        reps = class_representatives()
-        seen = set()
-        for g in reps:
-            r = rho_matrix(*rho(g))
-            assert np.array_equal(rho_matrix(*theta._rho(g.rows)), r)
-            seen.add(r.tobytes())
-        assert len(seen) == 720 == len(reps)
-
-    def test_homomorphism(self):
-        for h in class_representatives():
-            r = rho_matrix(*rho(h))
-            for g in GENERATORS:
-                rg = rho_matrix(*rho(g))
-                assert np.array_equal(rho_matrix(*rho(g @ h)), rg @ r)
-                assert np.array_equal(rho_matrix(*rho(h @ g)), r @ rg)
-
-    def test_transitive_on_even_characteristics(self):
-        assert {int(rho(g)[0][0]) for g in class_representatives()} == set(range(10))
-
-    def test_permutation_is_the_characteristic_action(self):
-        # M.m = (D a - C b, -B a + A b) + 1/2 diag(C D^t, A B^t) mod 1, on the numerators 2m
-        index = {bits: k for k, bits in enumerate(EVEN_BITS)}
-        for g in class_representatives():
-            perm = rho(g)[0]
-            m = np.array(g.rows)
-            a, b, c, d = m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:]
-            for k, bits in enumerate(EVEN_BITS):
-                x, y = np.array(bits[:2]), np.array(bits[2:])
-                image = np.concatenate([d @ x - c @ y + np.diag(c @ d.T),
-                                        -b @ x + a @ y + np.diag(a @ b.T)]) % 2
-                assert perm[k] == index[tuple(image.tolist())]
-
     def test_import_builds_no_table(self):
+        """The only killer of "rho built at import": _rho fills its cache on
+        first use, so importing the package builds no table."""
         code = "import siegel_runge; from siegel_runge import theta; print(theta._rho.cache_info().currsize)"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
@@ -699,91 +584,125 @@ class TestRhoTable:
 class TestRoute:
     TOL = 1e-8
 
-    def test_every_class_matches_the_direct_sum(self, monkeypatch):
-        # theta_constant at tau never goes through the fundamental domain
-        force_route(monkeypatch, True)
+    def test_every_class_matches_the_level2_law(self, reductions):
+        # L = [[I, 0], [8 I, I]] is of level 2, so theta^4(L tau) is
+        # det(8 tau + I)^2 theta^4(tau), with no sign or permutation.  Each
+        # L g GATE_BASE routes, through a witness of the class of g^-1 mod 2,
+        # so the route reads rho on all 720 classes of Sp4(Z) mod 2
+        lower = sr.SymplecticMatrix(((1, 0, 0, 0), (0, 1, 0, 0), (8, 0, 1, 0), (0, 8, 0, 1)))
+        witnesses = set()
         for g in class_representatives():
             tau = sr.act(g, GATE_BASE)
-            inner = direct_tolerance(tau, self.TOL)
-            want = np.array([sr.theta_constant(m, tau, inner).value ** 4 for m in sr.even_characteristics()])
-            got = sr.theta_fourth_vector(tau, self.TOL)
+            det2 = cocycle(lower, tau) ** 2
+            want = det2 * sr.theta_fourth_vector(tau, self.TOL / abs(det2))
+            image = sr.act(lower, tau)
+            got = sr.theta_fourth_vector(image, self.TOL)
             assert np.max(np.abs(got - want)) <= 2 * self.TOL
+            # Riemann's relations are homogeneous and hold for the duplication
+            # image of any four b = 0 sums.  Run without the comparison above,
+            # this assert killed a swapped pair of rho, the affine term of the
+            # characteristic action dropped, one coordinate scaled by 1 + 1e-6,
+            # c + a -> c and an extra sign in _DUPLICATION, and no kernel or
+            # radius fault, no global sign of rho, no term dropped from the
+            # signs of rho and not det in place of det^2
+            assert riemann_residual(got) <= 1e-9
+            witnesses.add(mod2_key(sr.reduce_to_fundamental_domain(image).transform.mat))
+        assert len(reductions) == len(witnesses) == 720
+
+    def test_c06_inputs_meet_the_level2_law(self):
+        # theta^4(gamma tau) = det(C tau + D)^2 theta^4(tau) for gamma of
+        # level 2; 49 of these 100 images route
+        for g, tau in c06_inputs():
+            det2 = cocycle(g, tau) ** 2
+            want = det2 * sr.theta_fourth_vector(tau, self.TOL / abs(det2))
+            got = sr.theta_fourth_vector(sr.act(g, tau), self.TOL)
+            assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+            # run without the comparison above, this assert killed a swapped
+            # pair of rho, one coordinate scaled by 1 + 1e-6 and c + a -> c in
+            # _DUPLICATION, and no other mutant of the theta module
             assert riemann_residual(got) <= 1e-9
 
-    def test_c06_inputs_match_the_direct_sums(self, monkeypatch):
-        for tau in c06_inputs():
-            force_route(monkeypatch, True)
-            routed = sr.theta_fourth_vector(tau, self.TOL)
-            force_route(monkeypatch, False)
-            direct = sr.theta_fourth_vector(tau, self.TOL)
-            assert np.max(np.abs(routed - direct)) <= 1e-7 * np.max(np.abs(direct))
-            assert riemann_residual(routed) <= 1e-9
+    def test_agrees_across_the_gate(self, reductions):
+        # two points a rounding apart, the first summed at 2 tau and the second routed
+        def routed(s):
+            reductions.clear()
+            sr.theta_fourth_vector(scaled(s), self.TOL)
+            return bool(reductions)
 
-    def test_agrees_across_the_gate(self, monkeypatch):
-        # two points a rounding apart whose box radii straddle _ROUTE_RADIUS
         lo, hi = 1e-3, 1.0
-        assert scaled_radius(lo, self.TOL) > theta._ROUTE_RADIUS >= scaled_radius(hi, self.TOL)
+        assert routed(lo) and not routed(hi)
         while math.nextafter(lo, hi) < hi:
             mid = math.sqrt(lo * hi)
             if not lo < mid < hi:
                 mid = math.nextafter(lo, hi)
-            lo, hi = (mid, hi) if scaled_radius(mid, self.TOL) > theta._ROUTE_RADIUS else (lo, mid)
+            lo, hi = (mid, hi) if routed(mid) else (lo, mid)
         below, above = scaled(hi), scaled(lo)
-        reductions = []
-        reduce = theta.reduce_to_fundamental_domain
-        monkeypatch.setattr(theta, "reduce_to_fundamental_domain", lambda t: reductions.append(t) or reduce(t))
+        # the gate is where the box radius at 2 tau for the inner tolerance steps
+        assert scaled_radius(lo, self.TOL) == scaled_radius(hi, self.TOL) + 1
+        reductions.clear()
         got_below = sr.theta_fourth_vector(below, self.TOL)
         got_above = sr.theta_fourth_vector(above, self.TOL)
         assert reductions == [above]
         assert np.max(np.abs(got_below - got_above)) <= 2 * self.TOL
-        force_route(monkeypatch, True)
-        assert np.max(np.abs(got_below - sr.theta_fourth_vector(below, self.TOL))) <= 2 * self.TOL
-        force_route(monkeypatch, False)
-        assert np.max(np.abs(got_above - sr.theta_fourth_vector(above, self.TOL))) <= 2 * self.TOL
+        for tau, got in ((below, got_below), (above, got_above)):
+            assert np.max(np.abs(got - fourth_powers_at_tau(tau))) <= self.TOL
 
-    def test_sums_at_the_reduced_point(self, monkeypatch):
-        # the route sums at the reduction's own reduced point
-        force_route(monkeypatch, True)
-        summed = []
-        powers = theta._fourth_powers
-        monkeypatch.setattr(theta, "_fourth_powers", lambda q, *args: summed.append(q) or powers(q, *args))
-        for tau in small_y_points():
-            summed.clear()
-            sr.theta_fourth_vector(tau, self.TOL)
-            assert summed == [sr.reduce_to_fundamental_domain(tau).reduced]
-        assert "_act_entries" not in inspect.getsource(theta)
-
-    def test_within_tol_of_the_fourth_powers_at_tau(self, monkeypatch):
+    def test_within_tol_of_the_fourth_powers_at_tau(self, reductions):
         # the duplication at 2 tau against theta_constant at tau itself: every
-        # doubled radius up to the gate, then points past it, which route
-        reductions = []
-        reduce = theta.reduce_to_fundamental_domain
-        monkeypatch.setattr(theta, "reduce_to_fundamental_domain", lambda t: reductions.append(t) or reduce(t))
-        direct = [scaled(scale_for_radius(r, self.TOL)) for r in range(1, theta._ROUTE_RADIUS + 1)]
+        # doubled radius up to the gate and the first past it, then points
+        # further past it, all of which route
+        radius = 0
+        while not reductions:
+            radius += 1
+            tau = scaled(scale_for_radius(radius, self.TOL))
+            assert np.max(np.abs(sr.theta_fourth_vector(tau, self.TOL) - fourth_powers_at_tau(tau))) <= self.TOL
+        assert radius > 1
         routed = [scaled(0.02)] + small_y_points()[1:]
-        for tau in direct + routed:
-            want = np.array([sr.theta_constant(m, tau, 1e-15).value ** 4 for m in sr.even_characteristics()])
-            assert np.max(np.abs(sr.theta_fourth_vector(tau, self.TOL) - want)) <= self.TOL
+        reductions.clear()
+        for tau in routed:
+            assert np.max(np.abs(sr.theta_fourth_vector(tau, self.TOL) - fourth_powers_at_tau(tau))) <= self.TOL
         assert reductions == routed
+
+    def test_routed_images_agree_across_tolerances(self, reductions):
+        # level-2 images of reduced points with Im(tau) scaled by 0.05, 0.01
+        # and 0.003, one draw per point and scale; all but eight route.  The
+        # route sums them to tol |det^2|, clamped at 1/2, so both tolerances
+        # give the same vector here.  Summed at a route radius one too small
+        # they missed each other by up to 1.7e-8, and with the tolerance not
+        # scaled by |det^2| by up to 2.8e-4
+        rng = np.random.default_rng(5)
+        for p in sr.sample_reduced_points(30, seed=11):
+            for s in (0.05, 0.01, 0.003):
+                image = sr.act(sr.random_level2_matrix(rng), p)
+                tau = sr.SiegelPoint(*(complex(z.real, s * z.imag) for z in (image.tau1, image.tau2, image.tau4)))
+                reductions.clear()
+                coarse, fine = sr.theta_fourth_vector(tau, 1e-8), sr.theta_fourth_vector(tau, 1e-11)
+                assert np.max(np.abs(coarse - fine)) <= 1e-8
+                assert reductions or s == 0.05
 
     @pytest.mark.parametrize("tol", [5e-324, 1e-300])
     def test_cut_kernel_radius_at_most_seventeen(self, monkeypatch, tol):
-        # a reduced point has least eigenvalue >= y1 / 2 >= sqrt(3)/4, so the
-        # box at 2q needs radius 17 at most, even at the least inner tolerance
+        """The only killer of "route radius from Im(q), not Im(2q)".  A
+        reduced point has least eigenvalue >= y1 / 2 >= sqrt(3)/4, so the
+        box at 2q needs radius 17 at most, even at the least inner tolerance
+        (the proof at _fourth_through_domain).  The image of the corner by
+        [[I, 0], [2 I, I]] routes to a reduced point of least eigenvalue
+        0.53, where a box sized for Im(q) would need radius 21 at 1e-300."""
         assert theta._radius_up_to(math.sqrt(3) / 2, 5e-324, theta._MAX_RADIUS)[0] == 17
         assert theta._radius_up_to(math.sqrt(3) / 2, 1e-300, theta._MAX_RADIUS)[0] == 16
         corner = sr.SiegelPoint(0.5 + math.sqrt(3) / 2 * 1j, math.sqrt(3) / 4 * 1j, 0.5 + math.sqrt(3) / 2 * 1j)
+        lower = sr.SymplecticMatrix(((1, 0, 0, 0), (0, 1, 0, 0), (2, 0, 1, 0), (0, 2, 0, 1)))
         radii = []
         fused = theta._fused
         monkeypatch.setattr(theta, "_fused", lambda r: radii.append(r) or fused(r))
-        for tau in [corner] + small_y_points():
+        for tau in [corner, sr.act(lower, corner)] + small_y_points():
             try:
                 assert np.isfinite(sr.theta_fourth_vector(tau, tol)).all()
             except sr.ResourceLimitError:
                 pass
         assert max(radii, default=0) <= 17
         # at 5e-324 each inner tolerance underflows; at 1e-300 every point is summed
-        assert len(radii) == (0 if tol < 1e-320 else 4)
+        assert len(radii) == (0 if tol < 1e-320 else 5)
 
     def test_reduced_points_sum_directly(self, monkeypatch):
         monkeypatch.setattr(theta, "reduce_to_fundamental_domain", None)
@@ -791,7 +710,9 @@ class TestRoute:
             sr.theta_fourth_vector(tau)
 
     def test_gate_adds_no_tail_bound_call(self, monkeypatch):
-        # radii from 3 up to the gate, all summed at 2 tau
+        """The only killer of "extra radius search on the direct path": the
+        radius search, capped at the gate, also decides the route.  Radii
+        from 3 up to the gate, all summed at 2 tau."""
         scales = (1.0, 0.3, 0.03)
         assert scaled_radius(scales[-1], self.TOL) == theta._ROUTE_RADIUS
         points = sr.sample_reduced_points(5, seed=73) + [scaled(s) for s in scales]
