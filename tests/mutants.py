@@ -143,16 +143,16 @@ MUTANTS = (
 )
 
 
+def applies_once(mutant) -> bool:
+    """Whether the mutant's old text occurs exactly once in its file and
+    differs from its new text."""
+    _, path, old, new = mutant
+    return (ROOT / path).read_text().count(old) == 1 and old != new
+
+
 def misplaced() -> list[str]:
-    """The names of the mutants whose old text does not occur exactly once
-    in its file, or equals its new text."""
-    texts = {}
-    bad = []
-    for name, path, old, new in MUTANTS:
-        text = texts.setdefault(path, (ROOT / path).read_text())
-        if text.count(old) != 1 or old == new:
-            bad.append(name)
-    return bad
+    """The names of the mutants that do not apply once."""
+    return [mutant[0] for mutant in MUTANTS if not applies_once(mutant)]
 
 
 def run(mutant) -> tuple[str, list[str] | None, float]:
