@@ -140,19 +140,23 @@ MUTANTS = (
      "_mix(-det * u10, r2, det * u00, r3), _mix(det * u11, r2, -det * u01, r3))"),
     ("int64 guard dropped", HALFSPACE,
      "if max(map(abs, r0 + r1 + r2 + r3)) >= 2**63:", "if False:"),
+    ("last of the smallest determinants taken", HALFSPACE,
+     "[vals.index(low)]", "[len(vals) - 1 - vals[::-1].index(low)]"),
+    ("Gottschling step below 1, not 1 - _TOL", HALFSPACE,
+     "if low < 1.0 - _TOL:", "if low < 1.0:"),
 )
 
 
-def applies_once(mutant) -> bool:
-    """Whether the mutant's old text occurs exactly once in its file and
-    differs from its new text."""
-    _, path, old, new = mutant
-    return (ROOT / path).read_text().count(old) == 1 and old != new
-
-
 def misplaced() -> list[str]:
-    """The names of the mutants that do not apply once."""
-    return [mutant[0] for mutant in MUTANTS if not applies_once(mutant)]
+    """The names of the mutants whose old text does not occur exactly once
+    in its file, or equals its new text."""
+    texts = {}
+    bad = []
+    for name, path, old, new in MUTANTS:
+        text = texts.setdefault(path, (ROOT / path).read_text())
+        if text.count(old) != 1 or old == new:
+            bad.append(name)
+    return bad
 
 
 def run(mutant) -> tuple[str, list[str] | None, float]:

@@ -228,6 +228,15 @@ class TestDeterminismAndErrors:
         assert dispatch([arg.format(path=path) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text")
 
+    @pytest.mark.parametrize("argv", [["reduce", "--tau-file", "{path}"],
+                                      ["runge", "--incidence-file", "{path}", "--s", "1"]],
+                             ids=["tau-file", "incidence-file"])
+    def test_missing_file_is_exit_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing.json"
+        assert dispatch([arg.format(path=path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
     def test_rank_takes_one_svd(self, capsys, monkeypatch):
         # the rank was taken by a second SVD of the same samples
         calls = []
@@ -238,6 +247,14 @@ class TestDeterminismAndErrors:
 
     def test_malformed_json_is_exit_two(self, capsys):
         assert dispatch(["embed", "--tau", "{"]) == 2
+
+    @pytest.mark.parametrize("tau", ['{"tau1": [0, 1], "tau4": [0, 1]}',
+                                     '{"tau1": [0], "tau2": [0, 0], "tau4": [0, 1]}',
+                                     '{"tau1": 1, "tau2": [0, 0], "tau4": [0, 1]}'],
+                             ids=["missing-entry", "short-pair", "number-for-pair"])
+    def test_malformed_point_is_exit_two(self, capsys, tau):
+        assert dispatch(["embed", "--tau", tau]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed SiegelPoint JSON")
 
     def test_not_in_h2_is_exit_two(self, capsys):
         assert dispatch(["embed", "--tau", '{"tau1": [0, -1], "tau2": [0, 0], "tau4": [0, 1]}']) == 2

@@ -44,6 +44,12 @@ class TestPsi:
         with pytest.raises(sr.InconsistencyError):
             sr.ProjectivePoint(np.full(10, 1e-12 + 0j), 1e-8)
 
+    def test_sup_at_ten_times_tol_rejected(self):
+        # 10 * 0.125 is exact, so the bound is hit, not rounded past
+        with pytest.raises(sr.InconsistencyError, match="10x"):
+            sr.ProjectivePoint(np.full(10, 1.25 + 0j), 0.125)
+        assert sr.ProjectivePoint(np.full(10, np.nextafter(1.25, 2.0) + 0j), 0.125).sup > 1.25
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(np.inf, 1)],
                              ids=["nan", "inf", "nan-imag", "inf-real"])
     def test_non_finite_coordinates_rejected(self, bad):
@@ -89,6 +95,15 @@ class TestPsi:
         assert sr.projective_distance(p, p) <= 1e-12
         assert sr.projective_distance(p, q) > 1e-3
 
+    def test_distance_ignores_the_scale_of_each_point(self):
+        p = sr.psi(GENERIC_POINT)
+        q = sr.psi(PRODUCT_POINT)
+        d = sr.projective_distance(p, q)
+        for scale in (1e-3, 1j, 1e3):
+            scaled = sr.ProjectivePoint(scale * p.coords, p.tol)
+            assert abs(sr.projective_distance(scaled, q) - d) <= 1e-12 * d
+            assert abs(sr.projective_distance(p, sr.ProjectivePoint(scale * q.coords, q.tol)) - d) <= 1e-12 * d
+
 
 class TestVanishing:
     def test_product_point_single_zero(self):
@@ -97,6 +112,10 @@ class TestVanishing:
     def test_generic_points_no_zero(self):
         for tau in sr.sample_reduced_points(20, seed=63):
             assert sr.near_zero_coordinates(sr.psi(tau)) == set()
+
+    def test_bound_is_inclusive(self):
+        coords = np.array([1.0, 1e-6, np.nextafter(1e-6, 1.0)] + [1.0] * 7, dtype=complex)
+        assert sr.near_zero_coordinates(sr.ProjectivePoint(coords, 1e-8)) == {1}
 
     def test_decay_along_one_sided_path(self):
         # With Im(tau1) pinned at 1 only the four even characteristics with
@@ -131,6 +150,11 @@ class TestProductLocusDetector:
 
     def test_indeterminate_near_cusp(self):
         assert sr.is_product_locus(sr.SiegelPoint(1j, 0, 5j)) is None
+
+    def test_decided_below_im_tau4_two(self):
+        # the tube of DEFAULT_TUBE_CUTOFF = 2 starts at Im(tau4) = 2
+        assert sr.is_product_locus(sr.SiegelPoint(1j, 0, 1.99j)) is True
+        assert sr.is_product_locus(sr.SiegelPoint(1j, 0, 2j)) is None
 
 
 class TestRelationRank:

@@ -67,6 +67,13 @@ class TestMembership:
         # 0.5 (tr - disc) cancels to 0 here
         assert abs(sr.SiegelPoint(*entries).min_imag_eigenvalue() - 1e-60) <= 1e-12 * 1e-60
 
+    def test_min_eigenvalue_matches_eigvalsh(self):
+        # the far-apart cases above have tau2 = 0, where a wrong weight of
+        # y2 in the discriminant does not show
+        for tau in sr.sample_reduced_points(20, seed=5):
+            want = np.linalg.eigvalsh(tau.imag)[0]
+            assert abs(tau.min_imag_eigenvalue() - want) <= 1e-14 * want
+
     def test_point_constructor_enforces_h2(self):
         with pytest.raises(sr.InvalidInputError):
             sr.SiegelPoint(1j, 0, -1j)
@@ -126,6 +133,14 @@ class TestSymplectic:
         # max_word=0 raised numpy's ValueError and "x" a TypeError; 2.5 was taken
         with pytest.raises(sr.InvalidInputError):
             draw(np.random.default_rng(0), **kwargs)
+
+    def test_level2_entry_bound_is_inclusive(self):
+        # a level-2 word other than the identity has an entry of magnitude 2
+        # or more, so with the bound at 2 the draws reach it
+        rng = np.random.default_rng(0)
+        largest = {max(abs(x) for row in sr.random_level2_matrix(rng, entry_bound=2).rows for x in row)
+                   for _ in range(20)}
+        assert max(largest) == 2
 
     def test_level2_check_is_no_assert(self, monkeypatch):
         # an assert, which python -O drops, made this check
@@ -239,6 +254,12 @@ class TestLevel2:
         assert sr.is_level2(sr.translation([[2, 0], [0, 0]]))
         assert not sr.is_level2(sr.translation([[1, 0], [0, 0]]))
 
+    def test_even_diagonal_is_not(self):
+        # any integer matrix is read: 2 I and 0 are even off the diagonal,
+        # but not the identity mod 2
+        assert not sr.is_level2(2 * np.eye(4, dtype=int))
+        assert not sr.is_level2(np.zeros((4, 4), dtype=int))
+
 
 def assert_matches_solve(g, tau):
     """act(g, tau) agrees with the LAPACK-solve action to 1e-12 relative, and
@@ -263,6 +284,10 @@ class TestAction:
         b = np.array([[2, -1], [-1, 3]])
         out = sr.act(sr.translation(b), tau)
         assert np.allclose(out.matrix, tau.matrix + b, atol=1e-14)
+
+    def test_asymmetric_translation_rejected(self):
+        with pytest.raises(sr.InvalidInputError, match="symmetric"):
+            sr.translation([[1, 2], [3, 4]])
 
     def test_j_fixes_i_identity(self):
         out = sr.act(sr.J, sr.SiegelPoint(1j, 0, 1j))
@@ -345,6 +370,14 @@ class TestAction:
         # below 2^-900 the scaled rows of g could overflow: refused as before
         with pytest.raises(sr.ConditioningError):
             sr.act(sr.J, sr.SiegelPoint(1e-280j, 0, 1e-280j))
+
+    def test_cocycle_scaled_by_at_most_two_to_the_900(self):
+        # M = -tau: its largest entry is scaled into [1/2, 1) by 2^k, and
+        # k = 900 is the largest the rows of g may be scaled by
+        tau = sr.SiegelPoint(2.0**-901 * 1j, 0, 2.0**-901 * 1j)
+        assert sr.act(sr.J, tau) == sr.SiegelPoint(2.0**901 * 1j, 0, 2.0**901 * 1j)
+        with pytest.raises(sr.ConditioningError):
+            sr.act(sr.J, sr.SiegelPoint(2.0**-902 * 1j, 0, 2.0**-902 * 1j))
 
     def test_cancelling_cocycle_raises_at_any_scale(self):
         # rows of M = C tau + D equal, with products that underflow: the
@@ -432,6 +465,18 @@ class TestReduction:
             sr.sample_reduced_points(2, seed)
         assert sr.sample_reduced_points(2, 7.0) == sr.sample_reduced_points(2, np.int64(7)) \
             == sr.sample_reduced_points(2, 7)
+
+    def test_samples_keep_im_tau2_off_zero(self):
+        # theta fourth powers flatten toward the product divisors tau2 = 0,
+        # so sample_reduced_points adds a rank-one part to Im(tau)
+        assert min(p.tau2.imag for p in sr.sample_reduced_points(200, seed=0)) >= 0.1
+
+    def test_determinant_within_tol_of_one_takes_no_step(self):
+        # a Gottschling step fires below 1 - _TOL, so |tau1| a rounding
+        # short of the boundary |tau1| = 1 is reduced as it is
+        res = sr.reduce_to_fundamental_domain(sr.SiegelPoint((1 - 1e-12) * 1j, 0, 2j))
+        assert res.transform.rows == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        assert res.iterations == 1
 
     def test_idempotent(self):
         for tau in sr.sample_reduced_points(10, seed=23):
@@ -631,6 +676,21 @@ class TestSpecialisedReduction:
         t1, t2, t4 = complex(*parts[0:2]), complex(*parts[2:4]), complex(*parts[4:6])
         got = [abs(z) for z in _gottschling_scan(t1, t2, t4)]
         assert got == [abs(z) for z in gottschling_scan_by_coefficients(t1, t2, t4)]
+
+    @pytest.mark.parametrize("t, t2, pair", [(-0.1 + 0.97j, -0.45 + 0.41j, [11, 12]),
+                                             (0.45 + 0.82j, -0.12 + 0.38j, [1, 3]),
+                                             (-0.3 + 0.74j, 0.31 + 0.37j, [5, 7])],
+                             ids=["tau1-and-tau4", "minus-shifts", "plus-shifts"])
+    def test_tied_determinants_take_the_first(self, t, t2, pair):
+        # tau1 = tau4 gives the nineteen determinants the symmetry that swaps
+        # the two, so the smallest is taken by a pair of Gottschling matrices
+        # here: tau1 and tau4, det(tau + S) for S = diag(-1, 0) and
+        # diag(0, -1), or for diag(0, 1) and diag(1, 0).  The reduction
+        # promises the first of them, and the generic loop takes it
+        tau = sr.SiegelPoint(t, t2, t)
+        dets = [abs(z) for z in _gottschling_scan(t, t2, t)]
+        assert [i for i, d in enumerate(dets) if d == min(dets)] == pair
+        assert reduction_outcome(sr.reduce_to_fundamental_domain, tau) == reduction_outcome(reduce_reference, tau)
 
     def test_scan_matches_coefficient_form_on_reduction_inputs(self):
         for tau in reduction_inputs(59, 61, 10):
