@@ -49,7 +49,7 @@ def dumps_canonical(obj) -> str:
     if isinstance(obj, dict):
         inner = ", ".join(f"{json.dumps(str(k))}: {dumps_canonical(v)}" for k, v in obj.items())
         return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
     raise InvalidInputError(f"cannot serialize object of type {type(obj).__name__}")
 

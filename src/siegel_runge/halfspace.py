@@ -80,7 +80,7 @@ class SiegelPoint:
         """Build from a (numerically) symmetric 2x2 array.
 
         The off-diagonal entries are averaged; they may differ by at most
-        1e-12 relative to the largest entry.
+        1e-12 max(1, |tau_ij|), which is absolute when all entries are below 1.
         """
         (t1, t12), (t21, t4) = _square_rows(tau, 2, _complex)
         if abs(t12 - t21) > _SYM_TOL * max(1.0, abs(t1), abs(t12), abs(t21), abs(t4)):

@@ -43,15 +43,15 @@ constants at 2 tau, by the duplication formula
 (Dupont, thesis, 2006; Labrande and Thome, ANTS XII, 2016), one fixed
 signed 10 x 16 map of their products, squared.  Flattened, the half box
 gives the four as K @ exp(c @ Q) with c = (2 tau1, 2 tau2, 2 tau4), Q the
-exponents and K the signs, cached up to radius 16 with the columns v = n + a
-sorted by |v|^2 (:func:`_fused`).  R takes the tail alone to below the
-inner tolerance; the rest of it is a budget for the terms inside the box too
-small to matter.  Every term at 2 tau is at most exp(-pi y2 |v|^2) with
-y2 = 2 y_min, so the kernel sums only the prefix of columns with
-|v|^2 <= S = log(2N / budget) / (pi y2), N the number of columns, which
-moves each sum by less than the budget (proof at :func:`_b0_sums`).
-Im(2 tau) = 2 Im(tau), so the cut keeps about half the columns it would at
-tau.  With U2 = (1 + y2^(-1/2))^2, which bounds the absolute series at
+exponents and K the signs, in one table of the box at radius 17 with the
+columns v = n + a sorted by |v|^2 (:func:`_fused`).  R takes the tail alone
+to below the inner tolerance; the rest of it is a budget for the terms
+inside the box too small to matter.  Every term at 2 tau is at most
+exp(-pi y2 |v|^2) with y2 = 2 y_min, so the kernel sums only the prefix, a
+disk, of the columns with |v|^2 <= S = log(2N / budget) / (pi y2), N the
+columns of the box at R, as ellipsoid summation does (Deconinck et al.,
+Math. Comp. 73, 2004); the proof at :func:`_b0_sums` holds for every
+R <= 17.  With U2 = (1 + y2^(-1/2))^2, which bounds the absolute series at
 2 tau, the four sums within delta give squares within 8 U2 delta and fourth
 powers within 64 U2^3 delta, so the box at 2 tau is summed to
 tol / (64 U2^3) (proof at :func:`_fourth_inner_tol`).  That is the same
@@ -87,8 +87,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (_TINY, DEFAULT_TOL, DEFAULT_TOL_FOURTH, InvalidInputError, ResourceLimitError, _integral,
-                     _real, _sequence)
+from .errors import (_TINY, DEFAULT_TOL, DEFAULT_TOL_FOURTH, InconsistencyError, InvalidInputError,
+                     ResourceLimitError, _integral, _real, _sequence)
 from .halfspace import SiegelPoint, reduce_to_fundamental_domain
 
 
@@ -96,8 +96,11 @@ _MAX_RADIUS = 10_000
 
 #: theta_fourth_vector sums boxes at 2 tau up to this radius directly and
 #: evaluates points that need more through the fundamental domain; near this
-#: radius the two routes cost the same.  It also caps the cache of _fused.
+#: radius the two routes cost the same.
 _ROUTE_RADIUS = 16
+
+#: The table of _fused holds the box at this radius, the most 2q needs for reduced q.
+_DOMAIN_RADIUS = 17
 
 #: Most exponentials per slab of rows of the half box that _table sums.
 _SLAB_TERMS = 1 << 12
@@ -296,17 +299,16 @@ _DUPLICATION = _duplication()
 _KRON_LEFT, _KRON_RIGHT = np.repeat(np.arange(4), 4), np.tile(np.arange(4), 4)
 
 
-@lru_cache(maxsize=_ROUTE_RADIUS)
-def _fused(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=1)
+def _fused() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (Q, K, count) on the half box w x v of :func:`_axis`, the
     kernel of :func:`_b0_sums`.  With Q (3 x N) = i pi (w^2, 2 w v, v^2),
     c @ Q is the exponent at (v1, v2) = (w, v); row 2 a1 + a2 of K (4 x N) is
     half_signs[2 a1] (x) signs[2 a2], the terms of Theta_(a, 0).  The
     columns come sorted by the integer 4|v|^2, so that those with
-    4|v|^2 <= j are a prefix of length count[j], j = 0 .. 2 (2r + 1)^2.
-    O(r^2): the 16 radii that the direct path of :func:`theta_fourth_vector`
-    sums hold 1.6 MB."""
-    v, v2, signs, w, w2, half_signs = _axis(r)
+    4|v|^2 <= j are a prefix of length count[j], j = 0 .. 2 * 35^2.  At
+    radius _DOMAIN_RADIUS, 17, that is N = 2556 columns in 299 KiB."""
+    v, v2, signs, w, w2, half_signs = _axis(_DOMAIN_RADIUS)
     w, w2 = w[:, None], w2[:, None]
     q = 1j * math.pi * np.stack(np.broadcast_arrays(w2, 2.0 * w * v, v2)).reshape(3, -1)
     k = (half_signs[::2, None, :, None] * signs[None, ::2, None, :]).reshape(4, -1)
@@ -321,8 +323,8 @@ def _cut(r: int, y_min: float, budget: float) -> int:
     """The level j = floor(4 S) of the columns 4|v|^2 <= j that
     :func:`_b0_sums` keeps within an error budget, with
     S = log(2N / budget) / (pi y_min) and N = (2r + 2)(4r + 3) the columns of
-    the half box; the whole box, level 2 (2r + 1)^2, for a budget of 0 or an
-    S past the box.  S carries a relative error of a few units in the last
+    the half box at r; level 2 (2r + 1)^2, all of that box, for a budget of 0
+    or an S past it.  S carries a relative error of a few units in the last
     place; the factor 1 + 1e-12 covers it and can only keep more columns."""
     top = 2 * (2 * r + 1) ** 2
     if not budget > 0.0:
@@ -331,33 +333,33 @@ def _cut(r: int, y_min: float, budget: float) -> int:
     return top if s4 >= top else math.floor(s4)
 
 
-def _b0_sums(c: np.ndarray, r: int, level: int) -> np.ndarray:
+def _b0_sums(c: np.ndarray, level: int) -> np.ndarray:
     """The four Theta_(a, 0), a = 00, 01, 10, 11, at the point with entries
     c = (t1, t2, t4), over the columns v = (v1, v2) with 4|v|^2 <= level of
-    the box max(|n1 + a1|, |n2 + a2|) <= r + 1/2: K @ exp(c @ Q) on the
-    prefix of the sorted columns of :func:`_fused` that is kept, summed as
-    views.  Level 2 (2r + 1)^2 keeps the whole box.  The box is symmetric
+    the box max(|n1 + a1|, |n2 + a2|) <= 17 + 1/2 of :func:`_fused`, a prefix
+    of its sorted columns, as K @ exp(c @ Q) on views.  The box is symmetric
     under v -> -v, which keeps each term of a sum with b = 0, so a sum is
     twice the rows v1 > 0 plus the row v1 = 0, weights that scale exactly.
 
-    The cut is rigorous.  Let y_min be the least eigenvalue of Im of the
-    point summed, N = (2r + 2)(4r + 3) the columns of the half box and
-    level = floor(4 S) as :func:`_cut` gives it for a budget, with
-    S = log(2N / budget) / (pi y_min).  A column dropped has the integer
+    The cut is rigorous at any radius r <= 17.  Let y_min be the least
+    eigenvalue of Im of the point summed, N = (2r + 2)(4r + 3) the columns
+    of the half box at r and level = floor(4 S) as :func:`_cut` gives it,
+    with S = log(2N / budget) / (pi y_min).  The box at r lies in the box
+    at 17, so a column of the box at r left out has the integer
     4|v|^2 >= level + 1 > 4 S.  It holds at most two terms of each sum, at v
     and -v, each of modulus
 
         exp(-pi v^t Y v) <= exp(-pi y_min |v|^2) < exp(-pi y_min S) = budget / 2N.
 
     The column v = 0 is always kept (S > 0, as budget < 1 <= 2N), so at most
-    N - 1 columns are dropped and each sum moves by less than
-    budget (N - 1) / N.  A caller whose radius leaves a tail bound
-    tail <= inner passes budget = inner - tail, and each sum stays within
-    tail + budget = inner of its constant.  The sum over any subset of the
-    terms is at most the absolute series, so the bounds of
-    :func:`_fourth_inner_tol` hold for the cut sums as for the whole box.
+    N - 1 columns of the box at r are left out (none at the top level), and
+    they move each sum by less than budget.  Columns kept past the box at r
+    are terms beyond max|n_i| <= r, so those missed there sum to at most the
+    tail bound tail of r.  With budget = inner - tail, each sum is within
+    inner of its constant; a sum over any subset of the terms is at most
+    the absolute series, so :func:`_fourth_inner_tol` holds for it too.
     """
-    q, k, count = _fused(r)
+    q, k, count = _fused()
     m = count[level]
     return k[:, :m] @ np.exp(c @ q[:, :m])
 
@@ -445,18 +447,25 @@ def _fourth_inner_tol(y2: float, tol: float) -> float:
     return tol / 64.0 / s / s / s / s / s / s
 
 
-def _fourth_powers(tau: SiegelPoint, r: int, level: int) -> np.ndarray:
-    """The ten Theta_m(tau)^4 from the four Theta_(c, 0)(2 tau) of
-    :func:`_b0_sums` at radius r and level, through the duplication map
-    :func:`_duplication`.  2 tau enters only through its entries, so it is
-    never built as a SiegelPoint.  The fourth powers have exact period 2 in
-    each real entry, so a real part past 1 is first taken mod 2, exactly:
-    the exponent would round a large Re(tau) w^2 and lose the phases.  A
-    reduced point never needs it."""
+def _fourth_powers(tau: SiegelPoint, tol: float, cap: int) -> np.ndarray | None:
+    """The ten Theta_m(tau)^4 within min(tol, 1/2), or None if the inner
+    tolerance underflows or the box at 2 tau needs a radius past cap <= 17:
+    :func:`_duplication` of the four Theta_(c, 0)(2 tau) of :func:`_b0_sums`.
+    2 tau enters only through its entries, so it is never built as a
+    SiegelPoint.  The fourth powers have exact period 2 in each real entry,
+    so a real part past 1 is first taken mod 2, exactly: the exponent would
+    round a large Re(tau) w^2 and lose the phases.  A reduced point never
+    needs it."""
+    y2 = 2.0 * tau.min_imag_eigenvalue()
+    inner = _fourth_inner_tol(y2, min(tol, 0.5))
+    found = _radius_up_to(y2, inner, cap) if inner > 0.0 else None
+    if found is None:
+        return None
+    r, tail = found
     t1, t2, t4 = tau.tau1, tau.tau2, tau.tau4
     if not (-1.0 <= t1.real <= 1.0 and -1.0 <= t2.real <= 1.0 and -1.0 <= t4.real <= 1.0):
         t1, t2, t4 = (complex(math.remainder(t.real, 2.0), t.imag) for t in (t1, t2, t4))
-    t = _b0_sums(np.array((2.0 * t1, 2.0 * t2, 2.0 * t4)), r, level)
+    t = _b0_sums(np.array((2.0 * t1, 2.0 * t2, 2.0 * t4)), _cut(r, y2, inner - tail))
     # both products are matrix-vector (zgemv), which unlike a zgemm leave the next exp at full speed
     s = _DUPLICATION @ (t[_KRON_LEFT] * t[_KRON_RIGHT])
     s *= s
@@ -485,14 +494,12 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     coordinate now comes out of a cancelling sum of products of values of
     size up to U2, so its relative error grows as the coordinate shrinks.
 
-    The box is summed at 2 tau with each Re(tau) entry taken mod 2, to the
-    inner tolerance of min(tol, 1/2), while its radius is at most
-    _ROUTE_RADIUS (16).  A point that needs more, including one whose inner
-    tolerance underflows or whose radius passes the 10^4 cap, goes through
-    the fundamental domain instead: with
-    res the result of :func:`reduce_to_fundamental_domain` at tau,
-    T = [[A, B], [C, D]] = res.transform, q = res.reduced and
-    det(C tau + D) = res.cocycle,
+    The box is summed at 2 tau, each Re(tau) entry taken mod 2, to the inner
+    tolerance of min(tol, 1/2) while its radius is at most _ROUTE_RADIUS
+    (16).  A point that needs more, or whose inner tolerance underflows,
+    goes through the fundamental domain: with res the result of
+    :func:`reduce_to_fundamental_domain` at tau, T = [[A, B], [C, D]] =
+    res.transform, q = res.reduced and det(C tau + D) = res.cocycle,
 
         theta^4(tau) = det(C tau + D)^-2 rho(T)^-1 theta^4(q),
 
@@ -500,29 +507,22 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     by Igusa's formula: its signs are kappa(T)^4 e(4 phi_m(T)), from which
     the terms of phi_m that are integers drop out.  theta^4(q) comes from the
     box at 2q, to the absolute tolerance tol |det(C tau + D)|^2 (at most
-    1/2), so the result keeps the absolute error tol.  The route costs one
-    reduction, which a small box does not repay; near radius 16 at 2 tau the
-    two cost the same.  Raises ResourceLimitError when
-    tol |det(C tau + D)|^2 underflows at the reduced point or the result
-    leaves the double range.
+    1/2), so the result keeps the absolute error tol.  Raises
+    ResourceLimitError when tol |det(C tau + D)|^2 underflows at the
+    reduced point or the result leaves the double range.
     """
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
     tol = _real(tol, _TINY, math.inf, "tol must be finite and positive")
-    y2 = 2.0 * tau.min_imag_eigenvalue()
-    inner = _fourth_inner_tol(y2, min(tol, 0.5))
-    found = _radius_up_to(y2, inner, _ROUTE_RADIUS) if inner > 0.0 else None
-    if found is None:
-        return _fourth_through_domain(tau, tol)
-    r, tail = found
-    return _fourth_powers(tau, r, _cut(r, y2, inner - tail))
+    values = _fourth_powers(tau, tol, _ROUTE_RADIUS)
+    return _fourth_through_domain(tau, tol) if values is None else values
 
 
 def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
     """theta_fourth_vector(tau, tol) from the box at twice the reduced point; see there.
 
-    That box has radius at most 17, so the cut kernel serves it as it does
-    the direct path.  Y = Im(q) is Minkowski reduced, 0 <= 2 y2 <= y1 <= y4
+    That box has radius at most _DOMAIN_RADIUS = 17, and a point that needs
+    more is not reduced.  Y = Im(q) is Minkowski reduced, 0 <= 2 y2 <= y1 <= y4
     (here y2 is the off-diagonal entry), so the least eigenvalue
     (y1 + y4 - sqrt((y4 - y1)^2 + 4 y2^2)) / 2 is at least y1 / 2, as
     sqrt((y4 - y1)^2 + y1^2) <= y4; and |q1| >= 1 with |Re q1| <= 1/2 gives
@@ -534,13 +534,13 @@ def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
     """
     res = reduce_to_fundamental_domain(tau)
     q, det2 = res.reduced, res.cocycle * res.cocycle
-    y2 = 2.0 * q.min_imag_eigenvalue()
-    inner = _fourth_inner_tol(y2, min(tol * abs(det2), 0.5))
-    if inner == 0.0:
+    scaled = tol * abs(det2)
+    values = _fourth_powers(q, scaled, _DOMAIN_RADIUS)
+    if values is None:
+        if _fourth_inner_tol(2.0 * q.min_imag_eigenvalue(), min(scaled, 0.5)) > 0.0:
+            raise InconsistencyError(f"the reduced point {q} needs a box radius past {_DOMAIN_RADIUS} at 2q")
         raise ResourceLimitError(f"det(C tau + D)^2 = {det2:.3e} underflows the tolerance" if abs(det2) < 1.0
                                  else f"the tolerance {tol:.1e} underflows at the reduced point")
-    r, tail = _truncation(y2, inner)
-    values = _fourth_powers(q, r, _cut(r, y2, inner - tail))
     perm, sign = _rho(tuple(tuple(x & 1 for x in row) for row in res.transform.rows))
     with np.errstate(over="ignore", invalid="ignore"):
         out = sign * values[perm] / det2

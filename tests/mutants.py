@@ -14,7 +14,7 @@ pytest cache off, so nothing is written into the repository.  The copy keeps
 pyproject.toml for its error::RuntimeWarning filter, which some kills need.
 A run that passes TIMEOUT seconds counts as killed: without its |G12| guard
 the Gauss reduction never ends.  The unmutated copy runs first and must
-pass.  Two mutants run at a time, and the whole list takes about three
+pass.  Two mutants run at a time, and the whole list takes about four
 minutes on two CPUs.
 
 The script prints each mutant with the tests that killed it, and exits 1 if
@@ -65,6 +65,8 @@ MUTANTS = (
      "np.where(w == 0.0, 1.0, 2.0)", "np.where(w == 0.0, 2.0, 2.0)"),
     ("K rows from signs[1::2]", THETA,
      "signs[None, ::2, None, :]", "signs[None, 1::2, None, :]"),
+    ("table built at radius _ROUTE_RADIUS", THETA,
+     "_axis(_DOMAIN_RADIUS)", "_axis(_ROUTE_RADIUS)"),
     ("cache columns left unsorted", THETA,
      "q, k, count = q[:, order], k[:, order], np.cumsum(np.bincount(norm))",
      "q, k, count = q, k, np.cumsum(np.bincount(norm))"),
@@ -99,17 +101,17 @@ MUTANTS = (
      "if False:"),
     # radius and budget
     ("direct radius r - 1", THETA,
-     "    r, tail = found\n", "    r, tail = found\n    r -= 1\n"),
+     "    r, tail = found\n", "    r, tail = found\n    r -= cap == _ROUTE_RADIUS\n"),
     ("2N -> N in _cut", THETA,
      "math.log(2.0 * (2 * r + 2) * (4 * r + 3) / budget)", "math.log((2 * r + 2) * (4 * r + 3) / budget)"),
     ("extra radius search on the direct path", THETA,
      "    r, tail = found\n", "    r, tail = _truncation(y2, inner) and found\n"),
     ("route radius r - 1", THETA,
-     "    r, tail = _truncation(y2, inner)\n", "    r, tail = _truncation(y2, inner)\n    r -= 1\n"),
-    ("route radius from Im(q), not Im(2q)", THETA,
-     "y2 = 2.0 * q.min_imag_eigenvalue()", "y2 = q.min_imag_eigenvalue()"),
+     "    r, tail = found\n", "    r, tail = found\n    r -= cap > _ROUTE_RADIUS\n"),
+    ("radius from Im(tau), not Im(2 tau)", THETA,
+     "y2 = 2.0 * tau.min_imag_eigenvalue()", "y2 = tau.min_imag_eigenvalue()"),
     ("route tolerance not scaled by |det^2|", THETA,
-     "inner = _fourth_inner_tol(y2, min(tol * abs(det2), 0.5))", "inner = _fourth_inner_tol(y2, min(tol, 0.5))"),
+     "scaled = tol * abs(det2)", "scaled = tol"),
     # rho and det^2 on the route
     ("route sums at tau1 and tau4 swapped", THETA,
      "q, det2 = res.reduced, res.cocycle * res.cocycle",
@@ -126,8 +128,7 @@ MUTANTS = (
      "    perm.flags.writeable = sign.flags.writeable = False\n",
      "    perm[[1, 2]] = perm[[2, 1]]\n    perm.flags.writeable = sign.flags.writeable = False\n"),
     ("one routed coordinate times 1 + 1e-6", THETA,
-     "    values = _fourth_powers(q, r, _cut(r, y2, inner - tail))\n",
-     "    values = _fourth_powers(q, r, _cut(r, y2, inner - tail))\n    values[0] *= 1 + 1e-6\n"),
+     "    perm, sign = _rho(", "    values[0] *= 1 + 1e-6\n    perm, sign = _rho("),
     ("res.cocycle in place of det2", THETA,
      "q, det2 = res.reduced, res.cocycle * res.cocycle", "q, det2 = res.reduced, res.cocycle"),
     # the reduction

@@ -356,6 +356,11 @@ class TestCanonicalSerializer:
         with pytest.raises(sr.InvalidInputError):
             dumps_canonical({"x": float("nan")})
 
+    def test_tuple_rejected(self):
+        # _run builds lists only
+        with pytest.raises(sr.InvalidInputError, match="type tuple"):
+            dumps_canonical({"x": (1, 2)})
+
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 

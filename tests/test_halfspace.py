@@ -52,6 +52,14 @@ class TestMembership:
         p = sr.SiegelPoint.from_matrix([[1j, 0.1j + 1e-14], [0.1j, 1j]])
         assert p.tau2 == 0.5 * ((0.1j + 1e-14) + 0.1j)
 
+    def test_asymmetry_below_one_is_absolute(self):
+        # entries below 1: an asymmetry of 5e-14 is within 1e-12 absolute,
+        # though 5 times 1e-12 relative to the largest entry, 0.01
+        p = sr.SiegelPoint.from_matrix([[0.01j, 0.001j + 5e-14], [0.001j, 0.01j]])
+        assert p.tau2 == 0.5 * ((0.001j + 5e-14) + 0.001j)
+        with pytest.raises(sr.InvalidInputError, match="not symmetric"):
+            sr.SiegelPoint.from_matrix([[0.01j, 0.001j + 2e-12], [0.001j, 0.01j]])
+
     @pytest.mark.parametrize("bad", [np.nan * 1j, np.nan, np.inf * 1j], ids=["nan-imag", "nan", "inf-imag"])
     def test_non_finite_raises(self, bad):
         with pytest.raises(sr.InvalidInputError, match="finite"):

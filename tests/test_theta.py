@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -254,21 +255,23 @@ class TestKernel:
         assert theta._axis.cache_info().maxsize is not None
 
     def test_fused_cache_is_read_only_and_capped(self, monkeypatch):
-        """The only killer of "direct radius r - 1".  At every cached radius
-        the direct path sums the box whose tail bound meets the inner
-        tolerance (truncation_radius) cut at the level of _cut for the rest
-        of it (the proof at _b0_sums), which the double loops reproduce to
-        1e-13.  A box one short still meets tol on every tested point."""
-        assert not hasattr(theta, "_FUSED_RADIUS")
-        assert theta._fused.cache_info().maxsize == theta._ROUTE_RADIUS == 16
-        q, k, _ = theta._fused(3)
-        assert q.shape == (3, 8 * 15) and k.shape == (4, 8 * 15)
-        assert not q.flags.writeable and not k.flags.writeable
-        # the four b = 0 rows for all sixteen radii hold at most 1.6 MiB
-        assert sum(a.nbytes for r in range(1, 17) for a in theta._fused(r)) <= 1.6 * 2**20
+        """The only killer of "direct radius r - 1".  At every radius the
+        direct path sums the disk of the level that _cut gives for the box
+        whose tail bound meets the inner tolerance (truncation_radius) and
+        the rest of it (the proof at _b0_sums), which the double loops over
+        the box at radius 17 reproduce to 1e-13.  A radius one short moves
+        the level by a few columns whose terms are below the budget, except
+        at radius 1: at scale 3.3, near the edge of radius 1, the cut keeps
+        level 14, and the top level of radius 0 is 2."""
+        assert theta._fused.cache_info().maxsize == 1
+        q, k, count = theta._fused()
+        # one table, the half box at radius 17, in at most 0.3 MiB
+        assert q.shape == (3, 36 * 71) and k.shape == (4, 36 * 71) and count.shape == (2 * 35 ** 2 + 1,)
+        assert not q.flags.writeable and not k.flags.writeable and not count.flags.writeable
+        assert sum(a.nbytes for a in (q, k, count)) <= 0.3 * 2**20
         cached = []
         fused = theta._fused
-        monkeypatch.setattr(theta, "_fused", lambda r: cached.append(r) or fused(r))
+        monkeypatch.setattr(theta, "_fused", lambda: cached.append(1) or fused())
         # theta_constant sums its own kernel at every radius, the cached ones too
         near, far = scaled(1.0), scaled(0.01)
         assert (sr.truncation_radius(near.min_imag_eigenvalue(), 1e-10) <= theta._ROUTE_RADIUS
@@ -276,33 +279,39 @@ class TestKernel:
         for tau in (near, far):
             sr.theta_constant(sr.even_characteristics()[0], tau, 1e-10)
         assert cached == []
-        for radius in range(1, theta._ROUTE_RADIUS + 1):
-            tau = scaled(scale_for_radius(radius, TestRoute.TOL))
+        assert scaled_radius(3.3, TestRoute.TOL) == 1
+        for radius, scale in [(1, 3.3)] + [(r, scale_for_radius(r, TestRoute.TOL))
+                                           for r in range(1, theta._ROUTE_RADIUS + 1)]:
+            tau = scaled(scale)
             got = sr.theta_fourth_vector(tau, TestRoute.TOL)
-            # the same four disk sums at 2 tau, from double loops, through the duplication formula
+            # the same four disk sums at 2 tau, from double loops, through the
+            # duplication formula; _cut keeps at most the disk through the
+            # corners of the box at radius
             y2, inner = 2.0 * tau.min_imag_eigenvalue(), direct_tolerance(tau, TestRoute.TOL)
-            s = disk_norm(radius, y2, inner - sr.tail_bound(radius, y2))
-            sums = {c: theta_2d_disk(c + (0, 0), 2.0 * tau.matrix, radius, s) for c in B0_SHIFTS}
+            s = min(disk_norm(radius, y2, inner - sr.tail_bound(radius, y2)), (2 * radius + 1) ** 2 / 2)
+            sums = {c: theta_2d_disk(c + (0, 0), 2.0 * tau.matrix, 17, s) for c in B0_SHIFTS}
             want = duplication_squares(sums) ** 2
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        assert sorted(set(cached)) == list(range(1, theta._ROUTE_RADIUS + 1))
-        assert fused.cache_info().currsize <= theta._ROUTE_RADIUS
+        assert len(cached) == theta._ROUTE_RADIUS + 1
+        assert fused.cache_info().currsize == 1
 
 
 class TestCut:
     @pytest.mark.parametrize("budget", [1e-14, 1e-6])
     def test_prefix_matches_the_disk_double_loop(self, budget):
         """The only killer of "2N -> N in _cut": the prefix kept is the disk
-        |v|^2 <= S, S = log(2N / budget) / (pi y_min), that the proof at
-        _b0_sums needs, at tau and at 2 tau."""
+        |v|^2 <= S, S = log(2N / budget) / (pi y_min), N the columns of the
+        half box at r, that the proof at _b0_sums needs, at tau and at
+        2 tau.  The disk may pass the box at r but not the box at 17."""
         for tau in cut_points()[:2] + cut_points()[4:]:
             for factor in (1.0, 2.0):
                 y = factor * tau.min_imag_eigenvalue()
                 r = sr.truncation_radius(y, budget)
                 assert r <= theta._ROUTE_RADIUS
                 s = disk_norm(r, y, budget)
-                got = theta._b0_sums(entries(tau, factor), r, theta._cut(r, y, budget))
-                want = np.array([theta_2d_disk(c + (0, 0), factor * tau.matrix, r, s) for c in B0_SHIFTS])
+                assert s < (2 * r + 1) ** 2 / 2
+                got = theta._b0_sums(entries(tau, factor), theta._cut(r, y, budget))
+                want = np.array([theta_2d_disk(c + (0, 0), factor * tau.matrix, 17, s) for c in B0_SHIFTS])
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_zero_budget_sums_the_whole_box(self):
@@ -312,8 +321,7 @@ class TestCut:
         for r in (1, 4, theta._ROUTE_RADIUS + 1):
             assert theta._cut(r, 0.5, 0.0) == 2 * (2 * r + 1) ** 2
         c = entries(cut_points()[0])
-        assert np.array_equal(theta._b0_sums(c, 3, theta._cut(3, 1.0, 0.0)),
-                              theta._b0_sums(c, 3, 2 * (2 * 3 + 1) ** 2))
+        assert np.array_equal(theta._b0_sums(c, theta._cut(3, 1.0, 0.0)), theta._b0_sums(c, 2 * (2 * 3 + 1) ** 2))
 
 
 class TestThetaConstant:
@@ -662,7 +670,10 @@ class TestRoute:
             if reductions:
                 break
         assert reductions and radius > 1
-        routed = [scaled(0.02)] + small_y_points()[1:]
+        # the last is a GL2 image that routes to the box at radius 1, where
+        # the cut keeps level 7 and the top level of radius 0 is 2
+        skewed = sr.act(sr.gl2_embedding([[1, 20], [0, 1]]), sr.SiegelPoint(0.1 + 2.7j, 0.05 + 0.1j, -0.2 + 2.8j))
+        routed = [scaled(0.02)] + small_y_points()[1:] + [skewed]
         reductions.clear()
         for tau in routed:
             assert np.max(np.abs(sr.theta_fourth_vector(tau, self.TOL) - fourth_powers_at_tau(tau))) <= self.TOL
@@ -687,19 +698,21 @@ class TestRoute:
 
     @pytest.mark.parametrize("tol", [5e-324, 1e-300])
     def test_cut_kernel_radius_at_most_seventeen(self, monkeypatch, tol):
-        """The only killer of "route radius from Im(q), not Im(2q)".  A
-        reduced point has least eigenvalue >= y1 / 2 >= sqrt(3)/4, so the
-        box at 2q needs radius 17 at most, even at the least inner tolerance
-        (the proof at _fourth_through_domain).  The image of the corner by
-        [[I, 0], [2 I, I]] routes to a reduced point of least eigenvalue
-        0.53, where a box sized for Im(q) would need radius 21 at 1e-300."""
+        """A reduced point has least eigenvalue >= y1 / 2 >= sqrt(3)/4, so
+        the box at 2q needs radius 17 at most, even at the least inner
+        tolerance (the proof at _fourth_through_domain), and the one table
+        of _fused holds the whole box at 17: a table at radius 16 fails
+        here.  The image of the corner by [[I, 0], [2 I, I]] routes to a
+        reduced point of least eigenvalue 0.53, where a box sized for Im(q)
+        would need radius 21 at 1e-300."""
         assert theta._radius_up_to(math.sqrt(3) / 2, 5e-324, theta._MAX_RADIUS)[0] == 17
         assert theta._radius_up_to(math.sqrt(3) / 2, 1e-300, theta._MAX_RADIUS)[0] == 16
+        assert theta._fused()[2][-1] == (2 * 17 + 2) * (4 * 17 + 3)
         corner = sr.SiegelPoint(0.5 + math.sqrt(3) / 2 * 1j, math.sqrt(3) / 4 * 1j, 0.5 + math.sqrt(3) / 2 * 1j)
         lower = sr.SymplecticMatrix(((1, 0, 0, 0), (0, 1, 0, 0), (2, 0, 1, 0), (0, 2, 0, 1)))
         radii = []
-        fused = theta._fused
-        monkeypatch.setattr(theta, "_fused", lambda r: radii.append(r) or fused(r))
+        cut = theta._cut
+        monkeypatch.setattr(theta, "_cut", lambda r, *args: radii.append(r) or cut(r, *args))
         for tau in [corner, sr.act(lower, corner)] + small_y_points():
             try:
                 assert np.isfinite(sr.theta_fourth_vector(tau, tol)).all()
@@ -708,6 +721,18 @@ class TestRoute:
         assert max(radii, default=0) <= 17
         # at 5e-324 each inner tolerance underflows; at 1e-300 every point is summed
         assert len(radii) == (0 if tol < 1e-320 else 5)
+
+    def test_unreduced_route_point_is_refused(self, monkeypatch):
+        """A route point whose box at 2q needs a radius past 17 is not
+        reduced, which the proof at _fourth_through_domain rules out: an
+        InconsistencyError, with no sum over a box the table does not hold."""
+        reduce = theta.reduce_to_fundamental_domain
+        far = scaled(1e-3)
+        monkeypatch.setattr(theta, "reduce_to_fundamental_domain",
+                            lambda t: dataclasses.replace(reduce(t), reduced=far))
+        monkeypatch.setattr(theta, "_b0_sums", None)
+        with pytest.raises(sr.InconsistencyError, match="past 17"):
+            sr.theta_fourth_vector(far, self.TOL)
 
     def test_reduced_points_sum_directly(self, monkeypatch):
         monkeypatch.setattr(theta, "reduce_to_fundamental_domain", None)
