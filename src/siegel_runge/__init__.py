@@ -30,13 +30,13 @@ _MODULE_EXPORTS = {
         "ConditioningError",
         "InconsistencyError",
         "InvalidInputError",
+        "MIN_TUBE_PARAMETER",
         "NonConvergenceError",
         "ResourceLimitError",
         "SiegelRungeError",
     ),
     "halfspace": (
         "J",
-        "MIN_TUBE_PARAMETER",
         "ReductionResult",
         "SiegelPoint",
         "SymplecticMatrix",

@@ -12,9 +12,12 @@ for identical arguments and seed; :func:`siegel_point_to_json` and
 ``embed`` and ``reduce`` payloads and ``_parse_incidence`` reads
 DivisorIncidence JSON for ``runge --incidence-file``.
 
-Only ``theta``, ``embed``, ``vanishing`` and ``rank`` sum theta series, and
-only their branches of ``_run`` import the numpy modules theta, embedding and
-sampling; the other five commands run without loading numpy.
+Each branch of ``_run`` imports the modules it runs, so a call loads only
+its own: ``reduce`` and ``tube`` load halfspace, ``runge`` runge, and
+``bounds`` and ``height`` heights, none of them numpy.  Only ``theta``,
+``embed``, ``vanishing`` and ``rank`` sum theta series and load the numpy
+modules theta, embedding and sampling.  At import this module loads only
+errors, whose constants the parser reads.
 """
 
 from __future__ import annotations
@@ -25,9 +28,6 @@ import math
 import sys
 
 from .errors import DEFAULT_TOL, DEFAULT_TOL_FOURTH, InvalidInputError, SiegelRungeError
-from .halfspace import SiegelPoint, in_tube, reduce_to_fundamental_domain
-from .heights import bound_case_a, bound_case_b, weil_height_gaussian, weil_height_rational
-from .runge import DivisorIncidence, m_y_value, runge_condition, siegel_runge_condition
 
 #: Most samples ``rank`` takes; each costs a psi evaluation and a kept point.
 _MAX_SAMPLES = 100_000
@@ -59,11 +59,13 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def siegel_point_to_json(tau: SiegelPoint) -> dict:
+def siegel_point_to_json(tau) -> dict:
     return {"tau1": _pair(tau.tau1), "tau2": _pair(tau.tau2), "tau4": _pair(tau.tau4)}
 
 
-def siegel_point_from_json(data: dict) -> SiegelPoint:
+def siegel_point_from_json(data: dict):
+    from .halfspace import SiegelPoint
+
     try:
         vals = [complex(data[k][0], data[k][1]) for k in ("tau1", "tau2", "tau4")]
     except (KeyError, TypeError, IndexError) as exc:
@@ -94,7 +96,9 @@ def _parse_tau(args):
     return siegel_point_from_json(data)
 
 
-def _parse_incidence(path: str) -> DivisorIncidence:
+def _parse_incidence(path: str):
+    from .runge import DivisorIncidence
+
     data = _read_json(path)
     try:
         return DivisorIncidence(data["r"], data["outside_Y"])
@@ -174,6 +178,8 @@ def _run(args) -> dict:
         }
 
     if args.command == "reduce":
+        from .halfspace import reduce_to_fundamental_domain
+
         res = reduce_to_fundamental_domain(_parse_tau(args))
         return {
             "reduced": siegel_point_to_json(res.reduced),
@@ -209,6 +215,8 @@ def _run(args) -> dict:
         }
 
     if args.command == "tube":
+        from .halfspace import in_tube, reduce_to_fundamental_domain
+
         reduced = reduce_to_fundamental_domain(_parse_tau(args)).reduced
         return {
             "holds": in_tube(reduced, args.t),
@@ -218,18 +226,24 @@ def _run(args) -> dict:
         }
 
     if args.command == "runge":
+        from .runge import m_y_value, runge_condition, siegel_runge_condition
+
         if args.n is not None:
             return siegel_runge_condition(args.n, args.s).to_json()
         inc = _parse_incidence(args.incidence_file)
         return runge_condition(m_y_value(inc), args.s, inc.r).to_json()
 
     if args.command == "bounds":
+        from .heights import bound_case_a, bound_case_b
+
         if args.case == "a":
             field = {"Q": "rational", "Qi": "imaginary_quadratic"}.get(args.field, args.field)
             return bound_case_a(args.sp, field).to_json()
         return bound_case_b(args.sp, args.places, args.t).to_json()
 
     if args.command == "height":
+        from .heights import weil_height_gaussian, weil_height_rational
+
         if args.rational is not None:
             return {"height": weil_height_rational(args.rational)}
         return {"height": weil_height_gaussian(args.gaussian)}

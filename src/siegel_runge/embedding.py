@@ -15,11 +15,10 @@ heights of :mod:`~siegel_runge.heights`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _TINY, InconsistencyError, InvalidInputError, _integral, _real, _sequence
+from .errors import _TINY, InconsistencyError, InvalidInputError, _integral, _real, _Record, _sequence
 from .halfspace import in_tube, reduce_to_fundamental_domain
 from .theta import DEFAULT_TOL_FOURTH, theta_fourth_vector
 
@@ -34,35 +33,35 @@ DEFAULT_TUBE_CUTOFF = 2.0
 _RANK_CUTOFF = 1e-6
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(_Record):
     """Point of P^9 given by 10 finite complex coordinates, not all tiny.
 
     ``tol`` records the absolute evaluation tolerance the coordinates carry,
-    finite and positive; ``sup`` is max|coords|, computed once here; a
-    non-finite one is refused.
+    finite and positive; ``sup`` is max|coords|, computed once here, and
+    left out of equality and repr; a non-finite one is refused.
     """
 
-    coords: np.ndarray
-    tol: float
-    sup: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("coords", "tol", "sup")
+    _fields = ("coords", "tol")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tol", _real(self.tol, _TINY, math.inf, "tol must be finite and positive"))
-        c = _numbers(self.coords, "expected 10 coordinates", (10,))
-        object.__setattr__(self, "coords", c)
+    def __init__(self, coords: np.ndarray, tol: float):
+        tol = _real(tol, _TINY, math.inf, "tol must be finite and positive")
+        c = _numbers(coords, "expected 10 coordinates", (10,))
         c.setflags(write=False)
         # numpy's moduli, which Python's abs of a complex can miss by an ulp;
         # a plain max skips a nan that is not first, the sum of them does not
         mags = np.abs(c).tolist()
-        object.__setattr__(self, "sup", max(mags))
-        if not math.isfinite(self.sup) or math.isnan(sum(mags)):
+        sup = max(mags)
+        if not math.isfinite(sup) or math.isnan(sum(mags)):
             raise InvalidInputError(f"coordinates must be finite, got {c}")
-        if self.sup <= 10.0 * self.tol:
+        if sup <= 10.0 * tol:
             raise InconsistencyError(
                 "all coordinates are below 10x the evaluation tolerance; "
                 "theta fourth powers have no common zero on H2"
             )
+        object.__setattr__(self, "coords", c)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "sup", sup)
 
     def normalized(self) -> np.ndarray:
         """Coordinates scaled to unit sup-norm."""

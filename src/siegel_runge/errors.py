@@ -1,4 +1,5 @@
-"""Exception types, the readers of raw arguments and the default tolerances.
+"""Exception types, the readers of raw arguments, the record base and the
+constants the CLI reads.
 
 Raw values (numbers, sequences of them, the CLI's strings and JSON) are read
 once where they enter a public function, by _integral, _real or _sequence
@@ -6,7 +7,9 @@ once where they enter a public function, by _integral, _real or _sequence
 (CLI exit 2), and a bool reads as 0 or 1.  Library objects are checked by
 their constructors; result records check nothing.  Anything else is a
 programming error, and a TypeError or AttributeError may escape.  The
-tolerances live here so that the CLI reads them without numpy.
+tolerances and the least tube parameter live here so that the CLI and the
+bound cases read them without loading numpy or halfspace.  _Record is the
+base of the package's nine immutable records.
 """
 
 import math
@@ -20,6 +23,11 @@ DEFAULT_TOL_FOURTH = 1e-8
 
 #: The least positive float: _real(x, _TINY, high, what) reads x in (0, high).
 _TINY = math.ulp(0.0)
+
+#: Tube parameters below sqrt(3)/2 do not describe a neighborhood of the cusps.
+MIN_TUBE_PARAMETER = math.sqrt(3.0) / 2.0
+
+_TUBE = f"tube parameter must be >= sqrt(3)/2 ~ {MIN_TUBE_PARAMETER:.6f}"
 
 
 class SiegelRungeError(Exception):
@@ -77,3 +85,45 @@ def _sequence(x, entry, what: str) -> list:
         return list(x) if entry is None else [entry(v) for v in x]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{what}: {exc}") from exc
+
+
+class _Record:
+    """Base of the package's immutable records, each a class with __slots__
+    and an __init__ that sets its fields by object.__setattr__.
+
+    A record compares equal to one of its own class with equal fields (as a
+    tuple, so an identical value counts as equal), hashes as the tuple of
+    its fields, prints as Name(field=value, ...), pickles and copies by
+    calling its constructor on its fields, and refuses any assignment or
+    deletion with AttributeError.  The fields are the slots, unless a class
+    names fewer in ``_fields``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()

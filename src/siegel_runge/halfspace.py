@@ -18,11 +18,10 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Mapping, Set
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (ConditioningError, InvalidInputError, NonConvergenceError, ResourceLimitError, _integral,
-                     _real, _sequence)
+from .errors import (_TUBE, MIN_TUBE_PARAMETER, ConditioningError, InvalidInputError, NonConvergenceError,
+                     ResourceLimitError, _integral, _real, _Record, _sequence)
 
 
 #: Tolerance of the reduction loop: a Gottschling step fires below 1 - _TOL.
@@ -38,9 +37,11 @@ _MAX_ITER = 1000
 #: Largest relative asymmetry SiegelPoint.from_matrix accepts.
 _SYM_TOL = 1e-12
 
+#: How the constructors below set a field, which a record refuses to assign.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class SiegelPoint:
+
+class SiegelPoint(_Record):
     """Point of H2, stored as the three independent entries of tau.
 
     tau = [[tau1, tau2], [tau2, tau4]]; symmetry holds by construction and
@@ -48,20 +49,17 @@ class SiegelPoint:
     (numbers.Complex) and is stored as a Python complex.
     """
 
-    tau1: complex
-    tau2: complex
-    tau4: complex
+    __slots__ = ("tau1", "tau2", "tau4")
 
-    def __post_init__(self):
-        t1, t2, t4 = self.tau1, self.tau2, self.tau4
+    def __init__(self, tau1: complex, tau2: complex, tau4: complex):
         # entries computed inside the package are Python complexes already and
         # skip the numbers.Complex test, which would double the constructor's cost
-        if not type(t1) is type(t2) is type(t4) is complex:
-            t1, t2, t4 = _sequence((t1, t2, t4), _complex, "SiegelPoint entries must be numbers")
-            object.__setattr__(self, "tau1", t1)
-            object.__setattr__(self, "tau2", t2)
-            object.__setattr__(self, "tau4", t4)
-        _check_entries(t1, t2, t4)
+        if not type(tau1) is type(tau2) is type(tau4) is complex:
+            tau1, tau2, tau4 = _sequence((tau1, tau2, tau4), _complex, "SiegelPoint entries must be numbers")
+        _check_entries(tau1, tau2, tau4)
+        _set(self, "tau1", tau1)
+        _set(self, "tau2", tau2)
+        _set(self, "tau4", tau4)
 
     @property
     def matrix(self):
@@ -185,19 +183,18 @@ def is_symplectic(m) -> bool:
     return _preserves_form(_integer_rows(m))
 
 
-@dataclass(frozen=True)
-class SymplecticMatrix:
+class SymplecticMatrix(_Record):
     """Element of Sp4(Z) in block form [[A, B], [C, D]], stored exactly as
     four rows of Python ints.  The constructor takes any 4x4 array-like of
     integers, checked by _integer_rows, that preserves the symplectic form."""
 
-    rows: tuple
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = _integer_rows(self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows):
+        rows = _integer_rows(rows)
         if not _preserves_form(rows):
             raise InvalidInputError("matrix does not preserve the symplectic form")
+        _set(self, "rows", rows)
 
     @property
     def mat(self):
@@ -351,16 +348,18 @@ def _gottschling_scan(t1: complex, t2: complex, t4: complex) -> tuple[complex, .
             det - w - 1, det + w - 1, t1, t4, sp, sp + 1, sp - 1, sm, sm + 1, sm - 1)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(_Record):
     """Outcome of a fundamental-domain reduction of tau: with transform =
     [[A, B], [C, D]], reduced = act(transform, tau) bit for bit and
     cocycle = det(C tau + D), both from one _act_entries at tau."""
 
-    reduced: SiegelPoint
-    transform: SymplecticMatrix
-    iterations: int
-    cocycle: complex
+    __slots__ = ("reduced", "transform", "iterations", "cocycle")
+
+    def __init__(self, reduced: SiegelPoint, transform: SymplecticMatrix, iterations: int, cocycle: complex):
+        _set(self, "reduced", reduced)
+        _set(self, "transform", transform)
+        _set(self, "iterations", iterations)
+        _set(self, "cocycle", cocycle)
 
 
 def _congruence(y1: float, y2: float, y4: float, u00: int, u01: int, u10: int, u11: int):
@@ -504,12 +503,6 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
             return ReductionResult(SiegelPoint(*image), transform, iterations, cocycle)
 
     raise NonConvergenceError(f"reduction did not settle in {_MAX_ITER} passes")
-
-
-#: Tube parameters below sqrt(3)/2 do not describe a neighborhood of the cusps.
-MIN_TUBE_PARAMETER = math.sqrt(3.0) / 2.0
-
-_TUBE = f"tube parameter must be >= sqrt(3)/2 ~ {MIN_TUBE_PARAMETER:.6f}"
 
 
 def in_tube(reduced_tau: SiegelPoint, t) -> bool:

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
-from .errors import InvalidInputError, _integral, _real, _sequence
-from .halfspace import _TUBE, MIN_TUBE_PARAMETER
+from .errors import _TUBE, MIN_TUBE_PARAMETER, InvalidInputError, _integral, _real, _Record, _sequence
 
 
 FIELD_KINDS = ("rational", "imaginary_quadratic")
@@ -71,18 +69,21 @@ def weil_height_gaussian(coords) -> float:
     return 0.5 * math.log(max(x * x + y * y for x, y in cs) // content)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Outcome of one of the explicit bound cases.
 
     Bounds are present exactly when the counting condition holds; the inputs
     are echoed for reproducible reporting.
     """
 
-    condition_holds: bool
-    h_psi_bound: float | None
-    h_faltings_bound: float | None
-    inputs: dict
+    __slots__ = ("condition_holds", "h_psi_bound", "h_faltings_bound", "inputs")
+
+    def __init__(self, condition_holds: bool, h_psi_bound: float | None, h_faltings_bound: float | None,
+                 inputs: dict):
+        object.__setattr__(self, "condition_holds", condition_holds)
+        object.__setattr__(self, "h_psi_bound", h_psi_bound)
+        object.__setattr__(self, "h_faltings_bound", h_faltings_bound)
+        object.__setattr__(self, "inputs", inputs)
 
     def to_json(self) -> dict:
         out = {"case": self.inputs.get("case"), "holds": self.condition_holds}

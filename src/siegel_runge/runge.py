@@ -15,17 +15,15 @@ an exact incidence witness available at n = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
-from .errors import InvalidInputError, _integral, _sequence
+from .errors import InvalidInputError, _integral, _Record, _sequence
 
 
 _MAX_LEVEL = 20
 
 
-@dataclass(frozen=True)
-class DivisorIncidence:
+class DivisorIncidence(_Record):
     """Incidence data for r divisors.
 
     ``outside_y`` lists subsets of {1..r} whose intersection is nonempty and
@@ -37,27 +35,27 @@ class DivisorIncidence:
     integral numbers; 3.9 raises InvalidInputError.
     """
 
-    r: int
-    outside_y: tuple[frozenset[int], ...]
+    __slots__ = ("r", "outside_y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", _integral(self.r, 1, "divisor count r must be an integer >= 1"))
+    def __init__(self, r: int, outside_y):
+        r = _integral(r, 1, "divisor count r must be an integer >= 1")
         what = "outside_y must be an iterable of subsets of integer indices"
-        sets = {frozenset(_sequence(s, _integral, what)) for s in _sequence(self.outside_y, None, what)}
+        sets = {frozenset(_sequence(s, _integral, what)) for s in _sequence(outside_y, None, what)}
         sets.discard(frozenset())
         for s in sets:
-            if not all(1 <= i <= self.r for i in s):
-                raise InvalidInputError(f"subset {sorted(s)} uses indices outside 1..{self.r}")
+            if not all(1 <= i <= r for i in s):
+                raise InvalidInputError(f"subset {sorted(s)} uses indices outside 1..{r}")
         maximal = [s for s in sets if not any(s < t for t in sets)]
         covered = frozenset().union(*maximal) if maximal else frozenset()
         # the indices lie in 1..r, so only a short cover leaves some out
-        if len(covered) < self.r:
-            missing = list(islice((i for i in range(1, self.r + 1) if i not in covered), 10))
+        if len(covered) < r:
+            missing = list(islice((i for i in range(1, r + 1) if i not in covered), 10))
             raise InvalidInputError(
-                f"{self.r - len(covered)} divisors appear in no subset (contained in Y), "
+                f"{r - len(covered)} divisors appear in no subset (contained in Y), "
                 f"first {missing}; unsupported"
             )
         maximal.sort(key=lambda s: (len(s), sorted(s)))
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "outside_y", tuple(maximal))
 
 
@@ -70,14 +68,16 @@ def m_y_value(incidence: DivisorIncidence) -> int:
     return max(len(s) for s in incidence.outside_y)
 
 
-@dataclass(frozen=True)
-class RungeVerdict:
+class RungeVerdict(_Record):
     """One evaluation of the condition m_used * s < r."""
 
-    m_used: int
-    s: int
-    r: int
-    holds: bool
+    __slots__ = ("m_used", "s", "r", "holds")
+
+    def __init__(self, m_used: int, s: int, r: int, holds: bool):
+        object.__setattr__(self, "m_used", m_used)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "holds", holds)
 
     def to_json(self) -> dict:
         return {"holds": self.holds, "m": self.m_used, "s": self.s, "r": self.r}

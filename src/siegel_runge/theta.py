@@ -82,13 +82,12 @@ Theta constants themselves pick up eighth roots of unity under Sp4(Z), so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 import numpy as np
 
 from .errors import (_TINY, DEFAULT_TOL, DEFAULT_TOL_FOURTH, InconsistencyError, InvalidInputError,
-                     ResourceLimitError, _integral, _real, _sequence)
+                     ResourceLimitError, _integral, _real, _Record, _sequence)
 from .halfspace import SiegelPoint, reduce_to_fundamental_domain
 
 
@@ -106,22 +105,25 @@ _DOMAIN_RADIUS = 17
 _SLAB_TERMS = 1 << 12
 
 
-@dataclass(frozen=True, order=True)
-class Characteristic:
+@total_ordering
+class Characteristic(_Record):
     """Half-integral characteristic, stored as numerator bits of (a, b).
 
     ``bits = (a1, a2, b1, b2)`` with each entry 0 or 1 standing for the
-    exact dyadic value 0 or 1/2.
+    exact dyadic value 0 or 1/2.  Characteristics are ordered by their bits.
     """
 
-    bits: tuple[int, int, int, int]
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
+    def __init__(self, bits: tuple[int, int, int, int]):
         what = "characteristic bits must be four values in {0, 1}"
-        bits = tuple(_sequence(self.bits, _integral, what))
-        if len(bits) != 4 or not {0, 1}.issuperset(bits):
-            raise InvalidInputError(f"{what}, got {self.bits!r}")
-        object.__setattr__(self, "bits", bits)
+        read = tuple(_sequence(bits, _integral, what))
+        if len(read) != 4 or not {0, 1}.issuperset(read):
+            raise InvalidInputError(f"{what}, got {bits!r}")
+        object.__setattr__(self, "bits", read)
+
+    def __lt__(self, other):
+        return self.bits < other.bits if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def is_even(self) -> bool:
@@ -153,8 +155,7 @@ def odd_characteristics() -> tuple[Characteristic, ...]:
     return tuple(m for m in all_characteristics() if not m.is_even)
 
 
-@dataclass(frozen=True)
-class ThetaValue:
+class ThetaValue(_Record):
     """A computed theta constant with a rigorous bound on truncation.
 
     ``radius`` is the box radius R, ``terms`` the number of half-box
@@ -164,10 +165,13 @@ class ThetaValue:
     tol 1e-14 on level-2 images (ROADMAP item 2).
     """
 
-    value: complex
-    error_bound: float
-    radius: int
-    terms: int
+    __slots__ = ("value", "error_bound", "radius", "terms")
+
+    def __init__(self, value: complex, error_bound: float, radius: int, terms: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "error_bound", error_bound)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "terms", terms)
 
 
 # Every term satisfies |term| <= exp(-pi y_min |n+a|^2) and |n+a| >= k - c

@@ -365,27 +365,30 @@ class TestCanonicalSerializer:
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 #: Runs the CLI module as ``python -m siegel_runge.cli`` does, then reports on
-#: stderr whether numpy was imported; the exit code passes through.
+#: stderr which of numpy, dataclasses and the package's modules were imported;
+#: the exit code passes through.
 PROBE = ("import runpy, sys\n"
          "try:\n"
          "    runpy.run_module('siegel_runge.cli', run_name='__main__', alter_sys=True)\n"
          "finally:\n"
-         "    print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n")
+         "    print('loaded:', *sorted(m for m in sys.modules if m in ('numpy', 'dataclasses')\n"
+         "                             or m.startswith('siegel_runge.')), file=sys.stderr)\n")
 
 INCIDENCE = {"r": 3, "outside_Y": [[1, 2], [1, 3], [2, 3]]}
 
-#: Commands that must run without numpy, with their exit codes.
+#: Commands that must run without numpy, with their exit codes and the one
+#: module each loads besides cli and errors.
 ARRAY_FREE = {
-    "reduce": (["reduce", "--tau", SQUEEZED], 0),
-    "tube": (["tube", "--tau", SQUEEZED, "--t", "1.9"], 0),
-    "runge-n": (["runge", "--n", "4", "--s", "9"], 0),
-    "runge-incidence": (["runge", "--incidence-file", "{incidence}", "--s", "1"], 0),
-    "bounds-a": (["bounds", "--case", "a", "--sp", "3", "--field", "Qi"], 0),
-    "bounds-b": (["bounds", "--case", "b", "--sp", "2", "--places", "3", "--t", "1.25"], 0),
-    "height-rational": (["height", "--rational", "6", "10", "15"], 0),
-    "height-gaussian": (["height", "--gaussian", "1,1", "2,0", "3,-4"], 0),
-    "help": (["--help"], 0),
-    "usage-error": (["bounds", "--sp", "1"], 2),
+    "reduce": (["reduce", "--tau", SQUEEZED], 0, "halfspace"),
+    "tube": (["tube", "--tau", SQUEEZED, "--t", "1.9"], 0, "halfspace"),
+    "runge-n": (["runge", "--n", "4", "--s", "9"], 0, "runge"),
+    "runge-incidence": (["runge", "--incidence-file", "{incidence}", "--s", "1"], 0, "runge"),
+    "bounds-a": (["bounds", "--case", "a", "--sp", "3", "--field", "Qi"], 0, "heights"),
+    "bounds-b": (["bounds", "--case", "b", "--sp", "2", "--places", "3", "--t", "1.25"], 0, "heights"),
+    "height-rational": (["height", "--rational", "6", "10", "15"], 0, "heights"),
+    "height-gaussian": (["height", "--gaussian", "1,1", "2,0", "3,-4"], 0, "heights"),
+    "help": (["--help"], 0, None),
+    "usage-error": (["bounds", "--sp", "1"], 2, None),
 }
 
 #: Commands that sum theta series; they load numpy and must still work.
@@ -398,13 +401,14 @@ NUMERIC = {
 
 
 def run_child(argv):
-    """The CLI in a fresh interpreter: (exit code, stdout, numpy loaded)."""
+    """The CLI in a fresh interpreter: (exit code, stdout, the set of loaded
+    modules among numpy, dataclasses and the package's, cli being __main__)."""
     env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env,
                           timeout=120)
-    last = proc.stderr.strip().splitlines()[-1]
-    assert last.startswith("numpy loaded: "), proc.stderr
-    return proc.returncode, proc.stdout, last == "numpy loaded: True"
+    last = proc.stderr.strip().splitlines()[-1].split()
+    assert last[0] == "loaded:", proc.stderr
+    return proc.returncode, proc.stdout, set(last[1:])
 
 
 def run_in_process(capsys, monkeypatch, argv):
@@ -418,28 +422,30 @@ def run_in_process(capsys, monkeypatch, argv):
 
 class TestColdPath:
     @pytest.mark.parametrize("name", ARRAY_FREE)
-    def test_array_free_commands_never_import_numpy(self, capsys, monkeypatch, tmp_path, name):
+    def test_array_free_commands_load_only_their_module(self, capsys, monkeypatch, tmp_path, name):
         path = tmp_path / "inc.json"
         path.write_text(json.dumps(INCIDENCE))
-        argv, want_code = ARRAY_FREE[name]
+        argv, want_code, module = ARRAY_FREE[name]
         argv = [a.replace("{incidence}", str(path)) for a in argv]
-        code, out, numpy_loaded = run_child(argv)
+        code, out, loaded = run_child(argv)
         assert code == want_code
-        assert not numpy_loaded
+        assert loaded == {"siegel_runge.errors"} | ({f"siegel_runge.{module}"} if module else set())
         assert (code, out) == run_in_process(capsys, monkeypatch, argv)
 
     @pytest.mark.parametrize("name", NUMERIC)
     def test_numeric_commands_still_work(self, capsys, monkeypatch, name):
-        code, out, _ = run_child(NUMERIC[name])
+        code, out, loaded = run_child(NUMERIC[name])
         assert code == 0
+        assert "numpy" in loaded and "dataclasses" not in loaded
         assert (code, out) == run_in_process(capsys, monkeypatch, NUMERIC[name])
 
     def test_package_and_cli_import_without_numpy(self):
-        # cli imports errors, halfspace, heights and runge at the top
-        code = "import sys, siegel_runge, siegel_runge.cli; print('numpy' in sys.modules)"
+        code = ("import sys, siegel_runge, siegel_runge.cli\n"
+                "print(*sorted(m for m in sys.modules if m in ('numpy', 'dataclasses')\n"
+                "              or m.startswith('siegel_runge.')))\n")
         env = dict(os.environ, PYTHONPATH=str(SRC))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["siegel_runge.cli", "siegel_runge.errors"]
 
     def test_matrix_arguments_are_read_without_numpy(self):
         code = ("import sys\n"

@@ -1,11 +1,13 @@
 import cmath
 import contextlib
+import copy
 import importlib
 import inspect
 import io
 import math
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,11 +24,11 @@ from siegel_runge.cli import dispatch
 EXPORTS = {
     "embedding": ["ProjectivePoint", "archimedean_height_estimate", "is_product_locus", "near_zero_coordinates",
                   "projective_distance", "psi", "relation_rank", "relation_singular_values"],
-    "errors": ["ConditioningError", "InconsistencyError", "InvalidInputError", "NonConvergenceError",
-               "ResourceLimitError", "SiegelRungeError"],
-    "halfspace": ["J", "MIN_TUBE_PARAMETER", "ReductionResult", "SiegelPoint", "SymplecticMatrix", "act",
-                  "gl2_embedding", "gottschling_matrices", "in_tube", "is_level2", "is_symplectic",
-                  "reduce_to_fundamental_domain", "translation"],
+    "errors": ["ConditioningError", "InconsistencyError", "InvalidInputError", "MIN_TUBE_PARAMETER",
+               "NonConvergenceError", "ResourceLimitError", "SiegelRungeError"],
+    "halfspace": ["J", "ReductionResult", "SiegelPoint", "SymplecticMatrix", "act", "gl2_embedding",
+                  "gottschling_matrices", "in_tube", "is_level2", "is_symplectic", "reduce_to_fundamental_domain",
+                  "translation"],
     "heights": ["BoundReport", "bound_case_a", "bound_case_b", "weil_height_gaussian", "weil_height_rational"],
     "runge": ["DivisorIncidence", "RungeVerdict", "m_y_value", "runge_condition", "siegel_divisor_count",
               "siegel_incidence", "siegel_m_y", "siegel_runge_condition"],
@@ -98,6 +100,102 @@ class TestMutationList:
         # change that moves mutated code updates the list with it
         from mutants import misplaced
         assert misplaced() == []
+
+
+# --- The records: immutable, compared, printed and pickled by their fields ---
+
+_POINT = sr.SiegelPoint(0.4 + 0.9j, 0.1 + 0.2j, -0.2 + 1.3j)
+_COORDS = np.array([1.5 + 0.5j, 2.0, -1.0j, 0.25, 3.0, 1.0, 1.0, 0.5j, 2.0, 1.0])
+
+#: Each record's fields, in order, and two factories: one gives a fresh record
+#: with the same fields on every call, the other a record that differs.
+RECORDS = {
+    "SiegelPoint": (("tau1", "tau2", "tau4"), lambda: sr.SiegelPoint(0.4 + 0.9j, 0.1 + 0.2j, -0.2 + 1.3j),
+                    lambda: sr.SiegelPoint(0.4 + 0.9j, 0.1 + 0.2j, -0.2 + 1.4j)),
+    "SymplecticMatrix": (("rows",), lambda: sr.SymplecticMatrix(sr.J.rows), lambda: sr.translation([[1, 0], [0, 0]])),
+    "ReductionResult": (("reduced", "transform", "iterations", "cocycle"),
+                        lambda: sr.reduce_to_fundamental_domain(_POINT),
+                        lambda: sr.reduce_to_fundamental_domain(sr.act(sr.J, _POINT))),
+    "BoundReport": (("condition_holds", "h_psi_bound", "h_faltings_bound", "inputs"),
+                    lambda: sr.bound_case_a(1), lambda: sr.bound_case_a(5)),
+    "DivisorIncidence": (("r", "outside_y"), lambda: sr.DivisorIncidence(3, [[1, 2], [1, 3], [2, 3]]),
+                         sr.siegel_incidence),
+    "RungeVerdict": (("m_used", "s", "r", "holds"), lambda: sr.runge_condition(1, 1, 2),
+                     lambda: sr.runge_condition(1, 3, 2)),
+    "Characteristic": (("bits",), lambda: sr.Characteristic((0, 1, 0, 1)), lambda: sr.Characteristic((1, 1, 0, 0))),
+    "ThetaValue": (("value", "error_bound", "radius", "terms"), lambda: sr.ThetaValue(0.5 + 0.25j, 1e-12, 3, 126),
+                   lambda: sr.ThetaValue(0.5 + 0.25j, 1e-12, 4, 209)),
+    # a fresh point shares the coordinate array, so its fields compare as equal
+    "ProjectivePoint": (("coords", "tol"), lambda: sr.ProjectivePoint(_COORDS, 1e-8),
+                        lambda: sr.ProjectivePoint(_COORDS, 1e-9)),
+}
+
+#: Records with a field that cannot be hashed, so hashing them raises TypeError.
+UNHASHABLE = {"BoundReport", "ProjectivePoint"}
+
+
+def _same(x, y):
+    """Equal records; a ProjectivePoint by its fields, since a copied
+    coordinate array makes == ambiguous."""
+    if isinstance(x, sr.ProjectivePoint):
+        return (type(y) is sr.ProjectivePoint and np.array_equal(x.coords, y.coords)
+                and (x.tol, x.sup) == (y.tol, y.sup))
+    return type(y) is type(x) and x == y
+
+
+@pytest.mark.parametrize("name", RECORDS)
+class TestRecords:
+    def test_equality_and_hash_by_fields(self, name):
+        fields, make, other = RECORDS[name]
+        x, y = make(), make()
+        assert x is not y and x == y and not x != y
+        assert x != other() and not x == other()
+        values = tuple(getattr(x, f) for f in fields)
+        assert x != values and x != object()
+        if name in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(x)
+        else:
+            assert hash(x) == hash(y) == hash(values)
+            assert len({x, y, other()}) == 2
+
+    def test_repr_lists_the_fields(self, name):
+        fields, make, _ = RECORDS[name]
+        x = make()
+        inner = ", ".join(f"{f}={getattr(x, f)!r}" for f in fields)
+        assert repr(x) == f"{name}({inner})"
+        assert "sup=" not in repr(x)
+
+    def test_fields_cannot_be_set_or_deleted(self, name):
+        fields, make, other = RECORDS[name]
+        x = make()
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(x, f, getattr(other(), f))
+            with pytest.raises(AttributeError):
+                delattr(x, f)
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert _same(x, make())
+
+    @pytest.mark.parametrize("through", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_pickle_and_copy_round_trip(self, name, through):
+        _, make, _ = RECORDS[name]
+        x = make()
+        assert _same(x, through(x))
+
+    def test_only_characteristics_are_ordered(self, name):
+        _, make, other = RECORDS[name]
+        x, y = make(), other()
+        if name != "Characteristic":
+            with pytest.raises(TypeError):
+                x < y
+            return
+        assert (x < y, x <= y, x > y, x >= y, x <= make(), x >= make()) == (True, True, False, False, True, True)
+        assert sorted(reversed(sr.all_characteristics())) == list(sr.all_characteristics())
+        with pytest.raises(TypeError):
+            x < x.bits
 
 
 # --- One validation policy (the errors module docstring) ---------------------

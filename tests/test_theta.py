@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -728,8 +727,12 @@ class TestRoute:
         InconsistencyError, with no sum over a box the table does not hold."""
         reduce = theta.reduce_to_fundamental_domain
         far = scaled(1e-3)
-        monkeypatch.setattr(theta, "reduce_to_fundamental_domain",
-                            lambda t: dataclasses.replace(reduce(t), reduced=far))
+
+        def unreduced(t):
+            res = reduce(t)
+            return sr.ReductionResult(far, res.transform, res.iterations, res.cocycle)
+
+        monkeypatch.setattr(theta, "reduce_to_fundamental_domain", unreduced)
         monkeypatch.setattr(theta, "_b0_sums", None)
         with pytest.raises(sr.InconsistencyError, match="past 17"):
             sr.theta_fourth_vector(far, self.TOL)
