@@ -154,13 +154,20 @@ def _complex(x) -> complex:
 def _integer_rows(m) -> tuple:
     """The rows of a 4x4 integer matrix as tuples of Python ints.  Entries go
     through _integral, so 2.0 is read as 2 and 1.5 is refused; one of
-    magnitude 2^63 or more, past the int64 view, raises ResourceLimitError."""
+    magnitude 2^63 or more raises ResourceLimitError (_int64_rows)."""
     rows = _square_rows(m, 4)
     flat = rows[0] + rows[1] + rows[2] + rows[3]
     if set(map(type, flat)) != {int}:
         flat = tuple(map(_integral, flat))
         rows = flat[0:4], flat[4:8], flat[8:12], flat[12:16]
-    if max(map(abs, flat)) >= 2**63:
+    return _int64_rows(rows)
+
+
+def _int64_rows(rows) -> tuple:
+    """rows, four tuples of Python ints; an entry of magnitude 2^63 or more,
+    past the int64 view, raises ResourceLimitError."""
+    r0, r1, r2, r3 = rows
+    if max(map(abs, r0 + r1 + r2 + r3)) >= 2**63:
         raise ResourceLimitError("a matrix entry of magnitude 2^63 or more is past int64")
     return rows
 
@@ -183,18 +190,32 @@ def is_symplectic(m) -> bool:
     return _preserves_form(_integer_rows(m))
 
 
+def _symplectic_rows(rows) -> tuple:
+    """rows, four tuples of Python ints within int64, once they are checked
+    to preserve the symplectic form."""
+    if not _preserves_form(rows):
+        raise InvalidInputError("matrix does not preserve the symplectic form")
+    return rows
+
+
+def _symplectic(rows) -> "SymplecticMatrix":
+    """SymplecticMatrix(rows) for rows of Python ints: checked against
+    int64 and by _symplectic_rows, but not read again by _integer_rows."""
+    m = object.__new__(SymplecticMatrix)
+    _set(m, "rows", _symplectic_rows(_int64_rows(rows)))
+    return m
+
+
 class SymplecticMatrix(_Record):
     """Element of Sp4(Z) in block form [[A, B], [C, D]], stored exactly as
     four rows of Python ints.  The constructor takes any 4x4 array-like of
-    integers, checked by _integer_rows, that preserves the symplectic form."""
+    integers, read by _integer_rows and checked by _symplectic_rows, that
+    preserves the symplectic form."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = _integer_rows(rows)
-        if not _preserves_form(rows):
-            raise InvalidInputError("matrix does not preserve the symplectic form")
-        _set(self, "rows", rows)
+        _set(self, "rows", _symplectic_rows(_integer_rows(rows)))
 
     @property
     def mat(self):
@@ -212,13 +233,13 @@ class SymplecticMatrix(_Record):
         return m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:]
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        return SymplecticMatrix(_compose(self.rows, other.rows))
+        return _symplectic(_compose(self.rows, other.rows))
 
     def inverse(self) -> "SymplecticMatrix":
         """[[D^t, -B^t], [-C^t, A^t]], the inverse of a symplectic matrix."""
         (a00, a01, b00, b01), (a10, a11, b10, b11), (c00, c01, d00, d01), (c10, c11, d10, d11) = self.rows
-        return SymplecticMatrix(((d00, d10, -b00, -b10), (d01, d11, -b01, -b11),
-                                 (-c00, -c10, a00, a10), (-c01, -c11, a01, a11)))
+        return _symplectic(((d00, d10, -b00, -b10), (d01, d11, -b01, -b11),
+                            (-c00, -c10, a00, a10), (-c01, -c11, a01, a11)))
 
 
 J = SymplecticMatrix(((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0)))
@@ -383,8 +404,12 @@ def _minkowski_gl2(y1: float, y2: float, y4: float) -> tuple[int, int, int, int]
     If then 2 |G12| <= (1 + _TOL) G11, G is reduced up to rounding and the
     loop ends; otherwise the rounding in G12 exceeds _TOL G11 / 2, as on a
     form with a condition number of about 1/eps or more, and
-    ConditioningError is raised.
+    ConditioningError is raised.  A form with 0 <= y2, y1 <= y4 and
+    round(y2 / y1) = 0 is one on which the loop takes no step, and it
+    returns the identity at once.
     """
+    if 0.0 <= y2 and y1 <= y4 and round(y2 / y1) == 0:
+        return 1, 0, 0, 1
     u00, u01, u10, u11 = 1, 0, 0, 1
     g11, g12, g22 = _congruence(y1, y2, y4, u00, u01, u10, u11)
     while True:
@@ -426,6 +451,56 @@ def _mix(p: int, r, q: int, s):
     return p * r0 + q * s0, p * r1 + q * s1, p * r2 + q * s2, p * r3 + q * s3
 
 
+def _neg(r):
+    """The row -r of integers."""
+    r0, r1, r2, r3 = r
+    return -r0, -r1, -r2, -r3
+
+
+def _gottschling_step(k: int, t1: complex, t2: complex, t4: complex, rows):
+    """Gottschling matrix g = gottschling_matrices()[k] applied to tau and
+    to the witness: the image entries and the rows of g @ rows, as
+    _act_entries(g, t1, t2, t4) and _compose(g, rows) give them, up to the
+    sign of an exact zero.
+
+    Matrices 0-10, [[0, -I], [I, S]], are the shift by S, a = tau + S, then
+    tau -> -tau^-1 = (-a4, a2, -a1) / det a.  Matrix 11 acts as
+    tau1 -> -1/tau1 on the tau1 corner and matrix 12 as tau4 -> -1/tau4
+    on the tau4 corner.  Each writes its image in the order of operations
+    of _act_entries, so the floats agree, and its witness rows are
+    permuted, negated or shifted rows of the old ones.  For the rank-one
+    matrices 13-18, and for an inversion with |det(C tau + D)| below
+    CONDITION_EPS, the step is _act_entries and _compose, which raise or
+    rescale.  A corner needs no such test: its det(C tau + D) is tau1
+    (tau4) itself, a single product that cannot cancel, on which
+    _act_entries neither raises nor rescales.
+    """
+    g = gottschling_matrices()[k].rows
+    r0, r1, r2, r3 = rows
+    if k < 11:
+        (_, _, s1, s2), (_, _, _, s4) = g[2], g[3]
+        a1, a2, a4 = t1 + s1, t2 + s2, t4 + s4
+        det = a1 * a4 - a2 * a2
+        if abs(det) >= CONDITION_EPS:
+            r0, r1 = _mix(1, r0, 1, _mix(s1, r2, s2, r3)), _mix(1, r1, 1, _mix(s2, r2, s4, r3))
+            x = a2 / det
+            return (-a4 / det, 0.5 * (x + x), -a1 / det), (_neg(r2), _neg(r3), r0, r1)
+    elif k == 11:
+        x = t2 / t1
+        return (-1 / t1, 0.5 * (x + x), (t4 * t1 - t2 * t2) / t1), (_neg(r2), r1, r0, r3)
+    elif k == 12:
+        x = t2 / t4
+        return ((t1 * t4 - t2 * t2) / t4, 0.5 * (x + x), -1 / t4), (r0, _neg(r3), r2, r1)
+    return _act_entries(g, t1, t2, t4)[0], _compose(g, rows)
+
+
+def _certificate(y1: float, y2: float, y4: float) -> bool:
+    """True when Im(tau) = [[y1, y2], [y2, y4]] alone shows that no
+    Gottschling determinant of a tau with |Re(tau)| <= 1/2 entrywise lies
+    below 1 - _TOL; see reduce_to_fundamental_domain."""
+    return 1.0 <= y1 and 2.0 * abs(y2) <= y1 <= y4 and 1.0 <= y1 * y4 - y2 * y2
+
+
 def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
     """Move tau into the fundamental domain of Sp4(Z) acting on H2.
 
@@ -440,19 +515,46 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
     The loop runs on the three entries of tau and on the witness as exact
     integer rows, each step with only the arithmetic its matrix needs, and
     gives the floats of the generic action _act_entries up to the sign of an
-    exact zero.  A translation [[I, B], [0, I]] has det(C tau + D) = 1, so
-    it adds B exactly and changes the top two witness rows only.  A GL2 step
-    (C = 0, D = U^-1) forms U^t tau U from the generic products, whose
-    division by det U = +-1 is exact while products of two entries of U stay
-    below 2^53, and updates the witness block by block.  The scan keeps the
-    order of summation of the nineteen determinants, so it picks the same
-    index.  A Gottschling step uses the generic action and product and
-    checks conditioning (ConditioningError); it and the GL2 step check that
-    the iterate lies in H2.  The Gauss reduction behind step 1 raises
-    ConditioningError when rounding, not the form, decides a step.  The
-    witness is checked against int64 after each Gottschling step, so one
-    that outgrows it is refused within a pass, and to be symplectic on
-    return.
+    exact zero, which no decision of the loop reads.
+
+    - A translation [[I, B], [0, I]] has det(C tau + D) = 1, so it adds B
+      exactly and changes the top two witness rows only.
+    - A GL2 step (C = 0, D = U^-1) forms U^t tau U from the generic
+      products, whose division by det U = +-1 is exact while products of
+      two entries of U stay below 2^53, and updates the witness block by
+      block.  _minkowski_gl2 returns the identity at once where its loop
+      would take no step.
+    - The scan keeps the order of summation of the nineteen determinants,
+      so it picks the same index.  A Gottschling step is one of
+      _gottschling_step's closed forms: the eleven inversions
+      [[0, -I], [I, S]] and the two corner inversions, each with its
+      witness rows permuted, negated or shifted.  The six rank-one
+      matrices, and an inversion whose |det(C tau + D)| < CONDITION_EPS,
+      take the generic action and product, which checks conditioning
+      (ConditioningError).
+    - The scan is skipped when _certificate holds: 1 <= y1,
+      2 |y2| <= y1 <= y4 and det Y >= 1 for Y = Im(tau) after step 2.  No
+      step could fire there.  For real symmetric X,
+      det(X + iY) = det Y det(Z + iI) with Z = Y^-1/2 X Y^-1/2 symmetric,
+      and |det(Z + iI)| = prod |z_j + i| >= 1 over its eigenvalues z_j, so
+      the eleven |det(tau + S)| are at least det Y; |tau1| >= y1 and
+      |tau4| >= y4 >= y1; and |tau1 +- 2 tau2 + tau4 + d| >= y1 + y4 - 2|y2|
+      >= y4.  Rounding cannot undo this.  4 y2^2 <= y1 y4 gives
+      det Y >= 3/4 y1 y4, so the float det Y is within 3 ulps of the exact
+      one, which is then at least 1 - 4 eps.  With |Re| <= 1/2 (the
+      translation is exact) and y1 >= 1, every term the scan sums is at
+      most |tau1 tau4| <= 5/4 y1 y4, |tau2|^2 <= 1/2 y1 y4 or
+      |tau1| + |tau4| + 1 <= 7/2 y1 y4 for a determinant, and at most
+      |tau1| + 2|tau2| + |tau4| + 1 <= 6 y4 for the last six, so each value
+      read is within about 100 ulps, relative, of the exact one: at least
+      1 - 1e-13, far above 1 - _TOL.
+
+    The GL2 and Gottschling steps check that the iterate lies in H2.  The
+    Gauss reduction behind step 1 raises ConditioningError when rounding,
+    not the form, decides a step.  The witness is checked against int64
+    after each Gottschling step, so one that outgrows it is refused within
+    a pass, and on return it is checked against int64 and to be symplectic
+    (_symplectic), without being read again as a matrix argument.
     Returns the witness T, the passes used, and act(T, tau) with its cocycle
     det(C tau + D) from one _act_entries at tau, not the last iterate, which
     drifts from it on ill-conditioned points.  Raises NonConvergenceError if
@@ -486,19 +588,18 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
             r0, r1 = _mix(1, r0, 1, _mix(b1, r2, b2, r3)), _mix(1, r1, 1, _mix(b2, r2, b4, r3))
             changed = True
 
-        vals = list(map(abs, _gottschling_scan(t1, t2, t4)))
-        low = min(vals)
-        if low < 1.0 - _TOL:
-            g = gottschling_matrices()[vals.index(low)].rows
-            (t1, t2, t4), _ = _act_entries(g, t1, t2, t4)
-            _check_entries(t1, t2, t4)
-            r0, r1, r2, r3 = _compose(g, (r0, r1, r2, r3))
-            if max(map(abs, r0 + r1 + r2 + r3)) >= 2**63:
-                raise ResourceLimitError("the reduction witness has an entry past int64")
-            changed = True
+        if not _certificate(t1.imag, t2.imag, t4.imag):
+            vals = list(map(abs, _gottschling_scan(t1, t2, t4)))
+            low = min(vals)
+            if low < 1.0 - _TOL:
+                (t1, t2, t4), (r0, r1, r2, r3) = _gottschling_step(vals.index(low), t1, t2, t4, (r0, r1, r2, r3))
+                _check_entries(t1, t2, t4)
+                if max(map(abs, r0 + r1 + r2 + r3)) >= 2**63:
+                    raise ResourceLimitError("the reduction witness has an entry past int64")
+                changed = True
 
         if not changed:
-            transform = SymplecticMatrix((r0, r1, r2, r3))
+            transform = _symplectic((r0, r1, r2, r3))
             image, cocycle = _act_entries(transform.rows, tau.tau1, tau.tau2, tau.tau4)
             return ReductionResult(SiegelPoint(*image), transform, iterations, cocycle)
 

@@ -545,7 +545,9 @@ def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
             raise InconsistencyError(f"the reduced point {q} needs a box radius past {_DOMAIN_RADIUS} at 2q")
         raise ResourceLimitError(f"det(C tau + D)^2 = {det2:.3e} underflows the tolerance" if abs(det2) < 1.0
                                  else f"the tolerance {tol:.1e} underflows at the reduced point")
-    perm, sign = _rho(tuple(tuple(x & 1 for x in row) for row in res.transform.rows))
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = res.transform.rows
+    perm, sign = _rho(((a0 & 1, a1 & 1, a2 & 1, a3 & 1), (b0 & 1, b1 & 1, b2 & 1, b3 & 1),
+                       (c0 & 1, c1 & 1, c2 & 1, c3 & 1), (d0 & 1, d1 & 1, d2 & 1, d3 & 1)))
     with np.errstate(over="ignore", invalid="ignore"):
         out = sign * values[perm] / det2
     if not np.isfinite(out).all():

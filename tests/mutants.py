@@ -140,11 +140,31 @@ MUTANTS = (
      "_mix(det * u11, r2, -det * u01, r3), _mix(-det * u10, r2, det * u00, r3))",
      "_mix(-det * u10, r2, det * u00, r3), _mix(det * u11, r2, -det * u01, r3))"),
     ("int64 guard dropped", HALFSPACE,
-     "if max(map(abs, r0 + r1 + r2 + r3)) >= 2**63:", "if False:"),
+     'if max(map(abs, r0 + r1 + r2 + r3)) >= 2**63:\n                    raise ResourceLimitError("the reduction',
+     'if False:\n                    raise ResourceLimitError("the reduction'),
     ("last of the smallest determinants taken", HALFSPACE,
-     "[vals.index(low)]", "[len(vals) - 1 - vals[::-1].index(low)]"),
+     "_gottschling_step(vals.index(low),", "_gottschling_step(len(vals) - 1 - vals[::-1].index(low),"),
     ("Gottschling step below 1, not 1 - _TOL", HALFSPACE,
      "if low < 1.0 - _TOL:", "if low < 1.0:"),
+    # the closed-form steps, the certificate, the Gauss exit and the checker
+    ("inversion image +a4 / det", HALFSPACE,
+     "return (-a4 / det, 0.5 * (x + x), -a1 / det)", "return (a4 / det, 0.5 * (x + x), -a1 / det)"),
+    ("tau1-corner witness rows 0 and 2 swapped", HALFSPACE,
+     "(_neg(r2), r1, r0, r3)", "(r0, r1, _neg(r2), r3)"),
+    ("tau4-corner witness rows 1 and 3 swapped", HALFSPACE,
+     "(r0, _neg(r3), r2, r1)", "(r0, r1, r2, _neg(r3))"),
+    ("conditioning fallback of the inversions dropped", HALFSPACE,
+     "        if abs(det) >= CONDITION_EPS:\n", "        if True:\n"),
+    ("certificate without 1 <= y1", HALFSPACE,
+     "return 1.0 <= y1 and 2.0 * abs(y2) <= y1 <= y4 and", "return 2.0 * abs(y2) <= y1 <= y4 and"),
+    ("certificate without 2 |y2| <= y1", HALFSPACE,
+     "2.0 * abs(y2) <= y1 <= y4 and 1.0 <=", "y1 <= y4 and 1.0 <="),
+    ("certificate without det Y >= 1", HALFSPACE,
+     "y1 <= y4 and 1.0 <= y1 * y4 - y2 * y2", "y1 <= y4"),
+    ("Gauss exit for y2 < 0", HALFSPACE,
+     "if 0.0 <= y2 and y1 <= y4 and round(y2 / y1) == 0:", "if y1 <= y4 and round(y2 / y1) == 0:"),
+    ("form check dropped from the checker", HALFSPACE,
+     "    if not _preserves_form(rows):\n        raise InvalidInputError", "    if False:\n        raise InvalidInputError"),
 )
 
 

@@ -720,19 +720,126 @@ class TestSpecialisedReduction:
         # the loop used to run on with big integers until the iterate
         # settled and refused the witness only on return
         largest = []
-        compose = halfspace._compose
+        step = halfspace._gottschling_step
 
-        def recording_compose(a, b):
-            out = compose(a, b)
-            largest.append(max(abs(x) for row in out for x in row))
-            return out
+        def recording_step(*args):
+            image, rows = step(*args)
+            largest.append(max(abs(x) for row in rows for x in row))
+            return image, rows
 
-        monkeypatch.setattr(halfspace, "_compose", recording_compose)
+        monkeypatch.setattr(halfspace, "_gottschling_step", recording_step)
         p = sr.sample_reduced_points(6, seed=3)[0]
-        with pytest.raises(sr.ResourceLimitError):
+        with pytest.raises(sr.ResourceLimitError, match="reduction witness"):
             sr.reduce_to_fundamental_domain(squeeze(p, scale))
         assert largest[-1] >= 2**63
         assert max(largest[:-1]) < 2**63
+
+
+#: Real parts with exact zeros of either sign, where the closed-form steps
+#: and the generic action may differ in the sign of a zero.
+REAL_PART = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]), st.floats(-3, 3))
+
+
+@st.composite
+def h2_entries(draw):
+    """(t1, t2, t4) of a point of H2 with Im entries from 1e-3 to 1e3."""
+    y1, y4 = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
+    y2 = draw(st.sampled_from([0.0, -0.0]) | st.floats(-0.999, 0.999)) * (y1 * y4) ** 0.5
+    return complex(draw(REAL_PART), y1), complex(draw(REAL_PART), y2), complex(draw(REAL_PART), y4)
+
+
+@st.composite
+def reduced_entries(draw):
+    """(t1, t2, t4) after the translation of a pass, with Im(tau) Minkowski
+    reduced, 0 <= 2 y2 <= y1 <= y4, near the certificate's thresholds."""
+    y1 = draw(st.floats(0.9, 3.0))
+    y2 = draw(st.floats(0.0, 0.5)) * y1
+    y4 = max(y1, (1.0 + y2 * y2) / y1) * draw(st.sampled_from([1.0]) | st.floats(1.0, 1.5))
+    return tuple(complex(draw(st.floats(-0.5, 0.5)), y) for y in (y1, y2, y4))
+
+
+class TestStepShortcuts:
+    """The closed-form Gottschling steps, the certificate that skips the
+    scan and the early exit of the Gauss reduction."""
+
+    @given(st.integers(0, 18), h2_entries(),
+           st.lists(st.integers(-2**40, 2**40), min_size=16, max_size=16))
+    @settings(max_examples=400, deadline=None)
+    def test_steps_match_the_generic_action(self, k, entries, flat):
+        # == on complex numbers ignores the sign of a zero, and only that
+        rows = tuple(tuple(flat[i:i + 4]) for i in range(0, 16, 4))
+        g = gottschling_matrices()[k].rows
+        try:
+            want = halfspace._act_entries(g, *entries)[0]
+        except sr.ConditioningError:
+            with pytest.raises(sr.ConditioningError):
+                halfspace._gottschling_step(k, *entries, rows)
+            return
+        image, got_rows = halfspace._gottschling_step(k, *entries, rows)
+        assert image == want
+        assert got_rows == halfspace._compose(g, rows)
+
+    @pytest.mark.parametrize("k", [4, 11, 12])
+    def test_tiny_point_steps_match_the_rescaled_action(self, k):
+        # det tau = 1e-400 underflows to 0: the inversion by it would divide
+        # by zero, and _act_entries rescales by 2^k instead.  The corners
+        # divide by tau1 or tau4 alone, which does not underflow
+        entries = (1e-200j, 0j, 1e-200j)
+        g = gottschling_matrices()[k].rows
+        identity = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        image, rows = halfspace._gottschling_step(k, *entries, identity)
+        assert image == halfspace._act_entries(g, *entries)[0]
+        assert rows == g
+        if k == 4:
+            assert entries[0] * entries[2] == 0
+
+    def test_cancelling_determinant_raises(self):
+        # det tau = 1 - y2^2 - 1 cancels to about 1e-14 of its products
+        entries = (1j, complex(0.0, (1.0 - 1e-14) ** 0.5), 1j)
+        assert abs(_gottschling_scan(*entries)[4]) < halfspace.CONDITION_EPS
+        with pytest.raises(sr.ConditioningError):
+            halfspace._gottschling_step(4, *entries, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+    @given(reduced_entries())
+    @settings(max_examples=400, deadline=None)
+    def test_certificate_implies_no_step(self, entries):
+        if halfspace._certificate(*(t.imag for t in entries)):
+            assert min(map(abs, _gottschling_scan(*entries))) >= 1.0 - halfspace._TOL
+
+    #: Im(tau) = (y1, y2, y4) on each threshold of the certificate, and just past it.
+    THRESHOLDS = {
+        "y1 = 1": ((1.0, 0.25, 2.0), (np.nextafter(1.0, 0.0), 0.25, 2.0)),
+        "2 y2 = y1": ((1.5, 0.75, 2.0), (1.5, np.nextafter(0.75, 1.0), 2.0)),
+        "y1 = y4": ((2.0, 0.1, 2.0), (2.0, 0.1, np.nextafter(2.0, 0.0))),
+        "det Y = 1": ((1.0, 0.25, 1.0625), (1.0, 0.25, np.nextafter(1.0625, 0.0))),
+    }
+
+    @pytest.mark.parametrize("name", THRESHOLDS)
+    def test_certificate_thresholds(self, monkeypatch, name):
+        at, past = self.THRESHOLDS[name]
+        assert halfspace._certificate(*at)
+        assert not halfspace._certificate(*past)
+        scans = []
+        scan = halfspace._gottschling_scan
+        monkeypatch.setattr(halfspace, "_gottschling_scan", lambda *t: scans.append(t) or scan(*t))
+        for y, count in ((at, 0), (past, 1)):
+            scans.clear()
+            # where the Gauss step takes none, the first pass is the last
+            if halfspace._minkowski_gl2(*y) == (1, 0, 0, 1):
+                res = sr.reduce_to_fundamental_domain(sr.SiegelPoint(*(1j * v for v in y)))
+                assert (res.iterations, len(scans)) == (1, count)
+
+    @pytest.mark.parametrize("y, u", [((1.0, -0.0, 2.0), (1, 0, 0, 1)),
+                                      ((1.0, 0.5, 2.0), (1, 0, 0, 1)),
+                                      ((1.5, 0.25, 1.5), (1, 0, 0, 1)),
+                                      ((1.0, -1e-300, 2.0), (1, 0, 0, -1)),
+                                      ((1.0, -0.5, 2.0), (1, 0, 0, -1)),
+                                      ((1.0, 0.5000000001, 2.0), (1, 1, 0, -1)),
+                                      ((2.0, 0.1, np.nextafter(2.0, 0.0)), (0, 1, 1, 0))],
+                             ids=["y2=-0", "2y2=y1", "y1=y4", "y2<0", "2y2=-y1", "2y2>y1", "y1>y4"])
+    def test_gauss_exit_is_the_loop_taking_no_step(self, y, u):
+        # the first three return at once; the others run the loop
+        assert halfspace._minkowski_gl2(*y) == u
 
 
 def _with_off_diagonal(base, value):
