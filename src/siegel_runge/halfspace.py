@@ -21,7 +21,7 @@ from collections.abc import Mapping, Set
 from functools import lru_cache
 
 from .errors import (_TUBE, MIN_TUBE_PARAMETER, ConditioningError, InvalidInputError, NonConvergenceError,
-                     ResourceLimitError, _integral, _real, _Record, _sequence)
+                     ResourceLimitError, _integral, _real, _Record, _sequence, _set)
 
 
 #: Tolerance of the reduction loop: a Gottschling step fires below 1 - _TOL.
@@ -36,9 +36,6 @@ _MAX_ITER = 1000
 
 #: Largest relative asymmetry SiegelPoint.from_matrix accepts.
 _SYM_TOL = 1e-12
-
-#: How the constructors below set a field, which a record refuses to assign.
-_set = object.__setattr__
 
 
 class SiegelPoint(_Record):
@@ -376,12 +373,6 @@ class ReductionResult(_Record):
 
     __slots__ = ("reduced", "transform", "iterations", "cocycle")
 
-    def __init__(self, reduced: SiegelPoint, transform: SymplecticMatrix, iterations: int, cocycle: complex):
-        _set(self, "reduced", reduced)
-        _set(self, "transform", transform)
-        _set(self, "iterations", iterations)
-        _set(self, "cocycle", cocycle)
-
 
 def _congruence(y1: float, y2: float, y4: float, u00: int, u01: int, u10: int, u11: int):
     """Entries (G11, G12, G22) of G = (U^t Y) U."""
@@ -437,7 +428,7 @@ def _minkowski_gl2(y1: float, y2: float, y4: float) -> tuple[int, int, int, int]
 
 def _compose(a, b):
     """Exact integer product a @ b of two 4x4 matrices given as tuples of
-    rows; a result past int64 is refused where it becomes a SymplecticMatrix."""
+    rows; its callers refuse a result past int64 by _int64_rows."""
     (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = b
     return tuple((r0 * b00 + r1 * b10 + r2 * b20 + r3 * b30, r0 * b01 + r1 * b11 + r2 * b21 + r3 * b31,
                   r0 * b02 + r1 * b12 + r2 * b22 + r3 * b32, r0 * b03 + r1 * b13 + r2 * b23 + r3 * b33)
@@ -552,9 +543,10 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
     The GL2 and Gottschling steps check that the iterate lies in H2.  The
     Gauss reduction behind step 1 raises ConditioningError when rounding,
     not the form, decides a step.  The witness is checked against int64
-    after each Gottschling step, so one that outgrows it is refused within
-    a pass, and on return it is checked against int64 and to be symplectic
-    (_symplectic), without being read again as a matrix argument.
+    by _int64_rows at the end of each pass that changed it, so one that
+    outgrows it, by a step of any of the three kinds, is refused within that
+    pass; on return _symplectic checks it once more and checks it to be
+    symplectic, without reading it again as a matrix argument.
     Returns the witness T, the passes used, and act(T, tau) with its cocycle
     det(C tau + D) from one _act_entries at tau, not the last iterate, which
     drifts from it on ill-conditioned points.  Raises NonConvergenceError if
@@ -594,14 +586,13 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
             if low < 1.0 - _TOL:
                 (t1, t2, t4), (r0, r1, r2, r3) = _gottschling_step(vals.index(low), t1, t2, t4, (r0, r1, r2, r3))
                 _check_entries(t1, t2, t4)
-                if max(map(abs, r0 + r1 + r2 + r3)) >= 2**63:
-                    raise ResourceLimitError("the reduction witness has an entry past int64")
                 changed = True
 
         if not changed:
             transform = _symplectic((r0, r1, r2, r3))
             image, cocycle = _act_entries(transform.rows, tau.tau1, tau.tau2, tau.tau4)
             return ReductionResult(SiegelPoint(*image), transform, iterations, cocycle)
+        _int64_rows((r0, r1, r2, r3))
 
     raise NonConvergenceError(f"reduction did not settle in {_MAX_ITER} passes")
 

@@ -78,13 +78,6 @@ class BoundReport(_Record):
 
     __slots__ = ("condition_holds", "h_psi_bound", "h_faltings_bound", "inputs")
 
-    def __init__(self, condition_holds: bool, h_psi_bound: float | None, h_faltings_bound: float | None,
-                 inputs: dict):
-        object.__setattr__(self, "condition_holds", condition_holds)
-        object.__setattr__(self, "h_psi_bound", h_psi_bound)
-        object.__setattr__(self, "h_faltings_bound", h_faltings_bound)
-        object.__setattr__(self, "inputs", inputs)
-
     def to_json(self) -> dict:
         out = {"case": self.inputs.get("case"), "holds": self.condition_holds}
         if self.condition_holds:
@@ -104,12 +97,8 @@ def bound_case_a(s_p: int, field_kind: str = "rational") -> BoundReport:
     if field_kind not in FIELD_KINDS:
         raise InvalidInputError(f"field_kind must be one of {FIELD_KINDS}")
     holds = s_p < 4
-    return BoundReport(
-        condition_holds=holds,
-        h_psi_bound=10.75 if holds else None,
-        h_faltings_bound=1070.0 if holds else None,
-        inputs={"case": "a", "s_p": s_p, "field": field_kind},
-    )
+    return BoundReport(holds, 10.75 if holds else None, 1070.0 if holds else None,
+                       {"case": "a", "s_p": s_p, "field": field_kind})
 
 
 def bound_case_b(s_p: int, archimedean_places: int, t) -> BoundReport:
@@ -125,9 +114,6 @@ def bound_case_b(s_p: int, archimedean_places: int, t) -> BoundReport:
     t = _real(t, MIN_TUBE_PARAMETER, math.inf, _TUBE)
     holds = s_p + archimedean_places < 10
     two_pi_t = 2.0 * math.pi * t
-    return BoundReport(
-        condition_holds=holds,
-        h_psi_bound=2.0 * two_pi_t + 6.14 if holds else None,
-        h_faltings_bound=two_pi_t + 535.0 * math.log(two_pi_t + 9.0) if holds else None,
-        inputs={"case": "b", "s_p": s_p, "places": archimedean_places, "t": t},
-    )
+    return BoundReport(holds, 2.0 * two_pi_t + 6.14 if holds else None,
+                       two_pi_t + 535.0 * math.log(two_pi_t + 9.0) if holds else None,
+                       {"case": "b", "s_p": s_p, "places": archimedean_places, "t": t})

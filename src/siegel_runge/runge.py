@@ -41,12 +41,11 @@ class DivisorIncidence(_Record):
         r = _integral(r, 1, "divisor count r must be an integer >= 1")
         what = "outside_y must be an iterable of subsets of integer indices"
         sets = {frozenset(_sequence(s, _integral, what)) for s in _sequence(outside_y, None, what)}
-        sets.discard(frozenset())
         for s in sets:
             if not all(1 <= i <= r for i in s):
                 raise InvalidInputError(f"subset {sorted(s)} uses indices outside 1..{r}")
         maximal = [s for s in sets if not any(s < t for t in sets)]
-        covered = frozenset().union(*maximal) if maximal else frozenset()
+        covered = frozenset().union(*maximal)
         # the indices lie in 1..r, so only a short cover leaves some out
         if len(covered) < r:
             missing = list(islice((i for i in range(1, r + 1) if i not in covered), 10))
@@ -73,12 +72,6 @@ class RungeVerdict(_Record):
 
     __slots__ = ("m_used", "s", "r", "holds")
 
-    def __init__(self, m_used: int, s: int, r: int, holds: bool):
-        object.__setattr__(self, "m_used", m_used)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "holds", holds)
-
     def to_json(self) -> dict:
         return {"holds": self.holds, "m": self.m_used, "s": self.s, "r": self.r}
 
@@ -89,7 +82,7 @@ def runge_condition(m_y: int, s: int, r: int) -> RungeVerdict:
     m_y = _integral(m_y, 1, "m_y must be an integer >= 1")
     s = _integral(s, 1, "s must be an integer >= 1")
     r = _integral(r, 1, "r must be an integer >= 1")
-    return RungeVerdict(m_used=m_y, s=s, r=r, holds=m_y * s < r)
+    return RungeVerdict(m_y, s, r, m_y * s < r)
 
 
 def _check_level(n: int) -> int:

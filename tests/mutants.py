@@ -140,8 +140,17 @@ MUTANTS = (
      "_mix(det * u11, r2, -det * u01, r3), _mix(-det * u10, r2, det * u00, r3))",
      "_mix(-det * u10, r2, det * u00, r3), _mix(det * u11, r2, -det * u01, r3))"),
     ("int64 guard dropped", HALFSPACE,
-     'if max(map(abs, r0 + r1 + r2 + r3)) >= 2**63:\n                    raise ResourceLimitError("the reduction',
-     'if False:\n                    raise ResourceLimitError("the reduction'),
+     "        _int64_rows((r0, r1, r2, r3))\n", ""),
+    ("int64 guard after the Gottschling step only", HALFSPACE,
+     "                changed = True\n\n        if not changed:\n"
+     "            transform = _symplectic((r0, r1, r2, r3))\n"
+     "            image, cocycle = _act_entries(transform.rows, tau.tau1, tau.tau2, tau.tau4)\n"
+     "            return ReductionResult(SiegelPoint(*image), transform, iterations, cocycle)\n"
+     "        _int64_rows((r0, r1, r2, r3))\n",
+     "                _int64_rows((r0, r1, r2, r3))\n                changed = True\n\n        if not changed:\n"
+     "            transform = _symplectic((r0, r1, r2, r3))\n"
+     "            image, cocycle = _act_entries(transform.rows, tau.tau1, tau.tau2, tau.tau4)\n"
+     "            return ReductionResult(SiegelPoint(*image), transform, iterations, cocycle)\n"),
     ("last of the smallest determinants taken", HALFSPACE,
      "_gottschling_step(vals.index(low),", "_gottschling_step(len(vals) - 1 - vals[::-1].index(low),"),
     ("Gottschling step below 1, not 1 - _TOL", HALFSPACE,

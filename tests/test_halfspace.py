@@ -729,10 +729,26 @@ class TestSpecialisedReduction:
 
         monkeypatch.setattr(halfspace, "_gottschling_step", recording_step)
         p = sr.sample_reduced_points(6, seed=3)[0]
-        with pytest.raises(sr.ResourceLimitError, match="reduction witness"):
+        with pytest.raises(sr.ResourceLimitError, match="past int64"):
             sr.reduce_to_fundamental_domain(squeeze(p, scale))
         assert largest[-1] >= 2**63
         assert max(largest[:-1]) < 2**63
+
+    def test_witness_past_int64_by_a_translation_stops_in_that_pass(self, monkeypatch):
+        # the translation by -2e19 takes the witness past 2^63 in pass 1, which
+        # takes no Gottschling step, so a guard after those steps only would
+        # let pass 2 run before the refusal on return
+        calls = []
+        gl2 = halfspace._minkowski_gl2
+
+        def counting_gl2(*args):
+            calls.append(args)
+            return gl2(*args)
+
+        monkeypatch.setattr(halfspace, "_minkowski_gl2", counting_gl2)
+        with pytest.raises(sr.ResourceLimitError, match="past int64"):
+            sr.reduce_to_fundamental_domain(sr.SiegelPoint(2e19 + 1j, 0.1j, 1.2j))
+        assert len(calls) == 1
 
 
 #: Real parts with exact zeros of either sign, where the closed-form steps

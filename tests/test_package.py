@@ -133,6 +133,9 @@ RECORDS = {
 #: Records with a field that cannot be hashed, so hashing them raises TypeError.
 UNHASHABLE = {"BoundReport", "ProjectivePoint"}
 
+#: Records the library builds, through the positional constructor of _Record.
+RESULTS = {"ReductionResult", "BoundReport", "RungeVerdict", "ThetaValue"}
+
 
 def _same(x, y):
     """Equal records; a ProjectivePoint by its fields, since a copied
@@ -184,6 +187,17 @@ class TestRecords:
         _, make, _ = RECORDS[name]
         x = make()
         assert _same(x, through(x))
+
+    def test_constructor_takes_exactly_the_fields(self, name):
+        fields, make, _ = RECORDS[name]
+        x = make()
+        values = tuple(getattr(x, f) for f in fields)
+        assert _same(x, type(x)(*values))
+        # the base constructor names the count; a validating one is Python's own
+        match = f"takes {len(fields)} fields" if name in RESULTS else "positional argument"
+        for wrong in (values[:-1], values + (values[-1],)):
+            with pytest.raises(TypeError, match=match):
+                type(x)(*wrong)
 
     def test_only_characteristics_are_ordered(self, name):
         _, make, other = RECORDS[name]

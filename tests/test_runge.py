@@ -101,6 +101,16 @@ class TestIncidenceNormalization:
         with pytest.raises(sr.InvalidInputError):
             incidence(1, [])
 
+    def test_empty_subset_is_implied(self):
+        # the antichain step drops it beside any nonempty subset
+        assert DivisorIncidence(2, [[], [1, 2]]) == DivisorIncidence(2, [[1, 2]])
+        assert DivisorIncidence(2, [[], [1, 2]]).outside_y == (frozenset({1, 2}),)
+
+    def test_only_empty_subsets_rejected(self):
+        # the cover check refuses them: they cover no divisor
+        with pytest.raises(sr.InvalidInputError):
+            DivisorIncidence(1, [[]])
+
     def test_zero_divisors_rejected(self):
         with pytest.raises(sr.InvalidInputError):
             incidence(0, [])
