@@ -88,9 +88,13 @@ class SiegelPoint(_Record):
         Taken as det / lam_max, with det = y1 (y4 - y2^2 / y1), because
         0.5 (tr - disc) cancels to 0 when the eigenvalues are far apart.
         """
-        y1, y2, y4 = self.tau1.imag, self.tau2.imag, self.tau4.imag
-        lam_max = 0.5 * (y1 + y4 + math.hypot(y1 - y4, 2.0 * y2))
-        return (y1 / lam_max) * (y4 - y2 * (y2 / y1))
+        return _least_eigenvalue(self.tau1.imag, self.tau2.imag, self.tau4.imag)
+
+
+def _least_eigenvalue(y1: float, y2: float, y4: float) -> float:
+    """Smallest eigenvalue of [[y1, y2], [y2, y4]]; see SiegelPoint.min_imag_eigenvalue."""
+    lam_max = 0.5 * (y1 + y4 + math.hypot(y1 - y4, 2.0 * y2))
+    return (y1 / lam_max) * (y4 - y2 * (y2 / y1))
 
 
 def _positive_definite(y1: float, y2: float, y4: float) -> bool:
@@ -196,10 +200,10 @@ def _symplectic_rows(rows) -> tuple:
 
 
 def _symplectic(rows) -> "SymplecticMatrix":
-    """SymplecticMatrix(rows) for rows of Python ints: checked against
-    int64 and by _symplectic_rows, but not read again by _integer_rows."""
+    """SymplecticMatrix(rows) for rows of Python ints within int64: checked
+    by _symplectic_rows, but not read again by _integer_rows."""
     m = object.__new__(SymplecticMatrix)
-    _set(m, "rows", _symplectic_rows(_int64_rows(rows)))
+    _set(m, "rows", _symplectic_rows(rows))
     return m
 
 
@@ -230,13 +234,13 @@ class SymplecticMatrix(_Record):
         return m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:]
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        return _symplectic(_compose(self.rows, other.rows))
+        return _symplectic(_int64_rows(_compose(self.rows, other.rows)))
 
     def inverse(self) -> "SymplecticMatrix":
         """[[D^t, -B^t], [-C^t, A^t]], the inverse of a symplectic matrix."""
         (a00, a01, b00, b01), (a10, a11, b10, b11), (c00, c01, d00, d01), (c10, c11, d10, d11) = self.rows
-        return _symplectic(((d00, d10, -b00, -b10), (d01, d11, -b01, -b11),
-                            (-c00, -c10, a00, a10), (-c01, -c11, a01, a11)))
+        return _symplectic(_int64_rows(((d00, d10, -b00, -b10), (d01, d11, -b01, -b11),
+                                        (-c00, -c10, a00, a10), (-c01, -c11, a01, a11))))
 
 
 J = SymplecticMatrix(((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0)))
@@ -545,18 +549,28 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
     not the form, decides a step.  The witness is checked against int64
     by _int64_rows at the end of each pass that changed it, so one that
     outgrows it, by a step of any of the three kinds, is refused within that
-    pass; on return _symplectic checks it once more and checks it to be
-    symplectic, without reading it again as a matrix argument.
+    pass.  The pass that settles changes nothing, so on return the witness
+    is only checked to be symplectic (_symplectic), without reading it
+    again as a matrix argument.
     Returns the witness T, the passes used, and act(T, tau) with its cocycle
     det(C tau + D) from one _act_entries at tau, not the last iterate, which
     drifts from it on ill-conditioned points.  Raises NonConvergenceError if
     1000 passes do not settle, and ResourceLimitError if the witness
-    transform would outgrow int64.
+    transform would outgrow int64.  The loop is _reduce, which
+    theta_fourth_vector's route calls without building these records.
     """
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
+    rows, passes = _reduce(tau.tau1, tau.tau2, tau.tau4)
+    transform = _symplectic(rows)
+    image, cocycle = _act_entries(rows, tau.tau1, tau.tau2, tau.tau4)
+    return ReductionResult(SiegelPoint(*image), transform, passes, cocycle)
 
-    t1, t2, t4 = tau.tau1, tau.tau2, tau.tau4
+
+def _reduce(t1: complex, t2: complex, t4: complex) -> tuple[tuple, int]:
+    """The loop of reduce_to_fundamental_domain at the point of H2 with
+    entries (t1, t2, t4): the witness rows, Python ints within int64 not yet
+    checked to be symplectic, and the passes used.  Raises as that does."""
     r0, r1, r2, r3 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
     for iterations in range(1, _MAX_ITER + 1):
         changed = False
@@ -589,9 +603,7 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
                 changed = True
 
         if not changed:
-            transform = _symplectic((r0, r1, r2, r3))
-            image, cocycle = _act_entries(transform.rows, tau.tau1, tau.tau2, tau.tau4)
-            return ReductionResult(SiegelPoint(*image), transform, iterations, cocycle)
+            return (r0, r1, r2, r3), iterations
         _int64_rows((r0, r1, r2, r3))
 
     raise NonConvergenceError(f"reduction did not settle in {_MAX_ITER} passes")

@@ -71,10 +71,11 @@ sends m to M.m with the sign (-1)^(tr(B^t C) + x.diag(B^t D) + y.diag(A^t C))
 at 2m = (x, y), the fourth power of kappa(M) e(phi_m(M)); the other terms
 of phi_m are integers and drop out of the fourth power.
 :func:`theta_fourth_vector` uses it for points whose box at 2 tau would be
-large: it sums the box at 2 res.reduced instead, with res the result of
-:func:`~siegel_runge.halfspace.reduce_to_fundamental_domain`, at the
-tolerance scaled by |det(C tau + D)|^2 = |res.cocycle|^2, and maps the
-values back through rho.  So the cut kernel never sums past radius 17.
+large: it sums the box at 2q instead, with q = M tau the fundamental-domain
+image of tau by the witness M of the reduction loop (the core of
+:func:`~siegel_runge.halfspace.reduce_to_fundamental_domain`), at the
+tolerance scaled by |det(C tau + D)|^2, and maps the values back through
+rho.  So the cut kernel never sums past radius 17.
 Theta constants themselves pick up eighth roots of unity under Sp4(Z), so
 :func:`theta_constant` always sums at tau.
 """
@@ -82,26 +83,34 @@ Theta constants themselves pick up eighth roots of unity under Sp4(Z), so
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache, total_ordering
 
 import numpy as np
 
 from .errors import (_TINY, DEFAULT_TOL, DEFAULT_TOL_FOURTH, InconsistencyError, InvalidInputError,
                      ResourceLimitError, _integral, _real, _Record, _sequence)
-from .halfspace import SiegelPoint, reduce_to_fundamental_domain
+from .halfspace import SiegelPoint, _act_entries, _check_entries, _least_eigenvalue, _reduce, _symplectic_rows
 
 
 _MAX_RADIUS = 10_000
 
 #: theta_fourth_vector sums boxes at 2 tau up to this radius directly and
 #: evaluates points that need more through the fundamental domain.  The two
-#: cost the same between radius 14 and 15.  Median direct/routed time per
-#: point, one pinned CPU, 20 embed_unreduced inputs per radius, each call
-#: after 16 control-kernel calls as in the bench: 70.4/77.1 us at radius 14,
-#: 76.7/72.7 at 15, 91.6/77.2 at 16 and 99.8/82.4 at 17.  A gate at 14 would
-#: route the 42 of the 768 seed-1, 7 and 11 inputs at radius 15-16, a change
-#: that the bench's embed_unreduced tail has to show.
-_ROUTE_RADIUS = 16
+#: cost the same at radius 14, and the route is faster from 15 on.  Median
+#: over points of the median psi time per point, direct/routed in us, one
+#: pinned CPU, the distinct embed_unreduced inputs of seeds 1, 7 and 11 at
+#: each radius (29, 25, 24, 21, 21 and 18 of them at radius 12 to 17), each
+#: routed point with the gate one below its radius, 15 interleaved rounds:
+#:
+#:   radius               12          13          14          15          16           17
+#:   back to back    60.7/77.7   70.5/79.0   78.3/77.5   87.7/79.0   99.8/78.5   103.6/80.3
+#:   16 control      63.9/80.8   70.5/81.3   82.4/83.9   92.8/82.9   105.0/83.5  108.8/83.8
+#:
+#: The second row runs 16 control-kernel calls before each call, as the
+#: bench does.  The two settings disagree at 14, so the gate takes the
+#: higher radius: 15 is the lowest that routes no slower in both.
+_ROUTE_RADIUS = 14
 
 #: The table of _fused holds the box at this radius, the most 2q needs for reduced q.
 _DOMAIN_RADIUS = 17
@@ -450,22 +459,21 @@ def _fourth_inner_tol(y2: float, tol: float) -> float:
     return tol / 64.0 / s / s / s / s / s / s
 
 
-def _fourth_powers(tau: SiegelPoint, tol: float, cap: int) -> np.ndarray | None:
-    """The ten Theta_m(tau)^4 within min(tol, 1/2), or None if the inner
-    tolerance underflows or the box at 2 tau needs a radius past cap <= 17:
-    :func:`_duplication` of the four Theta_(c, 0)(2 tau) of :func:`_b0_sums`.
-    2 tau enters only through its entries, so it is never built as a
-    SiegelPoint.  The fourth powers have exact period 2 in each real entry,
-    so a real part past 1 is first taken mod 2, exactly: the exponent would
-    round a large Re(tau) w^2 and lose the phases.  A reduced point never
-    needs it."""
-    y2 = 2.0 * tau.min_imag_eigenvalue()
+def _fourth_powers(t1: complex, t2: complex, t4: complex, y_min: float, tol: float, cap: int) -> np.ndarray | None:
+    """The ten Theta_m(tau)^4 within min(tol, 1/2) at the point of H2 with
+    entries (t1, t2, t4) and least eigenvalue y_min of Im(tau), or None if
+    the inner tolerance underflows or the box at 2 tau needs a radius past
+    cap <= 17: :func:`_duplication` of the four Theta_(c, 0)(2 tau) of
+    :func:`_b0_sums`.  Neither tau nor 2 tau is built as a SiegelPoint.  The
+    fourth powers have exact period 2 in each real entry, so a real part
+    past 1 is first taken mod 2, exactly: the exponent would round a large
+    Re(tau) w^2 and lose the phases.  A reduced point never needs it."""
+    y2 = 2.0 * y_min
     inner = _fourth_inner_tol(y2, min(tol, 0.5))
     found = _radius_up_to(y2, inner, cap) if inner > 0.0 else None
     if found is None:
         return None
     r, tail = found
-    t1, t2, t4 = tau.tau1, tau.tau2, tau.tau4
     if not (-1.0 <= t1.real <= 1.0 and -1.0 <= t2.real <= 1.0 and -1.0 <= t4.real <= 1.0):
         t1, t2, t4 = (complex(math.remainder(t.real, 2.0), t.imag) for t in (t1, t2, t4))
     t = _b0_sums(np.array((2.0 * t1, 2.0 * t2, 2.0 * t4)), _cut(r, y2, inner - tail))
@@ -499,10 +507,11 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
 
     The box is summed at 2 tau, each Re(tau) entry taken mod 2, to the inner
     tolerance of min(tol, 1/2) while its radius is at most _ROUTE_RADIUS
-    (16).  A point that needs more, or whose inner tolerance underflows,
-    goes through the fundamental domain: with res the result of
-    :func:`reduce_to_fundamental_domain` at tau, T = [[A, B], [C, D]] =
-    res.transform, q = res.reduced and det(C tau + D) = res.cocycle,
+    (14).  A point that needs more, or whose inner tolerance underflows,
+    goes through the fundamental domain: with T = [[A, B], [C, D]] the
+    witness of the reduction loop at tau (the core of
+    :func:`~siegel_runge.halfspace.reduce_to_fundamental_domain`) and
+    q = T tau,
 
         theta^4(tau) = det(C tau + D)^-2 rho(T)^-1 theta^4(q),
 
@@ -517,12 +526,20 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
     tol = _real(tol, _TINY, math.inf, "tol must be finite and positive")
-    values = _fourth_powers(tau, tol, _ROUTE_RADIUS)
+    t1, t2, t4 = tau.tau1, tau.tau2, tau.tau4
+    values = _fourth_powers(t1, t2, t4, _least_eigenvalue(t1.imag, t2.imag, t4.imag), tol, _ROUTE_RADIUS)
     return _fourth_through_domain(tau, tol) if values is None else values
 
 
 def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
     """theta_fourth_vector(tau, tol) from the box at twice the reduced point; see there.
+
+    The route calls the reduction loop, _reduce, and builds none of the
+    records of reduce_to_fundamental_domain, but keeps its checks: the
+    witness T is checked to be symplectic (_symplectic_rows), and the image
+    q and the cocycle det(C tau + D) come from one _act_entries at tau, as
+    there, with q checked to lie in H2 (_check_entries).  So q and det2 are
+    bit for bit those of the public result.
 
     That box has radius at most _DOMAIN_RADIUS = 17, and a point that needs
     more is not reduced.  Y = Im(q) is Minkowski reduced, 0 <= 2 y2 <= y1 <= y4
@@ -534,21 +551,48 @@ def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
     bound falls below it at radius 17 (16 at 1e-300), and still does at
     0.99 sqrt(3)/2, a margin far wider than the rounding of the reduction.
     A smaller inner tolerance is 0 and is refused.
+
+    The division by det2 = det(C tau + D)^2 cannot overflow once |det2| is
+    past a bound read off q, so only a smaller or infinite |det2| pays for
+    a checked division.  With y2 = 2 y_min the least eigenvalue of Im(2q)
+    and U2 = (1 + y2^(-1/2))^2, each cut sum at 2q is at most U2 in modulus,
+    as the absolute series is (the proof at :func:`_fourth_inner_tol`), so
+    each square of the duplication formula is at most 4 U2^2 and each value
+    at most V = 16 U2^4 + 1/2.  The 1/2 covers rounding: a box at radius 17
+    or less meets an inner tolerance below 1/2 only for y2 > 0.023, so
+    U2 < 57 and 16 U2^4 < 1.7e8, which sums of at most 2556 terms round by
+    less than 1e-3.  numpy divides complex numbers by Smith's method, which
+    keeps each part of a quotient within its modulus up to rounding, and
+    its reciprocal 1 / (c (1 + r^2)), with c the larger part of det2, is
+    finite as |c| >= |det2| / sqrt(2) is.  So for |det2| >= 2 V / DBL_MAX
+    every part of values / det2 is below DBL_MAX / 2.  At a reduced q,
+    y2 >= sqrt(3)/2 gives U2 <= (1 + (sqrt(3)/2)^(-1/2))^2 = 4.30, V < 5491
+    and a bound below 6.2e-305.  |det2| falls under it at points such as
+    SiegelPoint(1.1e-77j, 0.2e-77j, 1.3e-77j), where it is 1.9e-308.
     """
-    res = reduce_to_fundamental_domain(tau)
-    q, det2 = res.reduced, res.cocycle * res.cocycle
+    t1, t2, t4 = tau.tau1, tau.tau2, tau.tau4
+    rows, _ = _reduce(t1, t2, t4)
+    (q1, q2, q4), cocycle = _act_entries(_symplectic_rows(rows), t1, t2, t4)
+    _check_entries(q1, q2, q4)
+    y_min = _least_eigenvalue(q1.imag, q2.imag, q4.imag)
+    det2 = cocycle * cocycle
     scaled = tol * abs(det2)
-    values = _fourth_powers(q, scaled, _DOMAIN_RADIUS)
+    values = _fourth_powers(q1, q2, q4, y_min, scaled, _DOMAIN_RADIUS)
     if values is None:
-        if _fourth_inner_tol(2.0 * q.min_imag_eigenvalue(), min(scaled, 0.5)) > 0.0:
-            raise InconsistencyError(f"the reduced point {q} needs a box radius past {_DOMAIN_RADIUS} at 2q")
+        if _fourth_inner_tol(2.0 * y_min, min(scaled, 0.5)) > 0.0:
+            raise InconsistencyError(
+                f"the reduced point {SiegelPoint(q1, q2, q4)} needs a box radius past {_DOMAIN_RADIUS} at 2q")
         raise ResourceLimitError(f"det(C tau + D)^2 = {det2:.3e} underflows the tolerance" if abs(det2) < 1.0
                                  else f"the tolerance {tol:.1e} underflows at the reduced point")
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = res.transform.rows
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
     perm, sign = _rho(((a0 & 1, a1 & 1, a2 & 1, a3 & 1), (b0 & 1, b1 & 1, b2 & 1, b3 & 1),
                        (c0 & 1, c1 & 1, c2 & 1, c3 & 1), (d0 & 1, d1 & 1, d2 & 1, d3 & 1)))
+    out = sign * values[perm]
+    u2 = (1.0 + 1.0 / math.sqrt(2.0 * y_min)) ** 2
+    if 2.0 * (16.0 * u2 ** 4 + 0.5) / sys.float_info.max <= abs(det2) < math.inf:
+        return out / det2
     with np.errstate(over="ignore", invalid="ignore"):
-        out = sign * values[perm] / det2
+        out /= det2
     if not np.isfinite(out).all():
         raise ResourceLimitError("theta fourth powers leave the double range")
     return out

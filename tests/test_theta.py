@@ -60,8 +60,8 @@ def disk_norm(r, y_min, budget):
 def reductions(monkeypatch):
     """The points that theta_fourth_vector sends through the fundamental domain, in order."""
     seen = []
-    reduce = theta.reduce_to_fundamental_domain
-    monkeypatch.setattr(theta, "reduce_to_fundamental_domain", lambda t: seen.append(t) or reduce(t))
+    reduce = theta._reduce
+    monkeypatch.setattr(theta, "_reduce", lambda *entries: seen.append(sr.SiegelPoint(*entries)) or reduce(*entries))
     return seen
 
 
@@ -306,7 +306,7 @@ class TestCut:
             for factor in (1.0, 2.0):
                 y = factor * tau.min_imag_eigenvalue()
                 r = sr.truncation_radius(y, budget)
-                assert r <= theta._ROUTE_RADIUS
+                assert r <= theta._DOMAIN_RADIUS
                 s = disk_norm(r, y, budget)
                 assert s < (2 * r + 1) ** 2 / 2
                 got = theta._b0_sums(entries(tau, factor), theta._cut(r, y, budget))
@@ -535,6 +535,9 @@ def class_representatives() -> list:
     return list(reps.values())
 
 
+#: The rows of the 4 x 4 identity.
+IDENTITY_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
 #: A reduced point whose imaginary part the gate tests scale down.
 GATE_BASE = sr.SiegelPoint(0.11 + 1.05j, 0.23 + 0.31j, -0.17 + 1.22j)
 
@@ -547,7 +550,11 @@ def scaled(s):
 
 def scaled_radius(s, tol):
     """The direct box radius of theta_fourth_vector at scaled(s), which it sums at 2 scaled(s)."""
-    tau = scaled(s)
+    return scaled_radius_at(scaled(s), tol)
+
+
+def scaled_radius_at(tau, tol):
+    """The direct box radius of theta_fourth_vector at tau, which it sums at 2 tau."""
     return sr.truncation_radius(2.0 * tau.min_imag_eigenvalue(), direct_tolerance(tau, tol))
 
 
@@ -724,21 +731,77 @@ class TestRoute:
     def test_unreduced_route_point_is_refused(self, monkeypatch):
         """A route point whose box at 2q needs a radius past 17 is not
         reduced, which the proof at _fourth_through_domain rules out: an
-        InconsistencyError, with no sum over a box the table does not hold."""
-        reduce = theta.reduce_to_fundamental_domain
+        InconsistencyError, with no sum over a box the table does not hold.
+        The identity witness maps the point to itself."""
         far = scaled(1e-3)
-
-        def unreduced(t):
-            res = reduce(t)
-            return sr.ReductionResult(far, res.transform, res.iterations, res.cocycle)
-
-        monkeypatch.setattr(theta, "reduce_to_fundamental_domain", unreduced)
+        monkeypatch.setattr(theta, "_reduce", lambda *entries: (IDENTITY_ROWS, 1))
         monkeypatch.setattr(theta, "_b0_sums", None)
         with pytest.raises(sr.InconsistencyError, match="past 17"):
             sr.theta_fourth_vector(far, self.TOL)
 
+    def test_route_matches_the_public_reduction(self, reductions):
+        """The route runs the reduction loop, _reduce, without the records of
+        reduce_to_fundamental_domain.  On level-2 images that route and on
+        scaled points from just past the gate down to Im scale 1e-4, its
+        witness and passes are those of the public result, and its values
+        are, bit for bit, those built from that result."""
+        rng = np.random.default_rng(31)
+        points = [scaled(s) for s in (0.035, 0.03, 0.01, 1e-3, 1e-4)]
+        for p in sr.sample_reduced_points(8, seed=31):
+            for s in (0.1, 0.02):
+                image = sr.act(sr.random_level2_matrix(rng), p)
+                tau = sr.SiegelPoint(*(complex(z.real, s * z.imag) for z in (image.tau1, image.tau2, image.tau4)))
+                if scaled_radius_at(tau, self.TOL) > theta._ROUTE_RADIUS:
+                    points.append(tau)
+        assert len(points) >= 15
+        for tau in points:
+            reductions.clear()
+            got = sr.theta_fourth_vector(tau, self.TOL)
+            assert reductions == [tau]
+            res = sr.reduce_to_fundamental_domain(tau)
+            assert theta._reduce(tau.tau1, tau.tau2, tau.tau4) == (res.transform.rows, res.iterations)
+            q, det2 = res.reduced, res.cocycle * res.cocycle
+            perm, sign = theta._rho(tuple(tuple(x & 1 for x in row) for row in res.transform.rows))
+            values = theta._fourth_powers(q.tau1, q.tau2, q.tau4, q.min_imag_eigenvalue(), self.TOL * abs(det2),
+                                          theta._DOMAIN_RADIUS)
+            assert np.array_equal(got, sign * values[perm] / det2)
+
+    def test_route_checks_its_witness_and_image(self, monkeypatch):
+        """The only killers of "route drops the form check" and "route drops
+        the H2 check on the image": like reduce_to_fundamental_domain, the
+        route refuses a witness that does not preserve the symplectic form
+        and an image outside H2, here made by the loop and the action
+        replaced."""
+        tau = scaled(1e-2)
+        bent = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        with monkeypatch.context() as m:
+            m.setattr(theta, "_reduce", lambda *entries: (bent, 1))
+            with pytest.raises(sr.InvalidInputError, match="symplectic form"):
+                sr.theta_fourth_vector(tau, self.TOL)
+        act = theta._act_entries
+
+        def conjugated(g, *entries):
+            image, cocycle = act(g, *entries)
+            return tuple(z.conjugate() for z in image), cocycle
+
+        monkeypatch.setattr(theta, "_act_entries", conjugated)
+        with pytest.raises(sr.InvalidInputError, match="not positive definite"):
+            sr.theta_fourth_vector(tau, self.TOL)
+
+    def test_double_range_edge(self):
+        """The only killers of "double-range refusal dropped" and "overflow
+        bound dropped from the scalar test".  Both points go through J, with
+        det(C tau + D)^2 = det(tau)^2 below the bound past which the route
+        divides unchecked: at Im scale 1e-78 it is about 2e-312 and the
+        values leave the double range, which is refused, and at 1e-77 about
+        2e-308, which leaves the largest value at 5.18e307."""
+        with pytest.raises(sr.ResourceLimitError, match=r"^theta fourth powers leave the double range$"):
+            sr.theta_fourth_vector(sr.SiegelPoint(1.1e-78j, 0.2e-78j, 1.3e-78j), 1e300)
+        v = sr.theta_fourth_vector(sr.SiegelPoint(1.1e-77j, 0.2e-77j, 1.3e-77j), 1e300)
+        assert np.isfinite(v).all() and 5.17e307 < np.max(np.abs(v)) < 5.19e307
+
     def test_reduced_points_sum_directly(self, monkeypatch):
-        monkeypatch.setattr(theta, "reduce_to_fundamental_domain", None)
+        monkeypatch.setattr(theta, "_reduce", None)
         for tau in sr.sample_reduced_points(50, seed=72):
             sr.theta_fourth_vector(tau)
 
@@ -746,7 +809,7 @@ class TestRoute:
         """The only killer of "extra radius search on the direct path": the
         radius search, capped at the gate, also decides the route.  Radii
         from 3 up to the gate, all summed at 2 tau."""
-        scales = (1.0, 0.3, 0.03)
+        scales = (1.0, 0.3, 0.04)
         assert scaled_radius(scales[-1], self.TOL) == theta._ROUTE_RADIUS
         points = sr.sample_reduced_points(5, seed=73) + [scaled(s) for s in scales]
         calls = []
