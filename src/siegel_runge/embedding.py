@@ -18,9 +18,9 @@ import math
 
 import numpy as np
 
-from .errors import _TINY, InconsistencyError, InvalidInputError, _integral, _real, _Record, _sequence
-from .halfspace import in_tube, reduce_to_fundamental_domain
-from .theta import DEFAULT_TOL_FOURTH, theta_fourth_vector
+from .errors import _TINY, InconsistencyError, InvalidInputError, _integral, _real, _Record, _sequence, _set
+from .halfspace import SiegelPoint, in_tube, reduce_to_fundamental_domain
+from .theta import DEFAULT_TOL_FOURTH, _fourth_vector
 
 
 #: Relative cutoff used when deciding whether a coordinate is "near zero".
@@ -38,34 +38,50 @@ class ProjectivePoint(_Record):
 
     ``tol`` records the absolute evaluation tolerance the coordinates carry,
     finite and positive; ``sup`` is max|coords|, computed once here, and
-    left out of equality and repr; a non-finite one is refused.
+    left out of equality and repr; a non-finite one is refused.  The moduli
+    that give ``sup`` are kept, outside the fields, for
+    :func:`near_zero_coordinates`.
     """
 
-    __slots__ = ("coords", "tol", "sup")
+    __slots__ = ("coords", "tol", "sup", "_moduli")
     _fields = ("coords", "tol")
 
     def __init__(self, coords: np.ndarray, tol: float):
-        tol = _real(tol, _TINY, math.inf, "tol must be finite and positive")
-        c = _numbers(coords, "expected 10 coordinates", (10,))
-        c.setflags(write=False)
-        # numpy's moduli, which Python's abs of a complex can miss by an ulp;
-        # a plain max skips a nan that is not first, the sum of them does not
-        mags = np.abs(c).tolist()
-        sup = max(mags)
-        if not math.isfinite(sup) or math.isnan(sum(mags)):
-            raise InvalidInputError(f"coordinates must be finite, got {c}")
-        if sup <= 10.0 * tol:
-            raise InconsistencyError(
-                "all coordinates are below 10x the evaluation tolerance; "
-                "theta fourth powers have no common zero on H2"
-            )
-        object.__setattr__(self, "coords", c)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "sup", sup)
+        _fill(self, _numbers(coords, "expected 10 coordinates", (10,)),
+              _real(tol, _TINY, math.inf, "tol must be finite and positive"))
+
+    @classmethod
+    def _trusted(cls, coords: np.ndarray, tol: float) -> ProjectivePoint:
+        """The point of a complex array of shape (10,) that the library made and
+        hands over, and of a tol already read: only the checks on values run."""
+        point = object.__new__(cls)
+        _fill(point, coords, tol)
+        return point
 
     def normalized(self) -> np.ndarray:
         """Coordinates scaled to unit sup-norm."""
         return self.coords / self.sup
+
+
+def _fill(point: ProjectivePoint, c: np.ndarray, tol: float) -> None:
+    """Set the fields of a ProjectivePoint from a complex array of shape (10,),
+    made read-only here, and a tol in (0, inf), once the values pass their checks."""
+    # numpy's moduli, which Python's abs of a complex can miss by an ulp;
+    # a plain max skips a nan that is not first, the sum of them does not
+    moduli = np.abs(c).tolist()
+    sup = max(moduli)
+    if not math.isfinite(sup) or math.isnan(sum(moduli)):
+        raise InvalidInputError(f"coordinates must be finite, got {c}")
+    if sup <= 10.0 * tol:
+        raise InconsistencyError(
+            "all coordinates are below 10x the evaluation tolerance; "
+            "theta fourth powers have no common zero on H2"
+        )
+    c.setflags(write=False)
+    _set(point, "coords", c)
+    _set(point, "tol", tol)
+    _set(point, "sup", sup)
+    _set(point, "_moduli", moduli)
 
 
 def _numbers(x, what: str = "expected an array of numbers", shape=None) -> np.ndarray:
@@ -81,8 +97,14 @@ def _numbers(x, what: str = "expected an array of numbers", shape=None) -> np.nd
 
 
 def psi(tau, tol: float = DEFAULT_TOL_FOURTH) -> ProjectivePoint:
-    """Embed tau (or its orbit) into P^9 via the even theta fourth powers."""
-    return ProjectivePoint(theta_fourth_vector(tau, tol), tol)
+    """Embed tau (or its orbit) into P^9 via the even theta fourth powers.
+
+    tau and tol are read once, as theta_fourth_vector reads them, and the
+    point takes over the new array of its core without reading it again."""
+    if not isinstance(tau, SiegelPoint):
+        tau = SiegelPoint.from_matrix(tau)
+    tol = _real(tol, _TINY, math.inf, "tol must be finite and positive")
+    return ProjectivePoint._trusted(_fourth_vector(tau, tol), tol)
 
 
 def projective_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
@@ -100,8 +122,9 @@ def projective_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
 
 
 def near_zero_coordinates(p: ProjectivePoint) -> set[int]:
-    """Indices i with |coords[i]| <= DEFAULT_REL_TOL * max|coords|."""
-    return set((np.abs(p.coords) <= DEFAULT_REL_TOL * p.sup).nonzero()[0].tolist())
+    """Indices i with |coords[i]| <= DEFAULT_REL_TOL * max|coords|, read off the moduli the point keeps."""
+    cut = DEFAULT_REL_TOL * p.sup
+    return {i for i, m in enumerate(p._moduli) if m <= cut}
 
 
 def is_product_locus(tau) -> bool | None:

@@ -101,9 +101,11 @@ class _Record:
     result records (ReductionResult, ThetaValue, RungeVerdict, BoundReport),
     which the library builds and which check nothing, use it.  A record that
     validates has its own __init__, which sets its fields by
-    object.__setattr__ once its checks pass: calling this one there instead
-    made psi 5% slower when tried on ProjectivePoint (14.6 against 13.9 us
-    per call on one pinned CPU), for one more call and a loop.
+    object.__setattr__ once its checks pass; calling this one there instead
+    adds a call and a loop.  ProjectivePoint sets its fields in a helper
+    that its __init__ shares with ProjectivePoint._trusted, the constructor
+    through which psi hands over its own array and its tol already read, so
+    that only the checks on the values run again.
 
     A record compares equal to one of its own class with equal fields (as a
     tuple, so an identical value counts as equal), hashes as the tuple of

@@ -42,22 +42,24 @@ constants at 2 tau, by the duplication formula
 
 (Dupont, thesis, 2006; Labrande and Thome, ANTS XII, 2016), one fixed
 signed 10 x 16 map of their products, squared.  Flattened, the half box
-gives the four as K @ exp(c @ Q) with c = (2 tau1, 2 tau2, 2 tau4), Q the
-exponents and K the signs, in one table of the box at radius 17 with the
-columns v = n + a sorted by |v|^2 (:func:`_fused`).  R takes the tail alone
-to below the inner tolerance; the rest of it is a budget for the terms
-inside the box too small to matter.  Every term at 2 tau is at most
+gives the four as K @ exp(c @ Q) with c = (tau1, tau2, tau4), Q the
+exponents at twice c and K the signs, in one table of the box at radius 17
+with the columns v = n + a sorted by |v|^2 (:func:`_fused`).  The box is
+the one at the caller's cap R, 14 (_ROUTE_RADIUS) at 2 tau and 17 at 2q:
+one test of its tail bound against the inner tolerance decides whether the
+point is summed there, and the rest of the inner tolerance is a budget for
+the terms inside the box too small to matter.  Every term at 2 tau is at most
 exp(-pi y2 |v|^2) with y2 = 2 y_min, so the kernel sums only the prefix, a
 disk, of the columns with |v|^2 <= S = log(2N / budget) / (pi y2), N the
 columns of the box at R, as ellipsoid summation does (Deconinck et al.,
 Math. Comp. 73, 2004); the proof at :func:`_b0_sums` holds for every
-R <= 17.  With U2 = (1 + y2^(-1/2))^2, which bounds the absolute series at
-2 tau, the four sums within delta give squares within 8 U2 delta and fourth
-powers within 64 U2^3 delta, so the box at 2 tau is summed to
-tol / (64 U2^3) (proof at :func:`_fourth_inner_tol`).  That is the same
-absolute contract as fourth powers of the sums at tau, but a small
-coordinate comes out of a sum of products as large as U2^2, so its relative
-error is larger.
+R <= 17, so no point needs a radius of its own.  With U2 =
+(1 + y2^(-1/2))^2, which bounds the absolute series at 2 tau, the four sums
+within delta give squares within 8 U2 delta and fourth powers within
+64 U2^3 delta, so the box at 2 tau is summed to tol / (64 U2^3) (proof at
+:func:`_fourth_inner_tol`).  That is the same absolute contract as fourth
+powers of the sums at tau, but a small coordinate comes out of a sum of
+products as large as U2^2, so its relative error is larger.
 
 The fourth powers are weight-2 forms for the level-2 group, so for M =
 [[A, B], [C, D]] in Sp4(Z)
@@ -101,15 +103,16 @@ _MAX_RADIUS = 10_000
 #: over points of the median psi time per point, direct/routed in us, one
 #: pinned CPU, the distinct embed_unreduced inputs of seeds 1, 7 and 11 at
 #: each radius (29, 25, 24, 21, 21 and 18 of them at radius 12 to 17), each
-#: routed point with the gate one below its radius, 15 interleaved rounds:
+#: point summed with the gate at its radius, so cut for the box there, and
+#: routed with the gate one below, 31 interleaved rounds:
 #:
 #:   radius               12          13          14          15          16           17
-#:   back to back    60.7/77.7   70.5/79.0   78.3/77.5   87.7/79.0   99.8/78.5   103.6/80.3
-#:   16 control      63.9/80.8   70.5/81.3   82.4/83.9   92.8/82.9   105.0/83.5  108.8/83.8
+#:   back to back    57.8/73.0   63.3/69.8   73.4/71.5   83.5/72.4   89.6/67.3    99.3/72.9
+#:   16 control      55.8/72.6   65.2/72.5   73.8/75.4   82.3/74.4   98.1/75.1   105.7/80.4
 #:
 #: The second row runs 16 control-kernel calls before each call, as the
 #: bench does.  The two settings disagree at 14, so the gate takes the
-#: higher radius: 15 is the lowest that routes no slower in both.
+#: higher radius: 15 is the lowest that routes faster in both.
 _ROUTE_RADIUS = 14
 
 #: The table of _fused holds the box at this radius, the most 2q needs for reduced q.
@@ -231,26 +234,17 @@ def truncation_radius(y_min: float, tol: float) -> int:
 
 def _truncation(y_min: float, tol: float) -> tuple[int, float]:
     """The radius of :func:`truncation_radius` and its tail bound."""
-    found = _radius_up_to(y_min, tol, _MAX_RADIUS)
-    if found is None:
-        raise ResourceLimitError(
-            f"tolerance {tol:.1e} at y_min {y_min:.3e} needs a box radius beyond {_MAX_RADIUS}"
-        )
-    return found
-
-
-def _radius_up_to(y_min: float, tol: float, cap: int) -> tuple[int, float] | None:
-    """The radius of :func:`truncation_radius` and its tail bound, or None
-    if the radius exceeds cap."""
     # log(8 / tol * max(1, 1 / (4 pi y_min))) as a difference: the product overflows at tiny tol
     log_lead = math.log(8.0 / min(1.0, 4.0 * math.pi * y_min)) - math.log(tol)
     start = math.sqrt(log_lead / (math.pi * y_min)) + _A_NORM - 1.0
-    if start <= cap:
-        for r in range(max(1, math.ceil(start)), cap + 1):
+    if start <= _MAX_RADIUS:
+        for r in range(max(1, math.ceil(start)), _MAX_RADIUS + 1):
             tail = _tail(r, y_min)
             if tail <= tol:
                 return r, tail
-    return None
+    raise ResourceLimitError(
+        f"tolerance {tol:.1e} at y_min {y_min:.3e} needs a box radius beyond {_MAX_RADIUS}"
+    )
 
 
 @lru_cache(maxsize=64)
@@ -314,15 +308,16 @@ _KRON_LEFT, _KRON_RIGHT = np.repeat(np.arange(4), 4), np.tile(np.arange(4), 4)
 @lru_cache(maxsize=1)
 def _fused() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (Q, K, count) on the half box w x v of :func:`_axis`, the
-    kernel of :func:`_b0_sums`.  With Q (3 x N) = i pi (w^2, 2 w v, v^2),
-    c @ Q is the exponent at (v1, v2) = (w, v); row 2 a1 + a2 of K (4 x N) is
+    kernel of :func:`_b0_sums`.  With Q (3 x N) = 2 i pi (w^2, 2 w v, v^2),
+    c @ Q is the exponent at 2c and (v1, v2) = (w, v), so that the caller
+    passes tau as given; row 2 a1 + a2 of K (4 x N) is
     half_signs[2 a1] (x) signs[2 a2], the terms of Theta_(a, 0).  The
     columns come sorted by the integer 4|v|^2, so that those with
     4|v|^2 <= j are a prefix of length count[j], j = 0 .. 2 * 35^2.  At
     radius _DOMAIN_RADIUS, 17, that is N = 2556 columns in 299 KiB."""
     v, v2, signs, w, w2, half_signs = _axis(_DOMAIN_RADIUS)
     w, w2 = w[:, None], w2[:, None]
-    q = 1j * math.pi * np.stack(np.broadcast_arrays(w2, 2.0 * w * v, v2)).reshape(3, -1)
+    q = 2j * math.pi * np.stack(np.broadcast_arrays(w2, 2.0 * w * v, v2)).reshape(3, -1)
     k = (half_signs[::2, None, :, None] * signs[None, ::2, None, :]).reshape(4, -1)
     norm = (4.0 * (w2 + v2)).astype(np.intp).ravel()
     order = np.argsort(norm, kind="stable")
@@ -346,20 +341,23 @@ def _cut(r: int, y_min: float, budget: float) -> int:
 
 
 def _b0_sums(c: np.ndarray, level: int) -> np.ndarray:
-    """The four Theta_(a, 0), a = 00, 01, 10, 11, at the point with entries
-    c = (t1, t2, t4), over the columns v = (v1, v2) with 4|v|^2 <= level of
-    the box max(|n1 + a1|, |n2 + a2|) <= 17 + 1/2 of :func:`_fused`, a prefix
-    of its sorted columns, as K @ exp(c @ Q) on views.  The box is symmetric
-    under v -> -v, which keeps each term of a sum with b = 0, so a sum is
-    twice the rows v1 > 0 plus the row v1 = 0, weights that scale exactly.
+    """The four Theta_(a, 0), a = 00, 01, 10, 11, at twice the point with
+    entries c = (t1, t2, t4), over the columns v = (v1, v2) with
+    4|v|^2 <= level of the box max(|n1 + a1|, |n2 + a2|) <= 17 + 1/2 of
+    :func:`_fused`, a prefix of its sorted columns, as K @ exp(c @ Q) on
+    views; Q holds the exponents at 2c, so 2c is not formed.  The box is
+    symmetric under v -> -v, which keeps each term of a sum with b = 0, so a
+    sum is twice the rows v1 > 0 plus the row v1 = 0, weights that scale
+    exactly.
 
-    The cut is rigorous at any radius r <= 17.  Let y_min be the least
-    eigenvalue of Im of the point summed, N = (2r + 2)(4r + 3) the columns
-    of the half box at r and level = floor(4 S) as :func:`_cut` gives it,
-    with S = log(2N / budget) / (pi y_min).  The box at r lies in the box
-    at 17, so a column of the box at r left out has the integer
-    4|v|^2 >= level + 1 > 4 S.  It holds at most two terms of each sum, at v
-    and -v, each of modulus
+    The cut is rigorous at any radius r <= 17; :func:`_fourth_powers` takes
+    r = cap, the caller's cap, 14 at 2 tau and 17 at 2q, for every point.
+    Let y_min be the least eigenvalue of Im(2c), of the point summed,
+    N = (2r + 2)(4r + 3) the columns of the half box at r and level =
+    floor(4 S) as :func:`_cut` gives it, with S = log(2N / budget) /
+    (pi y_min).  The box at r lies in the box at 17, so a column of the box
+    at r left out has the integer 4|v|^2 >= level + 1 > 4 S.  It holds at
+    most two terms of each sum, at v and -v, each of modulus
 
         exp(-pi v^t Y v) <= exp(-pi y_min |v|^2) < exp(-pi y_min S) = budget / 2N.
 
@@ -367,12 +365,14 @@ def _b0_sums(c: np.ndarray, level: int) -> np.ndarray:
     N - 1 columns of the box at r are left out (none at the top level), and
     they move each sum by less than budget.  Columns kept past the box at r
     are terms beyond max|n_i| <= r, so those missed there sum to at most the
-    tail bound tail of r.  With budget = inner - tail, each sum is within
-    inner of its constant; a sum over any subset of the terms is at most
-    the absolute series, so :func:`_fourth_inner_tol` holds for it too.
+    tail bound tail of r.  With budget = inner - tail, which the gate
+    tail <= inner keeps at 0 or more, each sum is within inner of its
+    constant; a sum over any subset of the terms is at most the absolute
+    series, so :func:`_fourth_inner_tol` holds for it too.
     """
     q, k, count = _fused()
-    m = count[level]
+    # a Python int slices faster than the numpy scalar count[level]
+    m = count.item(level)
     return k[:, :m] @ np.exp(c @ q[:, :m])
 
 
@@ -462,21 +462,29 @@ def _fourth_inner_tol(y2: float, tol: float) -> float:
 def _fourth_powers(t1: complex, t2: complex, t4: complex, y_min: float, tol: float, cap: int) -> np.ndarray | None:
     """The ten Theta_m(tau)^4 within min(tol, 1/2) at the point of H2 with
     entries (t1, t2, t4) and least eigenvalue y_min of Im(tau), or None if
-    the inner tolerance underflows or the box at 2 tau needs a radius past
-    cap <= 17: :func:`_duplication` of the four Theta_(c, 0)(2 tau) of
-    :func:`_b0_sums`.  Neither tau nor 2 tau is built as a SiegelPoint.  The
-    fourth powers have exact period 2 in each real entry, so a real part
-    past 1 is first taken mod 2, exactly: the exponent would round a large
-    Re(tau) w^2 and lose the phases.  A reduced point never needs it."""
+    the inner tolerance underflows or the tail bound at 2 tau beyond the box
+    at cap <= 17 exceeds it: :func:`_duplication` of the four
+    Theta_(c, 0)(2 tau) of :func:`_b0_sums`, cut for the box at cap.
+
+    The tail bound decreases in the radius, so one test at cap decides what
+    a search of :func:`truncation_radius` capped at cap would: a radius at
+    most cap meets the inner tolerance iff cap does.  No per-point radius
+    is needed, as the proof at :func:`_b0_sums` holds for the box at any
+    radius up to 17, cap included.  Neither tau nor 2 tau is built as a
+    SiegelPoint.  The fourth powers have exact period 2 in each real entry,
+    so a real part past 1 is first taken mod 2, exactly: the exponent would
+    round a large Re(tau) w^2 and lose the phases.  A reduced point never
+    needs it."""
     y2 = 2.0 * y_min
     inner = _fourth_inner_tol(y2, min(tol, 0.5))
-    found = _radius_up_to(y2, inner, cap) if inner > 0.0 else None
-    if found is None:
+    if not inner > 0.0:
         return None
-    r, tail = found
+    tail = _tail(cap, y2)
+    if tail > inner:
+        return None
     if not (-1.0 <= t1.real <= 1.0 and -1.0 <= t2.real <= 1.0 and -1.0 <= t4.real <= 1.0):
         t1, t2, t4 = (complex(math.remainder(t.real, 2.0), t.imag) for t in (t1, t2, t4))
-    t = _b0_sums(np.array((2.0 * t1, 2.0 * t2, 2.0 * t4)), _cut(r, y2, inner - tail))
+    t = _b0_sums(np.array((t1, t2, t4)), _cut(cap, y2, inner - tail))
     # both products are matrix-vector (zgemv), which unlike a zgemm leave the next exp at full speed
     s = _DUPLICATION @ (t[_KRON_LEFT] * t[_KRON_RIGHT])
     s *= s
@@ -506,10 +514,11 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     size up to U2, so its relative error grows as the coordinate shrinks.
 
     The box is summed at 2 tau, each Re(tau) entry taken mod 2, to the inner
-    tolerance of min(tol, 1/2) while its radius is at most _ROUTE_RADIUS
-    (14).  A point that needs more, or whose inner tolerance underflows,
-    goes through the fundamental domain: with T = [[A, B], [C, D]] the
-    witness of the reduction loop at tau (the core of
+    tolerance of min(tol, 1/2) when the tail bound of the box at radius
+    _ROUTE_RADIUS (14) meets it, one test that decides as a radius search
+    capped at 14 would.  A point that fails it, or whose inner tolerance
+    underflows, goes through the fundamental domain: with T = [[A, B],
+    [C, D]] the witness of the reduction loop at tau (the core of
     :func:`~siegel_runge.halfspace.reduce_to_fundamental_domain`) and
     q = T tau,
 
@@ -525,7 +534,11 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     """
     if not isinstance(tau, SiegelPoint):
         tau = SiegelPoint.from_matrix(tau)
-    tol = _real(tol, _TINY, math.inf, "tol must be finite and positive")
+    return _fourth_vector(tau, _real(tol, _TINY, math.inf, "tol must be finite and positive"))
+
+
+def _fourth_vector(tau: SiegelPoint, tol: float) -> np.ndarray:
+    """theta_fourth_vector(tau, tol) of arguments already read, a new array the caller may keep."""
     t1, t2, t4 = tau.tau1, tau.tau2, tau.tau4
     values = _fourth_powers(t1, t2, t4, _least_eigenvalue(t1.imag, t2.imag, t4.imag), tol, _ROUTE_RADIUS)
     return _fourth_through_domain(tau, tol) if values is None else values

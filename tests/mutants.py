@@ -1,5 +1,5 @@
 """Mutation check for the theta kernel, the route through the fundamental
-domain and the reduction behind it.
+domain, the reduction behind it and the point that psi builds.
 
 Run from anywhere, with no options:
 
@@ -14,8 +14,8 @@ pytest cache off, so nothing is written into the repository.  The copy keeps
 pyproject.toml for its error::RuntimeWarning filter, which some kills need.
 A run that passes TIMEOUT seconds counts as killed: without its |G12| guard
 the Gauss reduction never ends.  The unmutated copy runs first and must
-pass.  Two mutants run at a time, and the whole list takes about five and
-a half minutes on two CPUs.
+pass.  Two mutants run at a time, and the whole list, 59 mutants, takes
+about six and a half minutes on two CPUs (all killed in 396 s).
 
 The script prints each mutant with the tests that killed it, and exits 1 if
 an old text does not occur exactly once in its file, if the unmutated copy
@@ -41,6 +41,7 @@ WORKERS = 2
 
 THETA = "src/siegel_runge/theta.py"
 HALFSPACE = "src/siegel_runge/halfspace.py"
+EMBEDDING = "src/siegel_runge/embedding.py"
 
 #: (name, file, old text, new text); each old text occurs once in its file.
 MUTANTS = (
@@ -49,10 +50,10 @@ MUTANTS = (
      "if not (0.0 < h22 and abs(h12) < abs(g12)):", "if not 0.0 < h22:"),
     # the radius search
     ("refusal scans to the cap", THETA,
-     "    if start <= cap:\n        for r in range(max(1, math.ceil(start)), cap + 1):",
-     "    if True:\n        for r in range(max(1, math.ceil(min(start, cap))), cap + 1):"),
+     "    if start <= _MAX_RADIUS:\n        for r in range(max(1, math.ceil(start)), _MAX_RADIUS + 1):",
+     "    if True:\n        for r in range(max(1, math.ceil(min(start, _MAX_RADIUS))), _MAX_RADIUS + 1):"),
     ("search from radius 1", THETA,
-     "for r in range(max(1, math.ceil(start)), cap + 1):", "for r in range(1, cap + 1):"),
+     "for r in range(max(1, math.ceil(start)), _MAX_RADIUS + 1):", "for r in range(1, _MAX_RADIUS + 1):"),
     # the two kernels
     ("axis of the box at r - 1", THETA,
      "n = np.arange(-r - 1, r + 1)", "n = np.arange(-r, r)"),
@@ -73,7 +74,7 @@ MUTANTS = (
     ("zero budget cuts to level 0", THETA,
      "    if not budget > 0.0:\n        return top", "    if not budget > 0.0:\n        return 0"),
     ("count[level] - 1", THETA,
-     "m = count[level]", "m = count[level] - 1"),
+     "m = count.item(level)", "m = count.item(level) - 1"),
     ("each _table slab one row short", THETA,
      "e = np.exp(row[lo:lo + rows, None] + w[lo:lo + rows, None] * cross + col)\n"
      "        # in place, the complex loop that the next slab's exp needs after the zgemm\n"
@@ -88,8 +89,8 @@ MUTANTS = (
     ("theta_constant at r - 1", THETA,
      "value = complex(_table(tau, r)[", "value = complex(_table(tau, r - 1)["),
     # the duplication formula
-    ("(t1, t2, t4) in place of 2 tau", THETA,
-     "np.array((2.0 * t1, 2.0 * t2, 2.0 * t4))", "np.array((t1, t2, t4))"),
+    ("table at tau in place of 2 tau", THETA,
+     "q = 2j * math.pi * np.stack(", "q = 1j * math.pi * np.stack("),
     ("c + a -> c in _duplication", THETA,
      "2 * (c1 ^ a1) + (c2 ^ a2)] =", "2 * c1 + c2] ="),
     ("one extra sign in _DUPLICATION (row 3, c = 10)", THETA,
@@ -99,15 +100,19 @@ MUTANTS = (
     ("mod-2 step dropped", THETA,
      "if not (-1.0 <= t1.real <= 1.0 and -1.0 <= t2.real <= 1.0 and -1.0 <= t4.real <= 1.0):",
      "if False:"),
-    # radius and budget
+    # the box at the cap: the gate and the budget
     ("direct radius r - 1", THETA,
-     "    r, tail = found\n", "    r, tail = found\n    r -= cap == _ROUTE_RADIUS\n"),
+     "    tail = _tail(cap, y2)\n", "    cap -= cap == _ROUTE_RADIUS\n    tail = _tail(cap, y2)\n"),
     ("2N -> N in _cut", THETA,
      "math.log(2.0 * (2 * r + 2) * (4 * r + 3) / budget)", "math.log((2 * r + 2) * (4 * r + 3) / budget)"),
     ("extra radius search on the direct path", THETA,
-     "    r, tail = found\n", "    r, tail = _truncation(y2, inner) and found\n"),
+     "    tail = _tail(cap, y2)\n", "    _truncation(y2, inner)\n    tail = _tail(cap, y2)\n"),
     ("route radius r - 1", THETA,
-     "    r, tail = found\n", "    r, tail = found\n    r -= cap > _ROUTE_RADIUS\n"),
+     "    tail = _tail(cap, y2)\n", "    cap -= cap > _ROUTE_RADIUS\n    tail = _tail(cap, y2)\n"),
+    ("the cut's N taken at cap - 1", THETA,
+     "_cut(cap, y2, inner - tail)", "_cut(cap - 1, y2, inner - tail)"),
+    ("the gate tested at cap - 1", THETA,
+     "    tail = _tail(cap, y2)\n", "    tail = _tail(cap - 1, y2)\n"),
     ("radius from Im(tau), not Im(2 tau)", THETA,
      "y2 = 2.0 * y_min\n", "y2 = y_min\n"),
     ("route tolerance not scaled by |det^2|", THETA,
@@ -178,6 +183,11 @@ MUTANTS = (
      "if 0.0 <= y2 and y1 <= y4 and round(y2 / y1) == 0:", "if y1 <= y4 and round(y2 / y1) == 0:"),
     ("form check dropped from the checker", HALFSPACE,
      "    if not _preserves_form(rows):\n        raise InvalidInputError", "    if False:\n        raise InvalidInputError"),
+    # psi's point
+    ("trusted constructor without the all-tiny refusal", EMBEDDING,
+     "        _fill(point, coords, tol)\n", "        _fill(point, coords, 0.0)\n        _set(point, \"tol\", tol)\n"),
+    ("near_zero_coordinates with < for <=", EMBEDDING,
+     "if m <= cut}", "if m < cut}"),
 )
 
 

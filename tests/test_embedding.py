@@ -40,6 +40,25 @@ class TestPsi:
                 rhs = abs(det) ** 2 * np.sort(np.abs(sr.psi(tau, 1e-10).coords))
                 assert np.max(np.abs(lhs - rhs)) <= 1e-7 * np.max(rhs)
 
+    def test_psi_builds_the_point_of_the_public_constructor(self):
+        # psi hands its own array to the trusted constructor, which runs the
+        # checks on values only: the point is the public constructor's
+        for tau in list(sr.sample_reduced_points(4, seed=65)) + [PRODUCT_POINT, sr.SiegelPoint(1j, 0, 6j)]:
+            p = sr.psi(tau, 1e-9)
+            q = sr.ProjectivePoint(sr.theta_fourth_vector(tau, 1e-9), 1e-9)
+            assert np.array_equal(p.coords, q.coords) and not p.coords.flags.writeable
+            assert (p.tol, p.sup, p._moduli) == (q.tol, q.sup, q._moduli) == (1e-9, q.sup, np.abs(q.coords).tolist())
+
+    def test_psi_refuses_coordinates_below_ten_tol(self):
+        """The only killer of "trusted constructor without the all-tiny
+        refusal": at diag(i, i) the largest fourth power is about 1.94, so
+        at tol 1 every coordinate is below 10 tol, which psi refuses as the
+        public constructor does; at tol 0.1 it builds the point."""
+        tau = sr.SiegelPoint(1j, 0, 1j)
+        assert 1.9 < sr.psi(tau, 0.1).sup < 2.0
+        with pytest.raises(sr.InconsistencyError, match="10x"):
+            sr.psi(tau, 1.0)
+
     def test_all_zero_coordinates_rejected(self):
         with pytest.raises(sr.InconsistencyError):
             sr.ProjectivePoint(np.full(10, 1e-12 + 0j), 1e-8)

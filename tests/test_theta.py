@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import siegel_runge as sr
 from siegel_runge import theta
@@ -232,8 +234,10 @@ B0_SHIFTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def entries(tau, factor=1.0):
-    """The entries (tau1, tau2, tau4) of factor * tau, as the cut kernel reads them."""
-    return np.array((factor * tau.tau1, factor * tau.tau2, factor * tau.tau4))
+    """The entries (tau1, tau2, tau4) of factor * tau / 2, which the cut
+    kernel reads to sum at factor * tau."""
+    h = factor / 2.0
+    return np.array((h * tau.tau1, h * tau.tau2, h * tau.tau4))
 
 
 class TestKernel:
@@ -254,14 +258,11 @@ class TestKernel:
         assert theta._axis.cache_info().maxsize is not None
 
     def test_fused_cache_is_read_only_and_capped(self, monkeypatch):
-        """The only killer of "direct radius r - 1".  At every radius the
-        direct path sums the disk of the level that _cut gives for the box
-        whose tail bound meets the inner tolerance (truncation_radius) and
-        the rest of it (the proof at _b0_sums), which the double loops over
-        the box at radius 17 reproduce to 1e-13.  A radius one short moves
-        the level by a few columns whose terms are below the budget, except
-        at radius 1: at scale 3.3, near the edge of radius 1, the cut keeps
-        level 14, and the top level of radius 0 is 2."""
+        """At every radius up to the gate the direct path sums the disk of
+        the level that _cut gives for the box at the gate radius and the
+        inner tolerance less that box's tail bound (the proof at _b0_sums),
+        which the double loops over the box at radius 17 reproduce to
+        1e-13.  Scale 3.3 is near the edge of radius 1."""
         assert theta._fused.cache_info().maxsize == 1
         q, k, count = theta._fused()
         # one table, the half box at radius 17, in at most 0.3 MiB
@@ -285,9 +286,11 @@ class TestKernel:
             got = sr.theta_fourth_vector(tau, TestRoute.TOL)
             # the same four disk sums at 2 tau, from double loops, through the
             # duplication formula; _cut keeps at most the disk through the
-            # corners of the box at radius
+            # corners of the box at the gate radius
             y2, inner = 2.0 * tau.min_imag_eigenvalue(), direct_tolerance(tau, TestRoute.TOL)
-            s = min(disk_norm(radius, y2, inner - sr.tail_bound(radius, y2)), (2 * radius + 1) ** 2 / 2)
+            gate = theta._ROUTE_RADIUS
+            assert scaled_radius(scale, TestRoute.TOL) == radius <= gate
+            s = min(disk_norm(gate, y2, inner - sr.tail_bound(gate, y2)), (2 * gate + 1) ** 2 / 2)
             sums = {c: theta_2d_disk(c + (0, 0), 2.0 * tau.matrix, 17, s) for c in B0_SHIFTS}
             want = duplication_squares(sums) ** 2
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -312,6 +315,36 @@ class TestCut:
                 got = theta._b0_sums(entries(tau, factor), theta._cut(r, y, budget))
                 want = np.array([theta_2d_disk(c + (0, 0), factor * tau.matrix, 17, s) for c in B0_SHIFTS])
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-4.0, math.log10(50.0)), st.floats(-300.0, 1.0),
+           st.sampled_from([theta._ROUTE_RADIUS, theta._DOMAIN_RADIUS]))
+    def test_one_tail_test_decides_as_a_radius_scan(self, log_y2, log_tol, cap):
+        """One tail bound, of the box at cap, decides what a scan of the
+        radii 1 to cap decides, as the bound decreases in the radius, and
+        the level is computed for that box and the inner tolerance less its
+        tail bound: every column left out of the box at cap has
+        4|v|^2 >= level + 1 > 4 S, S = log(2N / budget) / (pi y2), with N
+        the columns of the half box at cap, or the whole box is kept.  That
+        level can be below the one the least radius that meets the inner
+        tolerance gives: the tail of that radius can use up most of the
+        inner tolerance and leave it a small budget."""
+        y2, tol = 10.0 ** log_y2, 10.0 ** log_tol
+        inner = theta._fourth_inner_tol(y2, min(tol, 0.5))
+        routes = not inner > 0.0 or all(theta._tail(r, y2) > inner for r in range(1, cap + 1))
+        seen = []
+        cut = theta._cut
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(theta, "_cut", lambda *args: seen.append(args) or cut(*args))
+            values = theta._fourth_powers(0.5j * y2, 0j, 0.5j * y2, 0.5 * y2, tol, cap)
+        assert (values is None) == routes
+        if routes:
+            assert seen == []
+            return
+        budget = inner - theta._tail(cap, y2)
+        assert seen == [(cap, y2, budget)]
+        level, n = cut(*seen[0]), (2 * cap + 2) * (4 * cap + 3)
+        assert level == 2 * (2 * cap + 1) ** 2 or math.pi * y2 * (level + 1) / 4.0 > math.log(2 * n / budget)
 
     def test_zero_budget_sums_the_whole_box(self):
         """The only killer of "zero budget cuts to level 0": a tail bound equal
@@ -702,20 +735,26 @@ class TestRoute:
                 assert np.max(np.abs(coarse - fine)) <= 1e-8
                 assert reductions or s == 0.05
 
-    @pytest.mark.parametrize("tol", [5e-324, 1e-300])
+    @pytest.mark.parametrize("tol", [5e-324, 1e-310, 1e-300])
     def test_cut_kernel_radius_at_most_seventeen(self, monkeypatch, tol):
         """A reduced point has least eigenvalue >= y1 / 2 >= sqrt(3)/4, so
         the box at 2q needs radius 17 at most, even at the least inner
         tolerance (the proof at _fourth_through_domain), and the one table
         of _fused holds the whole box at 17: a table at radius 16 fails
-        here.  The image of the corner by [[I, 0], [2 I, I]] routes to a
-        reduced point of least eigenvalue 0.53, where a box sized for Im(q)
-        would need radius 21 at 1e-300."""
-        assert theta._radius_up_to(math.sqrt(3) / 2, 5e-324, theta._MAX_RADIUS)[0] == 17
-        assert theta._radius_up_to(math.sqrt(3) / 2, 1e-300, theta._MAX_RADIUS)[0] == 16
+        here.  The route sizes its cut for that box, so the level is
+        computed at radius 17 for each routed point.  The image of the corner by
+        [[I, 0], [2 I, I]] routes to a reduced point of least eigenvalue
+        0.53, where a box sized for Im(q) would need radius 21 at 1e-300.
+        At 1e-310 the corner itself needs radius 17 at 2q: a route capped
+        at 16 refuses it."""
+        assert theta._truncation(math.sqrt(3) / 2, 5e-324)[0] == 17
+        assert theta._truncation(math.sqrt(3) / 2, 1e-300)[0] == 16
         assert theta._fused()[2][-1] == (2 * 17 + 2) * (4 * 17 + 3)
         corner = sr.SiegelPoint(0.5 + math.sqrt(3) / 2 * 1j, math.sqrt(3) / 4 * 1j, 0.5 + math.sqrt(3) / 2 * 1j)
         lower = sr.SymplecticMatrix(((1, 0, 0, 0), (0, 1, 0, 0), (2, 0, 1, 0), (0, 2, 0, 1)))
+        if tol == 1e-310:
+            inner = theta._fourth_inner_tol(2.0 * corner.min_imag_eigenvalue(), tol)
+            assert theta._truncation(2.0 * corner.min_imag_eigenvalue(), inner)[0] == 17
         radii = []
         cut = theta._cut
         monkeypatch.setattr(theta, "_cut", lambda r, *args: radii.append(r) or cut(r, *args))
@@ -724,9 +763,10 @@ class TestRoute:
                 assert np.isfinite(sr.theta_fourth_vector(tau, tol)).all()
             except sr.ResourceLimitError:
                 pass
-        assert max(radii, default=0) <= 17
-        # at 5e-324 each inner tolerance underflows; at 1e-300 every point is summed
-        assert len(radii) == (0 if tol < 1e-320 else 5)
+        # at 5e-324 each inner tolerance underflows; from 1e-310 on every
+        # point is summed, the reduced one of small_y_points directly, at
+        # the gate radius, and the others through the domain, at 17
+        assert radii == ([] if tol < 1e-320 else [17, 17, theta._ROUTE_RADIUS, 17, 17])
 
     def test_unreduced_route_point_is_refused(self, monkeypatch):
         """A route point whose box at 2q needs a radius past 17 is not
@@ -806,9 +846,10 @@ class TestRoute:
             sr.theta_fourth_vector(tau)
 
     def test_gate_adds_no_tail_bound_call(self, monkeypatch):
-        """The only killer of "extra radius search on the direct path": the
-        radius search, capped at the gate, also decides the route.  Radii
-        from 3 up to the gate, all summed at 2 tau."""
+        """The only killer of "extra radius search on the direct path": one
+        tail bound, of the box at the gate radius, decides the route and
+        sizes the cut, with no radius search.  Radii from 3 up to the gate,
+        all summed at 2 tau: a gate one lower routes the last."""
         scales = (1.0, 0.3, 0.04)
         assert scaled_radius(scales[-1], self.TOL) == theta._ROUTE_RADIUS
         points = sr.sample_reduced_points(5, seed=73) + [scaled(s) for s in scales]
@@ -816,8 +857,6 @@ class TestRoute:
         bound = theta._tail
         monkeypatch.setattr(theta, "_tail", lambda *args: calls.append(args) or bound(*args))
         for tau in points:
-            sr.truncation_radius(2.0 * tau.min_imag_eigenvalue(), direct_tolerance(tau, self.TOL))
-            alone = len(calls)
             sr.theta_fourth_vector(tau, self.TOL)
-            assert len(calls) == 2 * alone
+            assert calls == [(theta._ROUTE_RADIUS, 2.0 * tau.min_imag_eigenvalue())]
             calls.clear()
