@@ -29,7 +29,7 @@ import sys
 
 from .errors import DEFAULT_TOL, DEFAULT_TOL_FOURTH, InvalidInputError, SiegelRungeError
 
-#: Most samples ``rank`` takes; each costs a psi evaluation and a kept point.
+#: Most samples ``rank`` takes; each costs a psi evaluation and a row of 10 complexes.
 _MAX_SAMPLES = 100_000
 
 
@@ -202,11 +202,10 @@ def _run(args) -> dict:
     if args.command == "rank":
         if not 10 <= args.samples <= _MAX_SAMPLES:
             raise InvalidInputError(f"--samples must be between 10 and {_MAX_SAMPLES}, got {args.samples}")
-        from .embedding import _numerical_rank, psi, relation_singular_values
-        from .sampling import sample_reduced_points
+        from .embedding import _numerical_rank, _singular_values, psi
+        from .sampling import _reduced_draws
 
-        points = [psi(t) for t in sample_reduced_points(args.samples, args.seed)]
-        svals = relation_singular_values(points)
+        svals = _singular_values(map(psi, _reduced_draws(args.samples, args.seed)), args.samples)
         return {
             "rank": _numerical_rank(svals),
             "n_samples": args.samples,

@@ -36,27 +36,37 @@ _RANK_CUTOFF = 1e-6
 class ProjectivePoint(_Record):
     """Point of P^9 given by 10 finite complex coordinates, not all tiny.
 
+    ``coords`` is a read-only complex copy of the coordinates given;
     ``tol`` records the absolute evaluation tolerance the coordinates carry,
     finite and positive; ``sup`` is max|coords|, computed once here, and
     left out of equality and repr; a non-finite one is refused.  The moduli
     that give ``sup`` are kept, outside the fields, for
-    :func:`near_zero_coordinates`.
+    :func:`near_zero_coordinates`.  Two points are equal when their tol and
+    their coordinates, compared as arrays, are; a point is not hashable.
     """
 
     __slots__ = ("coords", "tol", "sup", "_moduli")
     _fields = ("coords", "tol")
 
     def __init__(self, coords: np.ndarray, tol: float):
-        _fill(self, _numbers(coords, "expected 10 coordinates", (10,)),
+        _fill(self, _numbers(coords, "expected 10 coordinates", (10,), copy=True),
               _real(tol, _TINY, math.inf, "tol must be finite and positive"))
 
     @classmethod
     def _trusted(cls, coords: np.ndarray, tol: float) -> ProjectivePoint:
         """The point of a complex array of shape (10,) that the library made and
-        hands over, and of a tol already read: only the checks on values run."""
+        hands over, uncopied, and of a tol already read: only the checks on values run."""
         point = object.__new__(cls)
         _fill(point, coords, tol)
         return point
+
+    def __eq__(self, other):
+        # the tuple of fields has no truth value once the arrays are two
+        if other.__class__ is self.__class__:
+            return self.tol == other.tol and np.array_equal(self.coords, other.coords)
+        return NotImplemented
+
+    __hash__ = None
 
     def normalized(self) -> np.ndarray:
         """Coordinates scaled to unit sup-norm."""
@@ -84,13 +94,14 @@ def _fill(point: ProjectivePoint, c: np.ndarray, tol: float) -> None:
     _set(point, "_moduli", moduli)
 
 
-def _numbers(x, what: str = "expected an array of numbers", shape=None) -> np.ndarray:
-    """x as a complex array, of the given shape if any; InvalidInputError, with ``what`` as the
-    message, unless numpy reads x as numbers, which ragged rows, strings, sets and generators are not."""
+def _numbers(x, what: str = "expected an array of numbers", shape=None, copy: bool = False) -> np.ndarray:
+    """x as a complex array, of the given shape if any, and a new one if copy; InvalidInputError, with
+    ``what`` as the message, unless numpy reads x as numbers, which ragged rows, strings, sets and
+    generators are not."""
     try:
         a = np.asarray(x)
         if a.dtype.kind in "biufc" and (shape is None or a.shape == shape):
-            return a.astype(complex, copy=False)
+            return a.astype(complex, copy=copy)
     except ValueError:  # ragged rows
         pass
     raise InvalidInputError(f"{what}, got {x!r}")
@@ -146,7 +157,22 @@ def relation_singular_values(samples: list[ProjectivePoint]) -> np.ndarray:
     """Singular values of the matrix of sup-normalized sample coordinates."""
     if len(samples) < 10:
         raise InvalidInputError(f"need at least 10 samples, got {len(samples)}")
-    m = np.array([p.coords for p in samples]) / np.array([p.sup for p in samples])[:, None]
+    return _singular_values(samples, len(samples))
+
+
+def _singular_values(points, n: int) -> np.ndarray:
+    """Singular values of the n x 10 matrix whose rows are the sup-normalized
+    coordinates of the n points that the iterable ``points`` yields, filled
+    row by row, so that no point need outlive its row, and scaled at once."""
+    sups = []
+
+    def rows():
+        for p in points:
+            sups.append(p.sup)
+            yield p.coords
+
+    m = np.fromiter(rows(), np.dtype((complex, 10)), n)
+    m /= np.array(sups)[:, None]
     return np.linalg.svd(m, compute_uv=False)
 
 

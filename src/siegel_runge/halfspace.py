@@ -34,6 +34,10 @@ CONDITION_EPS = 1e-12
 
 _MAX_ITER = 1000
 
+#: Twice the bound 2 eps on the rounding of a Gram entry of _minkowski_gl2,
+#: relative to the same sum in absolute values: see there.
+_GAUSS_ROUNDING = 4.0 * 2.0 ** -52
+
 #: Largest relative asymmetry SiegelPoint.from_matrix accepts.
 _SYM_TOL = 1e-12
 
@@ -378,18 +382,15 @@ class ReductionResult(_Record):
     __slots__ = ("reduced", "transform", "iterations", "cocycle")
 
 
-def _congruence(y1: float, y2: float, y4: float, u00: int, u01: int, u10: int, u11: int):
-    """Entries (G11, G12, G22) of G = (U^t Y) U."""
-    p00, p01 = u00 * y1 + u10 * y2, u00 * y2 + u10 * y4
-    p10, p11 = u01 * y1 + u11 * y2, u01 * y2 + u11 * y4
-    return p00 * u00 + p01 * u10, p00 * u01 + p01 * u11, p10 * u01 + p11 * u11
-
-
 def _minkowski_gl2(y1: float, y2: float, y4: float) -> tuple[int, int, int, int]:
     """Entries (u00, u01, u10, u11) of U in GL2(Z) with G = U^t Y U satisfying
     0 <= 2 G12 <= G11 <= G22, by Gauss reduction of a positive definite
     Y = [[y1, y2], [y2, y4]].
 
+    The Gram entries are G11 = p00 u00 + p01 u10, G12 = p00 u01 + p01 u11
+    and G22 = p10 u01 + p11 u11, with (p00, p01) = u00 (y1, y2) + u10 (y2, y4)
+    and (p10, p11) = u01 (y1, y2) + u11 (y2, y4), each summed in that order;
+    a swap exchanges G11 and G22 and a reduction step keeps G11, exactly.
     A swap lowers G11.  A reduction step keeps G11 and lowers |G12|, and in
     exact arithmetic G22 too.  A swap gives the new G11 the bits of the old
     G22 and a reduction step keeps the bits of G11, so every step strictly
@@ -399,24 +400,37 @@ def _minkowski_gl2(y1: float, y2: float, y4: float) -> tuple[int, int, int, int]
     If then 2 |G12| <= (1 + _TOL) G11, G is reduced up to rounding and the
     loop ends; otherwise the rounding in G12 exceeds _TOL G11 / 2, as on a
     form with a condition number of about 1/eps or more, and
-    ConditioningError is raised.  A form with 0 <= y2, y1 <= y4 and
-    round(y2 / y1) = 0 is one on which the loop takes no step, and it
-    returns the identity at once.
+    ConditioningError is raised.
+
+    Each Gram entry takes four roundings, so the float G11 and G12 lie
+    within 2 eps |u1|^t |Y| |u1| and 2 eps |u1|^t |Y| |u2| of the exact
+    entries at the final U, with eps = 2^-52, |.| entrywise and u1, u2 the
+    columns of U.  Where G11 is not above twice their sum,
+    _GAUSS_ROUNDING |u1|^t |Y| (|u1| + |u2|), rounding alone decided the
+    loop, whose U can then be far from reduced (2 |G12| > 30 G11 exactly, on
+    sheared forms), and ConditioningError is raised too.
+
+    A form with 0 <= y2, y1 <= y4 and round(y2 / y1) = 0 is one on which
+    the loop takes no step, and it returns the identity at once.
     """
     if 0.0 <= y2 and y1 <= y4 and round(y2 / y1) == 0:
         return 1, 0, 0, 1
+    # the entries of the identity, up to the sign of a zero y2, which no decision reads
     u00, u01, u10, u11 = 1, 0, 0, 1
-    g11, g12, g22 = _congruence(y1, y2, y4, u00, u01, u10, u11)
+    p00, p01, p10, p11 = y1, y2, y2, y4
+    g11, g12, g22 = y1, y2, y4
     while True:
         if g11 > g22:
             u00, u01, u10, u11 = u01, u00, u11, u10
-            g11, g12, g22 = _congruence(y1, y2, y4, u00, u01, u10, u11)
+            p00, p01, p10, p11 = p10, p11, p00, p01
+            g11, g12, g22 = g22, p00 * u01 + p01 * u11, g11
             continue
         r = round(g12 / g11)
         if r == 0:
             break
         v01, v11 = u01 - r * u00, u11 - r * u10
-        _, h12, h22 = _congruence(y1, y2, y4, u00, v01, u10, v11)
+        q10, q11 = v01 * y1 + v11 * y2, v01 * y2 + v11 * y4
+        h12, h22 = p00 * v01 + p01 * v11, q10 * v01 + q11 * v11
         if not (0.0 < h22 and abs(h12) < abs(g12)):
             if 2.0 * abs(g12) <= (1.0 + _TOL) * g11:
                 break
@@ -424,7 +438,15 @@ def _minkowski_gl2(y1: float, y2: float, y4: float) -> tuple[int, int, int, int]
                 f"Gauss reduction of Im(tau) lost precision: a step by {r} takes G22 = {g22:.3e} "
                 f"to {h22:.3e} and |G12| = {abs(g12):.3e} to {abs(h12):.3e}, with G11 = {g11:.3e}"
             )
-        u01, u11, g12, g22 = v01, v11, h12, h22
+        u01, u11, p10, p11, g12, g22 = v01, v11, q10, q11, h12, h22
+    c0, c1 = abs(u00), abs(u10)
+    d0, d1 = c0 + abs(u01), c1 + abs(u11)
+    bound = _GAUSS_ROUNDING * (c0 * (y1 * d0 + abs(y2) * d1) + c1 * (abs(y2) * d0 + y4 * d1))
+    if not g11 > bound:
+        raise ConditioningError(
+            f"Gauss reduction of Im(tau) lost precision: G11 = {g11:.3e} is not above "
+            f"the rounding bound {bound:.3e} of G11 and G12"
+        )
     if g12 < 0.0:
         u01, u11 = -u01, -u11
     return u00, u01, u10, u11
@@ -432,24 +454,16 @@ def _minkowski_gl2(y1: float, y2: float, y4: float) -> tuple[int, int, int, int]
 
 def _compose(a, b):
     """Exact integer product a @ b of two 4x4 matrices given as tuples of
-    rows; its callers refuse a result past int64 by _int64_rows."""
+    rows; its callers refuse a result past int64."""
     (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = b
     return tuple((r0 * b00 + r1 * b10 + r2 * b20 + r3 * b30, r0 * b01 + r1 * b11 + r2 * b21 + r3 * b31,
                   r0 * b02 + r1 * b12 + r2 * b22 + r3 * b32, r0 * b03 + r1 * b13 + r2 * b23 + r3 * b33)
                  for r0, r1, r2, r3 in a)
 
 
-def _mix(p: int, r, q: int, s):
-    """The row p r + q s of integers."""
-    r0, r1, r2, r3 = r
-    s0, s1, s2, s3 = s
-    return p * r0 + q * s0, p * r1 + q * s1, p * r2 + q * s2, p * r3 + q * s3
-
-
-def _neg(r):
-    """The row -r of integers."""
-    r0, r1, r2, r3 = r
-    return -r0, -r1, -r2, -r3
+#: (s1, s2, s4) of the eleven inversions [[0, -I], [I, S]], S = [[s1, s2], [s2, s4]],
+#: read off the bottom rows of the first eleven gottschling_matrices().
+_SHIFTS = tuple((g.rows[2][2], g.rows[2][3], g.rows[3][3]) for g in gottschling_matrices()[:11])
 
 
 def _gottschling_step(k: int, t1: complex, t2: complex, t4: complex, rows):
@@ -458,34 +472,39 @@ def _gottschling_step(k: int, t1: complex, t2: complex, t4: complex, rows):
     _act_entries(g, t1, t2, t4) and _compose(g, rows) give them, up to the
     sign of an exact zero.
 
-    Matrices 0-10, [[0, -I], [I, S]], are the shift by S, a = tau + S, then
-    tau -> -tau^-1 = (-a4, a2, -a1) / det a.  Matrix 11 acts as
-    tau1 -> -1/tau1 on the tau1 corner and matrix 12 as tau4 -> -1/tau4
-    on the tau4 corner.  Each writes its image in the order of operations
-    of _act_entries, so the floats agree, and its witness rows are
-    permuted, negated or shifted rows of the old ones.  For the rank-one
-    matrices 13-18, and for an inversion with |det(C tau + D)| below
-    CONDITION_EPS, the step is _act_entries and _compose, which raise or
-    rescale.  A corner needs no such test: its det(C tau + D) is tau1
+    Matrices 0-10, [[0, -I], [I, S]], are the shift by S = _SHIFTS[k],
+    a = tau + S, then tau -> -tau^-1 = (-a4, a2, -a1) / det a.  Matrix 11
+    acts as tau1 -> -1/tau1 on the tau1 corner and matrix 12 as
+    tau4 -> -1/tau4 on the tau4 corner.  Each writes its image in the order
+    of operations of _act_entries, so the floats agree, and its witness
+    rows are permuted, negated or shifted rows of the old ones.  For the
+    rank-one matrices 13-18, and for an inversion with |det(C tau + D)|
+    below CONDITION_EPS, the step is _act_entries and _compose, which raise
+    or rescale.  A corner needs no such test: its det(C tau + D) is tau1
     (tau4) itself, a single product that cannot cancel, on which
     _act_entries neither raises nor rescales.
     """
-    g = gottschling_matrices()[k].rows
-    r0, r1, r2, r3 = rows
+    (x0, x1, x2, x3), r1, (z0, z1, z2, z3), r3 = rows
     if k < 11:
-        (_, _, s1, s2), (_, _, _, s4) = g[2], g[3]
+        s1, s2, s4 = _SHIFTS[k]
         a1, a2, a4 = t1 + s1, t2 + s2, t4 + s4
         det = a1 * a4 - a2 * a2
         if abs(det) >= CONDITION_EPS:
-            r0, r1 = _mix(1, r0, 1, _mix(s1, r2, s2, r3)), _mix(1, r1, 1, _mix(s2, r2, s4, r3))
+            w0, w1, w2, w3 = r3
+            y0, y1, y2, y3 = r1
             x = a2 / det
-            return (-a4 / det, 0.5 * (x + x), -a1 / det), (_neg(r2), _neg(r3), r0, r1)
+            return (-a4 / det, 0.5 * (x + x), -a1 / det), (
+                (-z0, -z1, -z2, -z3), (-w0, -w1, -w2, -w3),
+                (x0 + s1 * z0 + s2 * w0, x1 + s1 * z1 + s2 * w1, x2 + s1 * z2 + s2 * w2, x3 + s1 * z3 + s2 * w3),
+                (y0 + s2 * z0 + s4 * w0, y1 + s2 * z1 + s4 * w1, y2 + s2 * z2 + s4 * w2, y3 + s2 * z3 + s4 * w3))
     elif k == 11:
         x = t2 / t1
-        return (-1 / t1, 0.5 * (x + x), (t4 * t1 - t2 * t2) / t1), (_neg(r2), r1, r0, r3)
+        return (-1 / t1, 0.5 * (x + x), (t4 * t1 - t2 * t2) / t1), ((-z0, -z1, -z2, -z3), r1, rows[0], r3)
     elif k == 12:
         x = t2 / t4
-        return ((t1 * t4 - t2 * t2) / t4, 0.5 * (x + x), -1 / t4), (r0, _neg(r3), r2, r1)
+        w0, w1, w2, w3 = r3
+        return ((t1 * t4 - t2 * t2) / t4, 0.5 * (x + x), -1 / t4), (rows[0], (-w0, -w1, -w2, -w3), rows[2], r1)
+    g = gottschling_matrices()[k].rows
     return _act_entries(g, t1, t2, t4)[0], _compose(g, rows)
 
 
@@ -516,9 +535,9 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
       exactly and changes the top two witness rows only.
     - A GL2 step (C = 0, D = U^-1) forms U^t tau U from the generic
       products, whose division by det U = +-1 is exact while products of
-      two entries of U stay below 2^53, and updates the witness block by
-      block.  _minkowski_gl2 returns the identity at once where its loop
-      would take no step.
+      two entries of U stay below 2^53, and takes witness rows 0-1 by U^t
+      and rows 2-3 by U^-1, each entry written out.  _minkowski_gl2
+      returns the identity at once where its loop would take no step.
     - The scan keeps the order of summation of the nineteen determinants,
       so it picks the same index.  A Gottschling step is one of
       _gottschling_step's closed forms: the eleven inversions
@@ -546,12 +565,14 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
 
     The GL2 and Gottschling steps check that the iterate lies in H2.  The
     Gauss reduction behind step 1 raises ConditioningError when rounding,
-    not the form, decides a step.  The witness is checked against int64
-    by _int64_rows at the end of each pass that changed it, so one that
-    outgrows it, by a step of any of the three kinds, is refused within that
-    pass.  The pass that settles changes nothing, so on return the witness
-    is only checked to be symplectic (_symplectic), without reading it
-    again as a matrix argument.
+    not the form, decides a step, or its U.  At the end of each pass that
+    changed the witness, the max and the min of its concatenated rows must
+    lie strictly within +-2^63, as _int64_rows asks, so a witness that
+    outgrows int64, by a step of any of the three kinds, is refused within
+    that pass.  The pass that settles changes nothing, so on return the
+    witness is only checked to be symplectic (_symplectic), without reading
+    it again as a matrix argument, and the image by _check_entries, before
+    the records are set without their constructors' type tests.
     Returns the witness T, the passes used, and act(T, tau) with its cocycle
     det(C tau + D) from one _act_entries at tau, not the last iterate, which
     drifts from it on ill-conditioned points.  Raises NonConvergenceError if
@@ -563,14 +584,28 @@ def reduce_to_fundamental_domain(tau: SiegelPoint) -> ReductionResult:
         tau = SiegelPoint.from_matrix(tau)
     rows, passes = _reduce(tau.tau1, tau.tau2, tau.tau4)
     transform = _symplectic(rows)
-    image, cocycle = _act_entries(rows, tau.tau1, tau.tau2, tau.tau4)
-    return ReductionResult(SiegelPoint(*image), transform, passes, cocycle)
+    (t1, t2, t4), cocycle = _act_entries(rows, tau.tau1, tau.tau2, tau.tau4)
+    _check_entries(t1, t2, t4)
+    # the records of complexes and ints made here, set without the constructors' type tests
+    reduced, res = object.__new__(SiegelPoint), object.__new__(ReductionResult)
+    _set(reduced, "tau1", t1)
+    _set(reduced, "tau2", t2)
+    _set(reduced, "tau4", t4)
+    _set(res, "reduced", reduced)
+    _set(res, "transform", transform)
+    _set(res, "iterations", passes)
+    _set(res, "cocycle", cocycle)
+    return res
 
 
 def _reduce(t1: complex, t2: complex, t4: complex) -> tuple[tuple, int]:
     """The loop of reduce_to_fundamental_domain at the point of H2 with
     entries (t1, t2, t4): the witness rows, Python ints within int64 not yet
-    checked to be symplectic, and the passes used.  Raises as that does."""
+    checked to be symplectic, and the passes used.  Raises as that does.
+
+    Every step writes out its witness update entry by entry, and the int64
+    guard tests max(w) >= 2^63 and min(w) <= -2^63 on w = r0 + r1 + r2 + r3,
+    with _int64_rows's refusal and message."""
     r0, r1, r2, r3 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
     for iterations in range(1, _MAX_ITER + 1):
         changed = False
@@ -583,15 +618,23 @@ def _reduce(t1: complex, t2: complex, t4: complex) -> tuple[tuple, int]:
             t1, t2, t4 = (n00 * u00 + n01 * u10, 0.5 * ((n01 * u11 + n00 * u01) + (n10 * u00 + n11 * u10)),
                           n11 * u11 + n10 * u01)
             _check_entries(t1, t2, t4)
-            det = u00 * u11 - u01 * u10
-            r0, r1, r2, r3 = (_mix(u00, r0, u10, r1), _mix(u01, r0, u11, r1),
-                              _mix(det * u11, r2, -det * u01, r3), _mix(-det * u10, r2, det * u00, r3))
+            # rows 0-1 by U^t, rows 2-3 by U^-1 = det U [[u11, -u01], [-u10, u00]]
+            (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3), (w0, w1, w2, w3) = r0, r1, r2, r3
+            e = u00 * u11 - u01 * u10
+            v00, v01, v10, v11 = e * u11, -e * u01, -e * u10, e * u00
+            r0 = u00 * x0 + u10 * y0, u00 * x1 + u10 * y1, u00 * x2 + u10 * y2, u00 * x3 + u10 * y3
+            r1 = u01 * x0 + u11 * y0, u01 * x1 + u11 * y1, u01 * x2 + u11 * y2, u01 * x3 + u11 * y3
+            r2 = v00 * z0 + v01 * w0, v00 * z1 + v01 * w1, v00 * z2 + v01 * w2, v00 * z3 + v01 * w3
+            r3 = v10 * z0 + v11 * w0, v10 * z1 + v11 * w1, v10 * z2 + v11 * w2, v10 * z3 + v11 * w3
             changed = True
 
         b1, b2, b4 = -round(t1.real), -round(t2.real), -round(t4.real)
         if b1 or b2 or b4:
             t1, t2, t4 = t1 + b1, t2 + b2, t4 + b4
-            r0, r1 = _mix(1, r0, 1, _mix(b1, r2, b2, r3)), _mix(1, r1, 1, _mix(b2, r2, b4, r3))
+            # rows 0-1 gain B times rows 2-3
+            (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3), (w0, w1, w2, w3) = r0, r1, r2, r3
+            r0 = x0 + b1 * z0 + b2 * w0, x1 + b1 * z1 + b2 * w1, x2 + b1 * z2 + b2 * w2, x3 + b1 * z3 + b2 * w3
+            r1 = y0 + b2 * z0 + b4 * w0, y1 + b2 * z1 + b4 * w1, y2 + b2 * z2 + b4 * w2, y3 + b2 * z3 + b4 * w3
             changed = True
 
         if not _certificate(t1.imag, t2.imag, t4.imag):
@@ -604,7 +647,10 @@ def _reduce(t1: complex, t2: complex, t4: complex) -> tuple[tuple, int]:
 
         if not changed:
             return (r0, r1, r2, r3), iterations
-        _int64_rows((r0, r1, r2, r3))
+        # the refusal of _int64_rows, on one concatenation of the rows
+        w = r0 + r1 + r2 + r3
+        if max(w) >= 2**63 or min(w) <= -2**63:
+            raise ResourceLimitError("a matrix entry of magnitude 2^63 or more is past int64")
 
     raise NonConvergenceError(f"reduction did not settle in {_MAX_ITER} passes")
 

@@ -29,9 +29,14 @@ def sample_reduced_points(n: int, seed: int) -> list[SiegelPoint]:
     perturbation and Re(tau) uniform in [-1/2, 1/2]^3, then is reduced.  The
     same seed, an integer >= 0, reproduces the identical list.
     """
+    return list(_reduced_draws(n, seed))
+
+
+def _reduced_draws(n: int, seed: int):
+    """The points of sample_reduced_points(n, seed), one at a time; n and
+    seed are checked at the first."""
     n = _integral(n, 1, "need n >= 1 sample points")
     rng = np.random.default_rng(_integral(seed, 0, "seed must be an integer >= 0"))
-    points = []
     for _ in range(n):
         a = rng.normal(size=(2, 2))
         bump = a @ a.T
@@ -45,8 +50,7 @@ def sample_reduced_points(n: int, seed: int) -> list[SiegelPoint]:
         tau = SiegelPoint(
             complex(x1, y[0, 0]), complex(x2, y[0, 1]), complex(x4, y[1, 1])
         )
-        points.append(reduce_to_fundamental_domain(tau).reduced)
-    return points
+        yield reduce_to_fundamental_domain(tau).reduced
 
 
 def _random_sym_block(rng, lo: int, hi: int) -> np.ndarray:

@@ -5,7 +5,9 @@ loops for theta sums, a Hermite-form lattice index for Gaussian content, and
 literal orbit enumeration for the divisor counts.  The one exception is
 reduce_reference, the generic form of the reduction loop built from the
 library's own action and product, against which the specialised steps of
-reduce_to_fundamental_domain must agree bit for bit.  The numpy matrix
+reduce_to_fundamental_domain must agree bit for bit.  minkowski_gl2_reference
+is the Gauss loop with its Gram entries recomputed by congruence at every
+step, against which the library's inline entries must agree.  The numpy matrix
 readers at the end are the ones halfspace used before it read matrix
 arguments in plain Python; they keep the library's integrality check and
 row builders.
@@ -18,7 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from siegel_runge import halfspace as hs
-from siegel_runge.errors import InvalidInputError, NonConvergenceError, ResourceLimitError, _integral
+from siegel_runge.errors import (ConditioningError, InvalidInputError, NonConvergenceError, ResourceLimitError,
+                                 _integral)
 
 
 def theta_1d(a_bit: int, b_bit: int, w: complex, radius: int = 40) -> complex:
@@ -245,6 +248,53 @@ def gram_exact(y1: float, y2: float, y4: float, u) -> tuple:
     return (u00 * u00 * a + 2 * u00 * u10 * b + u10 * u10 * d,
             u00 * u01 * a + (u00 * u11 + u10 * u01) * b + u10 * u11 * d,
             u01 * u01 * a + 2 * u01 * u11 * b + u11 * u11 * d)
+
+
+def congruence(y1: float, y2: float, y4: float, u00: int, u01: int, u10: int, u11: int) -> tuple:
+    """Float entries (G11, G12, G22) of G = (U^t Y) U, each summed in the
+    order of operations of halfspace._minkowski_gl2."""
+    p00, p01 = u00 * y1 + u10 * y2, u00 * y2 + u10 * y4
+    p10, p11 = u01 * y1 + u11 * y2, u01 * y2 + u11 * y4
+    return p00 * u00 + p01 * u10, p00 * u01 + p01 * u11, p10 * u01 + p11 * u11
+
+
+def minkowski_gl2_reference(y1: float, y2: float, y4: float) -> tuple:
+    """The Gauss loop of halfspace._minkowski_gl2 with every Gram entry
+    recomputed by congruence and no rounding-bound refusal at its end: U,
+    or ConditioningError where a step that does not lower |G12| leaves
+    2 |G12| > (1 + _TOL) G11."""
+    if 0.0 <= y2 and y1 <= y4 and round(y2 / y1) == 0:
+        return 1, 0, 0, 1
+    u00, u01, u10, u11 = 1, 0, 0, 1
+    g11, g12, g22 = congruence(y1, y2, y4, u00, u01, u10, u11)
+    while True:
+        if g11 > g22:
+            u00, u01, u10, u11 = u01, u00, u11, u10
+            g11, g12, g22 = congruence(y1, y2, y4, u00, u01, u10, u11)
+            continue
+        r = round(g12 / g11)
+        if r == 0:
+            break
+        v01, v11 = u01 - r * u00, u11 - r * u10
+        _, h12, h22 = congruence(y1, y2, y4, u00, v01, u10, v11)
+        if not (0.0 < h22 and abs(h12) < abs(g12)):
+            if 2.0 * abs(g12) <= (1.0 + hs._TOL) * g11:
+                break
+            raise ConditioningError("Gauss reduction of Im(tau) lost precision")
+        u01, u11, g12, g22 = v01, v11, h12, h22
+    if g12 < 0.0:
+        u01, u11 = -u01, -u11
+    return u00, u01, u10, u11
+
+
+def gauss_rounding_bound(y1: float, y2: float, y4: float, u) -> float:
+    """4 eps |u1|^t |Y| (|u1| + |u2|), |.| entrywise and u1, u2 the columns
+    of U: twice the sum of the rounding bounds 2 eps |u1|^t |Y| |u1| of G11
+    and 2 eps |u1|^t |Y| |u2| of G12 in congruence."""
+    a = (abs(u[0]), abs(u[2]))
+    c = (a[0] + abs(u[1]), a[1] + abs(u[3]))
+    y = ((abs(y1), abs(y2)), (abs(y2), abs(y4)))
+    return 4.0 * 2.0 ** -52 * sum(a[i] * y[i][j] * c[j] for i in range(2) for j in range(2))
 
 
 def condition_number_exact(y1: float, y2: float, y4: float) -> float:

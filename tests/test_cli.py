@@ -200,6 +200,7 @@ class TestDeterminismAndErrors:
 
         monkeypatch.setattr(embedding, "psi", spy)
         monkeypatch.setattr(sampling, "sample_reduced_points", spy)
+        monkeypatch.setattr(sampling, "_reduced_draws", spy)
         assert dispatch(["rank", "--samples", samples, "--seed", "1"]) == 2
         assert "--samples must be between 10 and 100000" in capsys.readouterr().err
 
@@ -244,6 +245,19 @@ class TestDeterminismAndErrors:
         monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args) or svd(*args, **kwargs))
         assert run_ok(capsys, ["rank", "--samples", "12"])["rank"] == 5
         assert len(calls) == 1
+
+    def test_rank_fills_its_matrix_from_an_iterator(self, capsys, monkeypatch):
+        # rank kept all its samples and their points in two lists; the
+        # singular values now take the points one at a time
+        from siegel_runge import embedding
+
+        seen = []
+        helper = embedding._singular_values
+        monkeypatch.setattr(embedding, "_singular_values",
+                            lambda points, n: seen.append((type(points), n)) or helper(points, n))
+        assert run_ok(capsys, ["rank", "--samples", "12", "--seed", "3"])["rank"] == 5
+        assert len(seen) == 1 and seen[0][1] == 12
+        assert not issubclass(seen[0][0], (list, tuple))
 
     def test_malformed_json_is_exit_two(self, capsys):
         assert dispatch(["embed", "--tau", "{"]) == 2

@@ -49,6 +49,16 @@ class TestPsi:
             assert np.array_equal(p.coords, q.coords) and not p.coords.flags.writeable
             assert (p.tol, p.sup, p._moduli) == (q.tol, q.sup, q._moduli) == (1e-9, q.sup, np.abs(q.coords).tolist())
 
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_public_constructor_copies_the_array(self, dtype):
+        # it froze a caller's complex array of shape (10,) and kept it as coords
+        a = np.ones(10, dtype=dtype)
+        p = sr.ProjectivePoint(a, 1e-8)
+        assert a.flags.writeable and not np.shares_memory(a, p.coords)
+        assert not p.coords.flags.writeable
+        a[0] = 5.0
+        assert p.coords[0] == 1.0
+
     def test_psi_refuses_coordinates_below_ten_tol(self):
         """The only killer of "trusted constructor without the all-tiny
         refusal": at diag(i, i) the largest fourth power is about 1.94, so

@@ -10,9 +10,10 @@ import siegel_runge as sr
 from siegel_runge import halfspace
 from siegel_runge.halfspace import _gottschling_scan, _integer_rows, gottschling_matrices
 
-from oracles import (act_solve, condition_number_exact, from_matrix_reference, gl2_embedding_reference,
-                     gottschling_scan_by_coefficients, gram_exact, integer_rows_reference,
-                     reduce_reference, symplectic_by_products, symplectic_inverse, translation_reference)
+from oracles import (act_solve, condition_number_exact, congruence, from_matrix_reference, gauss_rounding_bound,
+                     gl2_embedding_reference, gottschling_scan_by_coefficients, gram_exact, integer_rows_reference,
+                     minkowski_gl2_reference, reduce_reference, symplectic_by_products, symplectic_inverse,
+                     translation_reference)
 
 
 I2 = np.eye(2)
@@ -572,7 +573,7 @@ class TestGaussReduction:
     def test_step_that_lowers_only_g12_is_taken(self, y):
         # 2 G12 just above G11 asks for a step by 1, which lowers G22 by less
         # than half an ulp: G22 rounds to itself but |G12| goes down
-        assert halfspace._congruence(*y, 1, -1, 0, 1)[2] == y[2]
+        assert congruence(*y, 1, -1, 0, 1)[2] == y[2]
         u = halfspace._minkowski_gl2(*y)
         assert u == (1, 1, 0, -1)
         g11, g12, g22 = gram_exact(*y, u)
@@ -596,16 +597,29 @@ class TestGaussReduction:
         assert minkowski_ok(res.reduced.imag)
 
     def check_reduced_or_ill_conditioned(self, y1, y2, y4):
-        """The float Gram matrix of the U returned is reduced, and only a
-        form past about 1/eps raises ConditioningError."""
+        """The float Gram matrix of the U returned is reduced, and so is the
+        exact one up to the rounding bound, which is below G11.  Only a form
+        past about 1/eps, or one whose loop ends with G11 below the rounding
+        bound, raises ConditioningError."""
         try:
             u = halfspace._minkowski_gl2(y1, y2, y4)
-        except sr.ConditioningError:
-            assert condition_number_exact(y1, y2, y4) > self.ILL_CONDITIONED
+        except sr.ConditioningError as exc:
+            if condition_number_exact(y1, y2, y4) > self.ILL_CONDITIONED:
+                return
+            # the loop ran to its end, and only the rounding bound refused its U
+            assert "rounding bound" in str(exc)
+            u = minkowski_gl2_reference(y1, y2, y4)
+            assert congruence(y1, y2, y4, *u)[0] <= gauss_rounding_bound(y1, y2, y4, u) * (1.0 + 1e-12)
             return
-        g11, g12, g22 = halfspace._congruence(y1, y2, y4, *u)
+        assert u == minkowski_gl2_reference(y1, y2, y4)
+        g11, g12, g22 = congruence(y1, y2, y4, *u)
         assert u[0] * u[3] - u[1] * u[2] in (1, -1)
         assert 0.0 <= 2.0 * g12 <= (1.0 + 1e-9) * g11 and g11 <= g22
+        # each float entry is within half the bound of the exact one
+        bound = gauss_rounding_bound(y1, y2, y4, u)
+        assert g11 > bound * (1.0 - 1e-12)
+        e11, e12, _ = gram_exact(y1, y2, y4, u)
+        assert -bound <= 2 * e12 <= (1.0 + 1e-9) * e11 + bound
 
     @given(st.floats(-8, 2), st.floats(-8, 2), st.floats(0, 3.2), st.floats(0, 9))
     @settings(max_examples=300, deadline=None)
@@ -626,9 +640,27 @@ class TestGaussReduction:
         # moved by the unimodular [[1, a], [b, 1 + a b]] in floats
         g11 = 10.0 ** log_g11
         g12 = g11 * (0.5 + ulps * 2.0 ** -53) * (-1.0 if negative else 1.0)
-        y = halfspace._congruence(g11, g12, g11 * 10.0 ** log_ratio, 1, a, b, 1 + a * b)
+        y = congruence(g11, g12, g11 * 10.0 ** log_ratio, 1, a, b, 1 + a * b)
         if halfspace._positive_definite(*y):
             self.check_reduced_or_ill_conditioned(*y)
+
+    @pytest.mark.parametrize("y, u", [
+        # R^t diag(l) R sheared by 10^5.93, as in test_skewed_forms_end_reduced_or_refused
+        ((12.910549270601484, 10929670.863913298, 9252720600005.107), (-846569, -139683886, 1, 165)),
+        # a near-boundary form moved by [[1, 2], [9, 19]], as in test_near_boundary_forms_end_reduced_or_refused
+        ((314219731196.9583, 663352765860.2218, 1400411394593.752), (19, -458, -9, 217)),
+    ], ids=["sheared", "near-boundary"])
+    def test_rounding_bound_refuses_an_unreduced_result(self, y, u):
+        # the loop ends on u, whose float G11 lies below its rounding bound,
+        # and whose exact Gram matrix is far from reduced: 2 |G12| > 30 G11
+        assert minkowski_gl2_reference(*y) == u
+        assert congruence(*y, *u)[0] <= gauss_rounding_bound(*y, u)
+        g11, g12, _ = gram_exact(*y, u)
+        assert 2 * abs(g12) > 30 * g11
+        with pytest.raises(sr.ConditioningError, match="rounding bound"):
+            halfspace._minkowski_gl2(*y)
+        with pytest.raises(sr.ConditioningError, match="rounding bound"):
+            sr.reduce_to_fundamental_domain(sr.SiegelPoint(*(1j * v for v in y)))
 
 
 def point_bits(p):
@@ -815,6 +847,22 @@ class TestStepShortcuts:
         assert abs(_gottschling_scan(*entries)[4]) < halfspace.CONDITION_EPS
         with pytest.raises(sr.ConditioningError):
             halfspace._gottschling_step(4, *entries, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+    def test_step_leaving_h2_is_refused_in_that_pass(self):
+        # Im(tau) about 1e-13 with real parts -1/2: the first pass takes no
+        # GL2 step or translation and then Gottschling matrix 11, whose
+        # image has Im entries about 1e12 and rounds to an Im(tau) that is
+        # not positive definite, though the exact image lies in H2
+        tau = sr.SiegelPoint(3.6995216522530333e-13j, -0.5 + 1.467103563929655e-13j, -0.5 + 1.385250375289162e-12j)
+        entries = (tau.tau1, tau.tau2, tau.tau4)
+        assert halfspace._minkowski_gl2(*(t.imag for t in entries)) == (1, 0, 0, 1)
+        dets = [abs(z) for z in _gottschling_scan(*entries)]
+        assert dets.index(min(dets)) == 11
+        image, _ = halfspace._gottschling_step(11, *entries, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+        with pytest.raises(sr.InvalidInputError, match="not positive definite"):
+            halfspace._check_entries(*image)
+        with pytest.raises(sr.InvalidInputError, match="not positive definite"):
+            sr.reduce_to_fundamental_domain(tau)
 
     @given(reduced_entries())
     @settings(max_examples=400, deadline=None)

@@ -125,7 +125,7 @@ RECORDS = {
     "Characteristic": (("bits",), lambda: sr.Characteristic((0, 1, 0, 1)), lambda: sr.Characteristic((1, 1, 0, 0))),
     "ThetaValue": (("value", "error_bound", "radius", "terms"), lambda: sr.ThetaValue(0.5 + 0.25j, 1e-12, 3, 126),
                    lambda: sr.ThetaValue(0.5 + 0.25j, 1e-12, 4, 209)),
-    # a fresh point shares the coordinate array, so its fields compare as equal
+    # two points compare their coordinate arrays as arrays
     "ProjectivePoint": (("coords", "tol"), lambda: sr.ProjectivePoint(_COORDS, 1e-8),
                         lambda: sr.ProjectivePoint(_COORDS, 1e-9)),
 }
@@ -138,8 +138,7 @@ RESULTS = {"ReductionResult", "BoundReport", "RungeVerdict", "ThetaValue"}
 
 
 def _same(x, y):
-    """Equal records; a ProjectivePoint by its fields, since a copied
-    coordinate array makes == ambiguous."""
+    """Equal records; a ProjectivePoint by its fields, sup included."""
     if isinstance(x, sr.ProjectivePoint):
         return (type(y) is sr.ProjectivePoint and np.array_equal(x.coords, y.coords)
                 and (x.tol, x.sup) == (y.tol, y.sup))
