@@ -162,16 +162,22 @@ def relation_singular_values(samples: list[ProjectivePoint]) -> np.ndarray:
 
 def _singular_values(points, n: int) -> np.ndarray:
     """Singular values of the n x 10 matrix whose rows are the sup-normalized
-    coordinates of the n points that the iterable ``points`` yields, filled
-    row by row, so that no point need outlive its row, and scaled at once."""
-    sups = []
+    coordinates of the n points in ``points``.  A list or tuple is read at
+    once; any other iterable fills the matrix row by row, so that no point
+    need outlive its row.  Either way the rows are scaled at once, so the
+    two give the same bits."""
+    if isinstance(points, (list, tuple)):
+        m = np.array([p.coords for p in points])
+        sups = [p.sup for p in points]
+    else:
+        sups = []
 
-    def rows():
-        for p in points:
-            sups.append(p.sup)
-            yield p.coords
+        def rows():
+            for p in points:
+                sups.append(p.sup)
+                yield p.coords
 
-    m = np.fromiter(rows(), np.dtype((complex, 10)), n)
+        m = np.fromiter(rows(), np.dtype((complex, 10)), n)
     m /= np.array(sups)[:, None]
     return np.linalg.svd(m, compute_uv=False)
 

@@ -334,6 +334,12 @@ def act(gamma, tau) -> SiegelPoint:
     return SiegelPoint(*_act_entries(g.rows, p.tau1, p.tau2, p.tau4)[0])
 
 
+#: (s1, s2, s4) of the eleven inversions [[0, -I], [I, S]], S = [[s1, s2], [s2, s4]],
+#: the first eleven gottschling_matrices(): the nine diagonal S with entries
+#: in {-1, 0, 1}, then the two S = [[0, e], [e, 0]], e = +-1.
+_SHIFTS = tuple((d1, 0, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)) + ((0, 1, 0), (0, -1, 0))
+
+
 @lru_cache(maxsize=1)
 def gottschling_matrices() -> tuple[SymplecticMatrix, ...]:
     """The nineteen symplectic matrices whose cocycle determinants cut out
@@ -345,8 +351,7 @@ def gottschling_matrices() -> tuple[SymplecticMatrix, ...]:
     for e = +-1, d in {0,1,-1}.
     """
     # [[0, -I], [I, S]]: det(C tau + D) = det(tau + S).
-    shifts = [(d1, 0, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)] + [(0, e, 0) for e in (1, -1)]
-    rows = [((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, s1, s2), (0, 1, s2, s4)) for s1, s2, s4 in shifts]
+    rows = [((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, s1, s2), (0, 1, s2, s4)) for s1, s2, s4 in _SHIFTS]
     # Act as SL2 on the tau1 (resp. tau4) corner: det = tau1 (resp. tau4).
     rows.append(((0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)))
     rows.append(((1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0)))
@@ -459,11 +464,6 @@ def _compose(a, b):
     return tuple((r0 * b00 + r1 * b10 + r2 * b20 + r3 * b30, r0 * b01 + r1 * b11 + r2 * b21 + r3 * b31,
                   r0 * b02 + r1 * b12 + r2 * b22 + r3 * b32, r0 * b03 + r1 * b13 + r2 * b23 + r3 * b33)
                  for r0, r1, r2, r3 in a)
-
-
-#: (s1, s2, s4) of the eleven inversions [[0, -I], [I, S]], S = [[s1, s2], [s2, s4]],
-#: read off the bottom rows of the first eleven gottschling_matrices().
-_SHIFTS = tuple((g.rows[2][2], g.rows[2][3], g.rows[3][3]) for g in gottschling_matrices()[:11])
 
 
 def _gottschling_step(k: int, t1: complex, t2: complex, t4: complex, rows):

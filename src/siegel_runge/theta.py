@@ -50,16 +50,21 @@ one test of its tail bound against the inner tolerance decides whether the
 point is summed there, and the rest of the inner tolerance is a budget for
 the terms inside the box too small to matter.  Every term at 2 tau is at most
 exp(-pi y2 |v|^2) with y2 = 2 y_min, so the kernel sums only the prefix, a
-disk, of the columns with |v|^2 <= S = log(2N / budget) / (pi y2), N the
-columns of the box at R, as ellipsoid summation does (Deconinck et al.,
-Math. Comp. 73, 2004); the proof at :func:`_b0_sums` holds for every
-R <= 17, so no point needs a radius of its own.  With U2 =
-(1 + y2^(-1/2))^2, which bounds the absolute series at 2 tau, the four sums
-within delta give squares within 8 U2 delta and fourth powers within
-64 U2^3 delta, so the box at 2 tau is summed to tol / (64 U2^3) (proof at
-:func:`_fourth_inner_tol`).  That is the same absolute contract as fourth
-powers of the sums at tau, but a small coordinate comes out of a sum of
-products as large as U2^2, so its relative error is larger.
+disk, of the columns with 4|v|^2 <= j, as ellipsoid summation does
+(Deconinck et al., Math. Comp. 73, 2004).  Each shift class of the table
+has at most alpha (l - j) + b columns between the levels j and l, with
+literals alpha = 1/2 and b = 14.5, so by Abel summation the terms past
+level j total at most 2 x^(j + 1) (alpha / (1 - x) + b), x = exp(-pi y2 / 4),
+and one log gives the least j within the budget (proof at :func:`_cut`).
+The bound holds for the whole table, so for every R <= 17, and R sets only
+the top level: no point needs a radius of its own.  With U = Theta(y2)^2,
+Theta(y) = sum over n of exp(-pi y n^2), which bounds the absolute series
+at 2 tau in closed form, the four sums within delta give squares within
+8 U delta and fourth powers within 64 U^3 delta, so the box at 2 tau is
+summed to tol / (64 U^3) (proof at :func:`_fourth_inner_tol`).  That is the
+same absolute contract as fourth powers of the sums at tau, but a small
+coordinate comes out of a sum of products as large as U^2, so its relative
+error is larger.
 
 The fourth powers are weight-2 forms for the level-2 group, so for M =
 [[A, B], [C, D]] in Sp4(Z)
@@ -98,25 +103,30 @@ from .halfspace import SiegelPoint, _act_entries, _check_entries, _least_eigenva
 _MAX_RADIUS = 10_000
 
 #: theta_fourth_vector sums boxes at 2 tau up to this radius directly and
-#: evaluates points that need more through the fundamental domain.  The two
-#: cost the same at radius 14, and the route is faster from 15 on.  Median
-#: over points of the median psi time per point, direct/routed in us, one
-#: pinned CPU, the distinct embed_unreduced inputs of seeds 1, 7 and 11 at
-#: each radius (29, 25, 24, 21, 21 and 18 of them at radius 12 to 17), each
+#: evaluates points that need more through the fundamental domain.  The
+#: direct sum is faster at radius 14 and the route from 15 on, in both
+#: settings below.  Median over points of the median psi time per point,
+#: direct/routed in us, one pinned CPU, the distinct embed_unreduced inputs
+#: of seeds 1, 7 and 11 at each radius of the box at 2 tau for the inner
+#: tolerance (27, 24, 24, 21, 21 and 18 of them at radius 12 to 17), each
 #: point summed with the gate at its radius, so cut for the box there, and
 #: routed with the gate one below, 31 interleaved rounds:
 #:
 #:   radius               12          13          14          15          16           17
-#:   back to back    57.8/73.0   63.3/69.8   73.4/71.5   83.5/72.4   89.6/67.3    99.3/72.9
-#:   16 control      55.8/72.6   65.2/72.5   73.8/75.4   82.3/74.4   98.1/75.1   105.7/80.4
+#:   back to back    52.3/65.8   57.1/65.4   63.1/65.2   73.6/65.1   79.4/65.1    85.2/66.5
+#:   16 control      55.9/71.2   59.9/71.7   66.5/71.3   79.0/72.4   85.7/72.2    90.3/72.9
 #:
 #: The second row runs 16 control-kernel calls before each call, as the
-#: bench does.  The two settings disagree at 14, so the gate takes the
-#: higher radius: 15 is the lowest that routes faster in both.
+#: bench does.  Two more runs picked the same side at every radius.
 _ROUTE_RADIUS = 14
 
 #: The table of _fused holds the box at this radius, the most 2q needs for reduced q.
 _DOMAIN_RADIUS = 17
+
+#: Each shift class of _fused's table has at most _LEVEL_SLOPE (l - j) +
+#: _LEVEL_EXCESS columns with j < 4|v|^2 <= l, for all levels j < l.
+_LEVEL_SLOPE = 0.5
+_LEVEL_EXCESS = 14.5
 
 #: Most exponentials per slab of rows of the half box that _table sums.
 _SLAB_TERMS = 1 << 12
@@ -313,8 +323,9 @@ def _fused() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     passes tau as given; row 2 a1 + a2 of K (4 x N) is
     half_signs[2 a1] (x) signs[2 a2], the terms of Theta_(a, 0).  The
     columns come sorted by the integer 4|v|^2, so that those with
-    4|v|^2 <= j are a prefix of length count[j], j = 0 .. 2 * 35^2.  At
-    radius _DOMAIN_RADIUS, 17, that is N = 2556 columns in 299 KiB."""
+    4|v|^2 <= j are a prefix of length count[j], j = 0 .. 2 * 35^2, the
+    levels of :func:`_cut`.  At radius _DOMAIN_RADIUS, 17, that is N = 2556
+    columns in 299 KiB."""
     v, v2, signs, w, w2, half_signs = _axis(_DOMAIN_RADIUS)
     w, w2 = w[:, None], w2[:, None]
     q = 2j * math.pi * np.stack(np.broadcast_arrays(w2, 2.0 * w * v, v2)).reshape(3, -1)
@@ -327,16 +338,38 @@ def _fused() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _cut(r: int, y_min: float, budget: float) -> int:
-    """The level j = floor(4 S) of the columns 4|v|^2 <= j that
-    :func:`_b0_sums` keeps within an error budget, with
-    S = log(2N / budget) / (pi y_min) and N = (2r + 2)(4r + 3) the columns of
-    the half box at r; level 2 (2r + 1)^2, all of that box, for a budget of 0
-    or an S past it.  S carries a relative error of a few units in the last
-    place; the factor 1 + 1e-12 covers it and can only keep more columns."""
+    """The level j of the columns 4|v|^2 <= j of the table of :func:`_fused`
+    that :func:`_b0_sums` keeps, such that the terms of each sum past it
+    total at most budget; y_min is the least eigenvalue of Im(2c) at the
+    point summed.  Level 2 (2r + 1)^2, all of the box at radius r, for a
+    budget of 0 or a level past it.  So r sets only the top level.
+
+    Let C_a(l) count the columns of the table with 4|v|^2 <= l that hold
+    terms of Theta_(a, 0).  alpha = _LEVEL_SLOPE and b = _LEVEL_EXCESS
+    satisfy C_a(l) - C_a(j) <= alpha (l - j) + b for every shift a and all
+    levels j < l, as a count over the table shows (it is tested).  A column
+    at level l = 4|v|^2 holds at most two terms of a sum, at v and -v, each
+    of modulus exp(-pi v^t Y v) <= exp(-pi y_min |v|^2) = x^l with
+    x = exp(-pi y_min / 4).  With D(l) = C_a(l) - C_a(j), held at its last
+    value past the top of the table, Abel summation gives
+
+        sum_(l > j) (D(l) - D(l - 1)) x^l = (1 - x) sum_(l > j) D(l) x^l
+                                          <= (1 - x) sum_(k >= 1) (alpha k + b) x^(j + k)
+                                           = x^(j + 1) (alpha / (1 - x) + b),
+
+    so the terms of each sum past level j total at most
+    2 x^(j + 1) (alpha / (1 - x) + b), over the whole table and hence over
+    any box in it.  With g = 4 / (pi y_min), 1 / (1 - x) <= 1 + g, as
+    1 - exp(-u) >= u / (1 + u); so the bound is at most budget once
+    j + 1 >= t = g log(2 (alpha (1 + g) + b) / budget), which floor(t)
+    meets, one log for the least level up to one.  t carries a relative
+    error of a few units in the last place; the factor 1 + 1e-12 covers it
+    and can only keep more columns."""
     top = 2 * (2 * r + 1) ** 2
     if not budget > 0.0:
         return top
-    s4 = 4.0 * (1.0 + 1e-12) * math.log(2.0 * (2 * r + 2) * (4 * r + 3) / budget) / (math.pi * y_min)
+    g = 4.0 / (math.pi * y_min)
+    s4 = (1.0 + 1e-12) * g * math.log(2.0 * (_LEVEL_SLOPE * (1.0 + g) + _LEVEL_EXCESS) / budget)
     return top if s4 >= top else math.floor(s4)
 
 
@@ -352,19 +385,13 @@ def _b0_sums(c: np.ndarray, level: int) -> np.ndarray:
 
     The cut is rigorous at any radius r <= 17; :func:`_fourth_powers` takes
     r = cap, the caller's cap, 14 at 2 tau and 17 at 2q, for every point.
-    Let y_min be the least eigenvalue of Im(2c), of the point summed,
-    N = (2r + 2)(4r + 3) the columns of the half box at r and level =
-    floor(4 S) as :func:`_cut` gives it, with S = log(2N / budget) /
-    (pi y_min).  The box at r lies in the box at 17, so a column of the box
-    at r left out has the integer 4|v|^2 >= level + 1 > 4 S.  It holds at
-    most two terms of each sum, at v and -v, each of modulus
-
-        exp(-pi v^t Y v) <= exp(-pi y_min |v|^2) < exp(-pi y_min S) = budget / 2N.
-
-    The column v = 0 is always kept (S > 0, as budget < 1 <= 2N), so at most
-    N - 1 columns of the box at r are left out (none at the top level), and
-    they move each sum by less than budget.  Columns kept past the box at r
-    are terms beyond max|n_i| <= r, so those missed there sum to at most the
+    Let y_min be the least eigenvalue of Im(2c), of the point summed, and
+    level the level of :func:`_cut` for r, y_min and budget.  Below the top
+    level of the box at r, the terms of each sum over the columns of the
+    whole table past level total at most budget (the proof at :func:`_cut`),
+    and the columns of the box at r past level are among them.  At the top
+    level the box at r is kept whole.  Columns kept past the box at r are
+    terms beyond max|n_i| <= r, so those missed there sum to at most the
     tail bound tail of r.  With budget = inner - tail, which the gate
     tail <= inner keeps at 0 or more, each sum is within inner of its
     constant; a sum over any subset of the terms is at most the absolute
@@ -435,27 +462,46 @@ def theta_constant(m: Characteristic, tau, tol: float = DEFAULT_TOL) -> ThetaVal
 
 
 def _fourth_inner_tol(y2: float, tol: float) -> float:
-    """The tolerance delta = tol / (64 U2^3) on each Theta_(c, 0)(2 tau) that
+    """The tolerance delta = tol / (64 U^3) on each Theta_(c, 0)(2 tau) that
     keeps every Theta_m(tau)^4 of the duplication formula within tol, with
-    y2 = 2 y_min the least eigenvalue of Im(2 tau) and U2 = (1 + y2^(-1/2))^2.
+    y2 = 2 y_min the least eigenvalue of Im(2 tau), U = Theta(y2)^2 and
+    Theta(y) = sum over n in Z of exp(-pi y n^2).
 
     Every term at 2 tau is at most exp(-pi y2 |n + a|^2), which factors over
-    the axes, and each 1-D sum of exp(-pi y2 (n + a)^2) over n is at most its
-    peak 1 plus the integral y2^(-1/2).  So U2 bounds the absolute series at
+    the axes.  By Poisson summation each 1-D sum is
+
+        sum over n of exp(-pi y (n + a)^2) = y^(-1/2) sum over k of exp(-pi k^2 / y) cos(2 pi k a)
+                                          <= y^(-1/2) Theta(1/y) = Theta(y)
+
+    for both shifts a = 0 and 1/2.  So U bounds the absolute series at
     2 tau, hence each A_c = Theta_(c, 0)(2 tau) and each sum a_c over a
-    subset of its terms, the cut sums of :func:`_b0_sums` among them.  If
-    |A_c - a_c| <= delta for all four c, the square
+    subset of its terms, the cut sums of :func:`_b0_sums` among them.
+    Theta has a closed-form bound: (n - 1)(n - 2) >= 0 gives n^2 >= 3n - 2
+    for every integer n, so with e = exp(-pi y)
+
+        Theta(y) = 1 + 2 sum_(n >= 1) exp(-pi y n^2) <= 1 + 2 sum_(n >= 1) e^(3n - 2) = 1 + 2 e / (1 - e^3),
+
+    used for y >= 1, and for y < 1 at 1/y through Theta(y) = y^(-1/2)
+    Theta(1/y).  Either way e <= exp(-pi), so 1 - e^3 > 0.9999, and the
+    bound exceeds Theta by 2 (e^7 - e^9 + e^10 - ...) < 2 e^7 / (1 - e^3),
+    less than 6e-10 of it.  At a reduced point y2 >= sqrt(3)/2 and
+    U < 1.29, where the integral bound U2 = (1 + y2^(-1/2))^2 it replaces
+    reads up to 4.30.  If |A_c - a_c| <= delta for all four c, the square
     theta_m^2 = sum_c +-A_c A_(c+a) and its image s_m = sum_c +-a_c a_(c+a)
     differ by at most
 
-        sum_c |A_c| |A_(c+a) - a_(c+a)| + |a_(c+a)| |A_c - a_c| <= 4 (2 U2 delta) = 8 U2 delta,
+        sum_c |A_c| |A_(c+a) - a_(c+a)| + |a_(c+a)| |A_c - a_c| <= 4 (2 U delta) = 8 U delta,
 
-    and |theta_m^2|, |s_m| <= 4 U2^2, so
-    |theta_m^4 - s_m^2| = |theta_m^2 - s_m| |theta_m^2 + s_m| <= 64 U2^3 delta = tol.
+    and |theta_m^2|, |s_m| <= 4 U^2, so
+    |theta_m^4 - s_m^2| = |theta_m^2 - s_m| |theta_m^2 + s_m| <= 64 U^3 delta = tol.
     Rounding is not bounded (ROADMAP item 2).  Divided out term by term, so
     that it underflows to 0 rather than overflow at tiny y2.
     """
-    s = 1.0 + 1.0 / math.sqrt(y2)
+    if y2 >= 1.0:
+        e, root = math.exp(-math.pi * y2), 1.0
+    else:
+        e, root = math.exp(-math.pi / y2), math.sqrt(y2)
+    s = (1.0 + 2.0 * e / (1.0 - e * e * e)) / root
     return tol / 64.0 / s / s / s / s / s / s
 
 
@@ -506,12 +552,13 @@ def theta_fourth_vector(tau, tol: float = DEFAULT_TOL_FOURTH) -> np.ndarray:
     eigenvalue y2 = 2 y_min, so the box at 2 tau needs about 1/sqrt(2) of
     the radius at tau and the cut keeps about half the columns.  All four
     come from one box whose tail bound meets the inner tolerance
-    tol / (64 U2^3), U2 = (1 + y2^(-1/2))^2, with the proof at
-    :func:`_fourth_inner_tol`; inside it the kernel drops the columns that
-    the rest of the inner tolerance covers (:func:`_b0_sums`).  The
-    absolute contract is the one a direct fourth power had, but a small
-    coordinate now comes out of a cancelling sum of products of values of
-    size up to U2, so its relative error grows as the coordinate shrinks.
+    tol / (64 U^3), U = Theta(y2)^2 with Theta(y) = sum over n of
+    exp(-pi y n^2), with the proof at :func:`_fourth_inner_tol`; inside it
+    the kernel drops the columns that the rest of the inner tolerance
+    covers (:func:`_cut`, :func:`_b0_sums`).  The absolute contract is the
+    one a direct fourth power had, but a small coordinate now comes out of
+    a cancelling sum of products of values of size up to U, so its relative
+    error grows as the coordinate shrinks.
 
     The box is summed at 2 tau, each Re(tau) entry taken mod 2, to the inner
     tolerance of min(tol, 1/2) when the tail bound of the box at radius
@@ -569,12 +616,15 @@ def _fourth_through_domain(tau: SiegelPoint, tol: float) -> np.ndarray:
     past a bound read off q, so only a smaller or infinite |det2| pays for
     a checked division.  With y2 = 2 y_min the least eigenvalue of Im(2q)
     and U2 = (1 + y2^(-1/2))^2, each cut sum at 2q is at most U2 in modulus,
-    as the absolute series is (the proof at :func:`_fourth_inner_tol`), so
-    each square of the duplication formula is at most 4 U2^2 and each value
-    at most V = 16 U2^4 + 1/2.  The 1/2 covers rounding: a box at radius 17
-    or less meets an inner tolerance below 1/2 only for y2 > 0.023, so
-    U2 < 57 and 16 U2^4 < 1.7e8, which sums of at most 2556 terms round by
-    less than 1e-3.  numpy divides complex numbers by Smith's method, which
+    as the absolute series is, so each square of the duplication formula is
+    at most 4 U2^2 and each value at most V = 16 U2^4 + 1/2.  U2 bounds
+    Theta(y2)^2 of :func:`_fourth_inner_tol` (a 1-D sum is at most its peak
+    1 plus its integral y2^(-1/2)); it is looser, but it only places the
+    bound on |det2|, near 1e-305, below which the division is checked.
+    The 1/2 covers rounding: a box at radius 17 or less meets an inner
+    tolerance below 1/2 only for y2 > 0.022, so U2 < 59 and
+    16 U2^4 < 1.9e8, which sums of at most 2556 terms round by less than
+    1e-3.  numpy divides complex numbers by Smith's method, which
     keeps each part of a quotient within its modulus up to rounding, and
     its reciprocal 1 / (c (1 + r^2)), with c the larger part of det2, is
     finite as |c| >= |det2| / sqrt(2) is.  So for |det2| >= 2 V / DBL_MAX

@@ -220,6 +220,18 @@ class TestRelationRank:
         with pytest.raises(sr.InvalidInputError):
             sr.relation_rank([sr.psi(GENERIC_POINT)] * 9)
 
+    def test_a_list_is_read_at_once(self, monkeypatch):
+        # relation_singular_values filled its matrix from a list through
+        # np.fromiter, row by row, as the CLI's generator needs; a list is
+        # read with one np.array, to the same bits
+        from siegel_runge import embedding
+
+        points = [sr.psi(t) for t in sr.sample_reduced_points(12, seed=66)]
+        want = embedding._singular_values(iter(points), len(points))
+        monkeypatch.setattr(np, "fromiter", None)
+        assert np.array_equal(sr.relation_singular_values(points), want)
+        assert np.array_equal(sr.relation_singular_values(tuple(points)), want)
+
 
 class TestTube:
     def test_membership(self):

@@ -1,4 +1,7 @@
+import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -430,6 +433,20 @@ class TestGottschling:
         for got in (per_matrix, _gottschling_scan(tau.tau1, tau.tau2, tau.tau4)):
             assert len(got) == 19
             assert np.max(np.abs(np.asarray(got) - expected)) < 1e-12
+
+    def test_step_shifts_are_the_inversions_rows(self):
+        """_gottschling_step reads (s1, s2, s4) from the literal _SHIFTS, which
+        are the bottom rows of the eleven inversions [[0, -I], [I, S]] that
+        open gottschling_matrices(); importing the module builds none of the
+        nineteen matrices, which once cost 0.18 ms at import."""
+        code = "from siegel_runge import halfspace; print(halfspace.gottschling_matrices.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "0"
+        inversions = [g.rows for g in gottschling_matrices()[:11]]
+        assert all(r[:2] == ((0, 0, -1, 0), (0, 0, 0, -1)) and r[2][:2] == (1, 0) and r[3][:2] == (0, 1)
+                   and r[2][3] == r[3][2] for r in inversions)
+        assert halfspace._SHIFTS == tuple((r[2][2], r[2][3], r[3][3]) for r in inversions)
 
 
 def minkowski_ok(y, tol=1e-9):

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import siegel_runge as sr
@@ -53,9 +53,26 @@ def cut_points():
             + [sr.SiegelPoint(0.2 + 0.35j, 0, -0.1 + 0.35j), sr.SiegelPoint(0.1 + 0.05j, 0, 0.3 + 2.5j)])
 
 
-def disk_norm(r, y_min, budget):
-    """S = log(2N / budget) / (pi y_min), N = (2r + 2)(4r + 3) the half-box columns."""
-    return math.log(2 * (2 * r + 2) * (4 * r + 3) / budget) / (math.pi * y_min)
+#: The column counts of _fused's table: for every shift a and levels j < l,
+#: at most ALPHA (l - j) + B columns of Theta_(a, 0) have j < 4|v|^2 <= l.
+ALPHA, B = 0.5, 14.5
+
+
+def disk_norm(y_min, budget):
+    """S = t / 4 with t = g log(2 (ALPHA (1 + g) + B) / budget) and
+    g = 4 / (pi y_min): past the disk |v|^2 <= S the terms of each b = 0
+    sum total at most budget (the proof at theta._cut)."""
+    g = 4.0 / (math.pi * y_min)
+    return g * math.log(2.0 * (ALPHA * (1.0 + g) + B) / budget) / 4.0
+
+
+def theta_bound(y):
+    """1 + 2e / (1 - e^3), e = exp(-pi y), an upper bound for
+    Theta(y) = sum over n of exp(-pi y n^2) as n^2 >= 3n - 2, taken at 1/y
+    through Theta(y) = y^(-1/2) Theta(1/y) for y < 1."""
+    z = y if y >= 1.0 else 1.0 / y
+    e = math.exp(-math.pi * z)
+    return (1.0 + 2.0 * e / (1.0 - e ** 3)) * (1.0 if y >= 1.0 else y ** -0.5)
 
 
 @pytest.fixture
@@ -290,7 +307,7 @@ class TestKernel:
             y2, inner = 2.0 * tau.min_imag_eigenvalue(), direct_tolerance(tau, TestRoute.TOL)
             gate = theta._ROUTE_RADIUS
             assert scaled_radius(scale, TestRoute.TOL) == radius <= gate
-            s = min(disk_norm(gate, y2, inner - sr.tail_bound(gate, y2)), (2 * gate + 1) ** 2 / 2)
+            s = min(disk_norm(y2, inner - sr.tail_bound(gate, y2)), (2 * gate + 1) ** 2 / 2)
             sums = {c: theta_2d_disk(c + (0, 0), 2.0 * tau.matrix, 17, s) for c in B0_SHIFTS}
             want = duplication_squares(sums) ** 2
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -301,16 +318,16 @@ class TestKernel:
 class TestCut:
     @pytest.mark.parametrize("budget", [1e-14, 1e-6])
     def test_prefix_matches_the_disk_double_loop(self, budget):
-        """The only killer of "2N -> N in _cut": the prefix kept is the disk
-        |v|^2 <= S, S = log(2N / budget) / (pi y_min), N the columns of the
-        half box at r, that the proof at _b0_sums needs, at tau and at
-        2 tau.  The disk may pass the box at r but not the box at 17."""
+        """The prefix kept is the disk |v|^2 <= S of disk_norm, past which
+        the terms of each sum total at most the budget (the proof at _cut),
+        at tau and at 2 tau.  The disk may pass the box at r but not the box
+        at 17."""
         for tau in cut_points()[:2] + cut_points()[4:]:
             for factor in (1.0, 2.0):
                 y = factor * tau.min_imag_eigenvalue()
                 r = sr.truncation_radius(y, budget)
                 assert r <= theta._DOMAIN_RADIUS
-                s = disk_norm(r, y, budget)
+                s = disk_norm(y, budget)
                 assert s < (2 * r + 1) ** 2 / 2
                 got = theta._b0_sums(entries(tau, factor), theta._cut(r, y, budget))
                 want = np.array([theta_2d_disk(c + (0, 0), factor * tau.matrix, 17, s) for c in B0_SHIFTS])
@@ -323,9 +340,9 @@ class TestCut:
         """One tail bound, of the box at cap, decides what a scan of the
         radii 1 to cap decides, as the bound decreases in the radius, and
         the level is computed for that box and the inner tolerance less its
-        tail bound: every column left out of the box at cap has
-        4|v|^2 >= level + 1 > 4 S, S = log(2N / budget) / (pi y2), with N
-        the columns of the half box at cap, or the whole box is kept.  That
+        tail bound: the columns past the level hold terms of each sum of
+        at most 2 x^(level + 1) (ALPHA / (1 - x) + B) <= budget in all,
+        x = exp(-pi y2 / 4), or the whole box is kept.  That
         level can be below the one the least radius that meets the inner
         tolerance gives: the tail of that radius can use up most of the
         inner tolerance and leave it a small budget."""
@@ -343,8 +360,9 @@ class TestCut:
             return
         budget = inner - theta._tail(cap, y2)
         assert seen == [(cap, y2, budget)]
-        level, n = cut(*seen[0]), (2 * cap + 2) * (4 * cap + 3)
-        assert level == 2 * (2 * cap + 1) ** 2 or math.pi * y2 * (level + 1) / 4.0 > math.log(2 * n / budget)
+        level = cut(*seen[0])
+        bound = math.log(2.0 * (ALPHA / -math.expm1(-math.pi * y2 / 4.0) + B) / budget)
+        assert level == 2 * (2 * cap + 1) ** 2 or math.pi * y2 * (level + 1) / 4.0 >= bound
 
     def test_zero_budget_sums_the_whole_box(self):
         """The only killer of "zero budget cuts to level 0": a tail bound equal
@@ -354,6 +372,67 @@ class TestCut:
             assert theta._cut(r, 0.5, 0.0) == 2 * (2 * r + 1) ** 2
         c = entries(cut_points()[0])
         assert np.array_equal(theta._b0_sums(c, theta._cut(3, 1.0, 0.0)), theta._b0_sums(c, 2 * (2 * 3 + 1) ** 2))
+
+    def test_level_constants_come_from_the_table(self):
+        """_LEVEL_EXCESS is the least b with C_a(l) - C_a(j) <= _LEVEL_SLOPE
+        (l - j) + b for every shift a and all levels j < l, C_a(l) the
+        columns of Theta_(a, 0) in _fused's table with 4|v|^2 <= l, and the
+        two are the ALPHA and B of disk_norm.  A slope below the density
+        pi / 8 of a shift class on the half plane would need a b that grows
+        with the table: halved, it needs 206.75."""
+        q, k, count = theta._fused()
+        # 4|v|^2 = 4 (w^2 + v^2) of each column, read off its exponents 2 i pi (w^2, 2 w v, v^2)
+        levels = np.rint(2.0 * (q[0] + q[2]).imag / math.pi).astype(int)
+        assert np.array_equal(np.cumsum(np.bincount(levels)), count)
+        least = -math.inf
+        for row in k:
+            f = np.cumsum(np.bincount(levels[row != 0], minlength=count.size)) - ALPHA * np.arange(count.size)
+            least = max(least, float(np.max(f[1:] - np.minimum.accumulate(f)[:-1])))
+        assert (theta._LEVEL_SLOPE, theta._LEVEL_EXCESS) == (ALPHA, B) == (ALPHA, least)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(math.log10(0.03), math.log10(50.0)), st.floats(-14.0, math.log10(0.5)),
+           st.sampled_from([theta._ROUTE_RADIUS, theta._DOMAIN_RADIUS]),
+           st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.tuples(*[st.floats(-1.5, 1.5)] * 2))
+    def test_cut_error_is_within_the_budget(self, log_y2, log_tol, cap, re, w):
+        """Against the sum over the whole table, the box at 17, the columns
+        past the level of _cut hold terms of each sum of at most the budget
+        in all (the proof at _cut), at caps 14 and 17, for any Im(2c) =
+        y2 I + w w^t of least eigenvalue at least y2; the cut sum is that
+        close, up to the rounding of the sums.  A level at the top of the
+        box at cap leaves out only terms past it, which the tail bound
+        covers."""
+        y2, tol = 10.0 ** log_y2, 10.0 ** log_tol
+        inner = theta._fourth_inner_tol(y2, tol)
+        tail = theta._tail(cap, y2)
+        assume(tail <= inner)
+        budget = inner - tail
+        level = theta._cut(cap, y2, budget)
+        im = y2 * np.eye(2) + np.outer(w, w)
+        c = np.array([complex(re[0], im[0, 0]), complex(re[1], im[0, 1]), complex(re[2], im[1, 1])]) / 2.0
+        q, k, count = theta._fused()
+        terms = np.abs(k) * np.abs(np.exp(c @ q))
+        left_out = terms[:, count.item(level):].sum(axis=1)
+        allowed = budget if level < 2 * (2 * cap + 1) ** 2 else tail
+        assert np.all(left_out <= allowed)
+        error = np.abs(theta._b0_sums(c, count.size - 1) - theta._b0_sums(c, level))
+        assert np.all(error <= allowed + 64 * sys.float_info.epsilon * terms.sum(axis=1))
+
+    @pytest.mark.parametrize("y", [0.02, 0.3, 0.97, 1.0, 1.03, 1.7, 6.0])
+    def test_theta_bound_against_mpmath(self, y):
+        """The Theta(y) that _fourth_inner_tol(y, 1/2) = 1/2 / (64 Theta^6)
+        divides by bounds both 1-D sums over n of exp(-pi y (n + a)^2),
+        a = 0 and 1/2, on both sides of y = 1, and exceeds the one at a = 0
+        by less than 1e-9 of it: without the Poisson branch it read 0.14%
+        high at y = 0.3, and with e for e / (1 - e^3) it fell short."""
+        from mpmath import mp
+        got = (0.5 / 64.0 / theta._fourth_inner_tol(y, 0.5)) ** (1.0 / 6.0)
+        assert got == pytest.approx(theta_bound(y), rel=1e-15)
+        with mp.workdps(40):
+            sums = [float(mp.nsum(lambda n: mp.exp(-mp.pi * y * (n + a) ** 2), [-mp.inf, mp.inf]))
+                    for a in (0, mp.mpf(1) / 2)]
+        assert sums[1] <= sums[0] <= got * (1.0 + 1e-15)
+        assert got <= sums[0] * (1.0 + 1e-9)
 
 
 class TestThetaConstant:
@@ -472,10 +551,10 @@ class TestFourthVector:
     def test_cut_sums_meet_the_tolerance(self, reductions, tol):
         # summed at 2 tau with the cut, none routed; the skewed points are the
         # oracle test's above.  The double loop at tau runs 8 past the radius
-        # whose tail meets direct_tolerance
+        # whose tail meets u2_tolerance
         for tau in cut_points()[:2] + cut_points()[4:]:
             got = sr.theta_fourth_vector(tau, tol)
-            r = sr.truncation_radius(tau.min_imag_eigenvalue(), direct_tolerance(tau, tol))
+            r = sr.truncation_radius(tau.min_imag_eigenvalue(), u2_tolerance(tau, tol))
             assert np.max(np.abs(got - naive_fourth_powers(tau.matrix, radius=r + 8))) <= tol
         assert reductions == []
 
@@ -525,10 +604,16 @@ class TestFourthVector:
 
 
 def direct_tolerance(tau, tol):
-    """tol / (64 U2^3), U2 = (1 + (2 y_min)^(-1/2))^2: the four b = 0
-    constants at 2 tau this close give the ten fourth powers within tol.  A
-    theta constant at tau this close gives its own fourth power within tol
-    too, as 4 U^3 <= 32 U2^3 for U = (1 + y_min^(-1/2))^2 <= 2 U2."""
+    """tol / (64 U^3), U = theta_bound(2 y_min)^2: the four b = 0 constants
+    at 2 tau this close give the ten fourth powers within tol."""
+    return tol / (64.0 * theta_bound(2.0 * tau.min_imag_eigenvalue()) ** 6)
+
+
+def u2_tolerance(tau, tol):
+    """tol / (64 U2^3), U2 = (1 + (2 y_min)^(-1/2))^2, at most
+    direct_tolerance.  A theta constant at tau this close gives its own
+    fourth power within tol, as 4 U^3 <= 32 U2^3 for U = (1 + y_min^(-1/2))^2
+    <= 2 U2, the integral bound on the absolute series at tau."""
     u2 = (1.0 + (2.0 * tau.min_imag_eigenvalue()) ** -0.5) ** 2
     return tol / (64.0 * u2 ** 3)
 
@@ -710,7 +795,7 @@ class TestRoute:
                 break
         assert reductions and radius > 1
         # the last is a GL2 image that routes to the box at radius 1, where
-        # the cut keeps level 7 and the top level of radius 0 is 2
+        # the cut keeps level 6 and the top level of radius 0 is 2
         skewed = sr.act(sr.gl2_embedding([[1, 20], [0, 1]]), sr.SiegelPoint(0.1 + 2.7j, 0.05 + 0.1j, -0.2 + 2.8j))
         routed = [scaled(0.02)] + small_y_points()[1:] + [skewed]
         reductions.clear()
@@ -786,7 +871,7 @@ class TestRoute:
         witness and passes are those of the public result, and its values
         are, bit for bit, those built from that result."""
         rng = np.random.default_rng(31)
-        points = [scaled(s) for s in (0.035, 0.03, 0.01, 1e-3, 1e-4)]
+        points = [scaled(s) for s in (0.032, 0.03, 0.01, 1e-3, 1e-4)]
         for p in sr.sample_reduced_points(8, seed=31):
             for s in (0.1, 0.02):
                 image = sr.act(sr.random_level2_matrix(rng), p)
@@ -850,7 +935,7 @@ class TestRoute:
         tail bound, of the box at the gate radius, decides the route and
         sizes the cut, with no radius search.  Radii from 3 up to the gate,
         all summed at 2 tau: a gate one lower routes the last."""
-        scales = (1.0, 0.3, 0.04)
+        scales = (1.0, 0.3, 0.036)
         assert scaled_radius(scales[-1], self.TOL) == theta._ROUTE_RADIUS
         points = sr.sample_reduced_points(5, seed=73) + [scaled(s) for s in scales]
         calls = []
